@@ -358,9 +358,8 @@ int Main(int argc, char** argv) {
         t = static_cast<int32_t>(rng.Below(static_cast<uint64_t>(big.vocab)));
       }
       SPINFER_CHECK(cache.AddSequence(s, kSrvPrompt));
-      const FloatMatrix logits =
+      last[static_cast<size_t>(s)] =
           model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, s);
-      last[static_cast<size_t>(s)] = GreedyToken(logits, kSrvPrompt - 1);
     }
     std::vector<int32_t> next;
     for (const int64_t batch : {1, 4, 8}) {
@@ -417,9 +416,8 @@ int Main(int argc, char** argv) {
         t = static_cast<int32_t>(rng.Below(static_cast<uint64_t>(big.vocab)));
       }
       SPINFER_CHECK(cache.AddSequence(s, kLcPrompt));
-      const FloatMatrix logits =
+      last[static_cast<size_t>(s)] =
           model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, s);
-      last[static_cast<size_t>(s)] = GreedyToken(logits, kLcPrompt - 1);
     }
     std::vector<int64_t> ids(static_cast<size_t>(kLcSeqs));
     for (int64_t i = 0; i < kLcSeqs; ++i) {

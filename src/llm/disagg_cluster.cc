@@ -152,9 +152,8 @@ DisaggClusterReport DisaggCluster::Run() {
     inst.free_at_s = done_s;
     ++report.prefills;
 
-    const FloatMatrix logits =
-        model_->Prefill(r.prompt, cfg_.backend, &inst.cache, r.id);
-    r.generated.push_back(GreedyToken(logits, len - 1));
+    r.generated.push_back(
+        model_->Prefill(r.prompt, cfg_.backend, &inst.cache, r.id));
 
     // KV handoff: the prompt's cache pages cross the fabric once, priced on
     // the cost model (the executing tiny pools are stand-ins).

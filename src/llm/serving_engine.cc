@@ -129,26 +129,14 @@ std::string ExecServingReport::ToString() const {
 
 ServingEngine::ServingEngine(const TinyTransformer* model,
                              const ServingEngineConfig& cfg)
-    : owned_substrate_(std::make_unique<SingleInstanceSubstrate>(
-          model, cfg.kv_block_tokens, cfg.kv_num_blocks)),
-      substrate_(owned_substrate_.get()),
-      cfg_(cfg) {
-  SPINFER_CHECK(cfg.max_batch > 0);
-  SPINFER_CHECK(cfg.prefill_chunk_tokens >= 0);
-  if (kServingObs) {
-    if (cfg.obs.request_timeline) {
-      request_log_ = std::make_unique<obs::RequestLog>(cfg.obs.wall_clock);
-    }
-    if (cfg.obs.flight_recorder_iters > 0) {
-      flight_recorder_ =
-          std::make_unique<obs::FlightRecorder>(cfg.obs.flight_recorder_iters);
-    }
-    if (cfg.obs.slo_tracker) {
-      obs::SloTrackerConfig slo;
-      slo.window_iters = cfg.obs.slo_window_iters;
-      slo_tracker_ = std::make_unique<obs::SloTracker>(slo);
-    }
-  }
+    : ServingEngine(std::make_unique<SingleInstanceSubstrate>(
+                        model, cfg.kv_block_tokens, cfg.kv_num_blocks),
+                    cfg) {}
+
+ServingEngine::ServingEngine(std::unique_ptr<SingleInstanceSubstrate> owned,
+                             const ServingEngineConfig& cfg)
+    : ServingEngine(owned.get(), cfg) {
+  owned_substrate_ = std::move(owned);
 }
 
 ServingEngine::ServingEngine(ServingSubstrate* substrate,

@@ -243,6 +243,11 @@ class ServingEngine {
     int64_t prefill_pos = 0;
   };
 
+  // The TinyTransformer constructor's target: runs the borrowed-substrate
+  // constructor over `owned`, then keeps it alive.
+  ServingEngine(std::unique_ptr<SingleInstanceSubstrate> owned,
+                const ServingEngineConfig& cfg);
+
   // A request the pool could never hold, or that overflows the model's
   // context window, is rejected at queue-head time.
   bool IsServable(const RequestRecord& r) const;

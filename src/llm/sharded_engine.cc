@@ -1,14 +1,9 @@
 #include "src/llm/sharded_engine.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 
-#include "src/core/cpu_backend.h"
-#include "src/llm/paged_attention.h"
 #include "src/llm/parallel.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/util/check.h"
 
 namespace spinfer {
@@ -40,121 +35,24 @@ struct TpMetrics {
   }
 };
 
-// Rows [row0, row0 + rows) of `w` as an owned copy; the slice spans the full
-// K dimension, so slice * X computes exactly those rows of w * X.
-HalfMatrix SliceRows(const HalfMatrix& w, int64_t row0, int64_t rows) {
-  HalfMatrix s(rows, w.cols());
-  std::copy(w.data() + row0 * w.cols(), w.data() + (row0 + rows) * w.cols(),
-            s.data());
-  return s;
-}
-
-// The numeric helpers below mirror tiny_transformer.cc's file-local copies
-// expression for expression — the bit-identity contract rests on them
-// rounding identically.
-void ToHalfInto(const FloatMatrix& f, HalfMatrix* h) {
-  h->Reshape(f.rows(), f.cols());
-  for (int64_t i = 0; i < f.size(); ++i) {
-    h->data()[i] = Half(f.data()[i]);
-  }
-}
-
-void CopyInto(const FloatMatrix& src, FloatMatrix* dst) {
-  dst->Reshape(src.rows(), src.cols());
-  std::copy(src.data(), src.data() + src.size(), dst->data());
-}
-
-void LayerNormColumns(FloatMatrix* a) {
-  const int64_t h = a->rows();
-  for (int64_t c = 0; c < a->cols(); ++c) {
-    double mean = 0.0;
-    for (int64_t r = 0; r < h; ++r) {
-      mean += a->at(r, c);
-    }
-    mean /= static_cast<double>(h);
-    double var = 0.0;
-    for (int64_t r = 0; r < h; ++r) {
-      const double d = a->at(r, c) - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(h);
-    const double inv = 1.0 / std::sqrt(var + 1e-5);
-    for (int64_t r = 0; r < h; ++r) {
-      a->at(r, c) = static_cast<float>((a->at(r, c) - mean) * inv);
-    }
-  }
-}
-
-float Gelu(float x) {
-  const float c = 0.7978845608f;  // sqrt(2/pi)
-  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
-}
-
-// Copies shard panel `src` (a row band) into rows [row0, row0 + src.rows())
-// of `dst` — the zero-arithmetic stand-in for the all-gather.
-void GatherRows(const FloatMatrix& src, int64_t row0, FloatMatrix* dst) {
-  for (int64_t r = 0; r < src.rows(); ++r) {
-    std::copy(src.data() + r * src.cols(),
-              src.data() + (r + 1) * src.cols(),
-              dst->data() + (row0 + r) * dst->cols());
-  }
-}
-
 }  // namespace
 
 ShardedEngine::ShardedEngine(const TinyTransformer* model,
                              const ShardedEngineConfig& cfg)
     : model_(model), cfg_(cfg) {
   SPINFER_CHECK(model != nullptr);
-  const TinyConfig& c = model->config();
   const int64_t g = cfg.shards;
   SPINFER_CHECK(g >= 1);
-  // Head-aligned cuts: each shard owns whole query heads, and whole kv
-  // groups so no query head reads another shard's kv rows.
-  SPINFER_CHECK_MSG(c.heads % g == 0, "heads must divide by shard count");
-  SPINFER_CHECK_MSG(c.kv_head_count() % g == 0,
-                    "kv heads must divide by shard count");
-  // GroupTile-aligned cuts: row slices encoded with the model's own TCA-BME
-  // geometry traverse the same tiles as the whole-matrix encode.
-  const int64_t gt = TinyTransformer::EncodeFormat().gt_rows;
-  SPINFER_CHECK_MSG((c.hidden / g) % gt == 0,
-                    "hidden slice must be a GroupTile-row multiple");
-  SPINFER_CHECK_MSG((c.kv_dim() / g) % gt == 0,
-                    "kv_dim slice must be a GroupTile-row multiple");
-  SPINFER_CHECK_MSG((c.ffn / g) % gt == 0,
-                    "ffn slice must be a GroupTile-row multiple");
-
-  PagedKvCacheConfig kv;
-  kv.layers = c.layers;
-  kv.kv_dim = c.kv_dim() / g;
-  kv.block_tokens = cfg.kv_block_tokens;
-  kv.num_blocks = cfg.kv_num_blocks;
-
-  const TcaBmeConfig fmt = TinyTransformer::EncodeFormat();
-  const int64_t h_per = c.hidden / g;
-  const int64_t kv_per = c.kv_dim() / g;
-  const int64_t ffn_per = c.ffn / g;
+  PagedKvCacheConfig kv =
+      model->KvCacheConfig(cfg.kv_block_tokens, cfg.kv_num_blocks);
+  kv.kv_dim /= g;
   shards_.reserve(static_cast<size_t>(g));
   for (int64_t s = 0; s < g; ++s) {
-    shards_.emplace_back(kv);
-    Shard& shard = shards_.back();
-    shard.layers.resize(static_cast<size_t>(c.layers));
-    for (int64_t layer = 0; layer < c.layers; ++layer) {
-      const TinyTransformer::LayerWeights w = model->layer_weights(layer);
-      ShardLayer& sl = shard.layers[static_cast<size_t>(layer)];
-      sl.wq = SliceRows(*w.wq, s * h_per, h_per);
-      sl.wk = SliceRows(*w.wk, s * kv_per, kv_per);
-      sl.wv = SliceRows(*w.wv, s * kv_per, kv_per);
-      sl.wo = SliceRows(*w.wo, s * h_per, h_per);
-      sl.fc1 = SliceRows(*w.fc1, s * ffn_per, ffn_per);
-      sl.fc2 = SliceRows(*w.fc2, s * h_per, h_per);
-      sl.enc_wq = TcaBmeMatrix::Encode(sl.wq, fmt);
-      sl.enc_wk = TcaBmeMatrix::Encode(sl.wk, fmt);
-      sl.enc_wv = TcaBmeMatrix::Encode(sl.wv, fmt);
-      sl.enc_wo = TcaBmeMatrix::Encode(sl.wo, fmt);
-      sl.enc_fc1 = TcaBmeMatrix::Encode(sl.fc1, fmt);
-      sl.enc_fc2 = TcaBmeMatrix::Encode(sl.fc2, fmt);
-    }
+    // SliceRowBand CHECKs the head- and GroupTile-aligned cuts first.
+    shards_.push_back(Shard{model->SliceRowBand(s, g), PagedKvCache(kv)});
+  }
+  for (Shard& shard : shards_) {
+    bands_.push_back({&shard.layers, &shard.cache});
   }
 }
 
@@ -197,238 +95,31 @@ void ShardedEngine::IndexPrefix(int64_t seq_id,
   }
 }
 
-void ShardedEngine::MatmulInto(const HalfMatrix& dense,
-                               const TcaBmeMatrix& encoded,
-                               const FloatMatrix& x, MatmulBackend backend,
-                               const char* label, FloatMatrix* out) {
-  SPINFER_TRACE_SCOPE(label);
-  if (backend == MatmulBackend::kDense) {
-    ToHalfInto(x, &xh_);
-    *out = ReferenceGemm(dense, xh_);
-    return;
-  }
-  CpuSpmmQuantInto(encoded, x, &ws_, out);
-}
-
 void ShardedEngine::MixedStep(const std::vector<int64_t>& dec_ids,
                               const std::vector<int32_t>& dec_last,
                               const std::vector<PrefillChunk>& chunks,
                               MatmulBackend backend,
                               std::vector<int32_t>* dec_next,
                               std::vector<int32_t>* chunk_next) {
-  const int64_t dec = static_cast<int64_t>(dec_ids.size());
-  SPINFER_CHECK_EQ(static_cast<int64_t>(dec_last.size()), dec);
-  SPINFER_CHECK(dec_next != nullptr || dec == 0);
-  SPINFER_CHECK(chunk_next != nullptr || chunks.empty());
+  const int64_t n = model_->MixedStepBands(bands_, dec_ids, dec_last, chunks,
+                                           backend, dec_next, chunk_next);
+  // Virtual interconnect: price the canonical Megatron schedule — two ring
+  // all-reduces of the (hidden x n) FP16 activation panel per layer — even
+  // though the executed collectives are arithmetic-free row copies.
   const TinyConfig& c = model_->config();
-  const int64_t g = cfg_.shards;
-  const int64_t h = c.hidden;
-  const int64_t h_per = h / g;
-  const int64_t kv_per = c.kv_dim() / g;
-  const int64_t ffn_per = c.ffn / g;
-
-  int64_t n = dec;
-  for (const PrefillChunk& ch : chunks) {
-    SPINFER_CHECK(ch.prompt != nullptr && ch.count > 0 && ch.start >= 0);
-    const int64_t len = static_cast<int64_t>(ch.prompt->size());
-    SPINFER_CHECK(ch.start + ch.count <= len && len <= c.max_seq);
-    SPINFER_CHECK_MSG(
-        shards_[0].cache.SequenceTokens(ch.seq_id) >= ch.start + ch.count,
-        "chunk past the registered slots of sequence " << ch.seq_id);
-    n += ch.count;
-  }
-  SPINFER_CHECK(n > 0);
-
-  SPINFER_TRACE_SCOPE_ARG("tp.mixed_step", "batch", n);
-
-  // Embed the full panel once — the replicated stage every real TP rank
-  // performs identically; computed once here since the ranks are virtual.
-  act_.Reshape(h, n);
-  std::vector<int64_t> positions(static_cast<size_t>(dec));
-  for (int64_t i = 0; i < dec; ++i) {
-    for (Shard& s : shards_) {  // lockstep slot append on every shard
-      SPINFER_CHECK_MSG(s.cache.AppendToken(dec_ids[i]),
-                        "KV pool exhausted mid-decode; admission must reserve "
-                        "blocks for a sequence's full max length");
-    }
-    positions[i] = shards_[0].cache.SequenceTokens(dec_ids[i]) - 1;
-    SPINFER_CHECK(positions[i] < c.max_seq);
-    model_->EmbedInto(dec_last[i], positions[i], /*col=*/i, &act_);
-  }
-  {
-    int64_t col = dec;
-    for (const PrefillChunk& ch : chunks) {
-      for (int64_t j = 0; j < ch.count; ++j) {
-        model_->EmbedInto((*ch.prompt)[static_cast<size_t>(ch.start + j)],
-                          ch.start + j, col++, &act_);
-      }
-    }
-  }
-
-  // Shared attention work list (identical on every shard).
-  attn_items_.clear();
-  for (int64_t i = 0; i < dec; ++i) {
-    attn_items_.push_back({dec_ids[i], /*col=*/i, /*context=*/-1});
-  }
-  {
-    int64_t col = dec;
-    for (const PrefillChunk& ch : chunks) {
-      for (int64_t j = 0; j < ch.count; ++j, ++col) {
-        attn_items_.push_back({ch.seq_id, col, /*context=*/ch.start + j + 1});
-      }
-    }
-  }
-
+  const double layer_us = LayerCommTimeUs(n, c.hidden, cfg_.shards, cfg_.device);
+  // One add per layer, not one multiply: comm_us() is the per-layer sum the
+  // analytic cross-check recomputes, to the last bit.
   for (int64_t layer = 0; layer < c.layers; ++layer) {
-    SPINFER_TRACE_SCOPE_ARG("tp.layer", "layer", layer);
-    // --- Attention block (pre-LN). LN is replicated work; each shard then
-    // computes its own row band of q/k/v from the full normed panel. ---
-    CopyInto(act_, &normed_);
-    LayerNormColumns(&normed_);
-    attn_full_.Reshape(h, n);
-    for (int64_t s = 0; s < g; ++s) {
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      ShardLayer& sl = shard.layers[static_cast<size_t>(layer)];
-      MatmulInto(sl.wq, sl.enc_wq, normed_, backend, "tp.matmul.wq", &shard.q);
-      MatmulInto(sl.wk, sl.enc_wk, normed_, backend, "tp.matmul.wk", &shard.kk);
-      MatmulInto(sl.wv, sl.enc_wv, normed_, backend, "tp.matmul.wv", &shard.v);
-      // This shard's kv rows land in its own cache; row r here is global row
-      // s * kv_per + r, so the per-shard caches tile the full KV exactly.
-      for (int64_t i = 0; i < dec; ++i) {
-        float* krow = shard.cache.KRow(layer, dec_ids[i], positions[i]);
-        float* vrow = shard.cache.VRow(layer, dec_ids[i], positions[i]);
-        for (int64_t r = 0; r < kv_per; ++r) {
-          krow[r] = shard.kk.at(r, i);
-          vrow[r] = shard.v.at(r, i);
-        }
-      }
-      {
-        int64_t col = dec;
-        for (const PrefillChunk& ch : chunks) {
-          for (int64_t j = 0; j < ch.count; ++j, ++col) {
-            float* krow = shard.cache.KRow(layer, ch.seq_id, ch.start + j);
-            float* vrow = shard.cache.VRow(layer, ch.seq_id, ch.start + j);
-            for (int64_t r = 0; r < kv_per; ++r) {
-              krow[r] = shard.kk.at(r, col);
-              vrow[r] = shard.v.at(r, col);
-            }
-          }
-        }
-      }
-      // Heads shard with the rows: this shard's q band holds query heads
-      // [s * heads/g, (s+1) * heads/g), which read exactly its kv heads.
-      shard.attn_out.Reshape(h_per, n);
-      {
-        SPINFER_TRACE_SCOPE("tp.attention");
-        PagedAttentionDecodeBatch(shard.cache, layer, c.heads / g,
-                                  c.kv_head_count() / g, shard.q, attn_items_,
-                                  &shard.attn_out, &attn_scratch_);
-      }
-      GatherRows(shard.attn_out, s * h_per, &attn_full_);
-    }
-    // wo needs the full attention panel: the row gather above is the
-    // all-gather this schedule substitutes for Megatron's all-reduce.
-    proj_full_.Reshape(h, n);
-    for (int64_t s = 0; s < g; ++s) {
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      ShardLayer& sl = shard.layers[static_cast<size_t>(layer)];
-      MatmulInto(sl.wo, sl.enc_wo, attn_full_, backend, "tp.matmul.wo",
-                 &shard.proj);
-      GatherRows(shard.proj, s * h_per, &proj_full_);
-    }
-    for (int64_t i = 0; i < act_.size(); ++i) {
-      act_.data()[i] += proj_full_.data()[i];  // residual
-    }
-
-    // --- FFN block (pre-LN, GELU). ---
-    CopyInto(act_, &ffn_in_);
-    LayerNormColumns(&ffn_in_);
-    hidden_full_.Reshape(c.ffn, n);
-    for (int64_t s = 0; s < g; ++s) {
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      ShardLayer& sl = shard.layers[static_cast<size_t>(layer)];
-      MatmulInto(sl.fc1, sl.enc_fc1, ffn_in_, backend, "tp.matmul.fc1",
-                 &shard.hidden_act);
-      GatherRows(shard.hidden_act, s * ffn_per, &hidden_full_);
-    }
-    for (int64_t i = 0; i < hidden_full_.size(); ++i) {
-      hidden_full_.data()[i] = Gelu(hidden_full_.data()[i]);
-    }
-    ffn_out_full_.Reshape(h, n);
-    for (int64_t s = 0; s < g; ++s) {
-      Shard& shard = shards_[static_cast<size_t>(s)];
-      ShardLayer& sl = shard.layers[static_cast<size_t>(layer)];
-      MatmulInto(sl.fc2, sl.enc_fc2, hidden_full_, backend, "tp.matmul.fc2",
-                 &shard.ffn_out);
-      GatherRows(shard.ffn_out, s * h_per, &ffn_out_full_);
-    }
-    for (int64_t i = 0; i < act_.size(); ++i) {
-      act_.data()[i] += ffn_out_full_.data()[i];
-    }
-
-    // Virtual interconnect: price the canonical Megatron schedule — two ring
-    // all-reduces of the (hidden x n) FP16 activation panel per layer — even
-    // though the executed collectives are arithmetic-free gathers.
-    comm_us_ += LayerCommTimeUs(n, h, cfg_.shards, cfg_.device);
+    comm_us_ += layer_us;
   }
-
-  // Final LN + tied unembedding for producer columns (replicated LM head,
-  // computed once) — the exact code path of TinyTransformer::MixedStep.
-  SPINFER_TRACE_SCOPE("tp.unembed");
-  LayerNormColumns(&act_);
-  std::vector<int64_t> producer_cols;
-  producer_cols.reserve(static_cast<size_t>(dec) + chunks.size());
-  for (int64_t i = 0; i < dec; ++i) {
-    producer_cols.push_back(i);
-  }
-  {
-    int64_t col = dec;
-    for (const PrefillChunk& ch : chunks) {
-      col += ch.count;
-      if (ch.start + ch.count == static_cast<int64_t>(ch.prompt->size())) {
-        producer_cols.push_back(col - 1);
-      }
-    }
-  }
-  const int64_t producers = static_cast<int64_t>(producer_cols.size());
-  const HalfMatrix& emb = model_->embedding();
-  logits_.Reshape(producers, c.vocab);
-  for (int64_t i = 0; i < producers; ++i) {
-    const int64_t col = producer_cols[static_cast<size_t>(i)];
-    for (int64_t vtok = 0; vtok < c.vocab; ++vtok) {
-      float dot = 0.0f;
-      for (int64_t r = 0; r < h; ++r) {
-        dot += emb.at(vtok, r).ToFloat() * act_.at(r, col);
-      }
-      logits_.at(i, vtok) = dot;
-    }
-  }
-  if (dec_next != nullptr) {
-    dec_next->resize(static_cast<size_t>(dec));
-    for (int64_t i = 0; i < dec; ++i) {
-      (*dec_next)[static_cast<size_t>(i)] = GreedyToken(logits_, i);
-    }
-  }
-  if (chunk_next != nullptr) {
-    chunk_next->assign(chunks.size(), -1);
-    int64_t row = dec;
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      const PrefillChunk& chunk = chunks[ci];
-      if (chunk.start + chunk.count ==
-          static_cast<int64_t>(chunk.prompt->size())) {
-        (*chunk_next)[ci] = GreedyToken(logits_, row++);
-      }
-    }
-  }
-
   ++steps_;
   step_cols_.push_back(n);
   if (kTpObs) {
     TpMetrics& m = TpMetrics::Get();
     m.steps->Add(1);
-    m.comm_us->Add(static_cast<uint64_t>(
-        LayerCommTimeUs(n, h, cfg_.shards, cfg_.device) *
-        static_cast<double>(c.layers)));
+    m.comm_us->Add(
+        static_cast<uint64_t>(layer_us * static_cast<double>(c.layers)));
   }
 }
 

@@ -6,15 +6,17 @@
 // K-dim partial sums with a floating-point all-reduce — which reassociates
 // additions and cannot be bit-identical to the unsharded model. This engine
 // instead partitions every weight matrix (wq/wk/wv/wo/fc1/fc2) by OUTPUT
-// rows: each shard computes a disjoint row band of every projection from the
-// full activation panel, so every output element's scalar accumulation chain
-// is exactly the whole-matrix kernel's. The inter-shard "collectives" are
-// pure row gathers (copies, no arithmetic), and the TCA-BME row slices are
-// cut at GroupTile (gt_rows) boundaries so the sliced sparse kernels traverse
-// the same tiles in the same order as the whole-matrix encode. Consequences:
+// rows: shard s holds row band s of every layer (TinyTransformer::
+// SliceRowBand, cut at head and TCA-BME GroupTile boundaries and re-encoded
+// with the model's own geometry) plus the KV cache for its kv rows. A step
+// is the model's own step body, TinyTransformer::MixedStepBands, run over
+// the shards' bands: each band computes its rows of every projection from
+// the full activation panel, so every output element's scalar accumulation
+// chain is exactly the whole-matrix kernel's, and the inter-shard
+// "collectives" are pure row copies. Consequences:
 //   * Token streams, logits, and KV bytes are bit-identical to
-//     TinyTransformer::MixedStep for any shard count, batch mix, and thread
-//     count.
+//     TinyTransformer::MixedStep for any shard count, batch mix, backend and
+//     thread count — there is no second copy of the layer stack to drift.
 //   * Attention shards by query head (heads % shards == 0); under GQA the kv
 //     groups must not straddle a shard cut (kv_heads % shards == 0), so each
 //     shard's cache holds exactly its own kv heads' rows (kv_dim / shards).
@@ -91,40 +93,16 @@ class ShardedEngine : public ServingSubstrate {
   std::string StatsToString() const;
 
  private:
-  struct ShardLayer {
-    // Output-row slices: wq/wo rows [s*h/g, (s+1)*h/g), wk/wv rows
-    // [s*kvd/g, ...), fc1 rows [s*ffn/g, ...), fc2 rows [s*h/g, ...). All
-    // span the full input (K) dimension.
-    HalfMatrix wq, wk, wv, wo, fc1, fc2;
-    TcaBmeMatrix enc_wq, enc_wk, enc_wv, enc_wo, enc_fc1, enc_fc2;
-  };
   struct Shard {
-    std::vector<ShardLayer> layers;
-    PagedKvCache cache;  // kv_dim / shards rows per token
-    // Per-shard output panels (row bands before the gather).
-    FloatMatrix q, kk, v, attn_out, proj, hidden_act, ffn_out;
-
-    explicit Shard(const PagedKvCacheConfig& kv) : cache(kv) {}
+    std::vector<TinyTransformer::Layer> layers;  // this shard's row band
+    PagedKvCache cache;                          // kv_dim / shards rows per token
   };
-
-  // out = W_slice * x on `backend` (same numerics as TinyTransformer's
-  // MatmulInto, against one shard's row slice).
-  void MatmulInto(const HalfMatrix& dense, const TcaBmeMatrix& encoded,
-                  const FloatMatrix& x, MatmulBackend backend,
-                  const char* label, FloatMatrix* out);
 
   const TinyTransformer* model_;
   ShardedEngineConfig cfg_;
   std::vector<Shard> shards_;
-
-  // Shared (sequential across shards) scratch: the full activation panel and
-  // the gathered projections, plus the matmul/attention workspaces.
-  FloatMatrix act_, normed_, attn_full_, proj_full_, ffn_in_, hidden_full_,
-      ffn_out_full_, logits_;
-  HalfMatrix xh_;
-  SpmmWorkspace ws_;
-  PagedAttentionScratch attn_scratch_;
-  std::vector<PagedAttentionItem> attn_items_;
+  // The step body's view of shards_, in row order.
+  std::vector<TinyTransformer::RowBand> bands_;
 
   int64_t steps_ = 0;
   double comm_us_ = 0.0;

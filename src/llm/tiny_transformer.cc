@@ -65,6 +65,26 @@ float Gelu(float x) {
   return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
 }
 
+// Band `band` of `bands` of `w`'s rows as an owned copy; the slice spans the
+// full K dimension, so slice * X computes exactly those rows of w * X.
+HalfMatrix SliceRows(const HalfMatrix& w, int64_t band, int64_t bands) {
+  const int64_t rows = w.rows() / bands;
+  HalfMatrix s(rows, w.cols());
+  const Half* first = w.data() + band * rows * w.cols();
+  std::copy(first, first + s.size(), s.data());
+  return s;
+}
+
+void EncodeLayer(TinyTransformer::Layer* l) {
+  const TcaBmeConfig fmt = TinyFormat();
+  l->enc_wq = TcaBmeMatrix::Encode(l->wq, fmt);
+  l->enc_wk = TcaBmeMatrix::Encode(l->wk, fmt);
+  l->enc_wv = TcaBmeMatrix::Encode(l->wv, fmt);
+  l->enc_wo = TcaBmeMatrix::Encode(l->wo, fmt);
+  l->enc_fc1 = TcaBmeMatrix::Encode(l->fc1, fmt);
+  l->enc_fc2 = TcaBmeMatrix::Encode(l->fc2, fmt);
+}
+
 }  // namespace
 
 int32_t GreedyToken(const FloatMatrix& logits, int64_t row) {
@@ -100,15 +120,38 @@ TinyTransformer::TinyTransformer(const TinyConfig& config, uint64_t seed)
 }
 
 void TinyTransformer::EncodeAll() {
-  const TcaBmeConfig fmt = TinyFormat();
   for (Layer& l : layers_) {
-    l.enc_wq = TcaBmeMatrix::Encode(l.wq, fmt);
-    l.enc_wk = TcaBmeMatrix::Encode(l.wk, fmt);
-    l.enc_wv = TcaBmeMatrix::Encode(l.wv, fmt);
-    l.enc_wo = TcaBmeMatrix::Encode(l.wo, fmt);
-    l.enc_fc1 = TcaBmeMatrix::Encode(l.fc1, fmt);
-    l.enc_fc2 = TcaBmeMatrix::Encode(l.fc2, fmt);
+    EncodeLayer(&l);
   }
+}
+
+std::vector<TinyTransformer::Layer> TinyTransformer::SliceRowBand(
+    int64_t band, int64_t bands) const {
+  const TinyConfig& c = config_;
+  SPINFER_CHECK(bands >= 1 && band >= 0 && band < bands);
+  // Head-aligned cuts: each band owns whole query heads, and whole kv groups
+  // so no query head reads another band's kv rows.
+  SPINFER_CHECK_MSG(c.heads % bands == 0, "heads must divide by shard count");
+  SPINFER_CHECK_MSG(c.kv_head_count() % bands == 0,
+                    "kv heads must divide by shard count");
+  // GroupTile-aligned cuts: row slices encoded with the model's own TCA-BME
+  // geometry traverse the same tiles as the whole-matrix encode.
+  const int64_t gt = TinyFormat().gt_rows;
+  SPINFER_CHECK_MSG(c.hidden % (bands * gt) == 0,
+                    "hidden slice must be a GroupTile-row multiple");
+  SPINFER_CHECK_MSG(c.kv_dim() % (bands * gt) == 0,
+                    "kv_dim slice must be a GroupTile-row multiple");
+  SPINFER_CHECK_MSG(c.ffn % (bands * gt) == 0,
+                    "ffn slice must be a GroupTile-row multiple");
+  std::vector<Layer> out(layers_.size());
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    for (HalfMatrix Layer::*w : {&Layer::wq, &Layer::wk, &Layer::wv, &Layer::wo,
+                                 &Layer::fc1, &Layer::fc2}) {
+      out[i].*w = SliceRows(layers_[i].*w, band, bands);
+    }
+    EncodeLayer(&out[i]);
+  }
+  return out;
 }
 
 void TinyTransformer::PruneWeights(const Pruner& pruner, double sparsity) {
@@ -145,10 +188,12 @@ uint64_t TinyTransformer::MatmulScratchCapacityBytes() const {
   const MatmulScratch& s = scratch_;
   uint64_t bytes = s.ws.capacity_bytes() + s.xh.capacity() * sizeof(Half) +
                    s.scores.capacity() * sizeof(float) + s.attn.capacity_bytes() +
-                   s.attn_items.capacity() * sizeof(PagedAttentionItem);
+                   s.attn_items.capacity() * sizeof(PagedAttentionItem) +
+                   (s.positions.capacity() + s.producer_cols.capacity()) *
+                       sizeof(int64_t);
   for (const FloatMatrix* m :
        {&s.normed, &s.q, &s.kk, &s.v, &s.attn_out, &s.proj, &s.ffn_in,
-        &s.hidden_act, &s.ffn_out, &s.act, &s.logits}) {
+        &s.hidden_act, &s.ffn_out, &s.act, &s.logits, &s.band_out}) {
     bytes += m->capacity() * sizeof(float);
   }
   return bytes;
@@ -170,11 +215,6 @@ void TinyTransformer::EmbedInto(int32_t token, int64_t pos, int64_t col,
   }
 }
 
-FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
-                                     MatmulBackend backend) const {
-  return ForwardImpl(tokens, backend, /*cache=*/nullptr, /*seq_id=*/-1);
-}
-
 TinyTransformer::LayerWeights TinyTransformer::layer_weights(int64_t layer) const {
   const Layer& l = layers_[static_cast<size_t>(layer)];
   return LayerWeights{&l.wq, &l.wk, &l.wv, &l.wo, &l.fc1, &l.fc2};
@@ -192,23 +232,24 @@ PagedKvCacheConfig TinyTransformer::KvCacheConfig(int64_t block_tokens,
   return cfg;
 }
 
-FloatMatrix TinyTransformer::Prefill(const std::vector<int32_t>& tokens,
-                                     MatmulBackend backend, PagedKvCache* cache,
-                                     int64_t seq_id) const {
+int32_t TinyTransformer::Prefill(const std::vector<int32_t>& tokens,
+                                 MatmulBackend backend, PagedKvCache* cache,
+                                 int64_t seq_id) const {
   SPINFER_CHECK(cache != nullptr);
-  SPINFER_CHECK_EQ(cache->SequenceTokens(seq_id),
-                   static_cast<int64_t>(tokens.size()));
-  return ForwardImpl(tokens, backend, cache, seq_id);
+  const int64_t len = static_cast<int64_t>(tokens.size());
+  SPINFER_CHECK_EQ(cache->SequenceTokens(seq_id), len);
+  std::vector<int32_t> first;
+  MixedStep({}, {}, {PrefillChunk{seq_id, &tokens, 0, len}}, backend, cache,
+            /*dec_next=*/nullptr, &first);
+  return first[0];
 }
 
-FloatMatrix TinyTransformer::ForwardImpl(const std::vector<int32_t>& tokens,
-                                         MatmulBackend backend,
-                                         PagedKvCache* cache, int64_t seq_id) const {
+FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
+                                     MatmulBackend backend) const {
   const int64_t seq = static_cast<int64_t>(tokens.size());
   SPINFER_CHECK(seq > 0 && seq <= config_.max_seq);
   const int64_t h = config_.hidden;
   const int64_t hd = config_.head_dim();
-  const int64_t kvd = config_.kv_dim();
   // Grouped-query attention: query head `head` reads kv head `head / group`.
   const int64_t group = config_.heads / config_.kv_head_count();
 
@@ -238,17 +279,6 @@ FloatMatrix TinyTransformer::ForwardImpl(const std::vector<int32_t>& tokens,
     const FloatMatrix& q = s.q;
     const FloatMatrix& kk = s.kk;
     const FloatMatrix& v = s.v;
-    if (cache != nullptr) {
-      // Prefill: persist every position's K/V columns for later paged decode.
-      for (int64_t t = 0; t < seq; ++t) {
-        float* krow = cache->KRow(static_cast<int64_t>(layer_idx), seq_id, t);
-        float* vrow = cache->VRow(static_cast<int64_t>(layer_idx), seq_id, t);
-        for (int64_t r = 0; r < kvd; ++r) {
-          krow[r] = kk.at(r, t);
-          vrow[r] = v.at(r, t);
-        }
-      }
-    }
 
     s.attn_out.Reshape(h, seq);
     FloatMatrix& attn_out = s.attn_out;
@@ -341,13 +371,34 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
                                 std::vector<int32_t>* dec_next,
                                 std::vector<int32_t>* chunk_next,
                                 FloatMatrix* dec_logits_out) const {
+  const RowBand whole{&layers_, cache};
+  MixedStepBands({&whole, 1}, dec_ids, dec_last, chunks, backend, dec_next,
+                 chunk_next, dec_logits_out);
+}
+
+int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
+                                        const std::vector<int64_t>& dec_ids,
+                                        const std::vector<int32_t>& dec_last,
+                                        const std::vector<PrefillChunk>& chunks,
+                                        MatmulBackend backend,
+                                        std::vector<int32_t>* dec_next,
+                                        std::vector<int32_t>* chunk_next,
+                                        FloatMatrix* dec_logits_out) const {
+  const int64_t g = static_cast<int64_t>(bands.size());
+  SPINFER_CHECK(g >= 1 && config_.heads % g == 0 &&
+                config_.kv_head_count() % g == 0);
+  for (const RowBand& band : bands) {
+    SPINFER_CHECK(band.layers != nullptr && band.cache != nullptr);
+    SPINFER_CHECK_EQ(band.layers->size(), layers_.size());
+    SPINFER_CHECK_EQ(band.cache->config().kv_dim * g, config_.kv_dim());
+  }
+  // Lockstep caches: the first band's bookkeeping is every band's.
+  const PagedKvCache& lead = *bands[0].cache;
   const int64_t dec = static_cast<int64_t>(dec_ids.size());
   SPINFER_CHECK_EQ(static_cast<int64_t>(dec_last.size()), dec);
-  SPINFER_CHECK(cache != nullptr);
   SPINFER_CHECK(dec_next != nullptr || dec == 0);
   SPINFER_CHECK(chunk_next != nullptr || chunks.empty());
   const int64_t h = config_.hidden;
-  const int64_t kvd = config_.kv_dim();
 
   // Panel width: one column per decode sequence plus one per chunk token.
   int64_t n = dec;
@@ -355,7 +406,7 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
     SPINFER_CHECK(c.prompt != nullptr && c.count > 0 && c.start >= 0);
     const int64_t len = static_cast<int64_t>(c.prompt->size());
     SPINFER_CHECK(c.start + c.count <= len && len <= config_.max_seq);
-    SPINFER_CHECK_MSG(cache->SequenceTokens(c.seq_id) >= c.start + c.count,
+    SPINFER_CHECK_MSG(lead.SequenceTokens(c.seq_id) >= c.start + c.count,
                       "chunk past the registered slots of sequence " << c.seq_id);
     n += c.count;
   }
@@ -364,89 +415,100 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
   SPINFER_TRACE_SCOPE_ARG("tt.decode", "batch", n);
 
   MatmulScratch& s = scratch_;
-  // Append each decode sequence's new slot, then embed its last token at its
-  // absolute position. Admission reserved the blocks, so exhaustion here is
-  // a scheduler bug, not a runtime condition. Chunk columns embed prompt
-  // tokens at their absolute positions — the bits a full-sequence Forward
-  // would give those positions.
+  // Per column: its sequence, absolute position and attention horizon. Each
+  // decode sequence first appends its new slot (on every band's cache) and
+  // embeds its last token there; admission reserved the blocks, so
+  // exhaustion here is a scheduler bug, not a runtime condition. Chunk
+  // columns embed prompt tokens at their absolute positions — the bits a
+  // full-sequence Forward would give those positions — and attend the causal
+  // horizon [0, pos] even though later slots of their chunk are written in
+  // the same layer.
   s.act.Reshape(h, n);
-  std::vector<int64_t> positions(static_cast<size_t>(dec));
+  s.positions.resize(static_cast<size_t>(n));
+  s.attn_items.clear();
+  s.producer_cols.clear();
   for (int64_t i = 0; i < dec; ++i) {
-    SPINFER_CHECK_MSG(cache->AppendToken(dec_ids[i]),
-                      "KV pool exhausted mid-decode; admission must reserve "
-                      "blocks for a sequence's full max length");
-    positions[i] = cache->SequenceTokens(dec_ids[i]) - 1;
-    SPINFER_CHECK(positions[i] < config_.max_seq);
-    EmbedInto(dec_last[i], positions[i], /*col=*/i, &s.act);
+    for (const RowBand& band : bands) {
+      SPINFER_CHECK_MSG(band.cache->AppendToken(dec_ids[i]),
+                        "KV pool exhausted mid-decode; admission must reserve "
+                        "blocks for a sequence's full max length");
+    }
+    const int64_t pos = lead.SequenceTokens(dec_ids[i]) - 1;
+    SPINFER_CHECK(pos < config_.max_seq);
+    EmbedInto(dec_last[i], pos, /*col=*/i, &s.act);
+    s.positions[static_cast<size_t>(i)] = pos;
+    s.attn_items.push_back({dec_ids[i], /*col=*/i, /*context=*/-1});
+    s.producer_cols.push_back(i);
   }
-  {
-    int64_t col = dec;
-    for (const PrefillChunk& c : chunks) {
-      for (int64_t j = 0; j < c.count; ++j) {
-        EmbedInto((*c.prompt)[static_cast<size_t>(c.start + j)], c.start + j,
-                  col++, &s.act);
-      }
+  int64_t col = dec;
+  for (const PrefillChunk& c : chunks) {
+    for (int64_t pos = c.start; pos < c.start + c.count; ++pos, ++col) {
+      EmbedInto((*c.prompt)[static_cast<size_t>(pos)], pos, col, &s.act);
+      s.positions[static_cast<size_t>(col)] = pos;
+      s.attn_items.push_back({c.seq_id, col, /*context=*/pos + 1});
+    }
+    // The final column of a chunk that completes its prompt seeds
+    // generation; mid-prompt columns exist to deposit K/V.
+    if (c.start + c.count == static_cast<int64_t>(c.prompt->size())) {
+      s.producer_cols.push_back(col - 1);
     }
   }
 
-  for (size_t layer_idx = 0; layer_idx < layers_.size(); ++layer_idx) {
-    const Layer& l = layers_[layer_idx];
-    SPINFER_TRACE_SCOPE_ARG("tt.layer", "layer",
-                            static_cast<int64_t>(layer_idx));
+  // Fills a full (rows x n) panel band by band: `fill(band, l, out)` writes
+  // the band's rows from its weights `l` at this layer. A lone band fills
+  // the panel itself; several fill the band panel, whose rows are then
+  // copied into rows [b * rows / g, ...) of the full panel — the all-gather,
+  // with no arithmetic.
+  auto fill_bands = [&](int64_t layer, int64_t rows, FloatMatrix* full,
+                        auto&& fill) {
+    full->Reshape(rows, n);
+    for (int64_t b = 0; b < g; ++b) {
+      const RowBand& band = bands[static_cast<size_t>(b)];
+      const Layer& l = (*band.layers)[static_cast<size_t>(layer)];
+      if (g == 1) {
+        fill(band, l, full);
+        continue;
+      }
+      s.band_out.Reshape(rows / g, n);
+      fill(band, l, &s.band_out);
+      std::copy(s.band_out.data(), s.band_out.data() + s.band_out.size(),
+                full->data() + b * s.band_out.size());
+    }
+  };
+
+  for (int64_t layer = 0; layer < config_.layers; ++layer) {
+    SPINFER_TRACE_SCOPE_ARG("tt.layer", "layer", layer);
     // --- Attention block (pre-LN). One SpMM per weight with N columns. ---
     CopyInto(s.act, &s.normed);
     LayerNormColumns(&s.normed);
-    MatmulInto(l.wq, l.enc_wq, s.normed, backend, "tt.matmul.wq", &s.q);
-    MatmulInto(l.wk, l.enc_wk, s.normed, backend, "tt.matmul.wk", &s.kk);
-    MatmulInto(l.wv, l.enc_wv, s.normed, backend, "tt.matmul.wv", &s.v);
-    for (int64_t i = 0; i < dec; ++i) {
-      float* krow = cache->KRow(static_cast<int64_t>(layer_idx), dec_ids[i],
-                                positions[i]);
-      float* vrow = cache->VRow(static_cast<int64_t>(layer_idx), dec_ids[i],
-                                positions[i]);
-      for (int64_t r = 0; r < kvd; ++r) {
-        krow[r] = s.kk.at(r, i);
-        vrow[r] = s.v.at(r, i);
-      }
-    }
-    {
-      int64_t col = dec;
-      for (const PrefillChunk& c : chunks) {
-        for (int64_t j = 0; j < c.count; ++j, ++col) {
-          float* krow = cache->KRow(static_cast<int64_t>(layer_idx), c.seq_id,
-                                    c.start + j);
-          float* vrow = cache->VRow(static_cast<int64_t>(layer_idx), c.seq_id,
-                                    c.start + j);
-          for (int64_t r = 0; r < kvd; ++r) {
-            krow[r] = s.kk.at(r, col);
-            vrow[r] = s.v.at(r, col);
-          }
+    fill_bands(layer, h, &s.attn_out,
+               [&](const RowBand& band, const Layer& l, FloatMatrix* out) {
+      MatmulInto(l.wq, l.enc_wq, s.normed, backend, "tt.matmul.wq", &s.q);
+      MatmulInto(l.wk, l.enc_wk, s.normed, backend, "tt.matmul.wk", &s.kk);
+      MatmulInto(l.wv, l.enc_wv, s.normed, backend, "tt.matmul.wv", &s.v);
+      // This band's kv rows land in its own cache, so the band caches tile
+      // the full K/V exactly.
+      SPINFER_CHECK_EQ(s.kk.rows(), band.cache->config().kv_dim);
+      for (const PagedAttentionItem& it : s.attn_items) {
+        const int64_t pos = s.positions[static_cast<size_t>(it.col)];
+        float* krow = band.cache->KRow(layer, it.seq_id, pos);
+        float* vrow = band.cache->VRow(layer, it.seq_id, pos);
+        for (int64_t r = 0; r < s.kk.rows(); ++r) {
+          krow[r] = s.kk.at(r, it.col);
+          vrow[r] = s.v.at(r, it.col);
         }
       }
-    }
-
-    s.attn_out.Reshape(h, n);
-    {
+      // Heads band with the rows: this band's q rows hold its query heads,
+      // which read exactly its kv heads.
       SPINFER_TRACE_SCOPE("tt.attention");
-      // One fused batched call covers every column: decode columns attend
-      // their full cached context, chunk columns attend the causal horizon
-      // [0, pos] even though later slots of their chunk are already written
-      // above.
-      s.attn_items.clear();
-      for (int64_t i = 0; i < dec; ++i) {
-        s.attn_items.push_back({dec_ids[i], /*col=*/i, /*context=*/-1});
-      }
-      int64_t col = dec;
-      for (const PrefillChunk& c : chunks) {
-        for (int64_t j = 0; j < c.count; ++j, ++col) {
-          s.attn_items.push_back({c.seq_id, col, /*context=*/c.start + j + 1});
-        }
-      }
-      PagedAttentionDecodeBatch(*cache, static_cast<int64_t>(layer_idx),
-                                config_.heads, config_.kv_head_count(), s.q,
-                                s.attn_items, &s.attn_out, &s.attn);
-    }
-    MatmulInto(l.wo, l.enc_wo, s.attn_out, backend, "tt.matmul.wo", &s.proj);
+      PagedAttentionDecodeBatch(*band.cache, layer, config_.heads / g,
+                                config_.kv_head_count() / g, s.q, s.attn_items,
+                                out, &s.attn);
+    });
+    fill_bands(layer, h, &s.proj,
+               [&](const RowBand&, const Layer& l, FloatMatrix* out) {
+      MatmulInto(l.wo, l.enc_wo, s.attn_out, backend, "tt.matmul.wo", out);
+    });
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.proj.data()[i];  // residual
     }
@@ -454,44 +516,34 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
     // --- FFN block (pre-LN, GELU). ---
     CopyInto(s.act, &s.ffn_in);
     LayerNormColumns(&s.ffn_in);
-    MatmulInto(l.fc1, l.enc_fc1, s.ffn_in, backend, "tt.matmul.fc1", &s.hidden_act);
+    fill_bands(layer, config_.ffn, &s.hidden_act,
+               [&](const RowBand&, const Layer& l, FloatMatrix* out) {
+      MatmulInto(l.fc1, l.enc_fc1, s.ffn_in, backend, "tt.matmul.fc1", out);
+    });
     for (int64_t i = 0; i < s.hidden_act.size(); ++i) {
       s.hidden_act.data()[i] = Gelu(s.hidden_act.data()[i]);
     }
-    MatmulInto(l.fc2, l.enc_fc2, s.hidden_act, backend, "tt.matmul.fc2", &s.ffn_out);
+    fill_bands(layer, h, &s.ffn_out,
+               [&](const RowBand&, const Layer& l, FloatMatrix* out) {
+      MatmulInto(l.fc2, l.enc_fc2, s.hidden_act, backend, "tt.matmul.fc2", out);
+    });
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.ffn_out.data()[i];
     }
   }
 
   // Final LN + tied unembedding — but only for producer columns: every
-  // decode column, and the final column of each chunk that completes its
-  // prompt (whose logits seed generation). Mid-prompt columns exist to
-  // deposit K/V; their logits are never consumed.
+  // decode column, then each completing chunk's final column.
   SPINFER_TRACE_SCOPE("tt.unembed");
   LayerNormColumns(&s.act);
-  std::vector<int64_t> producer_cols;
-  producer_cols.reserve(static_cast<size_t>(dec) + chunks.size());
-  for (int64_t i = 0; i < dec; ++i) {
-    producer_cols.push_back(i);
-  }
-  {
-    int64_t col = dec;
-    for (const PrefillChunk& c : chunks) {
-      col += c.count;
-      if (c.start + c.count == static_cast<int64_t>(c.prompt->size())) {
-        producer_cols.push_back(col - 1);
-      }
-    }
-  }
-  const int64_t producers = static_cast<int64_t>(producer_cols.size());
+  const int64_t producers = static_cast<int64_t>(s.producer_cols.size());
   s.logits.Reshape(producers, config_.vocab);
   for (int64_t i = 0; i < producers; ++i) {
-    const int64_t col = producer_cols[static_cast<size_t>(i)];
+    const int64_t pcol = s.producer_cols[static_cast<size_t>(i)];
     for (int64_t vtok = 0; vtok < config_.vocab; ++vtok) {
       float dot = 0.0f;
       for (int64_t r = 0; r < h; ++r) {
-        dot += embedding_.at(vtok, r).ToFloat() * s.act.at(r, col);
+        dot += embedding_.at(vtok, r).ToFloat() * s.act.at(r, pcol);
       }
       s.logits.at(i, vtok) = dot;
     }
@@ -519,6 +571,7 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
     std::copy(s.logits.data(), s.logits.data() + dec * config_.vocab,
               dec_logits_out->data());
   }
+  return n;
 }
 
 std::vector<int32_t> TinyTransformer::Generate(const std::vector<int32_t>& prompt,

@@ -7,19 +7,26 @@
 // and TCA-BME backends produce matching logits and identical greedy decodes.
 //
 // Two execution modes:
-//   * Forward/Generate — full-sequence recompute every step (the original
-//     integration proof; simple, O(steps * seq) matmul work).
-//   * Prefill/DecodeStep — the serving path: prefill writes every position's
-//     per-layer K/V into a PagedKvCache, then each decode iteration runs ONE
-//     SpMM with N = batch columns per weight matrix for the whole batch and
-//     per-sequence paged attention over the cached context. Every stage is
-//     per-column/per-sequence, so a sequence's tokens and logits are
-//     bit-identical for any batch composition, any thread count, and also
-//     match the full-recompute Generate path bit for bit.
+//   * Forward/Generate — full-sequence recompute every step, with no KV cache:
+//     the independent oracle every serving path is checked against.
+//   * MixedStepBands — the ONE executing step body. It embeds a panel of
+//     decode columns and prompt-chunk columns, runs each weight matmul with
+//     N = panel columns, writes each column's per-layer K/V into a
+//     PagedKvCache, attends per sequence over the paged context, and samples
+//     greedily. It runs over a list of row bands: each band holds an
+//     output-row slice of every layer's six weight matrices plus the cache
+//     holding its kv rows. MixedStep, DecodeStep and Prefill call it with one
+//     band (the model's own weights, writing the full panels directly);
+//     ShardedEngine calls it with one band per tensor-parallel shard. Every
+//     stage is per-column/per-sequence and band cuts sit on GroupTile rows,
+//     so a sequence's tokens and logits are bit-identical for any batch
+//     composition, chunking, band count and thread count, and also match
+//     the full-recompute Generate path bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/cpu_backend.h"
@@ -74,6 +81,26 @@ struct PrefillChunk {
 
 class TinyTransformer {
  public:
+  // One layer's six weight matrices, dense and TCA-BME-encoded: the model's
+  // own, or one output-row band of them (SliceRowBand).
+  struct Layer {
+    HalfMatrix wq, wo;          // hidden x hidden
+    HalfMatrix wk, wv;          // kv_dim x hidden (== hidden x hidden for MHA)
+    HalfMatrix fc1;             // ffn x hidden
+    HalfMatrix fc2;             // hidden x ffn
+    TcaBmeMatrix enc_wq, enc_wk, enc_wv, enc_wo, enc_fc1, enc_fc2;
+  };
+
+  // One row band of the step body: band b of g holds output rows
+  // [b * rows / g, (b + 1) * rows / g) of every layer matrix — so query heads
+  // [b * heads / g, ...) and their kv heads — and `cache` holds those kv rows
+  // (kv_dim / g per token). Both are borrowed. The caches of a step's bands
+  // must be driven in lockstep (same sequences, same slot counts).
+  struct RowBand {
+    const std::vector<Layer>* layers = nullptr;
+    PagedKvCache* cache = nullptr;
+  };
+
   // Deterministic random initialization (scaled Gaussian).
   TinyTransformer(const TinyConfig& config, uint64_t seed);
 
@@ -93,12 +120,13 @@ class TinyTransformer {
   // KV geometry for a PagedKvCache serving this model.
   PagedKvCacheConfig KvCacheConfig(int64_t block_tokens, int64_t num_blocks) const;
 
-  // Identical to Forward, additionally writing each position's per-layer K/V
-  // columns into `cache` slots [0, tokens.size()) of `seq_id` — which must
-  // already be registered with exactly tokens.size() slots. The caller takes
-  // the first generated token from the returned logits' last row.
-  FloatMatrix Prefill(const std::vector<int32_t>& tokens, MatmulBackend backend,
-                      PagedKvCache* cache, int64_t seq_id) const;
+  // Whole-prompt prefill: one MixedStep whose only work is a single chunk
+  // covering all of `tokens`. Writes every position's per-layer K/V into
+  // `cache` slots [0, tokens.size()) of `seq_id` — which must already be
+  // registered with exactly tokens.size() slots — and returns the first
+  // generated token.
+  int32_t Prefill(const std::vector<int32_t>& tokens, MatmulBackend backend,
+                  PagedKvCache* cache, int64_t seq_id) const;
 
   // One continuous-batching decode iteration. For sequence i (ragged contexts
   // are fine), `last_tokens[i]` is its most recently produced token; the step
@@ -132,12 +160,25 @@ class TinyTransformer {
                  std::vector<int32_t>* chunk_next,
                  FloatMatrix* dec_logits_out = nullptr) const;
 
+  // The step body behind MixedStep, over `bands` in row order (band b of
+  // bands.size()). Embedding, LayerNorm, GELU, residuals and the unembedding
+  // run once on the full panels; each band then runs its own slice of every
+  // matmul, appends slots to and writes K/V rows into its own cache, and
+  // attends its own heads. A lone band writes the full panels directly;
+  // several write band panels that are copied into their rows (the
+  // all-gather, with no arithmetic). Returns the panel width N.
+  int64_t MixedStepBands(std::span<const RowBand> bands,
+                         const std::vector<int64_t>& dec_ids,
+                         const std::vector<int32_t>& dec_last,
+                         const std::vector<PrefillChunk>& chunks,
+                         MatmulBackend backend, std::vector<int32_t>* dec_next,
+                         std::vector<int32_t>* chunk_next,
+                         FloatMatrix* dec_logits_out = nullptr) const;
+
   const TinyConfig& config() const { return config_; }
 
   // --- Weight-partition support (tensor-parallel sharding) ------------------
-  // The sharded engine slices every weight matrix by output rows and re-
-  // encodes the slices; these accessors expose exactly what it needs and
-  // nothing mutable.
+  // Read-only views of one layer's dense weights.
   struct LayerWeights {
     const HalfMatrix* wq;
     const HalfMatrix* wk;
@@ -147,22 +188,19 @@ class TinyTransformer {
     const HalfMatrix* fc2;
   };
   LayerWeights layer_weights(int64_t layer) const;
-  // Tied embedding / LM head (vocab x hidden); replicated on every shard.
-  const HalfMatrix& embedding() const { return embedding_; }
   // The TCA-BME geometry the model's own matmuls encode with. Row slices must
   // be encoded with the same tile shape — and sliced at multiples of its
   // gt_rows — for the sliced kernels to be bit-identical to the whole-matrix
   // kernel.
   static TcaBmeConfig EncodeFormat();
-  // Embeds `token` at absolute position `pos` into column `col` of `act`.
-  // Public so the sharded engine's replicated embedding stage produces the
-  // exact bits of the single-instance panel.
-  void EmbedInto(int32_t token, int64_t pos, int64_t col, FloatMatrix* act) const;
+  // Band `band` of `bands` of every layer (see RowBand), re-encoded with
+  // EncodeFormat(). CHECKs that the cuts fall on head, kv-head and
+  // GroupTile-row boundaries.
+  std::vector<Layer> SliceRowBand(int64_t band, int64_t bands) const;
   // Observability for the zero-allocation serving contract (tests, benches).
-  // Grow count / capacity of the reusable matmul-path scratch: once a
-  // Forward/DecodeStep at the serving shapes has warmed it, further calls at
-  // those (or smaller) shapes leave both unchanged — i.e. the matmul path
-  // performs zero heap allocations per step.
+  // Grow count / capacity of the reusable step scratch: once a step at the
+  // serving shapes has warmed it, further steps at those (or smaller) shapes
+  // leave both unchanged — i.e. the step performs zero heap allocations.
   int64_t MatmulScratchGrowCount() const;
   uint64_t MatmulScratchCapacityBytes() const;
   // Weight footprints: dense FP16 vs the encoded TCA-BME bytes.
@@ -172,30 +210,26 @@ class TinyTransformer {
   double WeightSparsity() const;
 
  private:
-  struct Layer {
-    HalfMatrix wq, wo;          // hidden x hidden
-    HalfMatrix wk, wv;          // kv_dim x hidden (== hidden x hidden for MHA)
-    HalfMatrix fc1;             // ffn x hidden
-    HalfMatrix fc2;             // hidden x ffn
-    TcaBmeMatrix enc_wq, enc_wk, enc_wv, enc_wo, enc_fc1, enc_fc2;
-  };
-
-  // Reusable buffers for one Forward or DecodeStep pass. Shapes depend only
-  // on (seq-or-batch, hidden, ffn), so every layer — and every subsequent
+  // Reusable buffers for one Forward or step pass. Shapes depend only on
+  // (panel width, hidden, ffn, bands), so every layer — and every subsequent
   // call at seen shapes — reuses the same storage; nothing here is shrunk.
   // `xh` stages the FP16 conversion feeding the dense reference backend (the
   // sparse backend quantizes on panel fill and never touches it). `scores`
-  // grows to the longest attended context.
+  // grows to the longest context Forward attends.
   struct MatmulScratch {
     SpmmWorkspace ws;
     HalfMatrix xh;
     FloatMatrix normed, q, kk, v, attn_out, proj, ffn_in, hidden_act, ffn_out;
-    FloatMatrix act, logits;  // decode-step activation panel and logits
+    FloatMatrix act, logits;  // step activation panel and logits
+    FloatMatrix band_out;     // one band's rows, before the copy into place
     std::vector<float> scores;
-    // Batched paged-attention scratch + the per-step work list (decode
-    // columns, then chunk columns), rebuilt in place each MixedStep.
+    // Batched paged-attention scratch and the step's per-column work list
+    // (decode columns, then chunk columns), rebuilt in place each step, with
+    // each column's absolute position and the columns that get logits.
     PagedAttentionScratch attn;
     std::vector<PagedAttentionItem> attn_items;
+    std::vector<int64_t> positions;
+    std::vector<int64_t> producer_cols;
   };
 
   // out = W*X on the selected backend, from FP32 activations: the sparse
@@ -207,10 +241,8 @@ class TinyTransformer {
                   const FloatMatrix& x, MatmulBackend backend, const char* label,
                   FloatMatrix* out) const;
 
-  // Shared Forward body; when `cache` is non-null, per-layer K/V columns are
-  // written into `seq_id`'s slots (the prefill path).
-  FloatMatrix ForwardImpl(const std::vector<int32_t>& tokens, MatmulBackend backend,
-                          PagedKvCache* cache, int64_t seq_id) const;
+  // Embeds `token` at absolute position `pos` into column `col` of `act`.
+  void EmbedInto(int32_t token, int64_t pos, int64_t col, FloatMatrix* act) const;
 
   void EncodeAll();
 

@@ -295,11 +295,8 @@ TEST(PagedAttentionTest, ServingDecodeStreamMatchesGenerate) {
   PagedKvCache cache(model.KvCacheConfig(/*block_tokens=*/16,
                                          /*num_blocks=*/8));
   ASSERT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt.size())));
-  const FloatMatrix logits =
-      model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0);
   std::vector<int32_t> tokens = prompt;
-  tokens.push_back(
-      GreedyToken(logits, static_cast<int64_t>(prompt.size()) - 1));
+  tokens.push_back(model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0));
   std::vector<int32_t> next;
   for (int step = 1; step < kSteps; ++step) {
     model.DecodeStep({0}, {tokens.back()}, MatmulBackend::kTcaBmeCpu, &cache,

@@ -61,8 +61,7 @@ DecodeTrace RunSingle(const TinyTransformer& model,
   PagedKvCache cache(model.KvCacheConfig(/*block_tokens=*/8, /*num_blocks=*/32));
   EXPECT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt.size())));
   DecodeTrace trace;
-  const FloatMatrix prefill = model.Prefill(prompt, backend, &cache, 0);
-  trace.tokens.push_back(GreedyToken(prefill, prefill.rows() - 1));
+  trace.tokens.push_back(model.Prefill(prompt, backend, &cache, 0));
   std::vector<int32_t> next;
   FloatMatrix logits;
   for (int s = 0; s < steps; ++s) {
@@ -87,8 +86,7 @@ std::vector<DecodeTrace> RunBatched(const TinyTransformer& model,
   for (int64_t i = 0; i < n; ++i) {
     EXPECT_TRUE(
         cache.AddSequence(i, static_cast<int64_t>(prompts[i].size())));
-    const FloatMatrix prefill = model.Prefill(prompts[i], backend, &cache, i);
-    traces[i].tokens.push_back(GreedyToken(prefill, prefill.rows() - 1));
+    traces[i].tokens.push_back(model.Prefill(prompts[i], backend, &cache, i));
     ids.push_back(i);
     last.push_back(traces[i].tokens.back());
   }
@@ -187,11 +185,9 @@ TEST(ServingEngineTest, DecodeStepAllocationFreeAfterWarmup) {
   std::vector<int32_t> last;
   for (int64_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(cache.AddSequence(i, 8));
-    const FloatMatrix logits =
-        model.Prefill(prompts[static_cast<size_t>(i)],
-                      MatmulBackend::kTcaBmeCpu, &cache, i);
     ids.push_back(i);
-    last.push_back(GreedyToken(logits, logits.rows() - 1));
+    last.push_back(model.Prefill(prompts[static_cast<size_t>(i)],
+                                 MatmulBackend::kTcaBmeCpu, &cache, i));
   }
   const std::vector<int32_t> first = last;
   auto run_steps = [&](int n, std::vector<int32_t> cur) {

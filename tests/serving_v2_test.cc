@@ -59,9 +59,7 @@ std::vector<int32_t> RunSingle(const TinyTransformer& model,
   PagedKvCache cache(model.KvCacheConfig(/*block_tokens=*/8, /*num_blocks=*/32));
   EXPECT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt.size())));
   std::vector<int32_t> tokens;
-  const FloatMatrix prefill =
-      model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0);
-  tokens.push_back(GreedyToken(prefill, prefill.rows() - 1));
+  tokens.push_back(model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0));
   std::vector<int32_t> next;
   for (int s = 0; s < steps; ++s) {
     model.DecodeStep({0}, {tokens.back()}, MatmulBackend::kTcaBmeCpu, &cache,
@@ -69,6 +67,16 @@ std::vector<int32_t> RunSingle(const TinyTransformer& model,
     tokens.push_back(next[0]);
   }
   return tokens;
+}
+
+// The `steps` tokens full-recompute Generate appends to `prompt` — the
+// independent oracle (no KV cache, no step body).
+std::vector<int32_t> GenerateTail(const TinyTransformer& model,
+                                  const std::vector<int32_t>& prompt,
+                                  int steps) {
+  const std::vector<int32_t> full =
+      model.Generate(prompt, steps, MatmulBackend::kTcaBmeCpu);
+  return std::vector<int32_t>(full.begin() + prompt.size(), full.end());
 }
 
 // Chunk-prefills `prompt` in pieces of `chunk` positions while sequence A
@@ -80,9 +88,8 @@ std::vector<std::vector<int32_t>> RunChunkedPair(
   PagedKvCache cache(model.KvCacheConfig(/*block_tokens=*/8, /*num_blocks=*/32));
   EXPECT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt_a.size())));
   std::vector<std::vector<int32_t>> streams(2);
-  const FloatMatrix pre_a =
-      model.Prefill(prompt_a, MatmulBackend::kTcaBmeCpu, &cache, 0);
-  streams[0].push_back(GreedyToken(pre_a, pre_a.rows() - 1));
+  streams[0].push_back(
+      model.Prefill(prompt_a, MatmulBackend::kTcaBmeCpu, &cache, 0));
 
   const int64_t len_b = static_cast<int64_t>(prompt_b.size());
   EXPECT_TRUE(cache.AddSequence(1, len_b));
@@ -139,6 +146,10 @@ TEST(ServingV2Test, MixedStepChunkedPrefillBitIdenticalToPrefill) {
   ThreadPool::SetGlobalThreads(1);
   const std::vector<int32_t> ref_a = RunSingle(model, prompt_a, kSteps);
   const std::vector<int32_t> ref_b = RunSingle(model, prompt_b, kSteps);
+  // Prefill runs the same step body as the chunks, so the reference itself
+  // is also pinned to the full-recompute oracle.
+  EXPECT_EQ(ref_a, GenerateTail(model, prompt_a, kSteps + 1));
+  EXPECT_EQ(ref_b, GenerateTail(model, prompt_b, kSteps + 1));
 
   for (int threads : {1, 2, 8}) {
     ThreadPool::SetGlobalThreads(threads);
@@ -172,6 +183,7 @@ TEST(ServingV2Test, MixedStepPrefillOnlyMatchesPrefill) {
                     /*dec_next=*/nullptr, &chunk_next);
   }
   EXPECT_EQ(chunk_next[0], ref[0]);
+  EXPECT_EQ(chunk_next[0], GenerateTail(model, prompt, 1)[0]);
 }
 
 ServingEngineConfig V2EngineConfig(const TinyConfig& model_cfg) {

@@ -140,6 +140,24 @@ TEST(ShardedEngineTest, BitIdenticalToSingleInstanceAtAnyShardCount) {
   ThreadPool::SetGlobalThreads(0);
 }
 
+// The dense reference backend shards the same way: ReferenceGemm accumulates
+// each output row independently, so row bands are bit-identical too.
+TEST(ShardedEngineTest, DenseBackendBitIdenticalToSingleInstance) {
+  const TinyTransformer model = MakePrunedModel(TestModelConfig());
+  ServingEngineConfig cfg = TestEngineConfig(model.config());
+  cfg.backend = MatmulBackend::kDense;
+
+  ThreadPool::SetGlobalThreads(1);
+  const RunResult baseline = RunSingleInstance(model, cfg, 42);
+  EXPECT_GT(baseline.records.size(), 10u);
+  for (int shards : {2, 4}) {
+    ShardedEngine substrate(&model, TestShardConfig(shards));
+    const RunResult sharded = RunSharded(&substrate, cfg, 42);
+    ExpectSameRun(baseline, sharded, "dense shards=" + std::to_string(shards));
+  }
+  ThreadPool::SetGlobalThreads(0);
+}
+
 // Same equivalence under grouped-query attention: kv groups shard cleanly
 // (kv_heads % shards == 0), so per-shard caches hold exactly their own kv
 // heads' rows.
@@ -171,9 +189,8 @@ TEST(ShardedEngineTest, GqaServingMatchesGenerate) {
 
   PagedKvCache cache(model.KvCacheConfig(8, 32));
   ASSERT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt.size())));
-  const FloatMatrix logits =
-      model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0);
-  std::vector<int32_t> stream = {GreedyToken(logits, logits.rows() - 1)};
+  std::vector<int32_t> stream = {
+      model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0)};
   std::vector<int32_t> next;
   for (int s = 1; s < kSteps; ++s) {
     model.DecodeStep({0}, {stream.back()}, MatmulBackend::kTcaBmeCpu, &cache,
@@ -235,6 +252,24 @@ TEST(ShardedEngineTest, CommMatchesAnalyticLayerCommExactly) {
       EXPECT_GT(sub.comm_us(), 0.0);
     }
   }
+  ThreadPool::SetGlobalThreads(0);
+}
+
+// The sharded step runs in the model's grow-only step scratch: once one
+// serving run has warmed it, a second run over the same traffic allocates
+// nothing there.
+TEST(ShardedEngineTest, WarmRunLeavesStepScratchUnchanged) {
+  const TinyTransformer model = MakePrunedModel(TestModelConfig());
+  const ServingEngineConfig cfg = TestEngineConfig(model.config());
+  ThreadPool::SetGlobalThreads(1);
+  ShardedEngine warm(&model, TestShardConfig(2));
+  RunSharded(&warm, cfg, 42);
+  const int64_t grows = model.MatmulScratchGrowCount();
+  const uint64_t bytes = model.MatmulScratchCapacityBytes();
+  ShardedEngine again(&model, TestShardConfig(2));
+  RunSharded(&again, cfg, 42);
+  EXPECT_EQ(model.MatmulScratchGrowCount(), grows);
+  EXPECT_EQ(model.MatmulScratchCapacityBytes(), bytes);
   ThreadPool::SetGlobalThreads(0);
 }
 
