@@ -370,7 +370,8 @@ int Main(int argc, char** argv) {
       bench("serving_decode_b" + std::to_string(batch), [&] {
         std::vector<int32_t> cur(last.begin(), last.begin() + batch);
         for (int64_t step = 0; step < kSrvSteps; ++step) {
-          model.DecodeStep(ids, cur, MatmulBackend::kTcaBmeCpu, &cache, &next);
+          model.MixedStep(ids, cur, {}, MatmulBackend::kTcaBmeCpu, &cache,
+                          &next, nullptr);
           cur = next;
         }
         for (int64_t i = 0; i < batch; ++i) {
@@ -427,7 +428,8 @@ int Main(int argc, char** argv) {
     bench("serving_decode_b8_longctx", [&] {
       std::vector<int32_t> cur = last;
       for (int64_t step = 0; step < kLcSteps; ++step) {
-        model.DecodeStep(ids, cur, MatmulBackend::kTcaBmeCpu, &cache, &next);
+        model.MixedStep(ids, cur, {}, MatmulBackend::kTcaBmeCpu, &cache, &next,
+                        nullptr);
         cur = next;
       }
       for (int64_t i = 0; i < kLcSeqs; ++i) {

@@ -3,7 +3,7 @@
 // At N == 1 the N-blocked CpuSpmm register tiling degenerates — every
 // "register tile" holds a single useful lane, and the RowTerm staging that
 // amortizes across output columns amortizes across nothing. Single-stream
-// decode (TinyTransformer::DecodeStep, ServingEngine at batch 1) lives in
+// decode (TinyTransformer::MixedStep, ServingEngine at batch 1) lives in
 // exactly that regime, which is the low-sparsity SpMV problem MACKO and the
 // block-extraction SpMV line of work target (PAPERS.md). This kernel family
 // walks each GroupTile's compressed Values run once, skips empty BitmapTiles

@@ -8,12 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/gpusim/device_spec.h"
-#include "src/llm/kv_allocator.h"
 #include "src/llm/model_config.h"
-#include "src/numeric/matrix.h"
 
 namespace spinfer {
 

@@ -2,13 +2,97 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
+#include <memory>
 
 #include "src/llm/attention.h"
 #include "src/llm/kv_allocator.h"
+#include "src/llm/serving_substrate.h"
 #include "src/util/check.h"
 
 namespace spinfer {
+namespace {
+
+// A decode instance's execution substrate. It owns the instance's pool, and
+// a sequence enters that pool by KV handoff from the prefill pool that
+// computed it, so registering the sequence (AddSequenceSharing) is the
+// migration. Each step is also priced into the instance's decode samples at
+// its batch and mean post-step context (slots held + 1, the engine's context
+// expression).
+class HandoffSubstrate final : public ServingSubstrate {
+ public:
+  // Where engine request i waits (the engine numbers its requests densely,
+  // in SubmitPrefilled order): a prefill pool, under the cluster's id.
+  struct Source {
+    PagedKvCache* pool;
+    int64_t seq;
+  };
+
+  HandoffSubstrate(const TinyTransformer* model, const PagedKvCacheConfig& kv,
+                   const EngineConfig& cost, std::vector<DisaggIterationSample>* samples)
+      : model_(model), cache_(kv), cost_(cost), samples_(samples) {}
+
+  std::vector<Source>& sources() { return sources_; }
+
+  const TinyConfig& model_config() const override { return model_->config(); }
+  const PagedKvCache& cache() const override { return cache_; }
+  PagedKvCache::PrefixMatch MatchPrefix(
+      const std::vector<int32_t>& prompt) const override {
+    return {};
+  }
+  bool AddSequenceSharing(int64_t seq_id, const std::vector<int32_t>& prompt,
+                          int64_t tokens,
+                          const PagedKvCache::PrefixMatch& match) override {
+    const Source& src = sources_[static_cast<size_t>(seq_id)];
+    return MigrateKvSequence(src.pool, &cache_, src.seq, seq_id);
+  }
+  void RemoveSequence(int64_t seq_id) override { cache_.RemoveSequence(seq_id); }
+  void IndexPrefix(int64_t seq_id, const std::vector<int32_t>& prompt,
+                   int64_t filled) override {}
+  void MixedStep(const std::vector<int64_t>& dec_ids,
+                 const std::vector<int32_t>& dec_last,
+                 const std::vector<PrefillChunk>& chunks, MatmulBackend backend,
+                 std::vector<int32_t>* dec_next,
+                 std::vector<int32_t>* chunk_next) override {
+    model_->MixedStep(dec_ids, dec_last, chunks, backend, &cache_, dec_next, chunk_next);
+    const int64_t batch = static_cast<int64_t>(dec_ids.size());
+    int64_t context_sum = 0;
+    for (const int64_t id : dec_ids) {
+      context_sum += cache_.SequenceTokens(id) + 1;
+    }
+    const int64_t context = context_sum / batch;
+    samples_->push_back({batch, context, DecodeStepTimeUs(cost_, batch, context)});
+  }
+
+ private:
+  const TinyTransformer* model_;
+  PagedKvCache cache_;
+  EngineConfig cost_;
+  std::vector<DisaggIterationSample>* samples_;
+  std::vector<Source> sources_;
+};
+
+// Decode engines run with ServingEngineConfig defaults plus the cluster's
+// batch cap, backend and decode pricing.
+ServingEngineConfig DecodeEngineConfig(const DisaggClusterConfig& cfg) {
+  ServingEngineConfig e;
+  e.max_batch = cfg.max_decode_batch;
+  e.backend = cfg.backend;
+  e.cost = cfg.decode_cost;
+  return e;
+}
+
+struct DecodeInstance {
+  HandoffSubstrate substrate;
+  ServingEngine engine;  // over `substrate`
+
+  DecodeInstance(const TinyTransformer* model, const PagedKvCacheConfig& kv,
+                 const DisaggClusterConfig& cfg,
+                 std::vector<DisaggIterationSample>* samples)
+      : substrate(model, kv, cfg.decode_cost, samples),
+        engine(&substrate, DecodeEngineConfig(cfg)) {}
+};
+
+}  // namespace
 
 std::string DisaggClusterReport::ToString() const {
   char buf[512];
@@ -71,30 +155,19 @@ DisaggClusterReport DisaggCluster::Run() {
     double free_at_s = 0.0;
     explicit PrefillInstance(const PagedKvCacheConfig& kv) : cache(kv) {}
   };
-  struct Handoff {
-    int64_t id = 0;
-    double ready_s = 0.0;       // transfer complete; admissible from here
-    int64_t prefill_inst = 0;   // whose pool still holds the KV
-  };
-  struct DecodeInstance {
-    PagedKvCache cache;
-    std::deque<Handoff> queue;  // (ready, id) order
-    int64_t assigned = 0;       // router load counter
-    explicit DecodeInstance(const PagedKvCacheConfig& kv) : cache(kv) {}
-  };
 
   const PagedKvCacheConfig kv =
       model_->KvCacheConfig(cfg_.kv_block_tokens, cfg_.kv_num_blocks);
   std::vector<PrefillInstance> prefills;
-  std::vector<DecodeInstance> decodes;
+  std::vector<std::unique_ptr<DecodeInstance>> decodes;
   if (usable) {
     prefills.reserve(static_cast<size_t>(cfg_.prefill_instances));
     for (int64_t i = 0; i < cfg_.prefill_instances; ++i) {
       prefills.emplace_back(kv);
     }
-    decodes.reserve(static_cast<size_t>(cfg_.decode_instances));
     for (int64_t i = 0; i < cfg_.decode_instances; ++i) {
-      decodes.emplace_back(kv);
+      decodes.push_back(std::make_unique<DecodeInstance>(
+          model_, kv, cfg_, &samples_[static_cast<size_t>(i)]));
     }
   }
 
@@ -111,19 +184,14 @@ DisaggClusterReport DisaggCluster::Run() {
            records_[static_cast<size_t>(b)].arrival_s;
   });
 
-  const int64_t max_seq = model_->config().max_seq;
   double sim_end_s = 0.0;
   for (const int64_t id : order) {
     RequestRecord& r = records_[static_cast<size_t>(id)];
     const int64_t len = static_cast<int64_t>(r.prompt.size());
-    const bool servable =
-        usable && len > 0 && r.max_new_tokens > 0 &&
-        len + r.max_new_tokens <= max_seq &&
-        prefills[0].cache.BlocksForTokens(len) <=
-            prefills[0].cache.total_blocks() &&
-        decodes[0].cache.BlocksForTokens(len + r.max_new_tokens) <=
-            decodes[0].cache.total_blocks();
-    if (!servable) {
+    // Both pools share one geometry, and a prompt's blocks never exceed its
+    // worst case, so the decode pool's verdict covers the prefill pool.
+    if (!usable || !IsServable(decodes[0]->substrate.cache(), model_->config().max_seq,
+                               len, r.max_new_tokens)) {
       r.reason = FinishReason::kRejected;
       ++report.rejected;
       continue;
@@ -177,115 +245,38 @@ DisaggClusterReport DisaggCluster::Run() {
       continue;
     }
 
-    int64_t target = 0;
-    for (int64_t i = 1; i < cfg_.decode_instances; ++i) {
-      if (decodes[static_cast<size_t>(i)].assigned <
-          decodes[static_cast<size_t>(target)].assigned) {
+    // Route to the least-loaded decode instance; its engine admits the
+    // request once the transfer lands (arrival = ready_s).
+    size_t target = 0;
+    for (size_t i = 1; i < decodes.size(); ++i) {
+      if (decodes[i]->substrate.sources().size() <
+          decodes[target]->substrate.sources().size()) {
         target = i;
       }
     }
-    decodes[static_cast<size_t>(target)].queue.push_back(
-        Handoff{r.id, ready_s, best});
-    ++decodes[static_cast<size_t>(target)].assigned;
+    decodes[target]->substrate.sources().push_back({&inst.cache, r.id});
+    decodes[target]->engine.SubmitPrefilled(r.prompt, r.generated.back(),
+                                            r.max_new_tokens, ready_s);
   }
 
-  // ---- Phase B: per-decode-instance continuous batching. -------------------
-  // Iterate the pools actually built: an unusable topology built none.
-  for (int64_t di = 0; di < static_cast<int64_t>(decodes.size()); ++di) {
-    DecodeInstance& inst = decodes[static_cast<size_t>(di)];
-    std::stable_sort(inst.queue.begin(), inst.queue.end(),
-                     [](const Handoff& a, const Handoff& b) {
-                       return a.ready_s < b.ready_s;
-                     });
-    std::vector<int64_t> active;
-    std::vector<DisaggIterationSample>& samples =
-        samples_[static_cast<size_t>(di)];
-    double now_s = 0.0;
-
-    std::vector<int64_t> dec_ids;
-    std::vector<int32_t> dec_last, dec_next;
-    while (!inst.queue.empty() || !active.empty()) {
-      if (active.empty() && !inst.queue.empty()) {
-        now_s = std::max(now_s, inst.queue.front().ready_s);
-      }
-      // Growth-reserve admission (ServingEngine's invariant): admit only
-      // while the pool covers the newcomer's blocks now plus everyone's
-      // worst-case growth to prompt + max_new, so AppendToken cannot fail.
-      while (!inst.queue.empty() &&
-             inst.queue.front().ready_s <= now_s &&
-             static_cast<int64_t>(active.size()) < cfg_.max_decode_batch) {
-        const Handoff h = inst.queue.front();
-        const RequestRecord& r = records_[static_cast<size_t>(h.id)];
-        const int64_t full = static_cast<int64_t>(r.prompt.size()) +
-                             r.max_new_tokens;
-        int64_t reserve = 0;
-        for (const int64_t aid : active) {
-          const RequestRecord& ar = records_[static_cast<size_t>(aid)];
-          reserve +=
-              inst.cache.BlocksForTokens(static_cast<int64_t>(ar.prompt.size()) +
-                                         ar.max_new_tokens) -
-              inst.cache.BlocksForTokens(inst.cache.SequenceTokens(aid));
-        }
-        const int64_t fresh = inst.cache.BlocksForTokens(
-            static_cast<int64_t>(r.prompt.size()));
-        const int64_t growth = inst.cache.BlocksForTokens(full) - fresh;
-        if (inst.cache.used_blocks() + fresh + growth + reserve >
-            inst.cache.total_blocks()) {
-          break;  // wait for a retirement to free blocks
-        }
-        SPINFER_CHECK(MigrateKvSequence(
-            &prefills[static_cast<size_t>(h.prefill_inst)].cache, &inst.cache,
-            h.id));
-        ++report.migrations;
-        active.push_back(h.id);
-        inst.queue.pop_front();
-      }
-      if (active.empty()) {
-        continue;  // clock advanced to the next handoff above
-      }
-
-      dec_ids.clear();
-      dec_last.clear();
-      for (const int64_t id : active) {
-        const RequestRecord& r = records_[static_cast<size_t>(id)];
-        dec_ids.push_back(id);
-        dec_last.push_back(r.generated.back());
-      }
-      model_->DecodeStep(dec_ids, dec_last, cfg_.backend, &inst.cache,
-                         &dec_next);
-      int64_t context_sum = 0;
-      for (size_t i = 0; i < active.size(); ++i) {
-        RequestRecord& r = records_[static_cast<size_t>(active[i])];
-        r.generated.push_back(dec_next[i]);
-        // ServingEngine's context expression, post-push: prompt +
-        // (generated - 1) + 1.
-        context_sum += static_cast<int64_t>(r.prompt.size()) +
-                       (static_cast<int64_t>(r.generated.size()) - 1) + 1;
-      }
-      const int64_t batch = static_cast<int64_t>(active.size());
-      const double cost_us = DecodeStepTimeUs(cfg_.decode_cost, batch,
-                                              context_sum / batch);
-      samples.push_back(
-          DisaggIterationSample{batch, context_sum / batch, cost_us});
-      ++report.decode_iterations;
-      report.peak_decode_batch = std::max(report.peak_decode_batch, batch);
-      now_s += cost_us / 1e6;
-
-      for (size_t i = 0; i < active.size();) {
-        RequestRecord& r = records_[static_cast<size_t>(active[i])];
-        if (static_cast<int64_t>(r.generated.size()) >= r.max_new_tokens) {
-          inst.cache.RemoveSequence(r.id);
-          r.finish_s = now_s;
-          r.latency_ms = (now_s - r.arrival_s) * 1e3;
-          r.reason = FinishReason::kMaxTokens;
-          ++report.completed;
-          active.erase(active.begin() + static_cast<int64_t>(i));
-        } else {
-          ++i;
-        }
-      }
+  // ---- Phase B: every decode instance's engine serves its handoffs. --------
+  for (const std::unique_ptr<DecodeInstance>& d : decodes) {
+    const ExecServingReport dr = d->engine.Run();
+    report.completed += dr.completed;
+    report.migrations += static_cast<int64_t>(d->engine.admission_order().size());
+    report.decode_iterations += dr.iterations;
+    report.peak_decode_batch = std::max(report.peak_decode_batch, dr.peak_batch);
+    sim_end_s = std::max(sim_end_s, dr.sim_time_s);
+    // Back to cluster ids: latency runs from the client's arrival, and the
+    // TTFT stays Phase A's.
+    for (const RequestRecord& e : d->engine.results()) {
+      const int64_t id = d->substrate.sources()[static_cast<size_t>(e.id)].seq;
+      RequestRecord& r = records_[static_cast<size_t>(id)];
+      r.generated = e.generated;
+      r.finish_s = e.finish_s;
+      r.latency_ms = (e.finish_s - r.arrival_s) * 1e3;
+      r.reason = e.reason;
     }
-    sim_end_s = std::max(sim_end_s, now_s);
   }
 
   report.sim_time_s = sim_end_s;

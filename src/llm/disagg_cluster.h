@@ -3,27 +3,29 @@
 // Splitwise / DistServe / Mooncake architecture).
 //
 // Topology: a pool of prefill instances (each a full-model runner with its
-// own PagedKvCache) and a pool of decode instances (each a continuous-
-// batching loop over its own PagedKvCache), joined by per-request KV-block
-// handoff: when a prompt finishes prefilling, its cache pages cross the
-// virtual fabric (priced at transfer_bw_gbs over the cost model's
-// KvCacheBytes) and are migrated — refcount-correct, bit-exact — into the
-// admitting decode instance's pool via MigrateKvSequence.
+// own PagedKvCache) and a pool of decode instances, each a ServingEngine —
+// the one continuous-batching scheduler — over its own PagedKvCache. They
+// are joined by per-request KV-block handoff: when a prompt finishes
+// prefilling, its cache pages cross the virtual fabric (priced at
+// transfer_bw_gbs over the cost model's KvCacheBytes) and the request
+// arrives at a decode engine with its first token (SubmitPrefilled); the
+// engine's admission migrates the pages — refcount-correct, bit-exact — out
+// of the prefill pool via MigrateKvSequence.
 //
 // Time model, as everywhere in this repo's serving stack: execution is real
-// (real tokens through TinyTransformer::Prefill / DecodeStep, real paged KV
+// (real tokens through TinyTransformer::Prefill / MixedStep, real paged KV
 // pools), the clock is virtual, priced expression-for-expression like the
 // planner:
 //   * one prompt at a time per prefill instance, PrefillTimeUs(prefill_cost,
-//     1, len); router = earliest-free instance, ties to the lowest index;
+//     1, len); router = earliest-free instance, ties to the lowest index.
+//     Prefill instances are not engines: the planner prices TTFT as prefill
+//     + transfer with no decode term, and a whole-prompt loop is exactly
+//     that;
 //   * handoff delay KvCacheBytes(model, 1, len, 1) / (transfer_bw_gbs * 1e6)
-//     milliseconds;
-//   * decode iterations DecodeStepTimeUs(decode_cost, batch, mean_context)
-//     with ServingEngine's context expression; router = least-loaded
-//     instance, ties to the lowest index; growth-reserve admission (a
-//     request is admitted only when the pool covers its blocks now plus
-//     every resident sequence's growth to prompt + max_new, so decode can
-//     never run out of blocks mid-flight).
+//     milliseconds; router = least-loaded decode instance, ties to the
+//     lowest index;
+//   * decode admission, batching and pricing are the engine's, at
+//     DecodeStepTimeUs(decode_cost, batch, mean_context).
 // The first token comes from the prefill logits, so TTFT = queueing +
 // prefill + transfer — with an idle prefill pool, exactly the planner's
 // prefill_ms + kv_transfer_ms. The cross-check tests match TTFT, tpot, and
@@ -95,11 +97,12 @@ class DisaggCluster {
   int64_t Submit(std::vector<int32_t> prompt, int64_t max_new_tokens,
                  double arrival_s = 0.0);
 
-  // Runs prefill scheduling, KV handoff, and every decode instance's loop to
-  // completion. Single-shot.
+  // Runs prefill scheduling, KV handoff, and every decode instance's engine
+  // to completion. Single-shot.
   DisaggClusterReport Run();
 
-  // Post-Run inspection; results() is indexed by request id.
+  // Post-Run inspection; results() is indexed by request id. A record's
+  // latency runs from its client arrival and its TTFT ends at handoff.
   const std::vector<RequestRecord>& results() const { return records_; }
   const std::vector<DisaggIterationSample>& decode_samples(
       int64_t instance) const;

@@ -403,33 +403,34 @@ const float* PagedKvCache::VBlockBase(int64_t layer, int32_t block) const {
          (layer * config_.num_blocks + block) * config_.block_tokens * config_.kv_dim;
 }
 
-bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to, int64_t seq_id) {
+bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to, int64_t from_seq,
+                       int64_t to_seq) {
   SPINFER_CHECK(from != nullptr && to != nullptr && from != to);
   SPINFER_CHECK_EQ(from->config().layers, to->config().layers);
   SPINFER_CHECK_EQ(from->config().kv_dim, to->config().kv_dim);
   SPINFER_CHECK_EQ(from->config().block_tokens, to->config().block_tokens);
-  const int64_t tokens = from->SequenceTokens(seq_id);
+  const int64_t tokens = from->SequenceTokens(from_seq);
   if (tokens <= 0) {
     return false;  // unknown to the source pool
   }
-  SPINFER_CHECK_MSG(to->SequenceTokens(seq_id) == 0,
-                    "sequence " << seq_id << " already lives in the target pool");
+  SPINFER_CHECK_MSG(to->SequenceTokens(to_seq) == 0,
+                    "sequence " << to_seq << " already lives in the target pool");
   // Allocate first, copy, release last: a failed allocation leaves both
   // pools untouched, and the source rows stay readable while copied.
-  if (!to->AddSequence(seq_id, tokens)) {
+  if (!to->AddSequence(to_seq, tokens)) {
     return false;
   }
   const int64_t layers = from->config().layers;
   const int64_t kv_dim = from->config().kv_dim;
   for (int64_t layer = 0; layer < layers; ++layer) {
     for (int64_t t = 0; t < tokens; ++t) {
-      const float* ksrc = from->KRow(layer, seq_id, t);
-      const float* vsrc = from->VRow(layer, seq_id, t);
-      std::copy(ksrc, ksrc + kv_dim, to->KRow(layer, seq_id, t));
-      std::copy(vsrc, vsrc + kv_dim, to->VRow(layer, seq_id, t));
+      const float* ksrc = from->KRow(layer, from_seq, t);
+      const float* vsrc = from->VRow(layer, from_seq, t);
+      std::copy(ksrc, ksrc + kv_dim, to->KRow(layer, to_seq, t));
+      std::copy(vsrc, vsrc + kv_dim, to->VRow(layer, to_seq, t));
     }
   }
-  from->RemoveSequence(seq_id);
+  from->RemoveSequence(from_seq);
   return true;
 }
 

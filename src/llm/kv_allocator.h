@@ -269,9 +269,10 @@ class PagedKvCache {
   int64_t cow_copies_ = 0;
 };
 
-// Moves `seq_id`'s cached K/V — every layer, every token slot — from `from`
-// to `to` (the prefill->decode handoff of a disaggregated deployment). The
-// two pools must share geometry (layers, kv_dim, block_tokens; CHECKed).
+// Moves sequence `from_seq`'s cached K/V — every layer, every token slot —
+// from `from` to `to`, where it becomes sequence `to_seq` (the prefill->decode
+// handoff of a disaggregated deployment). The two pools must share geometry
+// (layers, kv_dim, block_tokens) and `to` must not hold `to_seq` (CHECKed).
 // Returns false, mutating nothing, when `from` does not hold the sequence or
 // `to` cannot allocate it; on success the destination rows are bit-for-bit
 // the source rows, the destination blocks are fresh private (unshared,
@@ -280,6 +281,7 @@ class PagedKvCache {
 // is private. Total live refcounts are conserved: the sequence's holds move
 // pools, nothing leaks and nothing double-frees (the property fuzz in
 // tests/paged_kv_property_test.cc drives exactly this invariant).
-bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to, int64_t seq_id);
+bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to, int64_t from_seq,
+                       int64_t to_seq);
 
 }  // namespace spinfer

@@ -183,6 +183,17 @@ int64_t ServingEngine::Submit(std::vector<int32_t> prompt, int64_t max_new_token
   return records_.back().id;
 }
 
+int64_t ServingEngine::SubmitPrefilled(std::vector<int32_t> prompt,
+                                       int32_t first_token,
+                                       int64_t max_new_tokens,
+                                       double arrival_s) {
+  SPINFER_CHECK(max_new_tokens >= 2);
+  const int64_t id = Submit(std::move(prompt), max_new_tokens, arrival_s);
+  std::lock_guard<std::mutex> lock(submit_mu_);
+  records_[static_cast<size_t>(id)].generated.push_back(first_token);
+  return id;
+}
+
 void ServingEngine::Cancel(int64_t id, double at_s) {
   std::lock_guard<std::mutex> lock(submit_mu_);
   cancels_.emplace_back(at_s, id);
@@ -218,16 +229,10 @@ void ServingEngine::InjectPoissonArrivals(const PoissonTraffic& t) {
   }
 }
 
-bool ServingEngine::IsServable(const RequestRecord& r) const {
-  const int64_t prompt_len = static_cast<int64_t>(r.prompt.size());
-  if (prompt_len < 1 || r.max_new_tokens < 1) {
-    return false;
-  }
-  if (prompt_len + r.max_new_tokens > substrate_->model_config().max_seq) {
-    return false;
-  }
-  return substrate_->cache().BlocksForTokens(prompt_len + r.max_new_tokens) <=
-         substrate_->cache().total_blocks();
+bool IsServable(const PagedKvCache& pool, int64_t max_seq, int64_t prompt_len,
+                int64_t max_new) {
+  return prompt_len >= 1 && max_new >= 1 && prompt_len + max_new <= max_seq &&
+         pool.BlocksForTokens(prompt_len + max_new) <= pool.total_blocks();
 }
 
 ExecServingReport ServingEngine::Run() {
@@ -378,7 +383,9 @@ ExecServingReport ServingEngine::Run() {
       if (r.arrival_s > now_s) {
         break;
       }
-      if (!IsServable(r)) {
+      const int64_t prompt_len = static_cast<int64_t>(r.prompt.size());
+      if (!IsServable(substrate_->cache(), substrate_->model_config().max_seq,
+                      prompt_len, r.max_new_tokens)) {
         queue.pop_front();
         r.reason = FinishReason::kRejected;
         r.finish_s = now_s;
@@ -393,9 +400,11 @@ ExecServingReport ServingEngine::Run() {
       if (static_cast<int64_t>(running.size()) >= cfg_.max_batch) {
         break;
       }
-      const int64_t prompt_len = static_cast<int64_t>(r.prompt.size());
+      // Only a request from Submit arrives without a token; a prefilled one
+      // brings its prompt's KV through AddSequenceSharing below.
+      const bool prefilled = !r.generated.empty();
       PagedKvCache::PrefixMatch match;
-      if (cfg_.enable_prefix_cache) {
+      if (cfg_.enable_prefix_cache && !prefilled) {
         match = substrate_->MatchPrefix(r.prompt);
       }
       const int64_t prompt_blocks = substrate_->cache().BlocksForTokens(prompt_len);
@@ -438,8 +447,10 @@ ExecServingReport ServingEngine::Run() {
         }
       }
       // Prefill starts past the adopted prefix; the chunk scheduler below
-      // computes the rest (this same iteration when chunking is off).
-      running.push_back(Active{r.id, match.tokens});
+      // computes the rest (this same iteration when chunking is off). A
+      // prefilled request decodes straight away.
+      running.push_back(
+          Active{r.id, prefilled ? prompt_len : match.tokens, prefilled});
     }
 
     if (running.empty()) {
@@ -627,9 +638,11 @@ ExecServingReport ServingEngine::Run() {
       r.finish_s = now_s;
       r.latency_ms = (now_s - r.arrival_s) * 1e3;
       latencies_ms.push_back(r.latency_ms);
-      ttfts_ms.push_back(r.ttft_ms);
       metrics.latency_ms->Record(r.latency_ms);
-      metrics.ttft_ms->Record(r.ttft_ms);
+      if (!it->prefilled) {  // a prefilled first token came from elsewhere
+        ttfts_ms.push_back(r.ttft_ms);
+        metrics.ttft_ms->Record(r.ttft_ms);
+      }
       metrics.completed->Increment();
       ++report.completed;
       substrate_->RemoveSequence(r.id);

@@ -74,6 +74,12 @@ enum class FinishReason {
 
 const char* FinishReasonName(FinishReason r);
 
+// The servability rule every scheduler rejects by: a request can ever run
+// only with a non-empty prompt and budget, prompt + budget within the
+// model's context window `max_seq`, and its worst-case blocks within `pool`.
+bool IsServable(const PagedKvCache& pool, int64_t max_seq, int64_t prompt_len,
+                int64_t max_new);
+
 // Request-scoped observability. Everything is default-off, and enabling any
 // of it never changes token streams, reports, or the virtual clock
 // (tests/request_log_test.cc asserts bit-identity). Under
@@ -204,6 +210,13 @@ class ServingEngine {
   // submission order). `arrival_s` is the request's virtual arrival time.
   int64_t Submit(std::vector<int32_t> prompt, int64_t max_new_tokens,
                  double arrival_s = 0.0);
+  // Enqueues a request prefilled elsewhere (a disaggregated prefill
+  // instance): it starts with `first_token` generated, admission registers
+  // it through the substrate's AddSequenceSharing, which must bring its
+  // prompt's KV in, and it decodes from its first iteration. It feeds no
+  // TTFT sample. `max_new_tokens` counts `first_token` and must be >= 2.
+  int64_t SubmitPrefilled(std::vector<int32_t> prompt, int32_t first_token,
+                          int64_t max_new_tokens, double arrival_s = 0.0);
 
   // Draws an open-loop Poisson trace and submits every request. Deterministic
   // for a fixed traffic spec (see PoissonTraffic).
@@ -241,16 +254,13 @@ class ServingEngine {
     // Next prompt position to compute; == prompt length once prefill is
     // done and the sequence decodes.
     int64_t prefill_pos = 0;
+    bool prefilled = false;  // submitted with its first token (SubmitPrefilled)
   };
 
   // The TinyTransformer constructor's target: runs the borrowed-substrate
   // constructor over `owned`, then keeps it alive.
   ServingEngine(std::unique_ptr<SingleInstanceSubstrate> owned,
                 const ServingEngineConfig& cfg);
-
-  // A request the pool could never hold, or that overflows the model's
-  // context window, is rejected at queue-head time.
-  bool IsServable(const RequestRecord& r) const;
 
   // Owned when constructed from a TinyTransformer; null when the substrate
   // is borrowed. `substrate_` is the working pointer either way.

@@ -350,20 +350,6 @@ FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
   return logits;
 }
 
-void TinyTransformer::DecodeStep(const std::vector<int64_t>& seq_ids,
-                                 const std::vector<int32_t>& last_tokens,
-                                 MatmulBackend backend, PagedKvCache* cache,
-                                 std::vector<int32_t>* next_tokens,
-                                 FloatMatrix* logits_out) const {
-  SPINFER_CHECK(!seq_ids.empty());
-  // A decode-only MixedStep: identical code path, so the original contract
-  // (including bit-identity and the warmed zero-allocation property of the
-  // matmul scratch) is the general path's, not a parallel implementation's.
-  static const std::vector<PrefillChunk> kNoChunks;
-  MixedStep(seq_ids, last_tokens, kNoChunks, backend, cache, next_tokens,
-            /*chunk_next=*/nullptr, logits_out);
-}
-
 void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
                                 const std::vector<int32_t>& dec_last,
                                 const std::vector<PrefillChunk>& chunks,

@@ -15,9 +15,9 @@
 //     PagedKvCache, attends per sequence over the paged context, and samples
 //     greedily. It runs over a list of row bands: each band holds an
 //     output-row slice of every layer's six weight matrices plus the cache
-//     holding its kv rows. MixedStep, DecodeStep and Prefill call it with one
-//     band (the model's own weights, writing the full panels directly);
-//     ShardedEngine calls it with one band per tensor-parallel shard. Every
+//     holding its kv rows. MixedStep and Prefill call it with one band (the
+//     model's own weights, writing the full panels directly); ShardedEngine
+//     calls it with one band per tensor-parallel shard. Every
 //     stage is per-column/per-sequence and band cuts sit on GroupTile rows,
 //     so a sequence's tokens and logits are bit-identical for any batch
 //     composition, chunking, band count and thread count, and also match
@@ -128,31 +128,21 @@ class TinyTransformer {
   int32_t Prefill(const std::vector<int32_t>& tokens, MatmulBackend backend,
                   PagedKvCache* cache, int64_t seq_id) const;
 
-  // One continuous-batching decode iteration. For sequence i (ragged contexts
-  // are fine), `last_tokens[i]` is its most recently produced token; the step
-  // appends that token's slot to the cache (exhaustion is a CHECK failure —
-  // the scheduler reserves capacity at admission), runs each weight matmul
-  // once with N = batch columns, attends per sequence over its full cached
-  // context, and writes the greedy next token per sequence to `next_tokens`.
-  // `logits_out`, when non-null, receives the (batch x vocab) logits.
-  void DecodeStep(const std::vector<int64_t>& seq_ids,
-                  const std::vector<int32_t>& last_tokens, MatmulBackend backend,
-                  PagedKvCache* cache, std::vector<int32_t>* next_tokens,
-                  FloatMatrix* logits_out = nullptr) const;
-
-  // One mixed continuous-batching iteration: a decode batch (as in
-  // DecodeStep) plus any number of prompt chunks, all through ONE matmul per
-  // weight with N = dec_ids.size() + sum(chunk counts) columns — prefill
-  // work rides the decode batch at the wide-N operating point instead of
-  // stalling it. Decode columns behave exactly as DecodeStep (with no
-  // chunks, this IS DecodeStep, bit for bit); chunk columns write their
+  // One mixed continuous-batching iteration: a decode batch plus any number
+  // of prompt chunks, all through ONE matmul per weight with N =
+  // dec_ids.size() + sum(chunk counts) columns — prefill work rides the
+  // decode batch at the wide-N operating point instead of stalling it. For
+  // decode sequence i (ragged contexts are fine), `dec_last[i]` is its most
+  // recently produced token: the step appends that token's slot to the cache
+  // (exhaustion is a CHECK failure — the scheduler reserves capacity at
+  // admission), attends over the sequence's full cached context, and writes
+  // its greedy next token to `dec_next[i]`. Chunk columns write their
   // position's per-layer K/V into the cache and attend causally over slots
   // [0, pos]. Per-column kernels make every sequence's results independent
-  // of the batch mix and of where chunk boundaries fall. `dec_next[i]`
-  // receives decode sequence i's next token; `chunk_next[c]` receives the
-  // first generated token of chunk c if it completes its prompt, else -1
-  // (may be null when `chunks` is empty). `dec_logits_out`, when non-null,
-  // receives the decode rows' logits (dec x vocab).
+  // of the batch mix and of where chunk boundaries fall. `chunk_next[c]`
+  // receives the first generated token of chunk c if it completes its
+  // prompt, else -1 (may be null when `chunks` is empty). `dec_logits_out`,
+  // when non-null, receives the decode rows' logits (dec x vocab).
   void MixedStep(const std::vector<int64_t>& dec_ids,
                  const std::vector<int32_t>& dec_last,
                  const std::vector<PrefillChunk>& chunks, MatmulBackend backend,

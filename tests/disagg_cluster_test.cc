@@ -8,7 +8,8 @@
 //     mid-context, and decode throughput at the feasible batch.
 //   * Execution is real: every request's token stream equals full-recompute
 //     Generate bitwise, across the prefill -> migrate -> decode pipeline.
-//   * Reports are byte-stable across reruns and thread counts.
+//   * Reports are byte-stable across reruns and thread counts, and pinned as
+//     golden strings on multi-instance topologies beyond the lockstep domain.
 //   * Degenerate topologies (no prefill pool, no decode pool) and unservable
 //     requests reject gracefully — no UB, no CHECK crash.
 #include "src/llm/disagg_cluster.h"
@@ -270,6 +271,100 @@ TEST(DisaggClusterTest, SingleTokenBudgetSkipsDecode) {
   const RequestRecord& r = cluster.results()[0];
   EXPECT_EQ(static_cast<int64_t>(r.generated.size()), 1);
   EXPECT_DOUBLE_EQ(r.ttft_ms, r.latency_ms);
+}
+
+// Beyond the lockstep domain: several decode instances whose batch cap is
+// below the offered load, non-monotone staggered arrivals, single-token
+// budgets that never reach decode, and (second topology) a 12-block pool
+// where growth-reserve admission holds handoffs back while the prefill pools
+// fill up and reject. Each report and a per-instance digest of its decode
+// samples are pinned as golden strings (captured from the cluster's earlier
+// hand-written decode loop); every completed stream equals full-recompute
+// Generate, and the samples account for every decode iteration and token.
+TEST(DisaggClusterTest, MultiInstanceTopologiesMatchGoldenReports) {
+  const TinyTransformer model = MakePrunedModel();
+  struct Topology {
+    int64_t prefill_instances;
+    int64_t decode_instances;
+    int64_t max_decode_batch;
+    int64_t kv_num_blocks;
+    const char* golden;
+    const char* samples_golden;
+  };
+  const Topology topologies[] = {
+      {2, 3, 3, 64,
+       "arrived=24 rejected=0 completed=24 prefills=24 migrations=19 "
+       "decode_iters=61 peak_decode_batch=3 sim_s=0.336402 "
+       "ttft_ms{mean=92.187078 p50=89.851563 p95=166.756739 p99=169.760350} "
+       "lat_ms{mean=180.388144 p50=189.476575 p95=295.794984 "
+       "p99=302.560441}",
+       "20/41/376 20/50/489 21/38/345 "},
+      {3, 2, kBatch, 12,
+       "arrived=24 rejected=7 completed=17 prefills=17 migrations=13 "
+       "decode_iters=41 peak_decode_batch=4 sim_s=0.347869 "
+       "ttft_ms{mean=43.551112 p50=45.358272 p95=72.579580 p99=77.564097} "
+       "lat_ms{mean=152.675447 p50=175.852106 p95=262.865581 "
+       "p99=308.468149}",
+       "23/51/482 18/43/324 "},
+  };
+  for (const Topology& t : topologies) {
+    DisaggClusterConfig cfg = ClusterConfig();
+    cfg.prefill_instances = t.prefill_instances;
+    cfg.decode_instances = t.decode_instances;
+    cfg.max_decode_batch = t.max_decode_batch;
+    cfg.kv_num_blocks = t.kv_num_blocks;
+    DisaggCluster cluster(&model, cfg);
+    Rng rng(31);
+    for (int64_t i = 0; i < 24; ++i) {
+      const int64_t len = 4 + static_cast<int64_t>(rng.Below(21));
+      const int64_t max_new =
+          i % 5 == 0 ? 1 : 2 + static_cast<int64_t>(rng.Below(11));
+      // A sawtooth: arrivals go back in time every few submissions.
+      const double arrival_s = 0.004 * static_cast<double>((i * 7) % 11);
+      cluster.Submit(RandomPrompt(rng, len, model.config().vocab), max_new,
+                     arrival_s);
+    }
+    const DisaggClusterReport report = cluster.Run();
+    EXPECT_EQ(report.ToString(), t.golden)
+        << "prefill=" << t.prefill_instances
+        << " decode=" << t.decode_instances;
+
+    // Per instance: samples, summed batch and summed mean context (each
+    // sample's cost is DecodeStepTimeUs of its batch and mean context).
+    std::string samples;
+    int64_t sampled = 0;
+    int64_t sampled_tokens = 0;
+    for (int64_t d = 0; d < t.decode_instances; ++d) {
+      int64_t batch_sum = 0;
+      int64_t context_sum = 0;
+      for (const DisaggIterationSample& s : cluster.decode_samples(d)) {
+        batch_sum += s.batch;
+        context_sum += s.mean_context;
+      }
+      const size_t n = cluster.decode_samples(d).size();
+      samples += std::to_string(n) + "/" + std::to_string(batch_sum) + "/" +
+                 std::to_string(context_sum) + " ";
+      sampled += static_cast<int64_t>(n);
+      sampled_tokens += batch_sum;
+    }
+    EXPECT_EQ(samples, t.samples_golden);
+    EXPECT_EQ(sampled, report.decode_iterations);
+
+    int64_t decoded_tokens = 0;  // every token after the prefill's
+    for (const RequestRecord& r : cluster.results()) {
+      if (r.reason != FinishReason::kMaxTokens) {
+        continue;
+      }
+      decoded_tokens += static_cast<int64_t>(r.generated.size()) - 1;
+      const std::vector<int32_t> full =
+          model.Generate(r.prompt, static_cast<int>(r.max_new_tokens),
+                         MatmulBackend::kTcaBmeCpu);
+      const std::vector<int32_t> tail(full.begin() + r.prompt.size(),
+                                      full.end());
+      EXPECT_EQ(r.generated, tail) << "id=" << r.id;
+    }
+    EXPECT_EQ(sampled_tokens, decoded_tokens);
+  }
 }
 
 }  // namespace

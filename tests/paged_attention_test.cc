@@ -275,8 +275,8 @@ TEST(PagedAttentionTest, WarmScratchStopsGrowing) {
   EXPECT_EQ(scratch.grow_count(), warm_grows);
 }
 
-// The serving-path contract the fusion must not disturb: DecodeStep token
-// streams over the paged cache still match the full-recompute Generate path
+// The serving-path contract the fusion must not disturb: decode-only
+// MixedStep token streams over the paged cache still match the full-recompute Generate path
 // bit for bit (Generate never touches the batched kernel).
 TEST(PagedAttentionTest, ServingDecodeStreamMatchesGenerate) {
   TinyConfig cfg;
@@ -299,8 +299,8 @@ TEST(PagedAttentionTest, ServingDecodeStreamMatchesGenerate) {
   tokens.push_back(model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0));
   std::vector<int32_t> next;
   for (int step = 1; step < kSteps; ++step) {
-    model.DecodeStep({0}, {tokens.back()}, MatmulBackend::kTcaBmeCpu, &cache,
-                     &next);
+    model.MixedStep({0}, {tokens.back()}, {}, MatmulBackend::kTcaBmeCpu,
+                    &cache, &next, nullptr);
     tokens.push_back(next[0]);
   }
   EXPECT_EQ(tokens, expect);

@@ -42,15 +42,21 @@ float PatternV(int64_t seq, int64_t token, int64_t layer, int64_t r) {
   return PatternK(seq, token, layer, r) + 0.5f;
 }
 
-void FillToken(PagedKvCache* cache, int64_t seq, int64_t token) {
+// Writes pattern key `key`'s row into live sequence `seq`'s slot `token`
+// (the two differ once a migration renamed the sequence).
+void FillTokenAs(PagedKvCache* cache, int64_t seq, int64_t key, int64_t token) {
   for (int64_t layer = 0; layer < cache->config().layers; ++layer) {
     float* k = cache->KRow(layer, seq, token);
     float* v = cache->VRow(layer, seq, token);
     for (int64_t r = 0; r < cache->config().kv_dim; ++r) {
-      k[r] = PatternK(seq, token, layer, r);
-      v[r] = PatternV(seq, token, layer, r);
+      k[r] = PatternK(key, token, layer, r);
+      v[r] = PatternV(key, token, layer, r);
     }
   }
+}
+
+void FillToken(PagedKvCache* cache, int64_t seq, int64_t token) {
+  FillTokenAs(cache, seq, seq, token);
 }
 
 class Shadow {
@@ -83,14 +89,15 @@ class Shadow {
 
     // Data integrity of every live row.
     for (const auto& [seq, tokens] : tokens_) {
+      const int64_t key = Key(seq);
       for (int64_t t = 0; t < tokens; ++t) {
         for (int64_t layer = 0; layer < cfg_.layers; ++layer) {
           const float* k = cache.KRow(layer, seq, t);
           const float* v = cache.VRow(layer, seq, t);
           for (int64_t r = 0; r < cfg_.kv_dim; ++r) {
-            ASSERT_EQ(k[r], PatternK(seq, t, layer, r))
+            ASSERT_EQ(k[r], PatternK(key, t, layer, r))
                 << "seq=" << seq << " token=" << t << " layer=" << layer;
-            ASSERT_EQ(v[r], PatternV(seq, t, layer, r))
+            ASSERT_EQ(v[r], PatternV(key, t, layer, r))
                 << "seq=" << seq << " token=" << t << " layer=" << layer;
           }
         }
@@ -98,7 +105,15 @@ class Shadow {
     }
   }
 
+  // The pattern key live sequence `seq`'s rows hold: its own id unless a
+  // migration renamed it.
+  int64_t Key(int64_t seq) const {
+    const auto it = keys_.find(seq);
+    return it == keys_.end() ? seq : it->second;
+  }
+
   std::map<int64_t, int64_t> tokens_;
+  std::map<int64_t, int64_t> keys_;  // live id -> pattern key; absent: the id
   PagedKvCacheConfig cfg_;
 };
 
@@ -452,9 +467,11 @@ TEST(PagedKvPropertyTest, CopyOnWriteIsolatesDivergentAppends) {
 //     holds (every row of both pools is re-read after every op).
 //   * Bit-exact transport: the Pattern oracle is keyed by (seq, token), not
 //     by pool, so a migrated sequence must read back the same bits through
-//     its new pages.
+//     its new pages. Half the migrations rename the sequence (a fresh
+//     destination id, as a decode engine numbers its own requests); the
+//     shadow then tracks which pattern key each live id holds.
 //   * A migration the target cannot hold fails cleanly: false, source
-//     untouched.
+//     untouched, destination id unregistered.
 //   * Full reclamation of both pools after a drain.
 TEST(PagedKvPropertyTest, MigrationFuzzConservesBlocksAndBits) {
   for (uint64_t seed : {11ull, 12ull, 13ull, 14ull, 15ull}) {
@@ -465,6 +482,7 @@ TEST(PagedKvPropertyTest, MigrationFuzzConservesBlocksAndBits) {
     Rng rng(seed);
     int64_t next_seq = 0;
     int64_t migrations = 0;
+    int64_t renamed = 0;
 
     auto check_both = [&]() {
       shadow_a.Check(pool_a);
@@ -504,18 +522,24 @@ TEST(PagedKvPropertyTest, MigrationFuzzConservesBlocksAndBits) {
                              from_shadow.tokens_.size()))));
         const int64_t seq = it->first;
         const int64_t tokens = it->second;
+        const int64_t to_seq = rng.Below(2) == 0 ? next_seq++ : seq;
         const bool fits =
             (tokens + cfg.block_tokens - 1) / cfg.block_tokens <=
             to.free_blocks();
-        ASSERT_EQ(MigrateKvSequence(&from, &to, seq), fits)
+        ASSERT_EQ(MigrateKvSequence(&from, &to, seq, to_seq), fits)
             << "seed=" << seed << " op=" << op;
         if (fits) {
-          to_shadow.tokens_[seq] = tokens;
+          to_shadow.tokens_[to_seq] = tokens;
+          to_shadow.keys_[to_seq] = from_shadow.Key(seq);
           from_shadow.tokens_.erase(it);
+          from_shadow.keys_.erase(seq);
           ++migrations;
+          renamed += to_seq != seq ? 1 : 0;
         } else {
-          // Failed handoff leaves the source holding the sequence.
+          // Failed handoff leaves the source holding the sequence and the
+          // target without it.
           ASSERT_EQ(from.SequenceTokens(seq), tokens);
+          ASSERT_EQ(to.SequenceTokens(to_seq), 0);
         }
       } else if (kind < 8 && !shadow.tokens_.empty()) {
         auto it = shadow.tokens_.begin();
@@ -526,7 +550,7 @@ TEST(PagedKvPropertyTest, MigrationFuzzConservesBlocksAndBits) {
         ASSERT_EQ(pool.AppendToken(it->first), fits)
             << "seed=" << seed << " op=" << op;
         if (fits) {
-          FillToken(&pool, it->first, it->second);
+          FillTokenAs(&pool, it->first, shadow.Key(it->first), it->second);
           it->second += 1;
         }
       } else if (!shadow.tokens_.empty()) {
@@ -534,6 +558,7 @@ TEST(PagedKvPropertyTest, MigrationFuzzConservesBlocksAndBits) {
         std::advance(it, static_cast<int64_t>(rng.Below(
                              static_cast<uint64_t>(shadow.tokens_.size()))));
         pool.RemoveSequence(it->first);
+        shadow.keys_.erase(it->first);
         shadow.tokens_.erase(it);
       }
       check_both();
@@ -542,6 +567,7 @@ TEST(PagedKvPropertyTest, MigrationFuzzConservesBlocksAndBits) {
       }
     }
     EXPECT_GT(migrations, 10) << "seed=" << seed;  // the fuzz actually migrated
+    EXPECT_GT(renamed, 3) << "seed=" << seed;       // ... and renamed
 
     // Drain both pools: every block comes back on both sides.
     while (!shadow_a.tokens_.empty()) {

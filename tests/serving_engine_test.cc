@@ -65,7 +65,8 @@ DecodeTrace RunSingle(const TinyTransformer& model,
   std::vector<int32_t> next;
   FloatMatrix logits;
   for (int s = 0; s < steps; ++s) {
-    model.DecodeStep({0}, {trace.tokens.back()}, backend, &cache, &next, &logits);
+    model.MixedStep({0}, {trace.tokens.back()}, {}, backend, &cache, &next,
+                    nullptr, &logits);
     trace.tokens.push_back(next[0]);
     trace.logits.emplace_back(logits.data(), logits.data() + logits.size());
   }
@@ -93,7 +94,7 @@ std::vector<DecodeTrace> RunBatched(const TinyTransformer& model,
   std::vector<int32_t> next;
   FloatMatrix logits;
   for (int s = 0; s < steps; ++s) {
-    model.DecodeStep(ids, last, backend, &cache, &next, &logits);
+    model.MixedStep(ids, last, {}, backend, &cache, &next, nullptr, &logits);
     for (int64_t i = 0; i < n; ++i) {
       traces[i].tokens.push_back(next[i]);
       traces[i].logits.emplace_back(logits.data() + i * logits.cols(),
@@ -194,7 +195,8 @@ TEST(ServingEngineTest, DecodeStepAllocationFreeAfterWarmup) {
     std::vector<std::vector<int32_t>> streams(8);
     std::vector<int32_t> next;
     for (int s = 0; s < n; ++s) {
-      model.DecodeStep(ids, cur, MatmulBackend::kTcaBmeCpu, &cache, &next);
+      model.MixedStep(ids, cur, {}, MatmulBackend::kTcaBmeCpu, &cache, &next,
+                      nullptr);
       for (size_t i = 0; i < 8; ++i) {
         streams[i].push_back(next[i]);
       }

@@ -62,8 +62,8 @@ std::vector<int32_t> RunSingle(const TinyTransformer& model,
   tokens.push_back(model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0));
   std::vector<int32_t> next;
   for (int s = 0; s < steps; ++s) {
-    model.DecodeStep({0}, {tokens.back()}, MatmulBackend::kTcaBmeCpu, &cache,
-                     &next);
+    model.MixedStep({0}, {tokens.back()}, {}, MatmulBackend::kTcaBmeCpu,
+                    &cache, &next, nullptr);
     tokens.push_back(next[0]);
   }
   return tokens;
@@ -117,14 +117,15 @@ std::vector<std::vector<int32_t>> RunChunkedPair(
   // Joint decode until both have `steps` post-prefill tokens.
   std::vector<int32_t> last = {streams[0].back(), streams[1].back()};
   for (int s = done_steps; s < steps; ++s) {
-    model.DecodeStep({0, 1}, last, MatmulBackend::kTcaBmeCpu, &cache, &dec_next);
+    model.MixedStep({0, 1}, last, {}, MatmulBackend::kTcaBmeCpu, &cache,
+                    &dec_next, nullptr);
     streams[0].push_back(dec_next[0]);
     streams[1].push_back(dec_next[1]);
     last = dec_next;
   }
   for (int s = 0; s < done_steps; ++s) {
-    model.DecodeStep({1}, {streams[1].back()}, MatmulBackend::kTcaBmeCpu,
-                     &cache, &dec_next);
+    model.MixedStep({1}, {streams[1].back()}, {}, MatmulBackend::kTcaBmeCpu,
+                    &cache, &dec_next, nullptr);
     streams[1].push_back(dec_next[0]);
   }
   return streams;

@@ -193,8 +193,8 @@ TEST(ShardedEngineTest, GqaServingMatchesGenerate) {
       model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0)};
   std::vector<int32_t> next;
   for (int s = 1; s < kSteps; ++s) {
-    model.DecodeStep({0}, {stream.back()}, MatmulBackend::kTcaBmeCpu, &cache,
-                     &next);
+    model.MixedStep({0}, {stream.back()}, {}, MatmulBackend::kTcaBmeCpu,
+                    &cache, &next, nullptr);
     stream.push_back(next[0]);
   }
   const std::vector<int32_t> tail(full.begin() + prompt.size(), full.end());
