@@ -86,6 +86,17 @@ float Checksum(const FloatMatrix& m) {
 
 volatile float g_sink = 0.0f;
 
+// The virtual clock every serving bench prices against: OPT-13B under
+// SpInfer on an RTX 4090 at the paper's 60% operating point.
+EngineConfig Opt13bSpInferCost() {
+  EngineConfig cost;
+  cost.model = Opt13B();
+  cost.framework = Framework::kSpInfer;
+  cost.device = Rtx4090();
+  cost.sparsity = 0.6;
+  return cost;
+}
+
 int Main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   flags.RestrictTo(
@@ -486,10 +497,7 @@ int Main(int argc, char** argv) {
       cfg.kv_num_blocks = 512;
       cfg.enable_prefix_cache = prefix_cache;
       cfg.prefill_chunk_tokens = chunk;
-      cfg.cost.model = Opt13B();
-      cfg.cost.framework = Framework::kSpInfer;
-      cfg.cost.device = Rtx4090();
-      cfg.cost.sparsity = 0.6;
+      cfg.cost = Opt13bSpInferCost();
       ServingEngine engine(&model, cfg);
       for (int64_t r = 0; r < kSrvV2Requests; ++r) {
         // The first request decodes long enough to hold (and keep indexed)
@@ -525,15 +533,10 @@ int Main(int argc, char** argv) {
         v1.peak_iter_ms / chunked.peak_iter_ms);
   }
 
-  // --- Serving observability overhead: full engine, instrumented vs not. ---
+  // --- Serving engine benches: one model, one 8-request workload. ---------
   // Same model shape as the serving_decode_b* points, but through the
-  // ServingEngine scheduler so every obs recording site is on the timed
-  // path: 8 requests, 32-token prompts, 16 new tokens each.
-  // serving_engine_b8 is the uninstrumented baseline; serving_obs_overhead
-  // runs the identical workload with the request timeline, flight recorder,
-  // and SLO tracker all on — the pair bounds the cost of observability
-  // (acceptance: within 3%). The instrumented run's artifacts feed
-  // --timeline/--prom and the per-request async spans of --trace.
+  // ServingEngine scheduler: 8 requests, 32-token prompts, 16 new tokens
+  // each, arrivals 0.5 ms apart. Every bench below runs this workload.
   std::vector<obs::AsyncSpan> request_spans;
   {
     TinyConfig big;
@@ -545,18 +548,33 @@ int Main(int argc, char** argv) {
     big.max_seq = 128;
     TinyTransformer model(big, 1013);
     model.PruneWeights(MagnitudePruner(), 0.6);
-    constexpr int64_t kObsSeqs = 8;
-    constexpr int64_t kObsPrompt = 32;
-    constexpr int64_t kObsMaxNew = 16;
+    constexpr int64_t kSrvSeqs = 8;
+    constexpr int64_t kSrvPrompt = 32;
+    constexpr int64_t kSrvMaxNew = 16;
     Rng rng(1014);
     std::vector<std::vector<int32_t>> prompts;
-    for (int64_t s = 0; s < kObsSeqs; ++s) {
-      std::vector<int32_t> p(static_cast<size_t>(kObsPrompt));
+    for (int64_t s = 0; s < kSrvSeqs; ++s) {
+      std::vector<int32_t> p(static_cast<size_t>(kSrvPrompt));
       for (auto& t : p) {
         t = static_cast<int32_t>(rng.Below(static_cast<uint64_t>(big.vocab)));
       }
       prompts.push_back(std::move(p));
     }
+    // Works for ServingEngine and DisaggCluster alike.
+    const auto submit_all = [&](auto& engine) {
+      for (int64_t s = 0; s < kSrvSeqs; ++s) {
+        engine.Submit(prompts[static_cast<size_t>(s)], kSrvMaxNew,
+                      static_cast<double>(s) * 0.0005);
+      }
+    };
+
+    // Serving observability overhead: serving_engine_b8 is the
+    // uninstrumented baseline; serving_obs_overhead runs the identical
+    // workload with the request timeline, flight recorder, and SLO tracker
+    // all on, so every obs recording site is on the timed path — the pair
+    // bounds the cost of observability (acceptance: within 3%). The
+    // instrumented run's artifacts feed --timeline/--prom and the
+    // per-request async spans of --trace.
     std::unique_ptr<ServingEngine> obs_engine;
     const auto run = [&](bool obs_on) {
       ServingEngineConfig cfg;
@@ -564,20 +582,14 @@ int Main(int argc, char** argv) {
       cfg.kv_block_tokens = 16;
       cfg.kv_num_blocks = 64;
       cfg.enable_prefix_cache = true;
-      cfg.cost.model = Opt13B();
-      cfg.cost.framework = Framework::kSpInfer;
-      cfg.cost.device = Rtx4090();
-      cfg.cost.sparsity = 0.6;
+      cfg.cost = Opt13bSpInferCost();
       if (obs_on) {
         cfg.obs.request_timeline = true;
         cfg.obs.flight_recorder_iters = 64;
         cfg.obs.slo_tracker = true;
       }
       auto engine = std::make_unique<ServingEngine>(&model, cfg);
-      for (int64_t s = 0; s < kObsSeqs; ++s) {
-        engine->Submit(prompts[static_cast<size_t>(s)], kObsMaxNew,
-                       static_cast<double>(s) * 0.0005);
-      }
+      submit_all(*engine);
       const ExecServingReport rep = engine->Run();
       g_sink = static_cast<float>(rep.tokens_generated);
       if (obs_on) {
@@ -600,46 +612,19 @@ int Main(int argc, char** argv) {
     if (!trace_path.empty()) {
       request_spans = obs_engine->request_log()->ChromeAsyncSpans();
     }
-  }
 
-  // --- Multi-instance serving: TP shards and prefill/decode clusters. ------
-  // serving_tp{2,4} run the serving_engine_b8 workload through the sharded
-  // substrate; the delta over the single-instance point is the real cost of
-  // slicing one step across N shards on one host (per-shard matmul calls +
-  // copy-gathers — the virtual ring itself is priced, not executed).
-  // serving_disagg runs the same 8 requests through the two-pool cluster
-  // (prefill -> KV handoff -> decode), timing the executing pipeline.
-  {
-    TinyConfig big;
-    big.vocab = 256;
-    big.hidden = 256;
-    big.layers = 4;
-    big.heads = 8;
-    big.ffn = 1024;
-    big.max_seq = 128;
-    TinyTransformer model(big, 1013);
-    model.PruneWeights(MagnitudePruner(), 0.6);
-    constexpr int64_t kTpSeqs = 8;
-    constexpr int64_t kTpPrompt = 32;
-    constexpr int64_t kTpMaxNew = 16;
-    Rng rng(1014);
-    std::vector<std::vector<int32_t>> prompts;
-    for (int64_t s = 0; s < kTpSeqs; ++s) {
-      std::vector<int32_t> p(static_cast<size_t>(kTpPrompt));
-      for (auto& t : p) {
-        t = static_cast<int32_t>(rng.Below(static_cast<uint64_t>(big.vocab)));
-      }
-      prompts.push_back(std::move(p));
-    }
+    // Multi-instance serving: serving_tp{2,4} run the workload through the
+    // sharded substrate; the delta over serving_engine_b8 is the real cost
+    // of slicing one step across N shards on one host (per-shard matmul
+    // calls + copy-gathers — the virtual ring itself is priced, not
+    // executed). serving_disagg runs it through the two-pool cluster
+    // (prefill -> KV handoff -> decode), timing the executing pipeline.
     const auto run_tp = [&](int shards) {
       ServingEngineConfig cfg;
       cfg.max_batch = 8;
       cfg.kv_block_tokens = 16;
       cfg.kv_num_blocks = 64;
-      cfg.cost.model = Opt13B();
-      cfg.cost.framework = Framework::kSpInfer;
-      cfg.cost.device = Rtx4090();
-      cfg.cost.sparsity = 0.6;
+      cfg.cost = Opt13bSpInferCost();
       ShardedEngineConfig scfg;
       scfg.shards = shards;
       scfg.kv_block_tokens = 16;
@@ -647,10 +632,7 @@ int Main(int argc, char** argv) {
       scfg.device = Rtx4090();
       ShardedEngine substrate(&model, scfg);
       ServingEngine engine(&substrate, cfg);
-      for (int64_t s = 0; s < kTpSeqs; ++s) {
-        engine.Submit(prompts[static_cast<size_t>(s)], kTpMaxNew,
-                      static_cast<double>(s) * 0.0005);
-      }
+      submit_all(engine);
       const ExecServingReport rep = engine.Run();
       g_sink = static_cast<float>(rep.tokens_generated);
     };
@@ -663,16 +645,10 @@ int Main(int argc, char** argv) {
       cfg.max_decode_batch = 8;
       cfg.kv_block_tokens = 16;
       cfg.kv_num_blocks = 64;
-      cfg.prefill_cost.model = Opt13B();
-      cfg.prefill_cost.framework = Framework::kSpInfer;
-      cfg.prefill_cost.device = Rtx4090();
-      cfg.prefill_cost.sparsity = 0.6;
+      cfg.prefill_cost = Opt13bSpInferCost();
       cfg.decode_cost = cfg.prefill_cost;
       DisaggCluster cluster(&model, cfg);
-      for (int64_t s = 0; s < kTpSeqs; ++s) {
-        cluster.Submit(prompts[static_cast<size_t>(s)], kTpMaxNew,
-                       static_cast<double>(s) * 0.0005);
-      }
+      submit_all(cluster);
       const DisaggClusterReport rep = cluster.Run();
       g_sink = static_cast<float>(rep.completed);
     };

@@ -23,6 +23,37 @@ namespace cpu_backend_detail {
 // variant shares one clean copy; see the declaration for why.
 uint64_t SpmmPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
 
+void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
+                      const std::function<void(int64_t, SpmmPhaseRecorder*)>& row) {
+  // Null when tracing is off. The closure holds two pointers, which fit in
+  // std::function's inline buffer, so this ParallelFor allocates nothing.
+  const SweepSpans* traced = obs::TracingEnabled() ? &spans : nullptr;
+  ParallelFor(0, grid_rows, [&row, traced](int64_t gtr) {
+    if (traced == nullptr) {
+      row(gtr, nullptr);
+      return;
+    }
+    SpmmPhaseRecorder rec;
+    obs::Tracer& tracer = obs::Tracer::Global();
+    const uint64_t task_start = tracer.NowNs();
+    row(gtr, &rec);
+    const uint64_t task_end = tracer.NowNs();
+    obs::TraceArg task_args[3] = {{"gt_row", gtr},
+                                  {"tiles", static_cast<int64_t>(rec.tiles)},
+                                  {"nnz", static_cast<int64_t>(rec.nnz)}};
+    tracer.Record(traced->row_task, task_start, task_end - task_start,
+                  task_args, 3);
+    uint64_t slice_start = task_start;
+    tracer.Record(traced->convert, slice_start, rec.convert_ns);
+    slice_start += rec.convert_ns;
+    if (traced->decode != nullptr) {
+      tracer.Record(traced->decode, slice_start, rec.decode_ns);
+      slice_start += rec.decode_ns;
+    }
+    tracer.Record(traced->accumulate, slice_start, rec.accumulate_ns);
+  });
+}
+
 }  // namespace cpu_backend_detail
 
 namespace {
@@ -114,12 +145,15 @@ GroupTileFn KernelFor(CpuSpmmVariant v) {
                                     : &ProcessGroupTilePortable;
 }
 
+constexpr cpu_backend_detail::SweepSpans kSpmmSpans = {
+    "cpu_spmm.row_task", "cpu_spmm.convert", "cpu_spmm.decode",
+    "cpu_spmm.accumulate"};
+
 // Shared accumulate core: fills the FP32 X panel once (`fill_panel` is the
 // only thing the FP16 and quantize-FP32 entry points differ in), then sweeps
-// N blocks x GroupTile columns inside a row-parallel loop. Each ParallelFor
-// index owns the output rows of one GroupTile grid row, so writes are
-// disjoint and the per-element accumulation order (N-block, then GroupTile
-// column, then storage bit order) is fixed regardless of thread count.
+// N blocks x GroupTile columns inside the row-parallel sweep. The
+// per-element accumulation order (N-block, then GroupTile column, then
+// storage bit order) is fixed regardless of thread count.
 template <typename FillPanel>
 void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
                     const FillPanel& fill_panel, SpmmWorkspace* ws,
@@ -130,10 +164,6 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
   if (n == 0 || w.rows() == 0) {
     return;
   }
-  // The enabled check is hoisted out of the row loop: when tracing is off
-  // each task passes a null recorder and runs the untimed ProcessGroupTile
-  // instantiation — zero instrumentation inside the tile walk.
-  const bool tracing = obs::TracingEnabled();
   obs::TraceScope call_scope("cpu_spmm");
   if (call_scope.active()) {
     call_scope.AddArg("m", w.rows());
@@ -151,45 +181,18 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
   }
 
   const GroupTileFn kernel = KernelFor(variant);
-  const int64_t grid_rows = w.gt_grid_rows();
   const int64_t grid_cols = w.gt_grid_cols();
   float* out_data = out->data();
-  ParallelFor(0, grid_rows, [&](int64_t gtr) {
-    if (!tracing) {
-      for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
-        const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
-        for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
-          kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, out_data, nullptr);
+  cpu_backend_detail::RowParallelSweep(
+      w.gt_grid_rows(), kSpmmSpans,
+      [&](int64_t gtr, cpu_backend_detail::SpmmPhaseRecorder* rec) {
+        for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
+          const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
+          for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
+            kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, out_data, rec);
+          }
         }
-      }
-      return;
-    }
-    // Traced row task: accumulate phase nanoseconds across the task, then
-    // emit them as back-to-back synthetic child slices of the task span —
-    // Perfetto sees properly nested slices whose durations are the real
-    // per-phase totals.
-    cpu_backend_detail::SpmmPhaseRecorder rec;
-    obs::Tracer& tracer = obs::Tracer::Global();
-    const uint64_t task_start = tracer.NowNs();
-    for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
-      const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
-      for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
-        kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, out_data, &rec);
-      }
-    }
-    const uint64_t task_end = tracer.NowNs();
-    obs::TraceArg task_args[3] = {{"gt_row", gtr},
-                                  {"tiles", static_cast<int64_t>(rec.tiles)},
-                                  {"nnz", static_cast<int64_t>(rec.nnz)}};
-    tracer.Record("cpu_spmm.row_task", task_start, task_end - task_start,
-                  task_args, 3);
-    uint64_t slice_start = task_start;
-    tracer.Record("cpu_spmm.convert", slice_start, rec.convert_ns);
-    slice_start += rec.convert_ns;
-    tracer.Record("cpu_spmm.decode", slice_start, rec.decode_ns);
-    slice_start += rec.decode_ns;
-    tracer.Record("cpu_spmm.accumulate", slice_start, rec.accumulate_ns);
-  });
+      });
 }
 
 void AccumulateImpl(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,

@@ -1,18 +1,22 @@
-// Internal: the GroupTile traversal shared by every CPU SpMM SIMD variant.
+// Internal: the per-GroupTile kernel shared by every CPU SpMM SIMD variant,
+// and the row-parallel sweep every CPU SpMM and SpMV driver runs.
 //
 // Each variant (portable auto-vectorized, AVX2) supplies only the innermost
-// row update and the half->float batch conversion; the bitmap walk,
-// Values-cursor arithmetic, and ragged-edge handling live here exactly once.
-// That is what makes the bit-identity contract between variants cheap to
-// keep: a variant cannot disagree about *which* products to form, only about
-// how to schedule identical per-element mul-then-add chains — and those are
-// lane-independent, so any vector width produces the same bits.
+// row update and the half->float batch conversion; the tile math and
+// ragged-edge handling live here exactly once. The storage-order walk and
+// its Values-cursor arithmetic are ForEachNonzeroTile (tca_bme.h), shared
+// with the encoders, the decoders and the SpMV kernels. That is what makes
+// the bit-identity contract between variants cheap to keep: a variant
+// cannot disagree about *which* products to form, only about how to schedule
+// identical per-element mul-then-add chains — and those are lane-
+// independent, so any vector width produces the same bits.
 //
 // Do not include outside src/core/cpu_backend*.cc and tests.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 
 #include "src/format/tca_bme.h"
 
@@ -46,6 +50,28 @@ struct SpmmPhaseRecorder {
 
   uint64_t Now() const;  // Tracer clock (respects an injected FakeClock)
 };
+
+// Span names a RowParallelSweep records under when tracing is on. `decode`
+// is null for kernels that fuse decoding into the accumulate walk (SpMV):
+// their row tasks split into two phase slices, not three.
+struct SweepSpans {
+  const char* row_task;
+  const char* convert;
+  const char* decode;
+  const char* accumulate;
+};
+
+// The row-parallel sweep of every CPU SpMM/SpMV driver, defined in
+// cpu_backend.cc: runs row(gtr, rec) once per GroupTile grid row gtr in
+// [0, grid_rows) on the global ThreadPool. Each row owns the output rows of
+// one grid row, so writes are disjoint and bits are thread-count-
+// independent. The tracing check is hoisted out of the loop: untraced rows
+// get a null recorder (the kernels' untimed instantiation, zero
+// instrumentation); traced rows get a fresh recorder and are emitted as one
+// row_task span plus back-to-back synthetic child slices whose durations are
+// the row's per-phase totals.
+void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
+                      const std::function<void(int64_t, SpmmPhaseRecorder*)>& row);
 
 // RowFma contract: fma(orow, terms, count, nb) performs, for every
 // j in [0, nb) and t in [0, count) in ascending t order:
@@ -101,8 +127,8 @@ static inline void EdgeBitmapTile(uint64_t bitmap, const float* tile_vals,
 // compressed Values run is converted half->float in one batch into an
 // L1-resident staging array (at most 64 floats), so the hot row updates read
 // floats and the conversion vectorizes. The caller owns N-blocking and
-// row-parallelism; this walks TCTiles in storage order so the Values cursor
-// advances without index lookups, and hands every interior BitmapTile row to
+// row-parallelism; ForEachNonzeroTile supplies the storage-order walk and
+// each tile's Values offset, and every interior BitmapTile row goes to
 // `row_fma` as one register-tiled update.
 template <bool kTimed, typename RowFma, typename ConvertFn>
 static void ProcessGroupTile(const TcaBmeMatrix& w, int64_t gt, const float* xf,
@@ -112,108 +138,87 @@ static void ProcessGroupTile(const TcaBmeMatrix& w, int64_t gt, const float* xf,
   const Half* hvalues = w.values().data();
   const int64_t m = w.rows();
   const int64_t k = w.cols();
-  const TcaBmeConfig& cfg = w.config();
-  const int tc_rows = w.tc_rows_per_gt();
-  const int tc_cols = w.tc_cols_per_gt();
-  const int64_t base_r = (gt / w.gt_grid_cols()) * cfg.gt_rows;
-  const int64_t base_c = (gt % w.gt_grid_cols()) * cfg.gt_cols;
-  size_t cursor = w.gtile_offsets()[gt];
-  for (int tcc = 0; tcc < tc_cols; ++tcc) {
-    for (int tcr = 0; tcr < tc_rows; ++tcr) {
-      const int tc = tcc * tc_rows + tcr;
-      for (int q = 0; q < 4; ++q) {
-        const uint64_t bitmap = w.bitmaps()[w.BitmapIndex(gt, tc, q)];
-        if (bitmap == 0) {
+  ForEachNonzeroTile(w, gt, [&](uint64_t bitmap, int64_t /*bi*/, size_t first,
+                                int64_t bt_r, int64_t bt_c) {
+    const int pc = std::popcount(bitmap);
+    float tile_vals[kBitmapTileDim * kBitmapTileDim];
+    uint64_t t_phase = 0;
+    if constexpr (kTimed) {
+      t_phase = rec->Now();
+    }
+    convert(hvalues + first, tile_vals, static_cast<size_t>(pc));
+    if constexpr (kTimed) {
+      rec->convert_ns += rec->Now() - t_phase;
+      rec->tiles += 1;
+      rec->nnz += static_cast<uint64_t>(pc);
+    }
+    if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
+      if constexpr (kTimed) {
+        t_phase = rec->Now();
+      }
+      EdgeBitmapTile(bitmap, tile_vals, bt_r, bt_c, m, k, xf, n, j0, nb, out);
+      if constexpr (kTimed) {
+        rec->accumulate_ns += rec->Now() - t_phase;
+      }
+      return;
+    }
+    // Interior tile: bits are row-major (bit = r*8 + c), so each bitmap byte
+    // is one output row's nonzeros and its Values are contiguous in the
+    // staging array. Decode width (nb == 8, one accumulator register) skips
+    // the RowTerm staging and walks the bits directly; wider blocks gather
+    // the row's terms once and replay them per register tile. Both paths
+    // form the same products in the same order.
+    int tv = 0;
+    if (nb == kBitmapTileDim) {
+      // Decode is fused into Row8's bit walk; the whole tile charges to the
+      // accumulate phase.
+      if constexpr (kTimed) {
+        t_phase = rec->Now();
+      }
+      const float* xcol0 = xf + bt_c * n + j0;
+      for (int rr = 0; rr < kBitmapTileDim; ++rr) {
+        const uint64_t rowmask = (bitmap >> (rr * kBitmapTileDim)) & 0xFFull;
+        if (rowmask == 0) {
           continue;
         }
-        const int pc = std::popcount(bitmap);
-        float tile_vals[kBitmapTileDim * kBitmapTileDim];
-        uint64_t t_phase = 0;
-        if constexpr (kTimed) {
-          t_phase = rec->Now();
-        }
-        convert(hvalues + cursor, tile_vals, static_cast<size_t>(pc));
-        cursor += static_cast<size_t>(pc);
-        if constexpr (kTimed) {
-          rec->convert_ns += rec->Now() - t_phase;
-          rec->tiles += 1;
-          rec->nnz += static_cast<uint64_t>(pc);
-        }
-        const int64_t bt_r = base_r + static_cast<int64_t>(tcr) * kTcTileDim +
-                             (q % 2) * kBitmapTileDim;
-        const int64_t bt_c = base_c + static_cast<int64_t>(tcc) * kTcTileDim +
-                             (q / 2) * kBitmapTileDim;
-        if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
-          if constexpr (kTimed) {
-            t_phase = rec->Now();
-          }
-          EdgeBitmapTile(bitmap, tile_vals, bt_r, bt_c, m, k, xf, n, j0, nb,
-                         out);
-          if constexpr (kTimed) {
-            rec->accumulate_ns += rec->Now() - t_phase;
-          }
-          continue;
-        }
-        // Interior tile: bits are row-major (bit = r*8 + c), so each bitmap
-        // byte is one output row's nonzeros and its Values are contiguous in
-        // the staging array. Decode width (nb == 8, one accumulator
-        // register) skips the RowTerm staging and walks the bits directly;
-        // wider blocks gather the row's terms once and replay them per
-        // register tile. Both paths form the same products in the same
-        // order.
-        int tv = 0;
-        if (nb == kBitmapTileDim) {
-          // Decode is fused into Row8's bit walk; the whole tile charges to
-          // the accumulate phase.
-          if constexpr (kTimed) {
-            t_phase = rec->Now();
-          }
-          const float* xcol0 = xf + bt_c * n + j0;
-          for (int rr = 0; rr < kBitmapTileDim; ++rr) {
-            const uint64_t rowmask = (bitmap >> (rr * kBitmapTileDim)) & 0xFFull;
-            if (rowmask == 0) {
-              continue;
-            }
-            row_fma.Row8(out + (bt_r + rr) * n + j0, rowmask, tile_vals + tv,
-                         xcol0, n);
-            tv += std::popcount(rowmask);
-          }
-          if constexpr (kTimed) {
-            rec->accumulate_ns += rec->Now() - t_phase;
-          }
-          continue;
-        }
-        for (int rr = 0; rr < kBitmapTileDim; ++rr) {
-          uint64_t rowmask = (bitmap >> (rr * kBitmapTileDim)) & 0xFFull;
-          if (rowmask == 0) {
-            continue;
-          }
-          if constexpr (kTimed) {
-            t_phase = rec->Now();
-          }
-          RowTerm terms[kBitmapTileDim];
-          int count = 0;
-          while (rowmask != 0) {
-            const int cc = std::countr_zero(rowmask);
-            rowmask &= rowmask - 1;
-            terms[count].v = tile_vals[tv + count];
-            terms[count].xrow = xf + (bt_c + cc) * n + j0;
-            ++count;
-          }
-          tv += count;
-          if constexpr (kTimed) {
-            const uint64_t t_mid = rec->Now();
-            rec->decode_ns += t_mid - t_phase;
-            t_phase = t_mid;
-          }
-          row_fma(out + (bt_r + rr) * n + j0, terms, count, nb);
-          if constexpr (kTimed) {
-            rec->accumulate_ns += rec->Now() - t_phase;
-          }
-        }
+        row_fma.Row8(out + (bt_r + rr) * n + j0, rowmask, tile_vals + tv, xcol0,
+                     n);
+        tv += std::popcount(rowmask);
+      }
+      if constexpr (kTimed) {
+        rec->accumulate_ns += rec->Now() - t_phase;
+      }
+      return;
+    }
+    for (int rr = 0; rr < kBitmapTileDim; ++rr) {
+      uint64_t rowmask = (bitmap >> (rr * kBitmapTileDim)) & 0xFFull;
+      if (rowmask == 0) {
+        continue;
+      }
+      if constexpr (kTimed) {
+        t_phase = rec->Now();
+      }
+      RowTerm terms[kBitmapTileDim];
+      int count = 0;
+      while (rowmask != 0) {
+        const int cc = std::countr_zero(rowmask);
+        rowmask &= rowmask - 1;
+        terms[count].v = tile_vals[tv + count];
+        terms[count].xrow = xf + (bt_c + cc) * n + j0;
+        ++count;
+      }
+      tv += count;
+      if constexpr (kTimed) {
+        const uint64_t t_mid = rec->Now();
+        rec->decode_ns += t_mid - t_phase;
+        t_phase = t_mid;
+      }
+      row_fma(out + (bt_r + rr) * n + j0, terms, count, nb);
+      if constexpr (kTimed) {
+        rec->accumulate_ns += rec->Now() - t_phase;
       }
     }
-  }
+  });
 }
 
 // The AVX2 variant's kernels, defined in cpu_backend_avx2.cc (built with

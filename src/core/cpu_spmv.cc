@@ -1,6 +1,6 @@
 // Portable half of the SpMV fast path: drivers (workspace, activation
-// quantization, GroupTile-row parallelism, dispatch) plus the scalar tile
-// walk shared through cpu_spmv_inner.h.
+// quantization, dispatch onto the shared row-parallel sweep) plus the scalar
+// tile walk shared through cpu_spmv_inner.h.
 //
 // Compiled with -ffp-contract=off (see src/core/CMakeLists.txt): every
 // multiply and add must round separately so results are bit-identical to the
@@ -14,11 +14,11 @@
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/cpu_features.h"
-#include "src/util/thread_pool.h"
 
 namespace spinfer {
 namespace {
 
+using cpu_backend_detail::RowParallelSweep;
 using cpu_spmv_detail::SpmmPhaseRecorder;
 
 struct PortableConvert {
@@ -62,41 +62,10 @@ void ProcessGroupTileSpmvInt8Portable(const TcaBmeQuantMatrix& w, int64_t gt,
   }
 }
 
-// Row-parallel sweep over the GroupTile grid with the same hoisted-tracing
-// scheme as CpuSpmm's AccumulateCore: untraced tasks pass a null recorder
-// (untimed walk instantiation, zero instrumentation), traced tasks emit one
-// row_task span plus synthetic convert/accumulate child slices. Each
-// ParallelFor index owns the output rows of one grid row, so writes are
-// disjoint and bits are thread-count-independent.
-template <typename RunGroupTile>
-void RowParallelSweep(int64_t grid_rows, int64_t grid_cols, bool tracing,
-                      const RunGroupTile& run) {
-  ParallelFor(0, grid_rows, [&](int64_t gtr) {
-    if (!tracing) {
-      for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
-        run(gtr * grid_cols + gtc, nullptr);
-      }
-      return;
-    }
-    SpmmPhaseRecorder rec;
-    obs::Tracer& tracer = obs::Tracer::Global();
-    const uint64_t task_start = tracer.NowNs();
-    for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
-      run(gtr * grid_cols + gtc, &rec);
-    }
-    const uint64_t task_end = tracer.NowNs();
-    obs::TraceArg task_args[3] = {{"gt_row", gtr},
-                                  {"tiles", static_cast<int64_t>(rec.tiles)},
-                                  {"nnz", static_cast<int64_t>(rec.nnz)}};
-    tracer.Record("cpu_spmv.row_task", task_start, task_end - task_start,
-                  task_args, 3);
-    // Decode is fused into the accumulate walk in this kernel, so the task
-    // splits into two phases, not three.
-    tracer.Record("cpu_spmv.convert", task_start, rec.convert_ns);
-    tracer.Record("cpu_spmv.accumulate", task_start + rec.convert_ns,
-                  rec.accumulate_ns);
-  });
-}
+// Decode is fused into the accumulate walk in these kernels, so each traced
+// row task splits into two phases, not three.
+constexpr cpu_backend_detail::SweepSpans kSpmvSpans = {
+    "cpu_spmv.row_task", "cpu_spmv.convert", nullptr, "cpu_spmv.accumulate"};
 
 using SpmvKernelFn = void (*)(const TcaBmeMatrix&, int64_t, const float*,
                               float*, SpmmPhaseRecorder*);
@@ -130,7 +99,6 @@ void SpmvAccumulateCore(const TcaBmeMatrix& w, int64_t x_rows,
   if (w.rows() == 0) {
     return;
   }
-  const bool tracing = obs::TracingEnabled();
   obs::TraceScope call_scope("cpu_spmv");
   if (call_scope.active()) {
     call_scope.AddArg("m", w.rows());
@@ -145,10 +113,13 @@ void SpmvAccumulateCore(const TcaBmeMatrix& w, int64_t x_rows,
   }
 
   const SpmvKernelFn kernel = SpmvKernelFor(variant);
+  const int64_t grid_cols = w.gt_grid_cols();
   float* out_data = out->data();
-  RowParallelSweep(w.gt_grid_rows(), w.gt_grid_cols(), tracing,
-                   [&](int64_t gt, SpmmPhaseRecorder* rec) {
-                     kernel(w, gt, xf, out_data, rec);
+  RowParallelSweep(w.gt_grid_rows(), kSpmvSpans,
+                   [&](int64_t gtr, SpmmPhaseRecorder* rec) {
+                     for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
+                       kernel(w, gtr * grid_cols + gtc, xf, out_data, rec);
+                     }
                    });
 }
 
@@ -162,7 +133,6 @@ void SpmvInt8AccumulateCore(const TcaBmeQuantMatrix& w, const FloatMatrix& x,
   if (w.rows() == 0) {
     return;
   }
-  const bool tracing = obs::TracingEnabled();
   obs::TraceScope call_scope("cpu_spmv_int8");
   if (call_scope.active()) {
     call_scope.AddArg("m", w.rows());
@@ -192,10 +162,14 @@ void SpmvInt8AccumulateCore(const TcaBmeQuantMatrix& w, const FloatMatrix& x,
   }
 
   const SpmvInt8KernelFn kernel = SpmvInt8KernelFor(variant);
+  const int64_t grid_cols = w.gt_grid_cols();
   float* out_data = out->data();
-  RowParallelSweep(w.gt_grid_rows(), w.gt_grid_cols(), tracing,
-                   [&](int64_t gt, SpmmPhaseRecorder* rec) {
-                     kernel(w, gt, xq, x_scale, out_data, rec);
+  RowParallelSweep(w.gt_grid_rows(), kSpmvSpans,
+                   [&](int64_t gtr, SpmmPhaseRecorder* rec) {
+                     for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
+                       kernel(w, gtr * grid_cols + gtc, xq, x_scale, out_data,
+                              rec);
+                     }
                    });
 }
 

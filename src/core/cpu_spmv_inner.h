@@ -1,10 +1,11 @@
-// Internal: the GroupTile traversal shared by every CPU SpMV SIMD variant.
+// Internal: the per-GroupTile kernels shared by every CPU SpMV SIMD variant.
 //
-// The SpMV (N == 1) kernel family is a sibling of the SpMM traversal in
+// The SpMV (N == 1) kernel family is a sibling of the SpMM kernel in
 // cpu_backend_inner.h, specialized for a single output column: there is no
 // activation panel blocking, no RowTerm staging, and each BitmapTile row
-// collapses to one scalar accumulator. The bitmap walk, Values-cursor
-// arithmetic, and ragged-edge handling again live here exactly once, so a
+// collapses to one scalar accumulator. Both kernels walk GroupTiles with
+// ForEachNonzeroTile (tca_bme.h) and run under the shared RowParallelSweep;
+// the tile math and ragged-edge handling live here exactly once, so a
 // variant can only disagree about *scheduling* identical per-element
 // mul-then-add chains — never about which products to form. That is the
 // bit-identity contract tests/cpu_spmv_test.cc enforces against CpuSpmm at
@@ -25,7 +26,7 @@ namespace spinfer {
 namespace cpu_spmv_detail {
 
 // SpMV reuses the SpMM phase recorder (convert/decode/accumulate split) and
-// its out-of-line Now(); the driver emits the same synthetic child slices
+// its out-of-line Now(); the shared sweep emits its synthetic child slices
 // under a "cpu_spmv.row_task" span.
 using cpu_backend_detail::SpmmPhaseRecorder;
 
@@ -71,11 +72,10 @@ static inline void ScalarSpmvTile(uint64_t bitmap, const float* tile_vals,
 }
 
 // Applies one GroupTile's nonzeros to the single output column, reading the
-// fp32 activation vector `xf` (length w.cols()). Identical storage-order walk
-// to ProcessGroupTile: TCTiles column-major, quadrants TL,BL,TR,BR, so the
-// Values cursor advances without index lookups and, per output row, columns
-// are visited in ascending order across the whole GroupTile row. Ragged
-// edges reuse the SpMM edge path at n=1/j0=0/nb=1 — shared guarded code, no
+// fp32 activation vector `xf` (length w.cols()). Walks the GroupTile with
+// ForEachNonzeroTile like ProcessGroupTile, so per output row, columns are
+// visited in ascending order across the whole GroupTile row. Ragged edges
+// reuse the SpMM edge path at n=1/j0=0/nb=1 — shared guarded code, no
 // chance of edge divergence between SpMM and SpMV.
 template <bool kTimed, typename TileFn, typename ConvertFn>
 static void ProcessGroupTileSpmv(const TcaBmeMatrix& w, int64_t gt,
@@ -85,52 +85,32 @@ static void ProcessGroupTileSpmv(const TcaBmeMatrix& w, int64_t gt,
   const Half* hvalues = w.values().data();
   const int64_t m = w.rows();
   const int64_t k = w.cols();
-  const TcaBmeConfig& cfg = w.config();
-  const int tc_rows = w.tc_rows_per_gt();
-  const int tc_cols = w.tc_cols_per_gt();
-  const int64_t base_r = (gt / w.gt_grid_cols()) * cfg.gt_rows;
-  const int64_t base_c = (gt % w.gt_grid_cols()) * cfg.gt_cols;
-  size_t cursor = w.gtile_offsets()[gt];
-  for (int tcc = 0; tcc < tc_cols; ++tcc) {
-    for (int tcr = 0; tcr < tc_rows; ++tcr) {
-      const int tc = tcc * tc_rows + tcr;
-      for (int q = 0; q < 4; ++q) {
-        const uint64_t bitmap = w.bitmaps()[w.BitmapIndex(gt, tc, q)];
-        if (bitmap == 0) {
-          continue;
-        }
-        const int pc = std::popcount(bitmap);
-        alignas(32) float tile_vals[kBitmapTileDim * kBitmapTileDim +
-                                    kSpmvStagePadFloats];
-        uint64_t t_phase = 0;
-        if constexpr (kTimed) {
-          t_phase = rec->Now();
-        }
-        convert(hvalues + cursor, tile_vals, static_cast<size_t>(pc));
-        cursor += static_cast<size_t>(pc);
-        if constexpr (kTimed) {
-          rec->convert_ns += rec->Now() - t_phase;
-          rec->tiles += 1;
-          rec->nnz += static_cast<uint64_t>(pc);
-          t_phase = rec->Now();
-        }
-        const int64_t bt_r = base_r + static_cast<int64_t>(tcr) * kTcTileDim +
-                             (q % 2) * kBitmapTileDim;
-        const int64_t bt_c = base_c + static_cast<int64_t>(tcc) * kTcTileDim +
-                             (q / 2) * kBitmapTileDim;
-        if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
-          cpu_backend_detail::EdgeBitmapTile(bitmap, tile_vals, bt_r, bt_c, m,
-                                             k, xf, /*n=*/1, /*j0=*/0,
-                                             /*nb=*/1, out);
-        } else {
-          tile_fn(bitmap, pc, tile_vals, bt_r, bt_c, xf, out);
-        }
-        if constexpr (kTimed) {
-          rec->accumulate_ns += rec->Now() - t_phase;
-        }
-      }
+  ForEachNonzeroTile(w, gt, [&](uint64_t bitmap, int64_t /*bi*/, size_t first,
+                                int64_t bt_r, int64_t bt_c) {
+    const int pc = std::popcount(bitmap);
+    alignas(32) float tile_vals[kBitmapTileDim * kBitmapTileDim +
+                                kSpmvStagePadFloats];
+    uint64_t t_phase = 0;
+    if constexpr (kTimed) {
+      t_phase = rec->Now();
     }
-  }
+    convert(hvalues + first, tile_vals, static_cast<size_t>(pc));
+    if constexpr (kTimed) {
+      rec->convert_ns += rec->Now() - t_phase;
+      rec->tiles += 1;
+      rec->nnz += static_cast<uint64_t>(pc);
+      t_phase = rec->Now();
+    }
+    if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
+      cpu_backend_detail::EdgeBitmapTile(bitmap, tile_vals, bt_r, bt_c, m, k,
+                                         xf, /*n=*/1, /*j0=*/0, /*nb=*/1, out);
+    } else {
+      tile_fn(bitmap, pc, tile_vals, bt_r, bt_c, xf, out);
+    }
+    if constexpr (kTimed) {
+      rec->accumulate_ns += rec->Now() - t_phase;
+    }
+  });
 }
 
 // INT8 tile contract — the quantized path accumulates per BitmapTile row:
@@ -198,10 +178,11 @@ static inline void EdgeSpmvTileInt8(uint64_t bitmap, const int8_t* codes,
   }
 }
 
-// Quantized-weights walk. Same geometry as the FP16 walk (the two formats
-// share their storage nesting by construction); the cursor runs over INT8
-// codes and each tile carries its own dequantization scale, combined with
-// the caller's activation scale into one float factor per tile.
+// Quantized-weights walk: the same ForEachNonzeroTile walk as the FP16
+// kernel (the two formats share their storage nesting by construction), with
+// the offset running over INT8 codes and each tile carrying its own
+// dequantization scale, combined with the caller's activation scale into one
+// float factor per tile.
 // tile_fn(bitmap, pc, tile_codes, scale, bt_r, bt_c, xq, out).
 template <bool kTimed, typename TileFn>
 static void ProcessGroupTileSpmvInt8(const TcaBmeQuantMatrix& w, int64_t gt,
@@ -212,53 +193,32 @@ static void ProcessGroupTileSpmvInt8(const TcaBmeQuantMatrix& w, int64_t gt,
   const Half* scales = w.scales().data();
   const int64_t m = w.rows();
   const int64_t k = w.cols();
-  const TcaBmeConfig& cfg = w.config();
-  const int tc_rows = w.tc_rows_per_gt();
-  const int tc_cols = w.tc_cols_per_gt();
-  const int64_t base_r = (gt / w.gt_grid_cols()) * cfg.gt_rows;
-  const int64_t base_c = (gt % w.gt_grid_cols()) * cfg.gt_cols;
-  size_t cursor = w.gtile_offsets()[gt];
-  for (int tcc = 0; tcc < tc_cols; ++tcc) {
-    for (int tcr = 0; tcr < tc_rows; ++tcr) {
-      const int tc = tcc * tc_rows + tcr;
-      for (int q = 0; q < 4; ++q) {
-        const int64_t bi = w.BitmapIndex(gt, tc, q);
-        const uint64_t bitmap = w.bitmaps()[bi];
-        if (bitmap == 0) {
-          continue;
-        }
-        const int pc = std::popcount(bitmap);
-        alignas(16) int8_t tile_codes[kBitmapTileDim * kBitmapTileDim +
-                                      kSpmvStagePadCodes];
-        uint64_t t_phase = 0;
-        if constexpr (kTimed) {
-          t_phase = rec->Now();
-        }
-        std::memcpy(tile_codes, codes + cursor, static_cast<size_t>(pc));
-        cursor += static_cast<size_t>(pc);
-        const float scale = scales[bi].ToFloat() * x_scale;
-        if constexpr (kTimed) {
-          rec->convert_ns += rec->Now() - t_phase;
-          rec->tiles += 1;
-          rec->nnz += static_cast<uint64_t>(pc);
-          t_phase = rec->Now();
-        }
-        const int64_t bt_r = base_r + static_cast<int64_t>(tcr) * kTcTileDim +
-                             (q % 2) * kBitmapTileDim;
-        const int64_t bt_c = base_c + static_cast<int64_t>(tcc) * kTcTileDim +
-                             (q / 2) * kBitmapTileDim;
-        if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
-          EdgeSpmvTileInt8(bitmap, tile_codes, scale, bt_r, bt_c, m, k, xq,
-                           out);
-        } else {
-          tile_fn(bitmap, pc, tile_codes, scale, bt_r, bt_c, xq, out);
-        }
-        if constexpr (kTimed) {
-          rec->accumulate_ns += rec->Now() - t_phase;
-        }
-      }
+  ForEachNonzeroTile(w, gt, [&](uint64_t bitmap, int64_t bi, size_t first,
+                                int64_t bt_r, int64_t bt_c) {
+    const int pc = std::popcount(bitmap);
+    alignas(16) int8_t tile_codes[kBitmapTileDim * kBitmapTileDim +
+                                  kSpmvStagePadCodes];
+    uint64_t t_phase = 0;
+    if constexpr (kTimed) {
+      t_phase = rec->Now();
     }
-  }
+    std::memcpy(tile_codes, codes + first, static_cast<size_t>(pc));
+    const float scale = scales[bi].ToFloat() * x_scale;
+    if constexpr (kTimed) {
+      rec->convert_ns += rec->Now() - t_phase;
+      rec->tiles += 1;
+      rec->nnz += static_cast<uint64_t>(pc);
+      t_phase = rec->Now();
+    }
+    if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
+      EdgeSpmvTileInt8(bitmap, tile_codes, scale, bt_r, bt_c, m, k, xq, out);
+    } else {
+      tile_fn(bitmap, pc, tile_codes, scale, bt_r, bt_c, xq, out);
+    }
+    if constexpr (kTimed) {
+      rec->accumulate_ns += rec->Now() - t_phase;
+    }
+  });
 }
 
 // The AVX2 variant's per-GroupTile kernels, defined in cpu_spmv_avx2.cc

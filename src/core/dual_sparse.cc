@@ -29,45 +29,29 @@ FloatMatrix CpuDualSparseSpmm(const TcaBmeMatrix& w, const HalfMatrix& x,
   const int64_t n = x.cols();
   const int64_t m = w.rows();
   const int64_t k = w.cols();
-  const int tc_rows = w.tc_rows_per_gt();
-  const int tc_cols = w.tc_cols_per_gt();
-  const TcaBmeConfig& cfg = w.config();
   FloatMatrix out(m, n);
   uint64_t flops = 0;
 
   for (int64_t gt = 0; gt < w.num_group_tiles(); ++gt) {
-    const int64_t base_r = (gt / w.gt_grid_cols()) * cfg.gt_rows;
-    const int64_t base_c = (gt % w.gt_grid_cols()) * cfg.gt_cols;
-    size_t cursor = w.gtile_offsets()[gt];
-    for (int tcc = 0; tcc < tc_cols; ++tcc) {
-      for (int tcr = 0; tcr < tc_rows; ++tcr) {
-        const int tc = tcc * tc_rows + tcr;
-        for (int q = 0; q < 4; ++q) {
-          uint64_t bitmap = w.bitmaps()[w.BitmapIndex(gt, tc, q)];
-          const int64_t bt_r = base_r + static_cast<int64_t>(tcr) * kTcTileDim +
-                               (q % 2) * kBitmapTileDim;
-          const int64_t bt_c = base_c + static_cast<int64_t>(tcc) * kTcTileDim +
-                               (q / 2) * kBitmapTileDim;
-          while (bitmap != 0) {
-            const int bit = std::countr_zero(bitmap);
-            bitmap &= bitmap - 1;
-            const size_t vi = cursor++;
-            const int64_t r = bt_r + bit / kBitmapTileDim;
-            const int64_t c = bt_c + bit % kBitmapTileDim;
-            if (r >= m || c >= k || !active[c]) {
-              continue;  // inactive input: the whole product row is zero
-            }
-            const float v = w.values()[vi].ToFloat();
-            float* out_row = out.data() + r * n;
-            const Half* x_row = x.data() + c * n;
-            for (int64_t j = 0; j < n; ++j) {
-              out_row[j] += v * x_row[j].ToFloat();
-            }
-            flops += 2ull * static_cast<uint64_t>(n);
-          }
+    ForEachNonzeroTile(w, gt, [&](uint64_t bitmap, int64_t /*bi*/, size_t first,
+                                  int64_t bt_r, int64_t bt_c) {
+      for (size_t vi = first; bitmap != 0; ++vi) {
+        const int bit = std::countr_zero(bitmap);
+        bitmap &= bitmap - 1;
+        const int64_t r = bt_r + bit / kBitmapTileDim;
+        const int64_t c = bt_c + bit % kBitmapTileDim;
+        if (r >= m || c >= k || !active[c]) {
+          continue;  // inactive input: the whole product row is zero
         }
+        const float v = w.values()[vi].ToFloat();
+        float* out_row = out.data() + r * n;
+        const Half* x_row = x.data() + c * n;
+        for (int64_t j = 0; j < n; ++j) {
+          out_row[j] += v * x_row[j].ToFloat();
+        }
+        flops += 2ull * static_cast<uint64_t>(n);
       }
-    }
+    });
   }
   if (counters != nullptr) {
     counters->flops += flops;

@@ -8,14 +8,6 @@
 #include "src/util/thread_pool.h"
 
 namespace spinfer {
-namespace {
-
-// Top-left corner of quadrant q (column-major: TL, BL, TR, BR) within a
-// 16x16 TCTile.
-constexpr int QuadrantRow(int q) { return (q % 2) * kBitmapTileDim; }
-constexpr int QuadrantCol(int q) { return (q / 2) * kBitmapTileDim; }
-
-}  // namespace
 
 int64_t TcaBmeMatrix::BitmapIndex(int64_t gt, int tc, int quadrant) const {
   SPINFER_CHECK(gt >= 0 && gt < num_group_tiles());
@@ -38,8 +30,6 @@ TcaBmeMatrix TcaBmeMatrix::Encode(const HalfMatrix& w, const TcaBmeConfig& cfg) 
 
   const int64_t grid_r = m.gt_grid_rows();
   const int64_t grid_c = m.gt_grid_cols();
-  const int tc_rows = m.tc_rows_per_gt();
-  const int tc_cols = m.tc_cols_per_gt();
 
   // Phase 1 (parallel): each GroupTile row builds its bitmap and value
   // segments into private buffers. Every tile's encoding is a pure function
@@ -59,32 +49,20 @@ TcaBmeMatrix TcaBmeMatrix::Encode(const HalfMatrix& w, const TcaBmeConfig& cfg) 
     seg.bitmaps.reserve(static_cast<size_t>(grid_c) * m.tcs_per_gt() * 4);
     sizes.reserve(static_cast<size_t>(grid_c));
     for (int64_t gc = 0; gc < grid_c; ++gc) {
-      const int64_t base_r = gr * cfg.gt_rows;
-      const int64_t base_c = gc * cfg.gt_cols;
-      // TCTiles in column-major order within the GroupTile.
-      for (int tcc = 0; tcc < tc_cols; ++tcc) {
-        for (int tcr = 0; tcr < tc_rows; ++tcr) {
-          const int64_t tc_r = base_r + static_cast<int64_t>(tcr) * kTcTileDim;
-          const int64_t tc_c = base_c + static_cast<int64_t>(tcc) * kTcTileDim;
-          // Quadrants (BitmapTiles) in column-major order: TL, BL, TR, BR.
-          for (int q = 0; q < 4; ++q) {
-            const int64_t bt_r = tc_r + QuadrantRow(q);
-            const int64_t bt_c = tc_c + QuadrantCol(q);
-            uint64_t bitmap = 0;
-            for (int r = 0; r < kBitmapTileDim; ++r) {
-              for (int c = 0; c < kBitmapTileDim; ++c) {
-                const Half v = PaddedAt(w, bt_r + r, bt_c + c);
-                if (!v.IsZero()) {
-                  bitmap |= 1ull << (r * kBitmapTileDim + c);
-                  seg.values.push_back(v);
-                  ++seg.nnz;
-                }
-              }
+      ForEachBitmapTile(cfg, gr, gc, [&](int /*i*/, int64_t bt_r, int64_t bt_c) {
+        uint64_t bitmap = 0;
+        for (int r = 0; r < kBitmapTileDim; ++r) {
+          for (int c = 0; c < kBitmapTileDim; ++c) {
+            const Half v = PaddedAt(w, bt_r + r, bt_c + c);
+            if (!v.IsZero()) {
+              bitmap |= 1ull << (r * kBitmapTileDim + c);
+              seg.values.push_back(v);
+              ++seg.nnz;
             }
-            seg.bitmaps.push_back(bitmap);
           }
         }
-      }
+        seg.bitmaps.push_back(bitmap);
+      });
       // Pad this GroupTile's Values segment so the next segment starts on an
       // LDGSTS.128-compatible boundary. Because every segment length is a
       // multiple of the alignment, local padding equals the sequential
@@ -181,37 +159,22 @@ std::optional<TcaBmeMatrix> TcaBmeMatrix::FromParts(int64_t rows, int64_t cols,
 
 HalfMatrix TcaBmeMatrix::Decode() const {
   HalfMatrix w(rows_, cols_);
-  const int tc_rows = tc_rows_per_gt();
-  const int tc_cols = tc_cols_per_gt();
-
   for (int64_t gt = 0; gt < num_group_tiles(); ++gt) {
-    const int64_t gr = gt / gt_grid_cols();
-    const int64_t gc = gt % gt_grid_cols();
-    size_t cursor = gtile_offsets_[gt];
-    for (int tcc = 0; tcc < tc_cols; ++tcc) {
-      for (int tcr = 0; tcr < tc_rows; ++tcr) {
-        const int tc = tcc * tc_rows + tcr;
-        for (int q = 0; q < 4; ++q) {
-          const uint64_t bitmap = bitmaps_[BitmapIndex(gt, tc, q)];
-          const int64_t bt_r =
-              gr * cfg_.gt_rows + static_cast<int64_t>(tcr) * kTcTileDim + QuadrantRow(q);
-          const int64_t bt_c =
-              gc * cfg_.gt_cols + static_cast<int64_t>(tcc) * kTcTileDim + QuadrantCol(q);
-          for (int bit = 0; bit < 64; ++bit) {
-            if ((bitmap >> bit) & 1ull) {
-              const int64_t r = bt_r + bit / kBitmapTileDim;
-              const int64_t c = bt_c + bit % kBitmapTileDim;
-              SPINFER_CHECK(r < padded_rows_ && c < padded_cols_);
-              if (r < rows_ && c < cols_) {
-                w.at(r, c) = values_[cursor];
-              }
-              ++cursor;
-            }
-          }
+    size_t end = gtile_offsets_[gt];
+    ForEachNonzeroTile(*this, gt, [&](uint64_t bitmap, int64_t /*bi*/, size_t first,
+                                      int64_t bt_r, int64_t bt_c) {
+      end = first + static_cast<size_t>(std::popcount(bitmap));
+      for (size_t vi = first; bitmap != 0; ++vi) {
+        const int bit = std::countr_zero(bitmap);
+        bitmap &= bitmap - 1;
+        const int64_t r = bt_r + bit / kBitmapTileDim;
+        const int64_t c = bt_c + bit % kBitmapTileDim;
+        if (r < rows_ && c < cols_) {
+          w.at(r, c) = values_[vi];
         }
       }
-    }
-    SPINFER_CHECK(cursor <= gtile_offsets_[gt + 1]);
+    });
+    SPINFER_CHECK(end <= gtile_offsets_[gt + 1]);
   }
   return w;
 }

@@ -26,12 +26,14 @@
 // even at 30% sparsity.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/numeric/matrix.h"
+#include "src/util/check.h"
 
 namespace spinfer {
 
@@ -112,6 +114,65 @@ class TcaBmeMatrix {
   std::vector<uint64_t> bitmaps_;        // one per BitmapTile
   std::vector<Half> values_;             // padded nonzero payload
 };
+
+// --- Storage-order traversal -----------------------------------------------
+//
+// The one CPU implementation of the nesting above (docs/FORMAT.md §1): both
+// encoders, both decoders and every CPU kernel walk GroupTiles through these
+// two templates, so the order is written down exactly once. The warp-level
+// simulator (src/core/spinfer_kernel.cc) keeps its own walk on purpose, as
+// the independent oracle of this order.
+//
+// Translation units built with extra ISA flags instantiate them only with
+// lambdas defined inside internal-linkage functions. Such a closure type is
+// local to its TU, and so is every instantiation it produces, so no COMDAT
+// copy carrying AVX encodings can stand in for the portable one (DESIGN.md
+// §5, "CPU backend v2", pillar 2).
+
+// Calls visit(i, bt_r, bt_c) for every BitmapTile of GroupTile (gr, gc) in
+// storage order: TCTiles column-major, quadrants TL, BL, TR, BR within each.
+// `i` is the tile's rank in its GroupTile, so its Bitmap index is
+// gt * 4 * tcs_per_gt + i; (bt_r, bt_c) is its top-left element in the
+// padded matrix.
+template <typename Visit>
+void ForEachBitmapTile(const TcaBmeConfig& cfg, int64_t gr, int64_t gc,
+                       const Visit& visit) {
+  const int tc_rows = cfg.gt_rows / kTcTileDim;
+  const int tc_cols = cfg.gt_cols / kTcTileDim;
+  int i = 0;
+  for (int tcc = 0; tcc < tc_cols; ++tcc) {
+    const int64_t tc_c = gc * cfg.gt_cols + static_cast<int64_t>(tcc) * kTcTileDim;
+    for (int tcr = 0; tcr < tc_rows; ++tcr) {
+      const int64_t tc_r = gr * cfg.gt_rows + static_cast<int64_t>(tcr) * kTcTileDim;
+      for (int q = 0; q < 4; ++q, ++i) {
+        visit(i, tc_r + (q % 2) * kBitmapTileDim, tc_c + (q / 2) * kBitmapTileDim);
+      }
+    }
+  }
+}
+
+// Walks GroupTile `gt` of an encoded TcaBmeMatrix or TcaBmeQuantMatrix in
+// storage order, skipping empty BitmapTiles, and calls
+// visit(bitmap, bitmap_index, first, bt_r, bt_c) for each nonzero one.
+// `first` is the offset of the tile's first Values (or codes) element: the
+// GroupTile's segment start plus the popcounts of the tiles before it. The
+// one CHECK on `gt` bounds every index the walk forms.
+template <typename Matrix, typename Visit>
+void ForEachNonzeroTile(const Matrix& m, int64_t gt, const Visit& visit) {
+  SPINFER_CHECK(gt >= 0 && gt < m.num_group_tiles());
+  const int64_t first_index = gt * 4 * m.tcs_per_gt();
+  const uint64_t* bitmaps = m.bitmaps().data() + first_index;
+  size_t first = m.gtile_offsets()[gt];
+  ForEachBitmapTile(m.config(), gt / m.gt_grid_cols(), gt % m.gt_grid_cols(),
+                    [&](int i, int64_t bt_r, int64_t bt_c) {
+                      const uint64_t bitmap = bitmaps[i];
+                      if (bitmap == 0) {
+                        return;
+                      }
+                      visit(bitmap, first_index + i, first, bt_r, bt_c);
+                      first += static_cast<size_t>(std::popcount(bitmap));
+                    });
+}
 
 // Closed-form Eq. 9 storage (without alignment padding), used by the
 // analytical CR model; tests check it matches the encoder to within padding.

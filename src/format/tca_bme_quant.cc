@@ -1,18 +1,13 @@
 #include "src/format/tca_bme_quant.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/format/sparse_util.h"
 #include "src/util/check.h"
 
 namespace spinfer {
-namespace {
-
-constexpr int QuadrantRow(int q) { return (q % 2) * kBitmapTileDim; }
-constexpr int QuadrantCol(int q) { return (q / 2) * kBitmapTileDim; }
-
-}  // namespace
 
 TcaBmeQuantMatrix TcaBmeQuantMatrix::Encode(const HalfMatrix& w, const TcaBmeConfig& cfg) {
   SPINFER_CHECK(cfg.gt_rows > 0 && cfg.gt_rows % kTcTileDim == 0);
@@ -25,59 +20,45 @@ TcaBmeQuantMatrix TcaBmeQuantMatrix::Encode(const HalfMatrix& w, const TcaBmeCon
   m.padded_rows_ = PadUp(w.rows(), cfg.gt_rows);
   m.padded_cols_ = PadUp(w.cols(), cfg.gt_cols);
 
-  const int64_t grid_r = m.padded_rows_ / cfg.gt_rows;
-  const int64_t grid_c = m.padded_cols_ / cfg.gt_cols;
-  const int tc_rows = cfg.gt_rows / kTcTileDim;
-  const int tc_cols = cfg.gt_cols / kTcTileDim;
-
   m.gtile_offsets_.push_back(0);
-  for (int64_t gr = 0; gr < grid_r; ++gr) {
-    for (int64_t gc = 0; gc < grid_c; ++gc) {
-      for (int tcc = 0; tcc < tc_cols; ++tcc) {
-        for (int tcr = 0; tcr < tc_rows; ++tcr) {
-          for (int q = 0; q < 4; ++q) {
-            const int64_t bt_r =
-                gr * cfg.gt_rows + static_cast<int64_t>(tcr) * kTcTileDim + QuadrantRow(q);
-            const int64_t bt_c =
-                gc * cfg.gt_cols + static_cast<int64_t>(tcc) * kTcTileDim + QuadrantCol(q);
-            // Pass 1: bitmap and per-tile absmax.
-            uint64_t bitmap = 0;
-            float absmax = 0.0f;
-            for (int r = 0; r < kBitmapTileDim; ++r) {
-              for (int c = 0; c < kBitmapTileDim; ++c) {
-                const Half v = PaddedAt(w, bt_r + r, bt_c + c);
-                if (!v.IsZero()) {
-                  bitmap |= 1ull << (r * kBitmapTileDim + c);
-                  absmax = std::max(absmax, std::fabs(v.ToFloat()));
-                }
-              }
-            }
-            const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
-            m.bitmaps_.push_back(bitmap);
-            m.scales_.push_back(Half(scale));
-            // Pass 2: quantize nonzeros in bit order with the *stored*
-            // (FP16-rounded) scale so Decode is reproducible.
-            const float stored_scale = Half(scale).ToFloat();
-            for (int r = 0; r < kBitmapTileDim; ++r) {
-              for (int c = 0; c < kBitmapTileDim; ++c) {
-                const Half v = PaddedAt(w, bt_r + r, bt_c + c);
-                if (!v.IsZero()) {
-                  int code = static_cast<int>(
-                      std::lround(v.ToFloat() / stored_scale));
-                  code = std::clamp(code, -127, 127);
-                  // A surviving nonzero must stay nonzero so the bitmap and
-                  // payload agree.
-                  if (code == 0) {
-                    code = v.ToFloat() >= 0 ? 1 : -1;
-                  }
-                  m.codes_.push_back(static_cast<int8_t>(code));
-                  ++m.nnz_;
-                }
-              }
+  for (int64_t gr = 0; gr < m.gt_grid_rows(); ++gr) {
+    for (int64_t gc = 0; gc < m.gt_grid_cols(); ++gc) {
+      ForEachBitmapTile(cfg, gr, gc, [&](int /*i*/, int64_t bt_r, int64_t bt_c) {
+        // Pass 1: bitmap and per-tile absmax.
+        uint64_t bitmap = 0;
+        float absmax = 0.0f;
+        for (int r = 0; r < kBitmapTileDim; ++r) {
+          for (int c = 0; c < kBitmapTileDim; ++c) {
+            const Half v = PaddedAt(w, bt_r + r, bt_c + c);
+            if (!v.IsZero()) {
+              bitmap |= 1ull << (r * kBitmapTileDim + c);
+              absmax = std::max(absmax, std::fabs(v.ToFloat()));
             }
           }
         }
-      }
+        const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
+        m.bitmaps_.push_back(bitmap);
+        m.scales_.push_back(Half(scale));
+        // Pass 2: quantize nonzeros in bit order with the *stored*
+        // (FP16-rounded) scale so Decode is reproducible.
+        const float stored_scale = Half(scale).ToFloat();
+        for (int r = 0; r < kBitmapTileDim; ++r) {
+          for (int c = 0; c < kBitmapTileDim; ++c) {
+            const Half v = PaddedAt(w, bt_r + r, bt_c + c);
+            if (!v.IsZero()) {
+              int code = static_cast<int>(std::lround(v.ToFloat() / stored_scale));
+              code = std::clamp(code, -127, 127);
+              // A surviving nonzero must stay nonzero so the bitmap and
+              // payload agree.
+              if (code == 0) {
+                code = v.ToFloat() >= 0 ? 1 : -1;
+              }
+              m.codes_.push_back(static_cast<int8_t>(code));
+              ++m.nnz_;
+            }
+          }
+        }
+      });
       // Align each GroupTile's code segment to 4B (LDGSTS-friendly).
       while (m.codes_.size() % 4 != 0) {
         m.codes_.push_back(0);
@@ -90,42 +71,25 @@ TcaBmeQuantMatrix TcaBmeQuantMatrix::Encode(const HalfMatrix& w, const TcaBmeCon
 
 HalfMatrix TcaBmeQuantMatrix::Decode() const {
   HalfMatrix w(rows_, cols_);
-  const int tc_rows = cfg_.gt_rows / kTcTileDim;
-  const int tc_cols = cfg_.gt_cols / kTcTileDim;
-  const int64_t grid_c = padded_cols_ / cfg_.gt_cols;
-  const int64_t ngt = (padded_rows_ / cfg_.gt_rows) * grid_c;
-
-  int64_t bt_index = 0;
-  for (int64_t gt = 0; gt < ngt; ++gt) {
-    const int64_t gr = gt / grid_c;
-    const int64_t gc = gt % grid_c;
-    size_t cursor = gtile_offsets_[gt];
-    for (int tcc = 0; tcc < tc_cols; ++tcc) {
-      for (int tcr = 0; tcr < tc_rows; ++tcr) {
-        for (int q = 0; q < 4; ++q, ++bt_index) {
-          const uint64_t bitmap = bitmaps_[bt_index];
-          const float scale = scales_[bt_index].ToFloat();
-          const int64_t bt_r =
-              gr * cfg_.gt_rows + static_cast<int64_t>(tcr) * kTcTileDim + QuadrantRow(q);
-          const int64_t bt_c =
-              gc * cfg_.gt_cols + static_cast<int64_t>(tcc) * kTcTileDim + QuadrantCol(q);
-          for (int bit = 0; bit < 64; ++bit) {
-            if ((bitmap >> bit) & 1ull) {
-              const float v = static_cast<float>(codes_[cursor++]) * scale;
-              const int64_t r = bt_r + bit / kBitmapTileDim;
-              const int64_t c = bt_c + bit % kBitmapTileDim;
-              if (r < rows_ && c < cols_) {
-                Half h(v);
-                if (h.IsZero()) {
-                  h = Half(v >= 0 ? 6.0e-5f : -6.0e-5f);  // keep mask exact
-                }
-                w.at(r, c) = h;
-              }
-            }
+  for (int64_t gt = 0; gt < num_group_tiles(); ++gt) {
+    ForEachNonzeroTile(*this, gt, [&](uint64_t bitmap, int64_t bi, size_t first,
+                                      int64_t bt_r, int64_t bt_c) {
+      const float scale = scales_[bi].ToFloat();
+      for (size_t ci = first; bitmap != 0; ++ci) {
+        const int bit = std::countr_zero(bitmap);
+        bitmap &= bitmap - 1;
+        const int64_t r = bt_r + bit / kBitmapTileDim;
+        const int64_t c = bt_c + bit % kBitmapTileDim;
+        if (r < rows_ && c < cols_) {
+          const float v = static_cast<float>(codes_[ci]) * scale;
+          Half h(v);
+          if (h.IsZero()) {
+            h = Half(v >= 0 ? 6.0e-5f : -6.0e-5f);  // keep mask exact
           }
+          w.at(r, c) = h;
         }
       }
-    }
+    });
   }
   return w;
 }

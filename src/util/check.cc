@@ -20,8 +20,8 @@ CheckFailureHandler SetCheckFailureHandler(CheckFailureHandler handler) {
   return g_check_failure_handler.exchange(handler, std::memory_order_acq_rel);
 }
 
-void CheckFailed(const char* file, int line, const std::string& msg) {
-  std::fprintf(stderr, "[spinfer] %s:%d: %s\n", file, line, msg.c_str());
+void CheckFailed(const char* file, int line, const char* msg) {
+  std::fprintf(stderr, "[spinfer] %s:%d: %s\n", file, line, msg);
   std::fflush(stderr);
   // exchange() makes the once-only guarantee atomic: whichever failing thread
   // gets here first runs the handler; a CHECK failing inside the handler
@@ -35,6 +35,10 @@ void CheckFailed(const char* file, int line, const std::string& msg) {
     }
   }
   std::abort();
+}
+
+void CheckFailed(const char* file, int line, const std::string& msg) {
+  CheckFailed(file, line, msg.c_str());
 }
 
 }  // namespace spinfer

@@ -13,6 +13,11 @@ namespace spinfer {
 
 // Aborts the process after printing `msg` with source location context.
 // Used by the SPINFER_CHECK family; not intended to be called directly.
+// SPINFER_CHECK passes its literal message to the `const char*` overload, so
+// the check site builds no std::string: a check inlined into a unit built
+// with extra ISA flags then emits no weak string code the linker could keep
+// for the portable path (DESIGN.md §5, "CPU backend v2", pillar 2).
+[[noreturn]] void CheckFailed(const char* file, int line, const char* msg);
 [[noreturn]] void CheckFailed(const char* file, int line, const std::string& msg);
 
 // Hook invoked by CheckFailed after the diagnostic is printed and before

@@ -1,10 +1,13 @@
 #include "src/format/tca_bme.h"
 
+#include <array>
 #include <bit>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/format/storage_model.h"
+#include "src/format/tca_bme_quant.h"
 #include "src/gpusim/tensor_core.h"
 #include "src/util/random.h"
 
@@ -147,6 +150,78 @@ TEST(TcaBmeTest, QuadrantValueOrderMatchesLaneBitOrder) {
     }
   }
   EXPECT_EQ(cursor, static_cast<size_t>(enc.nnz()));
+}
+
+// Encoders, decoders and the CPU kernels all walk through ForEachBitmapTile,
+// so a consistent permutation of its order would pass every roundtrip and
+// every kernel-vs-reference test. This pins the order itself: TCTiles
+// column-major within the GroupTile, quadrants TL, BL, TR, BR.
+TEST(TcaBmeTest, ForEachBitmapTileVisitsStorageOrder) {
+  TcaBmeConfig cfg;
+  cfg.gt_rows = 32;  // 2 TCTile rows
+  cfg.gt_cols = 48;  // 3 TCTile columns
+  std::vector<std::array<int64_t, 3>> visits;
+  ForEachBitmapTile(cfg, /*gr=*/1, /*gc=*/2, [&](int i, int64_t bt_r, int64_t bt_c) {
+    visits.push_back({i, bt_r, bt_c});
+  });
+  ASSERT_EQ(visits.size(), 24u);
+  const std::vector<std::array<int64_t, 3>> first_tc_column = {
+      {0, 32, 96}, {1, 40, 96}, {2, 32, 104}, {3, 40, 104},
+      {4, 48, 96}, {5, 56, 96}, {6, 48, 104}, {7, 56, 104}};
+  for (size_t v = 0; v < first_tc_column.size(); ++v) {
+    EXPECT_EQ(visits[v], first_tc_column[v]) << "visit " << v;
+  }
+  EXPECT_EQ(visits[8], (std::array<int64_t, 3>{8, 32, 112}));
+  EXPECT_EQ(visits.back(), (std::array<int64_t, 3>{23, 56, 136}));
+}
+
+// Walks every GroupTile of `m` with ForEachNonzeroTile and checks each visit
+// against the raw arrays: the index is the next nonzero bitmap, `first` is
+// the segment start plus the popcounts before it, and the position is the
+// one ForEachBitmapTile gives that rank.
+template <typename Matrix>
+void ExpectNonzeroTilesArePopcountPrefix(const Matrix& m) {
+  const int64_t per_gt = 4 * m.tcs_per_gt();
+  for (int64_t gt = 0; gt < m.num_group_tiles(); ++gt) {
+    const int64_t end = (gt + 1) * per_gt;
+    std::vector<std::array<int64_t, 2>> corners;
+    ForEachBitmapTile(m.config(), gt / m.gt_grid_cols(), gt % m.gt_grid_cols(),
+                      [&](int, int64_t bt_r, int64_t bt_c) {
+                        corners.push_back({bt_r, bt_c});
+                      });
+    int64_t next = gt * per_gt;
+    size_t offset = m.gtile_offsets()[gt];
+    ForEachNonzeroTile(m, gt, [&](uint64_t bitmap, int64_t bi, size_t first,
+                                  int64_t bt_r, int64_t bt_c) {
+      while (next < end && m.bitmaps()[next] == 0) {
+        ++next;
+      }
+      ASSERT_LT(next, end) << "visit past the last nonzero tile of gt " << gt;
+      EXPECT_EQ(bi, next) << "gt " << gt;
+      EXPECT_EQ(bitmap, m.bitmaps()[next]);
+      EXPECT_EQ(first, offset) << "gt " << gt << " tile " << bi;
+      EXPECT_EQ((std::array<int64_t, 2>{bt_r, bt_c}), corners[next - gt * per_gt]);
+      offset += static_cast<size_t>(std::popcount(m.bitmaps()[next]));
+      ++next;
+    });
+    // Nothing nonzero was skipped after the last visit.
+    for (; next < end; ++next) {
+      EXPECT_EQ(m.bitmaps()[next], 0u) << "unvisited tile " << next;
+    }
+  }
+  EXPECT_DEATH(ForEachNonzeroTile(m, m.num_group_tiles(),
+                                  [](uint64_t, int64_t, size_t, int64_t, int64_t) {}),
+               "gt < m.num_group_tiles");
+}
+
+TEST(TcaBmeDeathTest, ForEachNonzeroTileOffsetsArePopcountPrefix) {
+  Rng rng(80);
+  const HalfMatrix w = HalfMatrix::RandomSparse(40, 72, 0.5, rng);  // ragged
+  TcaBmeConfig cfg;
+  cfg.gt_rows = 32;
+  cfg.gt_cols = 48;
+  ExpectNonzeroTilesArePopcountPrefix(TcaBmeMatrix::Encode(w, cfg));
+  ExpectNonzeroTilesArePopcountPrefix(TcaBmeQuantMatrix::Encode(w, cfg));
 }
 
 }  // namespace
