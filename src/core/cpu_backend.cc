@@ -23,8 +23,7 @@ namespace cpu_backend_detail {
 // variant shares one clean copy; see the declaration for why.
 uint64_t SpmmPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
 
-void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
-                      const std::function<void(int64_t, SpmmPhaseRecorder*)>& row) {
+void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans, RowBodyRef row) {
   // Null when tracing is off. The closure holds two pointers, which fit in
   // std::function's inline buffer, so this ParallelFor allocates nothing.
   const SweepSpans* traced = obs::TracingEnabled() ? &spans : nullptr;
@@ -65,11 +64,18 @@ using cpu_backend_detail::RowTerm;
 // one or two vector registers on any target) auto-vectorize at -O2/-O3; the
 // t-loop keeps the accumulators live across the row's nonzeros.
 struct PortableRowFma {
-  void Row8(float* orow, uint64_t rowmask, const float* vals,
-            const float* xcol0, int64_t n) const {
-    float acc[8];
+  // The baseline ISA has no masked load, so lanes past nb are skipped by a
+  // per-lane guard instead. A whole block (kWhole) drops the guard and
+  // vectorizes; a narrower one runs as guarded scalar lanes, which keeps the
+  // accumulators in registers where a variable-length loop would not.
+  template <bool kWhole>
+  static void Row8Lanes(float* orow, uint64_t rowmask, const float* vals,
+                        const float* xcol0, int64_t n, int64_t nb) {
+    float acc[8] = {};
     for (int u = 0; u < 8; ++u) {
-      acc[u] = orow[u];
+      if (kWhole || u < nb) {
+        acc[u] = orow[u];
+      }
     }
     int t = 0;
     while (rowmask != 0) {
@@ -78,11 +84,24 @@ struct PortableRowFma {
       const float v = vals[t++];
       const float* xr = xcol0 + cc * n;
       for (int u = 0; u < 8; ++u) {
-        acc[u] += v * xr[u];
+        if (kWhole || u < nb) {
+          acc[u] += v * xr[u];
+        }
       }
     }
     for (int u = 0; u < 8; ++u) {
-      orow[u] = acc[u];
+      if (kWhole || u < nb) {
+        orow[u] = acc[u];
+      }
+    }
+  }
+
+  void Row8(float* orow, uint64_t rowmask, const float* vals,
+            const float* xcol0, int64_t n, int64_t nb) const {
+    if (nb == 8) {
+      Row8Lanes<true>(orow, rowmask, vals, xcol0, n, nb);
+    } else {
+      Row8Lanes<false>(orow, rowmask, vals, xcol0, n, nb);
     }
   }
 

@@ -14,6 +14,11 @@
 //   * Output columns are processed in blocks of kCpuSpmmNBlock; within a
 //     block, each interior BitmapTile row becomes one register-tiled update
 //     (accumulators stay in registers across up to 8 nonzeros).
+//   * A block at most 8 columns wide — every decode batch, and the last
+//     block of a panel like N = 132 — decodes each bitmap row straight into
+//     one 8-lane accumulator, its lanes past the block width masked off, so
+//     no width pays a separate decode pass. Wider blocks stage a row's
+//     nonzeros once and replay them per register tile.
 //   * The innermost row update is SIMD-dispatched at runtime: an AVX2 unit
 //     (compiled separately with -mavx2 -mfma) when the CPU supports it, a
 //     portable auto-vectorized loop otherwise. Both are compiled with FP

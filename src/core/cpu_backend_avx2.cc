@@ -31,18 +31,29 @@ bool CpuSpmmAvx2Compiled() {
 
 namespace {
 
+// Lanes [0, width) set, lanes [width, 8) clear, for width in [1, 8]: the
+// maskload/maskstore mask of a row slice narrower than one register. Masked
+// lanes are neither read nor written (and cannot fault), so a slice ending
+// at the last element of a buffer stays in bounds.
+__m256i LaneMask(int64_t width) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(width)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 struct Avx2RowFma {
   void Row8(float* orow, uint64_t rowmask, const float* vals,
-            const float* xcol0, int64_t n) const {
-    __m256 a = _mm256_loadu_ps(orow);
+            const float* xcol0, int64_t n, int64_t nb) const {
+    const __m256i lanes = LaneMask(nb);
+    __m256 a = _mm256_maskload_ps(orow, lanes);
     int t = 0;
     while (rowmask != 0) {
       const int cc = std::countr_zero(rowmask);
       rowmask &= rowmask - 1;
       const __m256 v = _mm256_set1_ps(vals[t++]);
-      a = _mm256_add_ps(a, _mm256_mul_ps(v, _mm256_loadu_ps(xcol0 + cc * n)));
+      a = _mm256_add_ps(
+          a, _mm256_mul_ps(v, _mm256_maskload_ps(xcol0 + cc * n, lanes)));
     }
-    _mm256_storeu_ps(orow, a);
+    _mm256_maskstore_ps(orow, lanes, a);
   }
 
   void operator()(float* orow, const RowTerm* terms, int count, int64_t nb) const {
@@ -107,20 +118,16 @@ struct Avx2RowFma {
       }
       _mm256_storeu_ps(orow + j, a);
     }
-    for (; j + 4 <= nb; j += 4) {
-      __m128 a = _mm_loadu_ps(orow + j);
+    if (j < nb) {
+      // The last 1-7 columns: one 8-lane tile masked like Row8's.
+      const __m256i lanes = LaneMask(nb - j);
+      __m256 a = _mm256_maskload_ps(orow + j, lanes);
       for (int t = 0; t < count; ++t) {
-        const __m128 v = _mm_set1_ps(terms[t].v);
-        a = _mm_add_ps(a, _mm_mul_ps(v, _mm_loadu_ps(terms[t].xrow + j)));
+        const __m256 v = _mm256_set1_ps(terms[t].v);
+        a = _mm256_add_ps(
+            a, _mm256_mul_ps(v, _mm256_maskload_ps(terms[t].xrow + j, lanes)));
       }
-      _mm_storeu_ps(orow + j, a);
-    }
-    for (; j < nb; ++j) {
-      float acc = orow[j];
-      for (int t = 0; t < count; ++t) {
-        acc += terms[t].v * terms[t].xrow[j];
-      }
-      orow[j] = acc;
+      _mm256_maskstore_ps(orow + j, lanes, a);
     }
   }
 };

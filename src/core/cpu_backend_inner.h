@@ -16,7 +16,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 
 #include "src/format/tca_bme.h"
 
@@ -43,7 +42,7 @@ struct RowTerm {
 // AVX-encoded code to the portable path via COMDAT merging.
 struct SpmmPhaseRecorder {
   uint64_t convert_ns = 0;     // half->float staging of tile Values
-  uint64_t decode_ns = 0;      // bitmap walk / RowTerm gathering
+  uint64_t decode_ns = 0;      // RowTerm gathering; nonzero only for nb > 8
   uint64_t accumulate_ns = 0;  // FMA row updates (incl. fused decode in Row8)
   uint64_t tiles = 0;          // nonzero BitmapTiles processed
   uint64_t nnz = 0;            // nonzeros consumed
@@ -61,6 +60,32 @@ struct SweepSpans {
   const char* accumulate;
 };
 
+// Non-owning reference to a sweep's row body, called as body(gtr, rec): an
+// object pointer plus a trampoline that casts it back to its own type. The
+// drivers' capture-by-reference lambdas outgrow std::function's inline
+// buffer, so a std::function would heap-allocate on every call; this never
+// allocates. The referenced callable must outlive the reference, which a
+// temporary lambda passed straight to RowParallelSweep does.
+class RowBodyRef {
+ public:
+  template <typename F>
+  RowBodyRef(const F& body)  // implicit: drivers pass their lambda directly
+      : obj_(&body), call_(&Trampoline<F>) {}
+
+  void operator()(int64_t gtr, SpmmPhaseRecorder* rec) const {
+    call_(obj_, gtr, rec);
+  }
+
+ private:
+  template <typename F>
+  static void Trampoline(const void* obj, int64_t gtr, SpmmPhaseRecorder* rec) {
+    (*static_cast<const F*>(obj))(gtr, rec);
+  }
+
+  const void* obj_;
+  void (*call_)(const void*, int64_t, SpmmPhaseRecorder*);
+};
+
 // The row-parallel sweep of every CPU SpMM/SpMV driver, defined in
 // cpu_backend.cc: runs row(gtr, rec) once per GroupTile grid row gtr in
 // [0, grid_rows) on the global ThreadPool. Each row owns the output rows of
@@ -70,22 +95,25 @@ struct SweepSpans {
 // instrumentation); traced rows get a fresh recorder and are emitted as one
 // row_task span plus back-to-back synthetic child slices whose durations are
 // the row's per-phase totals.
-void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
-                      const std::function<void(int64_t, SpmmPhaseRecorder*)>& row);
+void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans, RowBodyRef row);
 
-// RowFma contract: fma(orow, terms, count, nb) performs, for every
-// j in [0, nb) and t in [0, count) in ascending t order:
+// RowFma contract: fma(orow, terms, count, nb), called for blocks wider
+// than 8, performs, for every j in [0, nb) and t in [0, count) in ascending
+// t order:
 //     orow[j] = orow[j] + terms[t].v * terms[t].xrow[j]
 // with one rounding for the multiply and one for the add (no fusion — the
 // variant TUs are compiled with -ffp-contract=off). Per-element results are
 // then identical for every vector width, which is the dispatch invariant the
 // tests enforce.
 //
-// Row8 contract: the decode-width (nb == 8) specialization. row8(orow,
-// rowmask, vals, xcol0, n) walks rowmask's set bits in ascending order; the
-// t-th set bit cc contributes vals[t] * (xcol0 + cc*n)[j] for j in [0, 8),
-// with the same mul-then-add rounding as above. Same products, same order as
-// the terms path — only the staging through RowTerm is skipped.
+// Row8 contract: the decode-width walk, taken for every block width
+// nb <= 8. row8(orow, rowmask, vals, xcol0, n, nb) walks rowmask's set bits
+// in ascending order; the t-th set bit cc contributes vals[t] *
+// (xcol0 + cc*n)[j] for j in [0, nb), with the same mul-then-add rounding as
+// above. Lanes j >= nb of orow and of every X row are never read or written
+// (they belong to the next row, or lie past the end of the buffer). Same
+// products, same order as the terms path — only the staging through RowTerm
+// is skipped.
 //
 // ConvertFn contract: convert(src, dst, count) writes dst[i] =
 // float(src[i]) for i in [0, count). Half->float widening is exact, so the
@@ -164,12 +192,12 @@ static void ProcessGroupTile(const TcaBmeMatrix& w, int64_t gt, const float* xf,
     }
     // Interior tile: bits are row-major (bit = r*8 + c), so each bitmap byte
     // is one output row's nonzeros and its Values are contiguous in the
-    // staging array. Decode width (nb == 8, one accumulator register) skips
-    // the RowTerm staging and walks the bits directly; wider blocks gather
-    // the row's terms once and replay them per register tile. Both paths
-    // form the same products in the same order.
+    // staging array. Decode widths (nb <= 8, one accumulator register, its
+    // lanes past nb masked off) skip the RowTerm staging and walk the bits
+    // directly; wider blocks gather the row's terms once and replay them per
+    // register tile. Both paths form the same products in the same order.
     int tv = 0;
-    if (nb == kBitmapTileDim) {
+    if (nb <= kBitmapTileDim) {
       // Decode is fused into Row8's bit walk; the whole tile charges to the
       // accumulate phase.
       if constexpr (kTimed) {
@@ -182,7 +210,7 @@ static void ProcessGroupTile(const TcaBmeMatrix& w, int64_t gt, const float* xf,
           continue;
         }
         row_fma.Row8(out + (bt_r + rr) * n + j0, rowmask, tile_vals + tv, xcol0,
-                     n);
+                     n, nb);
         tv += std::popcount(rowmask);
       }
       if constexpr (kTimed) {

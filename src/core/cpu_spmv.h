@@ -1,8 +1,9 @@
 // Bitmap-direct CPU SpMV: the batch-1 decode fast path.
 //
-// At N == 1 the N-blocked CpuSpmm register tiling degenerates — every
-// "register tile" holds a single useful lane, and the RowTerm staging that
-// amortizes across output columns amortizes across nothing. Single-stream
+// At N == 1 the N-blocked CpuSpmm register tiling degenerates — its 8-lane
+// row accumulator holds a single useful lane, so the register reuse that
+// amortizes each decoded weight across output columns amortizes across
+// nothing. Single-stream
 // decode (TinyTransformer::MixedStep, ServingEngine at batch 1) lives in
 // exactly that regime, which is the low-sparsity SpMV problem MACKO and the
 // block-extraction SpMV line of work target (PAPERS.md). This kernel family

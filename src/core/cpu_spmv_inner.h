@@ -45,8 +45,8 @@ inline constexpr int kSpmvStagePadCodes = 16;
 // and the AVX2 unit uses explicit mul/add — never FMA). Each output row's
 // chain is a pure ascending-column scalar recurrence, so any vectorization
 // *across rows* (the AVX2 unit's scheme) produces the same bits as the
-// scalar walk. This is also exactly the chain CpuSpmm's RowTerm path forms
-// at nb == 1, which is what makes SpMV == SpMM bitwise at N = 1.
+// scalar walk. This is also exactly the chain CpuSpmm's fused Row8 walk
+// forms at nb == 1, which is what makes SpMV == SpMM bitwise at N = 1.
 
 // Shared scalar interior tile: the portable variant's tile_fn and the AVX2
 // unit's low-popcount fallback. `static`, not `inline`, for the same

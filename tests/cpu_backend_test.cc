@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "src/core/spinfer_kernel.h"
 #include "src/numeric/compare.h"
 #include "src/util/cpu_features.h"
@@ -116,7 +119,8 @@ TEST(CpuBackendTest, BitIdenticalAcrossThreadCounts) {
 
 TEST(CpuBackendTest, RaggedShapesOffTileBoundaries) {
   // Shapes that leave partial BitmapTiles on both edges, crossed with N that
-  // exercises every row-update tail (scalar, 4-wide, 8-wide, 32+1).
+  // reaches every kernel path: SpMV (1), the masked decode-width walk (5),
+  // and the RowTerm tiers' masked remainder (31 = 3x8+7, 33 = 32+1).
   const std::pair<int64_t, int64_t> shapes[] = {{70, 90}, {129, 257}};
   for (const auto& [m, k] : shapes) {
     for (const int64_t n : {int64_t{1}, int64_t{5}, int64_t{31}, int64_t{33}}) {
@@ -187,6 +191,105 @@ TEST(CpuBackendTest, QuantIntoBitIdenticalToExplicitHalfStaging) {
   CpuSpmmAccumulateInto(enc, xh, &ws_staged, &staged);
   CpuSpmmQuantAccumulateInto(enc, x, &ws_quant, &quant);
   ExpectBitIdentical(quant, staged);
+}
+
+// Bit-pattern equality of two outputs. Unlike ExpectBitIdentical's float
+// compare it tells -0.0 from +0.0, which the pre-filled outputs below seed.
+void ExpectSameBits(const FloatMatrix& a, const FloatMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (int64_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(a.data()[i]),
+              std::bit_cast<uint32_t>(b.data()[i]))
+        << "first mismatch at flat index " << i << " of " << a.size();
+  }
+}
+
+// An output to accumulate into: finite values, with every third element
+// -0.0. A store past an N-block's width lands on the next row's leading
+// elements — in bounds on every row but the last, so invisible to ASan —
+// and these values are what make it show.
+FloatMatrix PrefilledOutput(int64_t rows, int64_t cols, uint64_t seed) {
+  Rng rng(seed);
+  FloatMatrix out(rows, cols);
+  for (int64_t i = 0; i < out.size(); ++i) {
+    out.data()[i] = i % 3 == 0 ? -0.0f : static_cast<float>(rng.Gaussian());
+  }
+  return out;
+}
+
+// Columns [0, cols) of a HalfMatrix or FloatMatrix.
+template <typename Matrix>
+Matrix LeadingColumns(const Matrix& m, int64_t cols) {
+  Matrix out(m.rows(), cols);
+  for (int64_t r = 0; r < m.rows(); ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      out.at(r, c) = m.at(r, c);
+    }
+  }
+  return out;
+}
+
+TEST(CpuBackendTest, NarrowPanelColumnsMatchWidePanelBitwise) {
+  // N-blocks of width <= 8 take the fused decode-width walk with their lanes
+  // past N masked off; a 13-wide block takes RowTerm staging. Both form each
+  // element's chain in the same order, so column j of an N-wide call equals
+  // column j of the 13-wide call bit for bit. The variant-pinned entry never
+  // routes N = 1 to SpMV, so N = 1 runs the walk too.
+  constexpr int64_t kWide = 13;
+  std::vector<CpuSpmmVariant> variants = {CpuSpmmVariant::kPortable};
+  if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
+    variants.push_back(CpuSpmmVariant::kAvx2);
+  }
+  const std::pair<int64_t, int64_t> shapes[] = {{70, 90}, {129, 257}};
+  for (const auto& [m, k] : shapes) {
+    for (const double sparsity : {0.3, 0.6, 0.9}) {
+      Rng rng(701 + static_cast<uint64_t>(m + sparsity * 100));
+      const HalfMatrix w = HalfMatrix::RandomSparse(m, k, sparsity, rng);
+      const HalfMatrix x = HalfMatrix::Random(k, kWide, rng, 0.5f);
+      const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+      const FloatMatrix init = PrefilledOutput(m, kWide, 702 + static_cast<uint64_t>(m));
+      for (const CpuSpmmVariant v : variants) {
+        SpmmWorkspace ws;
+        FloatMatrix wide = init;
+        CpuSpmmAccumulateIntoVariant(enc, x, &ws, &wide, v);
+        for (int64_t n = 1; n <= 8; ++n) {
+          SCOPED_TRACE(::testing::Message()
+                       << CpuSpmmVariantName(v) << " m=" << m << " k=" << k
+                       << " sparsity=" << sparsity << " n=" << n);
+          FloatMatrix narrow = LeadingColumns(init, n);
+          CpuSpmmAccumulateIntoVariant(enc, LeadingColumns(x, n), &ws, &narrow, v);
+          ExpectSameBits(narrow, LeadingColumns(wide, n));
+        }
+      }
+    }
+  }
+}
+
+TEST(CpuBackendTest, SimdVariantsBitIdenticalAtEveryWidth) {
+  if (!CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
+    GTEST_SKIP() << "AVX2 variant unavailable on this build/machine ("
+                 << CpuFeaturesSummary() << "); nothing to cross-check";
+  }
+  // Every decode width, RowTerm blocks with a masked remainder (12, 13, 21),
+  // and a panel whose last N-block is 4 wide (132 = 128 + 4).
+  const int64_t widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 21, 132};
+  for (const double sparsity : {0.3, 0.6, 0.9}) {
+    Rng rng(703 + static_cast<uint64_t>(sparsity * 100));
+    const HalfMatrix w = HalfMatrix::RandomSparse(129, 257, sparsity, rng);
+    const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+    for (const int64_t n : widths) {
+      SCOPED_TRACE(::testing::Message() << "sparsity=" << sparsity << " n=" << n);
+      const HalfMatrix x = HalfMatrix::Random(257, n, rng, 0.5f);
+      const FloatMatrix init = PrefilledOutput(129, n, 704 + static_cast<uint64_t>(n));
+      SpmmWorkspace ws;
+      FloatMatrix portable = init;
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &portable, CpuSpmmVariant::kPortable);
+      FloatMatrix avx2 = init;
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &avx2, CpuSpmmVariant::kAvx2);
+      ExpectSameBits(portable, avx2);
+    }
+  }
 }
 
 TEST(CpuBackendTest, AllZeroMatrix) {
