@@ -1,15 +1,15 @@
-// Portable half of the v2 backend: the driver (workspace, N-blocking,
-// GroupTile-row parallelism, dispatch) plus the auto-vectorizing row update.
+// Portable half of the v2 backend: the driver (workspace, N-blocking, the
+// narrow-block layout, GroupTile-row parallelism, dispatch) plus the portable
+// block tile and auto-vectorizing row update.
 //
-// Compiled with -ffp-contract=off (see src/core/CMakeLists.txt): the row
-// update must round every multiply and every add separately so its results
-// are bit-identical to the AVX2 unit, which uses explicit mul/add intrinsics.
+// Compiled with -ffp-contract=off (see src/core/CMakeLists.txt): the updates
+// must round every multiply and every add separately so their results are
+// bit-identical to the AVX2 unit, which uses explicit mul/add intrinsics.
 #include "src/core/cpu_backend.h"
 
 #include <algorithm>
 
 #include "src/core/cpu_backend_inner.h"
-#include "src/core/cpu_spmv.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/cpu_features.h"
@@ -57,54 +57,75 @@ void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans, RowBodyRef row
 
 namespace {
 
+using cpu_backend_detail::kBlockTileMaxCols;
 using cpu_backend_detail::ProcessGroupTile;
 using cpu_backend_detail::RowTerm;
 
-// Portable register-tiled row update. The fixed-size inner loops (8 floats =
-// one or two vector registers on any target) auto-vectorize at -O2/-O3; the
-// t-loop keeps the accumulators live across the row's nonzeros.
-struct PortableRowFma {
-  // The baseline ISA has no masked load, so lanes past nb are skipped by a
-  // per-lane guard instead. A whole block (kWhole) drops the guard and
-  // vectorizes; a narrower one runs as guarded scalar lanes, which keeps the
-  // accumulators in registers where a variable-length loop would not.
-  template <bool kWhole>
-  static void Row8Lanes(float* orow, uint64_t rowmask, const float* vals,
-                        const float* xcol0, int64_t n, int64_t nb) {
-    float acc[8] = {};
-    for (int u = 0; u < 8; ++u) {
-      if (kWhole || u < nb) {
-        acc[u] = orow[u];
+// Portable block tile: one bitmap row at a time, its nonzeros walked in bit
+// order into per-column accumulators read and written at the block's column
+// stride. The baseline ISA has neither a masked load nor a cheap blend, so
+// the AVX2 unit's expand-and-sweep would not pay here. kWidth 1 (a one-lane
+// walk, the N = 1 decode shape) and 8 (a whole block, which vectorizes) fix
+// the width at compile time; kWidth 0 guards each of the 8 lanes by nb, which
+// keeps the accumulators in registers where a variable-length loop would
+// not.
+template <int kWidth>
+void PortableTileRows(uint64_t bitmap, const float* vals, int64_t bt_r,
+                      const float* xt, int64_t n, int64_t nb, float* blk,
+                      int64_t ldb) {
+  constexpr int kLanes = kWidth == 1 ? 1 : 8;
+  int t = 0;
+  for (int rr = 0; rr < kBitmapTileDim; ++rr) {
+    uint64_t rowmask = (bitmap >> (rr * kBitmapTileDim)) & 0xFFull;
+    if (rowmask == 0) {
+      continue;
+    }
+    float* o = blk + bt_r + rr;
+    float acc[kLanes] = {};
+    for (int u = 0; u < kLanes; ++u) {
+      if (kWidth != 0 || u < nb) {
+        acc[u] = o[u * ldb];
       }
     }
-    int t = 0;
     while (rowmask != 0) {
       const int cc = std::countr_zero(rowmask);
       rowmask &= rowmask - 1;
       const float v = vals[t++];
-      const float* xr = xcol0 + cc * n;
-      for (int u = 0; u < 8; ++u) {
-        if (kWhole || u < nb) {
+      const float* xr = xt + cc * n;
+      for (int u = 0; u < kLanes; ++u) {
+        if (kWidth != 0 || u < nb) {
           acc[u] += v * xr[u];
         }
       }
     }
-    for (int u = 0; u < 8; ++u) {
-      if (kWhole || u < nb) {
-        orow[u] = acc[u];
+    for (int u = 0; u < kLanes; ++u) {
+      if (kWidth != 0 || u < nb) {
+        o[u * ldb] = acc[u];
       }
     }
   }
+}
 
-  void Row8(float* orow, uint64_t rowmask, const float* vals,
-            const float* xcol0, int64_t n, int64_t nb) const {
-    if (nb == 8) {
-      Row8Lanes<true>(orow, rowmask, vals, xcol0, n, nb);
+struct PortableBlockTile {
+  void operator()(uint64_t bitmap, const float* vals, int64_t bt_r,
+                  int64_t bt_c, const float* xf, int64_t n, int64_t j0,
+                  int64_t nb, float* blk, int64_t ldb) const {
+    const float* xt = xf + bt_c * n + j0;
+    if (nb == 1) {
+      PortableTileRows<1>(bitmap, vals, bt_r, xt, n, nb, blk, ldb);
+    } else if (nb == kBlockTileMaxCols) {
+      PortableTileRows<8>(bitmap, vals, bt_r, xt, n, nb, blk, ldb);
     } else {
-      Row8Lanes<false>(orow, rowmask, vals, xcol0, n, nb);
+      PortableTileRows<0>(bitmap, vals, bt_r, xt, n, nb, blk, ldb);
     }
   }
+};
 
+// Portable register-tiled row update for blocks wider than 8. The fixed-size
+// inner loops (8 floats = one or two vector registers on any target)
+// auto-vectorize at -O2/-O3; the t-loop keeps the accumulators live across
+// the row's nonzeros.
+struct PortableRowFma {
   void operator()(float* orow, const RowTerm* terms, int count, int64_t nb) const {
     int64_t j = 0;
     for (; j + 8 <= nb; j += 8) {
@@ -145,18 +166,19 @@ struct PortableConvert {
 
 void ProcessGroupTilePortable(const TcaBmeMatrix& w, int64_t gt, const float* xf,
                               int64_t n, int64_t j0, int64_t nb, float* out,
+                              int64_t ldo,
                               cpu_backend_detail::SpmmPhaseRecorder* rec) {
   if (rec != nullptr) {
-    ProcessGroupTile<true>(w, gt, xf, n, j0, nb, out, PortableRowFma{},
-                           PortableConvert{}, rec);
+    ProcessGroupTile<true>(w, gt, xf, n, j0, nb, out, ldo, PortableBlockTile{},
+                           PortableRowFma{}, PortableConvert{}, rec);
   } else {
-    ProcessGroupTile<false>(w, gt, xf, n, j0, nb, out, PortableRowFma{},
-                            PortableConvert{});
+    ProcessGroupTile<false>(w, gt, xf, n, j0, nb, out, ldo, PortableBlockTile{},
+                            PortableRowFma{}, PortableConvert{});
   }
 }
 
 using GroupTileFn = void (*)(const TcaBmeMatrix&, int64_t, const float*, int64_t,
-                             int64_t, int64_t, float*,
+                             int64_t, int64_t, float*, int64_t,
                              cpu_backend_detail::SpmmPhaseRecorder*);
 
 GroupTileFn KernelFor(CpuSpmmVariant v) {
@@ -168,11 +190,36 @@ constexpr cpu_backend_detail::SweepSpans kSpmmSpans = {
     "cpu_spmm.row_task", "cpu_spmm.convert", "cpu_spmm.decode",
     "cpu_spmm.accumulate"};
 
+// Copies rows [r0, r1) of output columns [j0, j0+nb) from the row-major
+// output (row stride n) into the column-major block (column stride ldb), or
+// back when `to_block` is false.
+void CopyBlockRows(float* out, int64_t n, int64_t j0, int64_t nb, float* blk,
+                   int64_t ldb, int64_t r0, int64_t r1, bool to_block) {
+  for (int64_t j = 0; j < nb; ++j) {
+    float* col = blk + j * ldb;
+    for (int64_t r = r0; r < r1; ++r) {
+      float& o = out[r * n + j0 + j];
+      if (to_block) {
+        col[r] = o;
+      } else {
+        o = col[r];
+      }
+    }
+  }
+}
+
 // Shared accumulate core: fills the FP32 X panel once (`fill_panel` is the
 // only thing the FP16 and quantize-FP32 entry points differ in), then sweeps
 // N blocks x GroupTile columns inside the row-parallel sweep. The
 // per-element accumulation order (N-block, then GroupTile column, then
 // storage bit order) is fixed regardless of thread count.
+//
+// A block at most kBlockTileMaxCols wide runs the block tile on a
+// column-major copy of its columns: each grid row copies its own rows of the
+// block into the workspace, sweeps them and copies them back, so the layout
+// change costs one pass per call instead of a transpose per tile. At N = 1
+// the output already has that layout and is swept in place: the FP16 SpMV
+// is this driver's N = 1 case.
 template <typename FillPanel>
 void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
                     const FillPanel& fill_panel, SpmmWorkspace* ws,
@@ -180,17 +227,21 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
   SPINFER_CHECK_EQ(w.cols(), x_rows);
   SPINFER_CHECK_EQ(out->rows(), w.rows());
   SPINFER_CHECK_EQ(out->cols(), n);
-  if (n == 0 || w.rows() == 0) {
+  const int64_t m = w.rows();
+  if (n == 0 || m == 0) {
     return;
   }
   obs::TraceScope call_scope("cpu_spmm");
   if (call_scope.active()) {
-    call_scope.AddArg("m", w.rows());
+    call_scope.AddArg("m", m);
     call_scope.AddArg("k", w.cols());
     call_scope.AddArg("n", n);
   }
 
   ws->x_panel.Reserve(static_cast<size_t>(x_rows * n));
+  // Reserved on every call, narrow or not, so a workspace warmed on its
+  // widest shape never grows on the decode widths that follow.
+  ws->block.Reserve(static_cast<size_t>(m * std::min(n, kBlockTileMaxCols)));
   float* xf = ws->x_panel.data();
   {
     // Named like the per-tile value staging so trace_report aggregates the
@@ -201,14 +252,27 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
 
   const GroupTileFn kernel = KernelFor(variant);
   const int64_t grid_cols = w.gt_grid_cols();
+  const int64_t gt_rows = w.config().gt_rows;
   float* out_data = out->data();
+  float* blk = n == 1 ? out_data : ws->block.data();
   cpu_backend_detail::RowParallelSweep(
       w.gt_grid_rows(), kSpmmSpans,
       [&](int64_t gtr, cpu_backend_detail::SpmmPhaseRecorder* rec) {
+        const int64_t r0 = gtr * gt_rows;
+        const int64_t r1 = std::min(m, r0 + gt_rows);
         for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
           const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
+          const bool narrow = nb <= kBlockTileMaxCols;
+          float* dst = narrow ? blk : out_data;
+          const int64_t ldo = narrow ? m : n;
+          if (dst != out_data) {
+            CopyBlockRows(out_data, n, j0, nb, blk, m, r0, r1, true);
+          }
           for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
-            kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, out_data, rec);
+            kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, dst, ldo, rec);
+          }
+          if (dst != out_data) {
+            CopyBlockRows(out_data, n, j0, nb, blk, m, r0, r1, false);
           }
         }
       });
@@ -272,17 +336,8 @@ void CpuSpmmAccumulateIntoVariant(const TcaBmeMatrix& w, const HalfMatrix& x,
   AccumulateImpl(w, x, ws, out, v);
 }
 
-// Single-column calls (the batch-1 decode shape) route to the bitmap-direct
-// SpMV kernel: bit-identical on that shape by the shared-chain contract
-// (tests/cpu_spmv_test.cc drives both against each other), only faster. The
-// variant-pinned entry above stays unrouted on purpose — it is the N-blocked
-// reference those differential tests need.
 void CpuSpmmAccumulateInto(const TcaBmeMatrix& w, const HalfMatrix& x,
                            SpmmWorkspace* ws, FloatMatrix* out) {
-  if (x.cols() == 1) {
-    CpuSpmvAccumulateInto(w, x, ws, out);
-    return;
-  }
   AccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
 }
 
@@ -291,19 +346,11 @@ void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
   SPINFER_CHECK_EQ(w.cols(), x.rows());
   out->Reshape(w.rows(), x.cols());
   out->Fill(0.0f);
-  if (x.cols() == 1) {
-    CpuSpmvAccumulateInto(w, x, ws, out);
-    return;
-  }
   AccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
 }
 
 void CpuSpmmQuantAccumulateInto(const TcaBmeMatrix& w, const FloatMatrix& x,
                                 SpmmWorkspace* ws, FloatMatrix* out) {
-  if (x.cols() == 1) {
-    CpuSpmvQuantAccumulateInto(w, x, ws, out);
-    return;
-  }
   QuantAccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
 }
 
@@ -312,10 +359,6 @@ void CpuSpmmQuantInto(const TcaBmeMatrix& w, const FloatMatrix& x,
   SPINFER_CHECK_EQ(w.cols(), x.rows());
   out->Reshape(w.rows(), x.cols());
   out->Fill(0.0f);
-  if (x.cols() == 1) {
-    CpuSpmvQuantAccumulateInto(w, x, ws, out);
-    return;
-  }
   QuantAccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
 }
 

@@ -11,19 +11,22 @@
 // v2 execution scheme:
 //   * The FP16 activation panel is converted to FP32 once per call into a
 //     reusable workspace (exact conversion, so results are unchanged).
-//   * Output columns are processed in blocks of kCpuSpmmNBlock; within a
-//     block, each interior BitmapTile row becomes one register-tiled update
-//     (accumulators stay in registers across up to 8 nonzeros).
-//   * A block at most 8 columns wide — every decode batch, and the last
-//     block of a panel like N = 132 — decodes each bitmap row straight into
-//     one 8-lane accumulator, its lanes past the block width masked off, so
-//     no width pays a separate decode pass. Wider blocks stage a row's
-//     nonzeros once and replay them per register tile.
-//   * The innermost row update is SIMD-dispatched at runtime: an AVX2 unit
-//     (compiled separately with -mavx2 -mfma) when the CPU supports it, a
-//     portable auto-vectorized loop otherwise. Both are compiled with FP
-//     contraction off and accumulate per element in the same order, so the
-//     two paths are bit-identical — dispatch changes speed, never results.
+//   * Output columns are processed in blocks of kCpuSpmmNBlock.
+//   * A block at most 8 columns wide — every decode batch including N = 1,
+//     and the last block of a panel like N = 132 — runs one row-lane tile:
+//     each BitmapTile is decoded once, branch-free (its Values expanded into
+//     column-aligned lanes by a popcount permutation and transposed), and
+//     its 8 output rows sit in the 8 lanes of one accumulator per column,
+//     swept with a bitmap-keyed blend. The block is held column-major in the
+//     workspace for the sweep; at N = 1 the output already is, so the
+//     single-column SpMV (src/core/cpu_spmv.h) is simply this path at N = 1.
+//   * Wider blocks stage each interior BitmapTile row's nonzeros once and
+//     replay them as one register-tiled update per 64/32/8 columns.
+//   * The innermost updates are SIMD-dispatched at runtime: an AVX2 unit
+//     (compiled separately with -mavx2 -mfma -mf16c) when the CPU supports
+//     it, portable loops otherwise. Both are compiled with FP contraction off
+//     and accumulate per element in the same order, so the two paths are
+//     bit-identical — dispatch changes speed, never results.
 //   * GroupTile rows are distributed over the global ThreadPool; each task
 //     owns a disjoint output-row range, so any thread count produces
 //     bit-identical output.
@@ -40,39 +43,35 @@ namespace spinfer {
 
 // Output-column span one pass over the compressed Values stream covers.
 // Decode-time N (<= 128) takes a single pass; larger N is blocked so the
-// output tile a GroupTile row touches stays cache-resident. Within a pass
-// the row updates block by 32 floats (four AVX2 accumulators); the portable
-// loop blocks the same way so both variants share one traversal.
+// output tile a GroupTile row touches stays cache-resident.
 inline constexpr int64_t kCpuSpmmNBlock = 128;
 
 // Reusable scratch for the SpMM/SpMV calls: the FP32 X panel (half->float is
-// exact, so converting the panel once per call changes no result bits) and
-// the INT8 path's quantized activation vector (int16 codes, so the widening
-// multiply-adds read them directly). Grown monotonically, never shrunk — a
-// serving loop that has seen its largest shapes performs zero heap
-// allocations in this path afterwards. Weight values are converted per
-// BitmapTile into a stack-resident staging array inside the kernel and need
-// no heap scratch. Not thread-safe to share across concurrent calls; give
-// each serving thread its own.
+// exact, so converting the panel once per call changes no result bits), the
+// column-major copy of a narrow output block, and the INT8 path's quantized
+// activation vector (int16 codes, so the widening multiply-adds read them
+// directly). Grown monotonically, never shrunk — a serving loop that has seen
+// its largest shapes performs zero heap allocations in this path afterwards.
+// Weight values are converted per BitmapTile into a stack-resident staging
+// array inside the kernel and need no heap scratch. Not thread-safe to share
+// across concurrent calls; give each serving thread its own.
 struct SpmmWorkspace {
   AlignedBuffer<float> x_panel;     // K x N fp32 activation panel
+  AlignedBuffer<float> block;       // M x min(N, 8) column-major output block
   AlignedBuffer<int16_t> xq_panel;  // K quantized activation codes (SpMV INT8)
 
   int64_t grow_count() const {
-    return x_panel.grow_count() + xq_panel.grow_count();
+    return x_panel.grow_count() + block.grow_count() + xq_panel.grow_count();
   }
   uint64_t capacity_bytes() const {
-    return x_panel.capacity() * sizeof(float) +
+    return (x_panel.capacity() + block.capacity()) * sizeof(float) +
            xq_panel.capacity() * sizeof(int16_t);
   }
 };
 
 // out = W * X, reshaping `out` to (w.rows(), x.cols()). All scratch comes
-// from `ws`; after `out` and `ws` have seen the call's shapes once, repeat
-// calls are allocation-free. Single-column calls (x.cols() == 1, the batch-1
-// decode shape) route to the bitmap-direct SpMV kernel (src/core/cpu_spmv.h)
-// transparently: it is bit-identical to the N-blocked path on that shape,
-// only faster.
+// from `ws`; after `out` and `ws` have seen the call's widest shape once,
+// repeat calls at that width or narrower are allocation-free.
 void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
                  FloatMatrix* out);
 
@@ -115,9 +114,7 @@ CpuSpmmVariant ActiveCpuSpmmVariant();
 
 // Accumulate-form entry with the variant pinned; CHECK-fails if `v` is
 // unavailable. This is how the bit-identity tests drive both paths on one
-// machine. Deliberately NOT routed to SpMV at N == 1: this entry always runs
-// the N-blocked tiling, which makes it the reference the SpMV differential
-// tests compare against.
+// machine.
 void CpuSpmmAccumulateIntoVariant(const TcaBmeMatrix& w, const HalfMatrix& x,
                                   SpmmWorkspace* ws, FloatMatrix* out,
                                   CpuSpmmVariant v);

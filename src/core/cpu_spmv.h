@@ -1,29 +1,17 @@
-// Bitmap-direct CPU SpMV: the batch-1 decode fast path.
+// Single-column CPU SpMV: the batch-1 decode entry points.
 //
-// At N == 1 the N-blocked CpuSpmm register tiling degenerates — its 8-lane
-// row accumulator holds a single useful lane, so the register reuse that
-// amortizes each decoded weight across output columns amortizes across
-// nothing. Single-stream
-// decode (TinyTransformer::MixedStep, ServingEngine at batch 1) lives in
-// exactly that regime, which is the low-sparsity SpMV problem MACKO and the
-// block-extraction SpMV line of work target (PAPERS.md). This kernel family
-// walks each GroupTile's compressed Values run once, skips empty BitmapTiles
-// via the 64-bit masks, and keeps one scalar accumulator per output row; the
-// AVX2 unit vectorizes *across the 8 rows of a BitmapTile* (expand the
-// row-major Values run with a permutation LUT, transpose 8x8, sweep columns
-// with a blend-masked mul/add), which preserves each row's scalar
-// accumulation chain exactly.
-//
-// Contracts, matching CpuSpmm v2:
-//   * Bit-identity with CpuSpmm at N = 1: same products, same per-element
-//     order (ascending column within each GroupTile row sweep), separate
-//     mul/add roundings (-ffp-contract=off, no FMA). The public CpuSpmm*
-//     entry points route N == 1 calls here, and the batched-vs-single
-//     differential tests depend on the outputs matching bitwise.
-//   * Determinism: output bits do not depend on thread count (GroupTile grid
-//     rows own disjoint output rows) or on which SIMD variant ran.
-//   * Allocation-free when warm: all scratch lives in SpmmWorkspace, grown
-//     monotonically.
+// The FP16 forms are the N = 1 case of CpuSpmm* (src/core/cpu_backend.h),
+// kept under their own names for callers that hold a single column. At
+// N = 1 the SpMM driver's narrow-block path is exactly the bitmap-direct
+// SpMV that MACKO and the block-extraction SpMV line of work target
+// (PAPERS.md): it walks each GroupTile's compressed Values run once, skips
+// empty BitmapTiles via their 64-bit masks, and on AVX2 vectorizes *across
+// the 8 rows of a BitmapTile* (expand the row-major Values run with a
+// permutation LUT, transpose 8x8, sweep columns with a blend-masked mul/add),
+// which preserves each row's scalar accumulation chain exactly. Results are
+// bit-identical to CpuSpmm* on the same input and to column 0 of any wider
+// call, across SIMD variants and thread counts, and warm calls allocate
+// nothing.
 //
 // The INT8 entry points run over TcaBmeQuantMatrix weights with activations
 // quantized per call (symmetric absmax over the vector, codes in [-127,127]
@@ -41,16 +29,17 @@
 namespace spinfer {
 
 // out = W * x for a single-column x (x.cols() == 1), reshaping `out` to
-// (w.rows(), 1). Bit-identical to CpuSpmmInto on the same inputs.
+// (w.rows(), 1): CpuSpmmInto at N = 1.
 void CpuSpmvInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
                  FloatMatrix* out);
 
-// out += W * x (out must already have shape (w.rows(), 1)).
+// out += W * x (out must already have shape (w.rows(), 1)):
+// CpuSpmmAccumulateInto at N = 1.
 void CpuSpmvAccumulateInto(const TcaBmeMatrix& w, const HalfMatrix& x,
                            SpmmWorkspace* ws, FloatMatrix* out);
 
-// FP32-activation forms: elements are rounded to FP16 while the panel is
-// built, bit-identical to CpuSpmmQuant* at N = 1 (and to converting x to a
+// FP32-activation forms: CpuSpmmQuant* at N = 1 (elements are rounded to
+// FP16 while the panel is built, bit-identical to converting x to a
 // HalfMatrix first).
 void CpuSpmvQuantInto(const TcaBmeMatrix& w, const FloatMatrix& x,
                       SpmmWorkspace* ws, FloatMatrix* out);
@@ -66,8 +55,9 @@ void CpuSpmvInt8AccumulateInto(const TcaBmeQuantMatrix& w, const FloatMatrix& x,
                                SpmmWorkspace* ws, FloatMatrix* out);
 
 // Variant-pinned entries for the bit-identity tests and benches; CHECK-fail
-// if `v` is unavailable (same gate as CpuSpmmVariantAvailable — the SpMV
-// AVX2 unit shares the SpMM compile/runtime requirements).
+// if `v` is unavailable (same gate as CpuSpmmVariantAvailable — the INT8
+// AVX2 unit shares the SpMM compile/runtime requirements). The FP16 form is
+// CpuSpmmAccumulateIntoVariant at N = 1.
 void CpuSpmvAccumulateIntoVariant(const TcaBmeMatrix& w, const HalfMatrix& x,
                                   SpmmWorkspace* ws, FloatMatrix* out,
                                   CpuSpmmVariant v);

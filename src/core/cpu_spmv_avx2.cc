@@ -1,36 +1,15 @@
-// AVX2 unit of the SpMV fast path. Built with -mavx2 -mfma -mf16c when the
+// AVX2 unit of the INT8 SpMV. Built with -mavx2 -mfma -mf16c when the
 // compiler supports them (see src/core/CMakeLists.txt); kernels run only
 // after runtime feature detection, so the rest of the binary stays executable
-// on baseline x86-64 and non-x86 hosts.
+// on baseline x86-64 and non-x86 hosts. (The FP16 SpMV is the N = 1 case of
+// the SpMM block tile in cpu_backend_avx2.cc.)
 //
-// Vectorization scheme — across rows, never within a row. Each output
-// element's value is a scalar accumulation chain (ascending column order,
-// separate mul/add roundings), so a horizontal SIMD sum would change result
-// bits. Instead, one ymm register holds the 8 output-row accumulators of a
-// BitmapTile (output rows are contiguous at N = 1), and the kernel sweeps the
-// tile's 8 columns in order:
-//
-//   1. Expand the row-major compressed Values run into one 8-float vector
-//      per tile row with a 256-entry prefix-popcount permutation LUT
-//      (vpermps) — lane cc of row rr's vector holds value(rr, cc) when bit
-//      (rr, cc) is set, a don't-care otherwise.
-//   2. Transpose the 8 row vectors (classic 8x8 unpack/shuffle/permute2f128)
-//      to get per-column value vectors.
-//   3. For each column cc: acc' = acc + col_cc * broadcast(x[bt_c + cc]),
-//      then blend acc' into acc only in lanes whose bitmap bit is set
-//      (vblendvps keys on the sign bit; the mask is the bitmap's row bytes
-//      shifted so bit cc lands in bit 31). Unset lanes keep acc bitwise —
-//      adding a zero instead would already turn -0.0 into +0.0.
-//
-// Per lane that is exactly the scalar chain: one vmulps rounding, one vaddps
-// rounding per set bit, ascending cc. No FMA anywhere; the TU is also built
-// with -ffp-contract=off so the compiler cannot re-fuse.
-//
-// The INT8 kernel expands each row's codes with a byte-shuffle LUT (pshufb,
-// 0x80 sentinels zero the unset lanes), widens to int16 (vpmovsxbw), and
+// The kernel expands each row's codes with a byte-shuffle LUT (pshufb, 0x80
+// sentinels zero the unset lanes), widens to int16 (vpmovsxbw), and
 // multiply-accumulates against the quantized activations with vpmaddwd. The
 // integer dot is exact, so lane order is free; only the final
-// scale * float(idot) mul-then-add touches floats, in fixed row order.
+// scale * float(idot) mul-then-add touches floats, in fixed row order, and
+// the TU is built with -ffp-contract=off so the compiler cannot fuse it.
 #include "src/core/cpu_spmv_inner.h"
 #include "src/util/check.h"
 
@@ -46,34 +25,10 @@ namespace cpu_spmv_detail {
 
 namespace {
 
-// For each 8-bit row mask, lane cc holds the rank (prefix popcount) of bit
-// cc: the index of value(rr, cc) within the row's packed Values run. Unset
-// lanes get the running rank too — they select an in-bounds don't-care that
-// the blend discards (the staging pad is zeroed, so even one-past-the-run
-// stays a real float, never uninitialized garbage).
-struct PermLut {
-  alignas(32) int32_t idx[256][8];
-};
-
-constexpr PermLut MakePermLut() {
-  PermLut lut{};
-  for (int mask = 0; mask < 256; ++mask) {
-    int rank = 0;
-    for (int cc = 0; cc < 8; ++cc) {
-      lut.idx[mask][cc] = rank;
-      if ((mask >> cc) & 1) {
-        ++rank;
-      }
-    }
-  }
-  return lut;
-}
-
-constexpr PermLut kPermLut = MakePermLut();
-
-// Byte-shuffle variant for INT8 codes: set lanes select their rank, unset
-// lanes use the 0x80 sentinel (pshufb writes zero), so expanded codes are
-// exact — no blend needed on the integer side.
+// Byte-shuffle LUT for INT8 codes: set lanes select their rank (prefix
+// popcount) within the row's packed run, unset lanes use the 0x80 sentinel
+// (pshufb writes zero), so expanded codes are exact — no blend needed on the
+// integer side.
 struct ShufLut {
   alignas(16) uint8_t idx[256][16];
 };
@@ -95,83 +50,7 @@ constexpr ShufLut MakeShufLut() {
 
 constexpr ShufLut kShufLut = MakeShufLut();
 
-// Below this population count the expand+transpose overhead (~40 shuffle-
-// port ops per tile) loses to the scalar bit walk. Speed-only knob: both
-// paths produce identical bits by the shared-chain contract.
-constexpr int kSpmvScalarTileMaxPc = 12;
-
-inline void Avx2SpmvTile(uint64_t bitmap, int pc, const float* vals,
-                         int64_t bt_r, int64_t bt_c, const float* xf,
-                         float* out) {
-  if (pc <= kSpmvScalarTileMaxPc) {
-    ScalarSpmvTile(bitmap, vals, bt_r, bt_c, xf, out);
-    return;
-  }
-  // 1. Expand each row's packed values into column-aligned lanes.
-  __m256 rows[8];
-  int off = 0;
-  for (int rr = 0; rr < 8; ++rr) {
-    const uint32_t rm = static_cast<uint32_t>(bitmap >> (rr * 8)) & 0xFFu;
-    if (rm == 0) {
-      rows[rr] = _mm256_setzero_ps();
-      continue;
-    }
-    const __m256i perm =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(kPermLut.idx[rm]));
-    rows[rr] = _mm256_permutevar8x32_ps(_mm256_loadu_ps(vals + off), perm);
-    off += std::popcount(rm);
-  }
-  // 2. 8x8 transpose: rows[rr] lane cc -> cols[cc] lane rr.
-  const __m256 t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
-  const __m256 t1 = _mm256_unpackhi_ps(rows[0], rows[1]);
-  const __m256 t2 = _mm256_unpacklo_ps(rows[2], rows[3]);
-  const __m256 t3 = _mm256_unpackhi_ps(rows[2], rows[3]);
-  const __m256 t4 = _mm256_unpacklo_ps(rows[4], rows[5]);
-  const __m256 t5 = _mm256_unpackhi_ps(rows[4], rows[5]);
-  const __m256 t6 = _mm256_unpacklo_ps(rows[6], rows[7]);
-  const __m256 t7 = _mm256_unpackhi_ps(rows[6], rows[7]);
-  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 cols[8] = {_mm256_permute2f128_ps(u0, u4, 0x20),
-                          _mm256_permute2f128_ps(u1, u5, 0x20),
-                          _mm256_permute2f128_ps(u2, u6, 0x20),
-                          _mm256_permute2f128_ps(u3, u7, 0x20),
-                          _mm256_permute2f128_ps(u0, u4, 0x31),
-                          _mm256_permute2f128_ps(u1, u5, 0x31),
-                          _mm256_permute2f128_ps(u2, u6, 0x31),
-                          _mm256_permute2f128_ps(u3, u7, 0x31)};
-  // 3. Masked column sweep. rowbytes lane rr = row rr's 8-bit mask; shifting
-  // bit cc into bit 31 makes vblendvps select the updated accumulator
-  // exactly where bit (rr, cc) is set.
-  const __m256i rowbytes =
-      _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(static_cast<long long>(bitmap)));
-  __m256 acc = _mm256_loadu_ps(out + bt_r);
-  for (int cc = 0; cc < 8; ++cc) {
-    const __m256 xb = _mm256_broadcast_ss(xf + bt_c + cc);
-    const __m256 sum = _mm256_add_ps(acc, _mm256_mul_ps(cols[cc], xb));
-    const __m256i lane_mask = _mm256_slli_epi32(rowbytes, 31 - cc);
-    acc = _mm256_blendv_ps(acc, sum, _mm256_castsi256_ps(lane_mask));
-  }
-  _mm256_storeu_ps(out + bt_r, acc);
-}
-
-// F16C batch conversion that also zeroes the 8-float staging pad, so the
-// expansion's one-past-the-run permute lanes read real (zero) floats.
-struct Avx2ConvertPadded {
-  void operator()(const Half* src, float* dst, size_t count) const {
-    cpu_backend_detail::ConvertHalfToFloatAvx2(src, dst, count);
-    static_assert(kSpmvStagePadFloats == 8, "pad is one ymm store");
-    _mm256_storeu_ps(dst + count, _mm256_setzero_ps());
-  }
-};
-
-inline void Avx2SpmvTileInt8(uint64_t bitmap, int pc, const int8_t* codes,
+inline void Avx2Int8SpmvTile(uint64_t bitmap, int pc, const int8_t* codes,
                              float scale, int64_t bt_r, int64_t bt_c,
                              const int16_t* xq, float* out) {
   (void)pc;
@@ -202,27 +81,13 @@ inline void Avx2SpmvTileInt8(uint64_t bitmap, int pc, const int8_t* codes,
 
 }  // namespace
 
-void ProcessGroupTileSpmvAvx2(const TcaBmeMatrix& w, int64_t gt,
-                              const float* xf, float* out,
-                              SpmmPhaseRecorder* rec) {
-  const auto tile = [](uint64_t bitmap, int pc, const float* vals, int64_t bt_r,
-                       int64_t bt_c, const float* x, float* o) {
-    Avx2SpmvTile(bitmap, pc, vals, bt_r, bt_c, x, o);
-  };
-  if (rec != nullptr) {
-    ProcessGroupTileSpmv<true>(w, gt, xf, out, tile, Avx2ConvertPadded{}, rec);
-  } else {
-    ProcessGroupTileSpmv<false>(w, gt, xf, out, tile, Avx2ConvertPadded{});
-  }
-}
-
 void ProcessGroupTileSpmvInt8Avx2(const TcaBmeQuantMatrix& w, int64_t gt,
                                   const int16_t* xq, float x_scale, float* out,
                                   SpmmPhaseRecorder* rec) {
   const auto tile = [](uint64_t bitmap, int pc, const int8_t* codes,
                        float scale, int64_t bt_r, int64_t bt_c,
                        const int16_t* x, float* o) {
-    Avx2SpmvTileInt8(bitmap, pc, codes, scale, bt_r, bt_c, x, o);
+    Avx2Int8SpmvTile(bitmap, pc, codes, scale, bt_r, bt_c, x, o);
   };
   if (rec != nullptr) {
     ProcessGroupTileSpmvInt8<true>(w, gt, xq, x_scale, out, tile, rec);
@@ -232,17 +97,6 @@ void ProcessGroupTileSpmvInt8Avx2(const TcaBmeQuantMatrix& w, int64_t gt,
 }
 
 #else  // !SPINFER_CPU_SPMV_AVX2
-
-void ProcessGroupTileSpmvAvx2(const TcaBmeMatrix& w, int64_t gt,
-                              const float* xf, float* out,
-                              SpmmPhaseRecorder* rec) {
-  (void)w;
-  (void)gt;
-  (void)xf;
-  (void)out;
-  (void)rec;
-  SPINFER_CHECK_MSG(false, "AVX2 CPU SpMV kernel was not compiled into this binary");
-}
 
 void ProcessGroupTileSpmvInt8Avx2(const TcaBmeQuantMatrix& w, int64_t gt,
                                   const int16_t* xq, float x_scale, float* out,

@@ -6,11 +6,12 @@
 //
 // Vectorization scheme, per the chain contract in paged_attention_inner.h:
 //   * QK vectorizes *across keys*: eight K rows of a block are 8x8-transposed
-//     (the same unpack/shuffle/permute2f128 kernel as cpu_spmv_avx2.cc) so
-//     one ymm register holds eight keys' partial dots, and the head dimension
-//     is swept in ascending order with one vmulps + one vaddps per element —
-//     each lane is exactly the scalar ascending-r chain of one key. The
-//     final scale is one vmulps, matching the scalar dot * inv_sqrt_d.
+//     (the same unpack/shuffle/permute2f128 kernel as the block tile in
+//     cpu_backend_avx2.cc) so one ymm register holds eight keys' partial
+//     dots, and the head dimension is swept in ascending order with one
+//     vmulps + one vaddps per element — each lane is exactly the scalar
+//     ascending-r chain of one key. The final scale is one vmulps, matching
+//     the scalar dot * inv_sqrt_d.
 //   * PV vectorizes *across the head dimension*: output-row chains are
 //     mutually independent, so acc[r..r+7] += broadcast(score[t]) * v[r..r+7]
 //     with explicit mul/add keeps every row's ascending-t chain intact.

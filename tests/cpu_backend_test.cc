@@ -119,8 +119,9 @@ TEST(CpuBackendTest, BitIdenticalAcrossThreadCounts) {
 
 TEST(CpuBackendTest, RaggedShapesOffTileBoundaries) {
   // Shapes that leave partial BitmapTiles on both edges, crossed with N that
-  // reaches every kernel path: SpMV (1), the masked decode-width walk (5),
-  // and the RowTerm tiers' masked remainder (31 = 3x8+7, 33 = 32+1).
+  // reaches every kernel path: the block tile in place (1) and on a
+  // column-major copy (5), and the RowTerm tiers' masked remainder
+  // (31 = 3x8+7, 33 = 32+1).
   const std::pair<int64_t, int64_t> shapes[] = {{70, 90}, {129, 257}};
   for (const auto& [m, k] : shapes) {
     for (const int64_t n : {int64_t{1}, int64_t{5}, int64_t{31}, int64_t{33}}) {
@@ -218,24 +219,29 @@ FloatMatrix PrefilledOutput(int64_t rows, int64_t cols, uint64_t seed) {
   return out;
 }
 
-// Columns [0, cols) of a HalfMatrix or FloatMatrix.
+// Columns [first, first + count) of a HalfMatrix or FloatMatrix.
 template <typename Matrix>
-Matrix LeadingColumns(const Matrix& m, int64_t cols) {
-  Matrix out(m.rows(), cols);
+Matrix ColumnSlice(const Matrix& m, int64_t first, int64_t count) {
+  Matrix out(m.rows(), count);
   for (int64_t r = 0; r < m.rows(); ++r) {
-    for (int64_t c = 0; c < cols; ++c) {
-      out.at(r, c) = m.at(r, c);
+    for (int64_t c = 0; c < count; ++c) {
+      out.at(r, c) = m.at(r, first + c);
     }
   }
   return out;
 }
 
+// Columns [0, cols) of a HalfMatrix or FloatMatrix.
+template <typename Matrix>
+Matrix LeadingColumns(const Matrix& m, int64_t cols) {
+  return ColumnSlice(m, 0, cols);
+}
+
 TEST(CpuBackendTest, NarrowPanelColumnsMatchWidePanelBitwise) {
-  // N-blocks of width <= 8 take the fused decode-width walk with their lanes
-  // past N masked off; a 13-wide block takes RowTerm staging. Both form each
-  // element's chain in the same order, so column j of an N-wide call equals
-  // column j of the 13-wide call bit for bit. The variant-pinned entry never
-  // routes N = 1 to SpMV, so N = 1 runs the walk too.
+  // N-blocks of width <= 8 take the block tile; a 13-wide block takes
+  // RowTerm staging. Both form each element's chain in the same order, so
+  // column j of an N-wide call equals column j of the 13-wide call bit for
+  // bit.
   constexpr int64_t kWide = 13;
   std::vector<CpuSpmmVariant> variants = {CpuSpmmVariant::kPortable};
   if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
@@ -288,6 +294,42 @@ TEST(CpuBackendTest, SimdVariantsBitIdenticalAtEveryWidth) {
       FloatMatrix avx2 = init;
       CpuSpmmAccumulateIntoVariant(enc, x, &ws, &avx2, CpuSpmmVariant::kAvx2);
       ExpectSameBits(portable, avx2);
+    }
+  }
+}
+
+TEST(CpuBackendTest, NarrowTailBlockMatchesNarrowCallBitwise) {
+  // A panel 129..136 wide ends in a block at most 8 wide, which runs the
+  // block tile on its own column-major copy of columns [128, N) while the
+  // first 128 columns stage RowTerms. Each block must land exactly where a
+  // call of its own width would: a wrong column offset or row stride in the
+  // block copy shows up as a mismatch against the narrow call.
+  constexpr int64_t kLead = kCpuSpmmNBlock;
+  std::vector<CpuSpmmVariant> variants = {CpuSpmmVariant::kPortable};
+  if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
+    variants.push_back(CpuSpmmVariant::kAvx2);
+  }
+  for (const double sparsity : {0.3, 0.6, 0.9}) {
+    Rng rng(705 + static_cast<uint64_t>(sparsity * 100));
+    const HalfMatrix w = HalfMatrix::RandomSparse(129, 257, sparsity, rng);
+    const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+    for (const int64_t n : {int64_t{129}, int64_t{132}, int64_t{136}}) {
+      const HalfMatrix x = HalfMatrix::Random(257, n, rng, 0.5f);
+      const FloatMatrix init = PrefilledOutput(129, n, 706 + static_cast<uint64_t>(n));
+      for (const CpuSpmmVariant v : variants) {
+        SCOPED_TRACE(::testing::Message() << CpuSpmmVariantName(v)
+                                          << " sparsity=" << sparsity << " n=" << n);
+        SpmmWorkspace ws;
+        FloatMatrix full = init;
+        CpuSpmmAccumulateIntoVariant(enc, x, &ws, &full, v);
+        FloatMatrix lead = ColumnSlice(init, 0, kLead);
+        CpuSpmmAccumulateIntoVariant(enc, ColumnSlice(x, 0, kLead), &ws, &lead, v);
+        ExpectSameBits(ColumnSlice(full, 0, kLead), lead);
+        FloatMatrix tail = ColumnSlice(init, kLead, n - kLead);
+        CpuSpmmAccumulateIntoVariant(enc, ColumnSlice(x, kLead, n - kLead), &ws,
+                                     &tail, v);
+        ExpectSameBits(ColumnSlice(full, kLead, n - kLead), tail);
+      }
     }
   }
 }

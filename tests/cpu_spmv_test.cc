@@ -1,15 +1,18 @@
-// Differential suite for the bitmap-direct SpMV fast path.
+// Differential suite for the single-column SpMV entry points.
 //
-// The load-bearing property is bit-identity with the N-blocked CpuSpmm at
-// N = 1: the public CpuSpmm* entries route single-column calls to SpMV, so
-// any bit of divergence would make batch-1 results differ from the same
-// sequence decoded inside a larger batch. The N-blocked reference is reached
-// through CpuSpmmAccumulateIntoVariant, which deliberately never routes.
+// The load-bearing property is bit-identity with CpuSpmm: any bit of
+// divergence would make batch-1 results differ from the same sequence
+// decoded inside a larger batch. The FP16 SpMV is the SpMM driver's N = 1
+// case, so comparing it with a variant-pinned N = 1 SpMM call checks the
+// entry points and variants against each other; the independent oracle is
+// column 0 of a 13-wide call, which runs RowTerm staging instead of the
+// block tile.
 #include "src/core/cpu_spmv.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/core/cpu_backend.h"
@@ -30,8 +33,7 @@ void ExpectBitIdentical(const FloatMatrix& a, const FloatMatrix& b) {
   }
 }
 
-// The N-blocked tiling on the same single-column input: the ground truth
-// every SpMV result in this file is compared against.
+// The variant-pinned SpMM entry on the same single-column input.
 FloatMatrix SpmmReferenceN1(const TcaBmeMatrix& enc, const HalfMatrix& x) {
   SpmmWorkspace ws;
   FloatMatrix ref(enc.rows(), 1);
@@ -192,6 +194,86 @@ TEST(CpuSpmvTest, WarmedDecodeLoopIsAllocationFree) {
     ExpectBitIdentical(out, SpmmReferenceN1(enc, x));
   }
   EXPECT_GT(ws.capacity_bytes(), 0u);
+}
+
+// Bit-pattern equality: unlike ExpectBitIdentical's float compare it tells
+// -0.0 from +0.0.
+void ExpectSameBits(const FloatMatrix& a, const FloatMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (int64_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(a.data()[i]),
+              std::bit_cast<uint32_t>(b.data()[i]))
+        << "first mismatch at flat index " << i << " of " << a.size();
+  }
+}
+
+FloatMatrix Column0(const FloatMatrix& m) {
+  FloatMatrix out(m.rows(), 1);
+  for (int64_t r = 0; r < m.rows(); ++r) {
+    out.at(r, 0) = m.at(r, 0);
+  }
+  return out;
+}
+
+TEST(CpuSpmvTest, FloatSpmvMatchesColumnOfWideRowTermCall) {
+  // A 13-wide block stages RowTerms, a path the single-column block tile
+  // shares nothing with below the tile walk, and forms every element's chain
+  // in the same order; so column 0 of that call is an oracle for all three
+  // FP16 SpMV forms. Every seventh weight row is zeroed: those outputs take
+  // no product at all and must keep the accumulate form's -0.0 bitwise.
+  constexpr int64_t kWide = 13;
+  std::vector<CpuSpmmVariant> variants = {CpuSpmmVariant::kPortable};
+  if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
+    variants.push_back(CpuSpmmVariant::kAvx2);
+  }
+  for (const double sparsity : {0.01, 0.3, 0.5, 0.7, 0.9}) {
+    SCOPED_TRACE(::testing::Message() << "sparsity=" << sparsity);
+    Rng rng(712 + static_cast<uint64_t>(sparsity * 1000));
+    HalfMatrix w = HalfMatrix::RandomSparse(160, 224, sparsity, rng);
+    for (int64_t r = 3; r < w.rows(); r += 7) {
+      for (int64_t c = 0; c < w.cols(); ++c) {
+        w.at(r, c) = Half(0.0f);
+      }
+    }
+    const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+    FloatMatrix xf(224, kWide);
+    HalfMatrix xh(224, kWide);
+    for (int64_t i = 0; i < xf.size(); ++i) {
+      xf.data()[i] = static_cast<float>(rng.Gaussian() * 0.5);
+      xh.data()[i] = Half(xf.data()[i]);
+    }
+    FloatMatrix x1f(224, 1);
+    HalfMatrix x1h(224, 1);
+    for (int64_t r = 0; r < 224; ++r) {
+      x1f.at(r, 0) = xf.at(r, 0);
+      x1h.at(r, 0) = xh.at(r, 0);
+    }
+    FloatMatrix neg_zero(160, 1);
+    neg_zero.Fill(-0.0f);
+    for (const CpuSpmmVariant v : variants) {
+      SCOPED_TRACE(CpuSpmmVariantName(v));
+      SpmmWorkspace ws;
+      FloatMatrix wide(160, kWide);
+      wide.Fill(0.0f);
+      CpuSpmmAccumulateIntoVariant(enc, xh, &ws, &wide, v);
+      FloatMatrix wide_acc(160, kWide);
+      wide_acc.Fill(-0.0f);
+      CpuSpmmAccumulateIntoVariant(enc, xh, &ws, &wide_acc, v);
+
+      FloatMatrix got;
+      CpuSpmvInto(enc, x1h, &ws, &got);
+      ExpectSameBits(got, Column0(wide));
+      CpuSpmvQuantInto(enc, x1f, &ws, &got);
+      ExpectSameBits(got, Column0(wide));
+      got = neg_zero;
+      CpuSpmvAccumulateInto(enc, x1h, &ws, &got);
+      ExpectSameBits(got, Column0(wide_acc));
+      got = neg_zero;
+      CpuSpmvAccumulateIntoVariant(enc, x1h, &ws, &got, v);
+      ExpectSameBits(got, Column0(wide_acc));
+    }
+  }
 }
 
 // --- INT8 path ------------------------------------------------------------

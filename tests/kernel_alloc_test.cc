@@ -99,9 +99,10 @@ TEST_F(KernelAllocTest, WarmSpmmCallsAllocateNothing) {
   Rng rng(811);
   const HalfMatrix w = HalfMatrix::RandomSparse(192, 160, 0.6, rng);
   const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
-  // N = 1 routes to SpMV, 4 runs the masked decode-width walk, 8 the full
-  // decode width, and 64 RowTerm staging.
-  for (const int64_t n : {1, 4, 8, 64}) {
+  // N = 1 runs the block tile in place on the output, 2, 4 and 8 on the
+  // workspace's column-major block, 64 RowTerm staging, and 132 both: RowTerm
+  // staging for its first 128 columns and the block tile for the last 4.
+  for (const int64_t n : {1, 2, 4, 8, 64, 132}) {
     const FloatMatrix x = RandomActivations(160, n, rng);
     SpmmWorkspace ws;
     FloatMatrix out;
@@ -115,6 +116,16 @@ TEST_F(KernelAllocTest, WarmSpmmCallsAllocateNothing) {
   EXPECT_EQ(WarmAllocations([&] { CpuSpmmQuantAccumulateInto(enc, x, &ws, &out); }),
             0)
       << "CpuSpmmQuantAccumulateInto at n=4";
+}
+
+TEST_F(KernelAllocTest, WarmFloatSpmvCallAllocatesNothing) {
+  Rng rng(813);
+  const HalfMatrix w = HalfMatrix::RandomSparse(192, 160, 0.6, rng);
+  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+  const FloatMatrix x = RandomActivations(160, 1, rng);
+  SpmmWorkspace ws;
+  FloatMatrix out;
+  EXPECT_EQ(WarmAllocations([&] { CpuSpmvQuantInto(enc, x, &ws, &out); }), 0);
 }
 
 TEST_F(KernelAllocTest, WarmInt8SpmvCallAllocatesNothing) {
