@@ -118,6 +118,12 @@ DisaggCluster::DisaggCluster(const TinyTransformer* model,
   SPINFER_CHECK(model != nullptr);
   SPINFER_CHECK(cfg.prefill_instances >= 0 && cfg.decode_instances >= 0);
   SPINFER_CHECK(cfg.max_decode_batch > 0);
+  SPINFER_CHECK_MSG(
+      cfg.prefill_cost.model.heads > 0,
+      "DisaggClusterConfig::prefill_cost.model is unset (heads == 0)");
+  SPINFER_CHECK_MSG(
+      cfg.decode_cost.model.heads > 0,
+      "DisaggClusterConfig::decode_cost.model is unset (heads == 0)");
   samples_.resize(static_cast<size_t>(std::max<int64_t>(cfg.decode_instances, 0)));
 }
 
@@ -190,8 +196,8 @@ DisaggClusterReport DisaggCluster::Run() {
     const int64_t len = static_cast<int64_t>(r.prompt.size());
     // Both pools share one geometry, and a prompt's blocks never exceed its
     // worst case, so the decode pool's verdict covers the prefill pool.
-    if (!usable || !IsServable(decodes[0]->substrate.cache(), model_->config().max_seq,
-                               len, r.max_new_tokens)) {
+    if (!usable || !IsServable(decodes[0]->substrate.cache(), model_->config(),
+                               r.prompt, r.max_new_tokens)) {
       r.reason = FinishReason::kRejected;
       ++report.rejected;
       continue;

@@ -145,6 +145,9 @@ ServingEngine::ServingEngine(ServingSubstrate* substrate,
   SPINFER_CHECK(substrate != nullptr);
   SPINFER_CHECK(cfg.max_batch > 0);
   SPINFER_CHECK(cfg.prefill_chunk_tokens >= 0);
+  SPINFER_CHECK_MSG(cfg.cost.model.heads > 0,
+                    "ServingEngineConfig::cost.model is unset (heads == 0); "
+                    "price the engine with e.g. ModelConfigFor(model.config())");
   if (kServingObs) {
     if (cfg.obs.request_timeline) {
       request_log_ = std::make_unique<obs::RequestLog>(cfg.obs.wall_clock);
@@ -229,10 +232,15 @@ void ServingEngine::InjectPoissonArrivals(const PoissonTraffic& t) {
   }
 }
 
-bool IsServable(const PagedKvCache& pool, int64_t max_seq, int64_t prompt_len,
-                int64_t max_new) {
-  return prompt_len >= 1 && max_new >= 1 && prompt_len + max_new <= max_seq &&
-         pool.BlocksForTokens(prompt_len + max_new) <= pool.total_blocks();
+bool IsServable(const PagedKvCache& pool, const TinyConfig& model,
+                const std::vector<int32_t>& prompt, int64_t max_new) {
+  const int64_t prompt_len = static_cast<int64_t>(prompt.size());
+  return prompt_len >= 1 && max_new >= 1 &&
+         max_new <= model.max_seq - prompt_len &&  // no overflow on max_new
+         pool.BlocksForTokens(prompt_len + max_new) <= pool.total_blocks() &&
+         std::all_of(prompt.begin(), prompt.end(), [&](int32_t t) {
+           return t >= 0 && t < model.vocab;
+         });
 }
 
 ExecServingReport ServingEngine::Run() {
@@ -384,8 +392,8 @@ ExecServingReport ServingEngine::Run() {
         break;
       }
       const int64_t prompt_len = static_cast<int64_t>(r.prompt.size());
-      if (!IsServable(substrate_->cache(), substrate_->model_config().max_seq,
-                      prompt_len, r.max_new_tokens)) {
+      if (!IsServable(substrate_->cache(), substrate_->model_config(), r.prompt,
+                      r.max_new_tokens)) {
         queue.pop_front();
         r.reason = FinishReason::kRejected;
         r.finish_s = now_s;

@@ -68,7 +68,8 @@ enum class FinishReason {
   kNone,       // still queued or running
   kEos,        // generated the configured EOS token
   kMaxTokens,  // hit its max_new_tokens budget
-  kRejected,   // can never run (empty/oversized prompt, or footprint > pool)
+  kRejected,   // can never run (empty/oversized prompt, a token outside the
+               // vocabulary, or footprint > pool)
   kCancelled,  // client cancellation (ServingEngine::Cancel)
 };
 
@@ -76,9 +77,10 @@ const char* FinishReasonName(FinishReason r);
 
 // The servability rule every scheduler rejects by: a request can ever run
 // only with a non-empty prompt and budget, prompt + budget within the
-// model's context window `max_seq`, and its worst-case blocks within `pool`.
-bool IsServable(const PagedKvCache& pool, int64_t max_seq, int64_t prompt_len,
-                int64_t max_new);
+// model's context window `max_seq`, its worst-case blocks within `pool`, and
+// every prompt token in [0, vocab).
+bool IsServable(const PagedKvCache& pool, const TinyConfig& model,
+                const std::vector<int32_t>& prompt, int64_t max_new);
 
 // Request-scoped observability. Everything is default-off, and enabling any
 // of it never changes token streams, reports, or the virtual clock

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/core/cpu_backend.h"
 #include "src/llm/paged_attention.h"
@@ -39,6 +40,7 @@ void CopyInto(const FloatMatrix& src, FloatMatrix* dst) {
 // LayerNorm over the hidden dimension. Activations are (hidden x seq):
 // normalize each column.
 void LayerNormColumns(FloatMatrix* a) {
+  SPINFER_TRACE_SCOPE("tt.layernorm");
   const int64_t h = a->rows();
   for (int64_t c = 0; c < a->cols(); ++c) {
     double mean = 0.0;
@@ -57,12 +59,6 @@ void LayerNormColumns(FloatMatrix* a) {
       a->at(r, c) = static_cast<float>((a->at(r, c) - mean) * inv);
     }
   }
-}
-
-float Gelu(float x) {
-  // tanh approximation, the variant transformer stacks use.
-  const float c = 0.7978845608f;  // sqrt(2/pi)
-  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
 }
 
 // Band `band` of `bands` of `w`'s rows as an owned copy; the slice spans the
@@ -87,6 +83,53 @@ void EncodeLayer(TinyTransformer::Layer* l) {
 
 }  // namespace
 
+float RationalTanh(float a) {
+  // Eigen's generic_fast_tanh_float: an odd 13/6 rational minimax whose p/q
+  // rounds to exactly +-1 at the clamp. std::min/std::max return their first
+  // argument when the comparison is false, so NaN passes the clamps.
+  const float x = std::max(std::min(a, 7.90531110763549805f),
+                           -7.90531110763549805f);
+  const float x2 = x * x;
+  float p = x2 * -2.76076847742355e-16f + 2.00018790482477e-13f;
+  p = p * x2 + -8.60467152213735e-11f;
+  p = p * x2 + 5.12229709037114e-08f;
+  p = p * x2 + 1.48572235717979e-05f;
+  p = p * x2 + 6.37261928875436e-04f;
+  p = p * x2 + 4.89352455891786e-03f;
+  p = p * x;
+  float q = x2 * 1.19825839466702e-06f + 1.18534705686654e-04f;
+  q = q * x2 + 2.26843463243900e-03f;
+  q = q * x2 + 4.89352518554385e-03f;
+  return std::fabs(a) < 0.0004f ? a : p / q;
+}
+
+void GeluInPlace(std::span<float> x) {
+  const float c = 0.7978845608f;  // sqrt(2/pi)
+  for (float& v : x) {
+    v = 0.5f * v * (1.0f + RationalTanh(c * (v + 0.044715f * v * v * v)));
+  }
+}
+
+void UnembedInto(const FloatMatrix& emb, const FloatMatrix& act,
+                 std::span<const int64_t> cols, FloatMatrix* logits) {
+  SPINFER_CHECK_EQ(act.rows(), emb.rows());
+  const int64_t vocab = emb.cols();
+  logits->Reshape(static_cast<int64_t>(cols.size()), vocab);
+  logits->Fill(0.0f);
+  // r outer, vocabulary innermost: the lanes run across neighbouring logits,
+  // each still one chain over r ascending.
+  for (int64_t r = 0; r < emb.rows(); ++r) {
+    const float* e = emb.data() + r * vocab;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      const float a = act.at(r, cols[i]);
+      float* out = logits->data() + static_cast<int64_t>(i) * vocab;
+      for (int64_t v = 0; v < vocab; ++v) {
+        out[v] += e[v] * a;
+      }
+    }
+  }
+}
+
 int32_t GreedyToken(const FloatMatrix& logits, int64_t row) {
   int32_t best = 0;
   float best_score = logits.at(row, 0);
@@ -105,7 +148,19 @@ TinyTransformer::TinyTransformer(const TinyConfig& config, uint64_t seed)
   SPINFER_CHECK(config.heads % config.kv_head_count() == 0);
   Rng rng(seed);
   const float scale = 1.0f / std::sqrt(static_cast<float>(config.hidden));
-  embedding_ = HalfMatrix::Random(config.vocab, config.hidden, rng, scale);
+  const HalfMatrix embedding =
+      HalfMatrix::Random(config.vocab, config.hidden, rng, scale);
+  embedding_ = FloatMatrix(config.hidden, config.vocab);
+  for (int64_t v = 0; v < config.vocab; ++v) {
+    for (int64_t r = 0; r < config.hidden; ++r) {
+      embedding_.at(r, v) = embedding.at(v, r).ToFloat();
+    }
+  }
+  pos_divisor_.resize(static_cast<size_t>(config.hidden));
+  for (int64_t r = 0; r < config.hidden; ++r) {
+    pos_divisor_[static_cast<size_t>(r)] =
+        std::pow(10000.0, static_cast<double>(2 * (r / 2)) / config.hidden);
+  }
   layers_.resize(static_cast<size_t>(config.layers));
   for (Layer& l : layers_) {
     l.wq = HalfMatrix::Random(config.hidden, config.hidden, rng, scale);
@@ -207,9 +262,9 @@ void TinyTransformer::EmbedInto(int32_t token, int64_t pos, int64_t col,
   // absolute position, so a decode step embeds exactly the bits a
   // full-sequence Forward would give that position.
   for (int64_t r = 0; r < h; ++r) {
-    const double p = static_cast<double>(pos) /
-                     std::pow(10000.0, static_cast<double>(2 * (r / 2)) / h);
-    act->at(r, col) = embedding_.at(token, r).ToFloat() +
+    const double p =
+        static_cast<double>(pos) / pos_divisor_[static_cast<size_t>(r)];
+    act->at(r, col) = embedding_.at(r, token) +
                       0.1f * static_cast<float>((r % 2 == 0) ? std::sin(p)
                                                              : std::cos(p));
   }
@@ -325,28 +380,20 @@ FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
     CopyInto(act, &s.ffn_in);
     LayerNormColumns(&s.ffn_in);
     MatmulInto(l.fc1, l.enc_fc1, s.ffn_in, backend, "tt.matmul.fc1", &s.hidden_act);
-    for (int64_t i = 0; i < s.hidden_act.size(); ++i) {
-      s.hidden_act.data()[i] = Gelu(s.hidden_act.data()[i]);
-    }
+    GeluInPlace({s.hidden_act.data(), static_cast<size_t>(s.hidden_act.size())});
     MatmulInto(l.fc2, l.enc_fc2, s.hidden_act, backend, "tt.matmul.fc2", &s.ffn_out);
     for (int64_t i = 0; i < act.size(); ++i) {
       act.data()[i] += s.ffn_out.data()[i];
     }
   }
 
-  // Final LN + tied unembedding: logits[t][v] = <embedding_v, act_t>.
-  SPINFER_TRACE_SCOPE("tt.unembed");
+  // Final LN + tied unembedding of every position.
   LayerNormColumns(&act);
-  FloatMatrix logits(seq, config_.vocab);
-  for (int64_t t = 0; t < seq; ++t) {
-    for (int64_t vtok = 0; vtok < config_.vocab; ++vtok) {
-      float dot = 0.0f;
-      for (int64_t r = 0; r < h; ++r) {
-        dot += embedding_.at(vtok, r).ToFloat() * act.at(r, t);
-      }
-      logits.at(t, vtok) = dot;
-    }
-  }
+  SPINFER_TRACE_SCOPE("tt.unembed");
+  std::vector<int64_t> cols(static_cast<size_t>(seq));
+  std::iota(cols.begin(), cols.end(), 0);
+  FloatMatrix logits;
+  UnembedInto(embedding_, act, cols, &logits);
   return logits;
 }
 
@@ -413,30 +460,33 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
   s.positions.resize(static_cast<size_t>(n));
   s.attn_items.clear();
   s.producer_cols.clear();
-  for (int64_t i = 0; i < dec; ++i) {
-    for (const RowBand& band : bands) {
-      SPINFER_CHECK_MSG(band.cache->AppendToken(dec_ids[i]),
-                        "KV pool exhausted mid-decode; admission must reserve "
-                        "blocks for a sequence's full max length");
+  {
+    SPINFER_TRACE_SCOPE("tt.embed");
+    for (int64_t i = 0; i < dec; ++i) {
+      for (const RowBand& band : bands) {
+        SPINFER_CHECK_MSG(band.cache->AppendToken(dec_ids[i]),
+                          "KV pool exhausted mid-decode; admission must "
+                          "reserve blocks for a sequence's full max length");
+      }
+      const int64_t pos = lead.SequenceTokens(dec_ids[i]) - 1;
+      SPINFER_CHECK(pos < config_.max_seq);
+      EmbedInto(dec_last[i], pos, /*col=*/i, &s.act);
+      s.positions[static_cast<size_t>(i)] = pos;
+      s.attn_items.push_back({dec_ids[i], /*col=*/i, /*context=*/-1});
+      s.producer_cols.push_back(i);
     }
-    const int64_t pos = lead.SequenceTokens(dec_ids[i]) - 1;
-    SPINFER_CHECK(pos < config_.max_seq);
-    EmbedInto(dec_last[i], pos, /*col=*/i, &s.act);
-    s.positions[static_cast<size_t>(i)] = pos;
-    s.attn_items.push_back({dec_ids[i], /*col=*/i, /*context=*/-1});
-    s.producer_cols.push_back(i);
-  }
-  int64_t col = dec;
-  for (const PrefillChunk& c : chunks) {
-    for (int64_t pos = c.start; pos < c.start + c.count; ++pos, ++col) {
-      EmbedInto((*c.prompt)[static_cast<size_t>(pos)], pos, col, &s.act);
-      s.positions[static_cast<size_t>(col)] = pos;
-      s.attn_items.push_back({c.seq_id, col, /*context=*/pos + 1});
-    }
-    // The final column of a chunk that completes its prompt seeds
-    // generation; mid-prompt columns exist to deposit K/V.
-    if (c.start + c.count == static_cast<int64_t>(c.prompt->size())) {
-      s.producer_cols.push_back(col - 1);
+    int64_t col = dec;
+    for (const PrefillChunk& c : chunks) {
+      for (int64_t pos = c.start; pos < c.start + c.count; ++pos, ++col) {
+        EmbedInto((*c.prompt)[static_cast<size_t>(pos)], pos, col, &s.act);
+        s.positions[static_cast<size_t>(col)] = pos;
+        s.attn_items.push_back({c.seq_id, col, /*context=*/pos + 1});
+      }
+      // The final column of a chunk that completes its prompt seeds
+      // generation; mid-prompt columns exist to deposit K/V.
+      if (c.start + c.count == static_cast<int64_t>(c.prompt->size())) {
+        s.producer_cols.push_back(col - 1);
+      }
     }
   }
 
@@ -506,8 +556,10 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
                [&](const RowBand&, const Layer& l, FloatMatrix* out) {
       MatmulInto(l.fc1, l.enc_fc1, s.ffn_in, backend, "tt.matmul.fc1", out);
     });
-    for (int64_t i = 0; i < s.hidden_act.size(); ++i) {
-      s.hidden_act.data()[i] = Gelu(s.hidden_act.data()[i]);
+    {
+      SPINFER_TRACE_SCOPE("tt.gelu");
+      GeluInPlace(
+          {s.hidden_act.data(), static_cast<size_t>(s.hidden_act.size())});
     }
     fill_bands(layer, h, &s.ffn_out,
                [&](const RowBand&, const Layer& l, FloatMatrix* out) {
@@ -520,20 +572,9 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
 
   // Final LN + tied unembedding — but only for producer columns: every
   // decode column, then each completing chunk's final column.
-  SPINFER_TRACE_SCOPE("tt.unembed");
   LayerNormColumns(&s.act);
-  const int64_t producers = static_cast<int64_t>(s.producer_cols.size());
-  s.logits.Reshape(producers, config_.vocab);
-  for (int64_t i = 0; i < producers; ++i) {
-    const int64_t pcol = s.producer_cols[static_cast<size_t>(i)];
-    for (int64_t vtok = 0; vtok < config_.vocab; ++vtok) {
-      float dot = 0.0f;
-      for (int64_t r = 0; r < h; ++r) {
-        dot += embedding_.at(vtok, r).ToFloat() * s.act.at(r, pcol);
-      }
-      s.logits.at(i, vtok) = dot;
-    }
-  }
+  SPINFER_TRACE_SCOPE("tt.unembed");
+  UnembedInto(embedding_, s.act, s.producer_cols, &s.logits);
   if (dec_next != nullptr) {
     dec_next->resize(static_cast<size_t>(dec));
     for (int64_t i = 0; i < dec; ++i) {

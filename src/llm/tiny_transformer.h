@@ -22,6 +22,14 @@
 //     so a sequence's tokens and logits are bit-identical for any batch
 //     composition, chunking, band count and thread count, and also match
 //     the full-recompute Generate path bit for bit.
+//
+// Both modes share one epilogue (DESIGN.md §5): GELU is GeluInPlace over the
+// repository's own RationalTanh, so its bits come from a fixed sequence of
+// IEEE single-precision operations rather than the host's libm, and the
+// tied unembedding is UnembedInto over the FP32-widened embedding, whose
+// lanes run across the vocabulary while every logit keeps one serial r-
+// ascending chain. Both loops vectorize on the baseline ISA with a single
+// implementation, so the SIMD variants cannot differ there.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +73,24 @@ enum class MatmulBackend {
 // Greedy sampling: the max-logit column of `logits` row `row` (ties break to
 // the lowest token id, matching Generate).
 int32_t GreedyToken(const FloatMatrix& logits, int64_t row);
+
+// The tanh inside GELU: a fixed sequence of separately rounded IEEE
+// single-precision operations, so its bits depend on no host math library.
+// Exactly odd; max abs error 4e-7 on [-12, 12]; exactly +-1 for |a| >=
+// 7.9053111; NaN stays NaN.
+float RationalTanh(float a);
+
+// GELU (tanh form) of every element, in place: the one GELU loop of Forward
+// and the step body. It vectorizes, and each element's result is bitwise the
+// result of a one-element call.
+void GeluInPlace(std::span<float> x);
+
+// The tied unembedding: logits(i, v) = sum_r emb(r, v) * act(r, cols[i]) for
+// a hidden x vocab `emb`, into `logits` (cols.size() x vocab). Each logit is
+// one chain from +0.0f over r ascending, a separately rounded multiply then
+// add per term.
+void UnembedInto(const FloatMatrix& emb, const FloatMatrix& act,
+                 std::span<const int64_t> cols, FloatMatrix* logits);
 
 // One scheduled slice of a prompt for MixedStep: positions
 // [start, start + count) of `*prompt` for `seq_id`, whose cache slots
@@ -237,7 +263,10 @@ class TinyTransformer {
   void EncodeAll();
 
   TinyConfig config_;
-  HalfMatrix embedding_;  // vocab x hidden (tied LM head)
+  // hidden x vocab: the FP16 draws widened exactly (tied LM head).
+  FloatMatrix embedding_;
+  // Per hidden row, the positional signal's divisor 10000^(2*(r/2)/hidden).
+  std::vector<double> pos_divisor_;
   std::vector<Layer> layers_;
   // `mutable`: Forward is logically const. A single TinyTransformer must not
   // run concurrent Forward calls (matching the SpmmWorkspace contract).

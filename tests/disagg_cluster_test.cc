@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -255,6 +256,54 @@ TEST(DisaggClusterTest, UnservableRequestsRejectServableOnesComplete) {
     EXPECT_EQ(cluster.results()[static_cast<size_t>(id)].reason,
               FinishReason::kRejected);
   }
+}
+
+// A prompt token outside [0, vocab) rejects at the prefill side instead of
+// aborting the prefill that would embed it, and so does a budget whose sum
+// with the prompt length would overflow; the neighbors still decode their
+// Generate streams.
+TEST(DisaggClusterTest, OutOfRangeTokenOrBudgetRejected) {
+  const TinyTransformer model = MakePrunedModel();
+  const int32_t vocab = static_cast<int32_t>(model.config().vocab);
+  DisaggCluster cluster(&model, ClusterConfig());
+  Rng rng(57);
+  std::vector<std::vector<int32_t>> good;
+  for (int i = 0; i < 3; ++i) {
+    good.push_back(RandomPrompt(rng, 6 + i, vocab));
+    cluster.Submit(good.back(), 4);
+  }
+  const int64_t past_end = cluster.Submit({1, vocab, 3}, 4);
+  const int64_t negative = cluster.Submit({-1, 2}, 4);
+  const int64_t huge_budget =
+      cluster.Submit(good[0], std::numeric_limits<int64_t>::max());
+  const DisaggClusterReport report = cluster.Run();
+  EXPECT_EQ(report.rejected, 3);
+  EXPECT_EQ(report.completed, 3);
+  for (const int64_t id : {past_end, negative, huge_budget}) {
+    EXPECT_EQ(cluster.results()[static_cast<size_t>(id)].reason,
+              FinishReason::kRejected);
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    const std::vector<int32_t> full =
+        model.Generate(good[i], 4, MatmulBackend::kTcaBmeCpu);
+    EXPECT_EQ(cluster.results()[i].generated,
+              std::vector<int32_t>(full.begin() + good[i].size(), full.end()))
+        << "id=" << i;
+  }
+}
+
+// A cluster without a cost model on either side would divide by its zero
+// head count on the first priced step; it fails at construction instead.
+TEST(DisaggClusterDeathTest, UnsetCostModelFailsAtConstruction) {
+  const TinyTransformer model = MakePrunedModel();
+  DisaggClusterConfig prefill_unset = ClusterConfig();
+  prefill_unset.prefill_cost.model = ModelConfig{};
+  EXPECT_DEATH(DisaggCluster(&model, prefill_unset),
+               "prefill_cost.model is unset");
+  DisaggClusterConfig decode_unset = ClusterConfig();
+  decode_unset.decode_cost.model = ModelConfig{};
+  EXPECT_DEATH(DisaggCluster(&model, decode_unset),
+               "decode_cost.model is unset");
 }
 
 // A max_new_tokens of 1 is satisfied by the prefill token alone: the request

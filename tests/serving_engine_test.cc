@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -169,6 +170,42 @@ TEST(ServingEngineTest, KvDecodeMatchesFullRecomputeGenerate) {
     const std::vector<int32_t> generated(reference.begin() + prompt.size(),
                                          reference.end());
     EXPECT_EQ(paged.tokens, generated);
+  }
+}
+
+// Forward (the oracle) and the step body share one unembedding: a decode
+// step's logits rows are bitwise Forward's last-row logits over the same
+// context, on both backends, alone and in a batch of 8.
+TEST(ServingEngineTest, StepLogitsEqualForwardBitwise) {
+  const TinyTransformer model = MakePrunedModel();
+  Rng rng(41);
+  std::vector<std::vector<int32_t>> prompts;
+  for (int64_t len : {5, 11, 3, 8, 14, 6, 9, 4}) {
+    prompts.push_back(RandomPrompt(rng, len, model.config().vocab));
+  }
+  const int kSteps = 3;
+  for (MatmulBackend backend :
+       {MatmulBackend::kTcaBmeCpu, MatmulBackend::kDense}) {
+    for (size_t batch : {size_t(1), prompts.size()}) {
+      const std::vector<std::vector<int32_t>> subset(prompts.begin(),
+                                                     prompts.begin() + batch);
+      const std::vector<DecodeTrace> traces =
+          RunBatched(model, subset, kSteps, backend);
+      for (size_t i = 0; i < batch; ++i) {
+        for (int s = 0; s < kSteps; ++s) {
+          std::vector<int32_t> context = subset[i];
+          context.insert(context.end(), traces[i].tokens.begin(),
+                         traces[i].tokens.begin() + s + 1);
+          const FloatMatrix full = model.Forward(context, backend);
+          const std::vector<float> last(
+              full.data() + (full.rows() - 1) * full.cols(),
+              full.data() + full.size());
+          EXPECT_TRUE(BitIdentical(traces[i].logits[static_cast<size_t>(s)],
+                                   last))
+              << "batch=" << batch << " seq=" << i << " step=" << s;
+        }
+      }
+    }
   }
 }
 
@@ -426,6 +463,49 @@ TEST(ServingEngineTest, MatchesAnalyticSimulatorOnCommonDomain) {
               kRel * analytic.p95_latency_ms);
   EXPECT_NEAR(exec.latency.p99_ms, analytic.p99_latency_ms,
               kRel * analytic.p99_latency_ms);
+}
+
+// A prompt token outside [0, vocab) is a request that can never run: it is
+// rejected at admission instead of aborting the step that would embed it,
+// and every other request still decodes its Generate stream. So is a budget
+// whose sum with the prompt length would overflow.
+TEST(ServingEngineTest, OutOfRangeTokenOrBudgetRejected) {
+  const TinyTransformer model = MakePrunedModel();
+  const int32_t vocab = static_cast<int32_t>(model.config().vocab);
+  ServingEngine engine(&model, TestEngineConfig(model.config()));
+  Rng rng(53);
+  std::vector<std::vector<int32_t>> good;
+  for (int i = 0; i < 3; ++i) {
+    good.push_back(RandomPrompt(rng, 6 + i, vocab));
+    engine.Submit(good.back(), 5, 0.0);
+  }
+  const int64_t past_end = engine.Submit({1, vocab, 3}, 5, 0.0);
+  const int64_t negative = engine.Submit({-1, 2}, 5, 0.0);
+  const int64_t huge_budget =
+      engine.Submit(good[0], std::numeric_limits<int64_t>::max(), 0.0);
+  const ExecServingReport report = engine.Run();
+  EXPECT_EQ(report.rejected, 3);
+  EXPECT_EQ(report.completed, 3);
+  for (const int64_t id : {past_end, negative, huge_budget}) {
+    EXPECT_EQ(engine.results()[static_cast<size_t>(id)].reason,
+              FinishReason::kRejected);
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    const std::vector<int32_t> full =
+        model.Generate(good[i], 5, MatmulBackend::kTcaBmeCpu);
+    EXPECT_EQ(engine.results()[i].generated,
+              std::vector<int32_t>(full.begin() + good[i].size(), full.end()))
+        << "id=" << i;
+  }
+}
+
+// An engine without a cost model would divide by its zero head count on the
+// first priced step; it fails at construction with a named message instead.
+TEST(ServingEngineDeathTest, UnsetCostModelFailsAtConstruction) {
+  const TinyTransformer model = MakePrunedModel();
+  ServingEngineConfig cfg = TestEngineConfig(model.config());
+  cfg.cost.model = ModelConfig{};
+  EXPECT_DEATH(ServingEngine(&model, cfg), "cost.model is unset");
 }
 
 // Submit is thread-safe: concurrent producers, then one Run, loses nothing.

@@ -1,11 +1,16 @@
 #include "src/llm/tiny_transformer.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/pruning/magnitude.h"
 #include "src/pruning/pruner.h"
+#include "src/util/random.h"
 
 namespace spinfer {
 namespace {
@@ -123,6 +128,138 @@ TEST(TinyTransformerTest, CausalityHoldsForPrefixes) {
   for (int64_t t = 0; t < 2; ++t) {
     for (int64_t v = 0; v < 64; ++v) {
       EXPECT_NEAR(full.at(t, v), prefix.at(t, v), 1e-4);
+    }
+  }
+}
+
+double ReferenceGelu(double x) {
+  return 0.5 * x *
+         (1.0 + std::tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)));
+}
+
+float GeluOf(float x) {
+  GeluInPlace({&x, 1});
+  return x;
+}
+
+// GELU is one vectorized loop over the repository's own tanh. Its vector
+// body and its one-element scalar remainder must agree bit for bit at every
+// length and alignment, and both must stay within a few ulps of a
+// double-precision reference, with the exact end values the old libm GELU
+// had.
+TEST(TinyTransformerTest, GeluVectorLoopMatchesScalarAndReference) {
+  constexpr float kClamp = 7.90531110763549805f;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> in;
+  // A strided walk over the bit patterns of [0, 20], mirrored to [-20, 0].
+  const uint32_t top = std::bit_cast<uint32_t>(20.0f);
+  for (uint32_t b = 0; b <= top; b += 65537) {
+    in.push_back(std::bit_cast<float>(b));
+    in.push_back(-std::bit_cast<float>(b));
+  }
+  for (float x : {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+                  -std::numeric_limits<float>::denorm_min(),
+                  std::bit_cast<float>(0x007fffffu), kClamp, -kClamp,
+                  std::nextafter(kClamp, 0.0f), std::nextafter(kClamp, kInf),
+                  -std::nextafter(kClamp, 0.0f), -std::nextafter(kClamp, kInf),
+                  kInf, -kInf, std::numeric_limits<float>::quiet_NaN()}) {
+    in.push_back(x);
+  }
+  std::vector<uint32_t> scalar(in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    scalar[i] = std::bit_cast<uint32_t>(GeluOf(in[i]));
+  }
+  for (size_t len = 1; len <= 37; ++len) {
+    std::vector<float> out = in;
+    for (size_t first = 0; first < out.size(); first += len) {
+      GeluInPlace(std::span<float>(out).subspan(
+          first, std::min(len, out.size() - first)));
+    }
+    for (size_t i = 0; i < in.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(out[i]), scalar[i])
+          << "len=" << len << " x=" << in[i];
+    }
+  }
+
+  double tanh_err = 0.0;
+  double gelu_err = 0.0;
+  for (int i = -400000; i <= 400000; ++i) {
+    const float x = static_cast<float>(i) * 5e-5f;  // [-20, 20]
+    if (std::fabs(x) <= 12.0f) {
+      tanh_err = std::max(tanh_err, std::fabs(RationalTanh(x) -
+                                              std::tanh(static_cast<double>(x))));
+    }
+    gelu_err = std::max(gelu_err,
+                        std::fabs(GeluOf(x) - ReferenceGelu(x)) /
+                            std::max(1.0, std::fabs(static_cast<double>(x))));
+  }
+  EXPECT_LE(tanh_err, 5e-7);
+  EXPECT_LE(gelu_err, 5e-7);
+
+  for (float x : in) {
+    if (!std::isnan(x)) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(RationalTanh(-x)),
+                std::bit_cast<uint32_t>(-RationalTanh(x)))
+          << "x=" << x;
+    }
+  }
+  for (float x : {12.0f, 12.5f, 20.0f, 1e3f, 1e20f,
+                  std::numeric_limits<float>::max()}) {
+    EXPECT_EQ(GeluOf(x), x);
+    const float neg = GeluOf(-x);
+    EXPECT_EQ(neg, 0.0f) << "x=" << -x;
+    EXPECT_TRUE(std::signbit(neg)) << "x=" << -x;
+  }
+  EXPECT_EQ(RationalTanh(kClamp), 1.0f);
+  EXPECT_EQ(RationalTanh(-kInf), -1.0f);
+  EXPECT_TRUE(std::isnan(GeluOf(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(RationalTanh(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_EQ(GeluOf(kInf), kInf);
+  EXPECT_TRUE(std::isnan(GeluOf(-kInf)));  // -inf * (1 + -1), as with libm
+}
+
+// The tied unembedding runs its lanes across the vocabulary but keeps every
+// logit's serial chain: +0.0f, then r ascending, multiply then add, over the
+// FP16 weights widened exactly. 61 leaves a vector remainder; the column list
+// is out of order and repeats a column.
+TEST(TinyTransformerTest, UnembedMatchesSerialDotChainBitwise) {
+  const int64_t hidden = 64;
+  const int64_t panel = 80;
+  for (int64_t vocab : {61, 256}) {
+    Rng rng(static_cast<uint64_t>(vocab));
+    const HalfMatrix e = HalfMatrix::Random(vocab, hidden, rng, 0.125f);
+    FloatMatrix emb(hidden, vocab);
+    for (int64_t v = 0; v < vocab; ++v) {
+      for (int64_t r = 0; r < hidden; ++r) {
+        emb.at(r, v) = e.at(v, r).ToFloat();
+      }
+    }
+    FloatMatrix act(hidden, panel);
+    for (int64_t i = 0; i < act.size(); ++i) {
+      act.data()[i] = static_cast<float>(rng.Gaussian());
+    }
+    for (int64_t producers : {1, 2, 3, 4, 5, 6, 7, 8, 9, 64}) {
+      std::vector<int64_t> cols;
+      for (int64_t i = 0; i < producers; ++i) {
+        cols.push_back((i * 37 + 11) % panel);
+      }
+      cols.push_back(cols.front());
+      FloatMatrix logits;
+      UnembedInto(emb, act, cols, &logits);
+      ASSERT_EQ(logits.rows(), static_cast<int64_t>(cols.size()));
+      ASSERT_EQ(logits.cols(), vocab);
+      for (size_t i = 0; i < cols.size(); ++i) {
+        for (int64_t v = 0; v < vocab; ++v) {
+          float dot = 0.0f;
+          for (int64_t r = 0; r < hidden; ++r) {
+            dot += e.at(v, r).ToFloat() * act.at(r, cols[i]);
+          }
+          ASSERT_EQ(std::bit_cast<uint32_t>(logits.at(static_cast<int64_t>(i), v)),
+                    std::bit_cast<uint32_t>(dot))
+              << "vocab=" << vocab << " producers=" << producers << " i=" << i
+              << " v=" << v;
+        }
+      }
     }
   }
 }
