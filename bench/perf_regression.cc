@@ -338,6 +338,22 @@ int Main(int argc, char** argv) {
     const double ref_ms = records.back().wall_ms;
     std::printf("  derived: fused over reference %17.2fx at ctx=2048\n",
                 ref_ms / fused_ms);
+    // One 128-column prefill chunk of one sequence at positions 320-447:
+    // the query-tile path (16 tiles of 8 consecutive queries per head).
+    FloatMatrix chunk_q(kcfg.kv_dim, 128);
+    for (int64_t i = 0; i < chunk_q.size(); ++i) {
+      chunk_q.data()[i] = rng.Uniform(-1.0f, 1.0f);
+    }
+    FloatMatrix chunk_out(kcfg.kv_dim, 128);
+    std::vector<PagedAttentionItem> chunk_items;
+    for (int64_t j = 0; j < 128; ++j) {
+      chunk_items.push_back({0, j, 320 + j + 1});
+    }
+    bench("paged_attention_chunk128", [&] {
+      PagedAttentionDecodeBatch(cache, /*layer=*/0, kAttnHeads, kAttnHeads,
+                                chunk_q, chunk_items, &chunk_out, &scratch);
+      g_sink = chunk_out.data()[0];
+    });
   }
 
   // --- Continuous-batching serving decode (paged KV cache). ----------------

@@ -20,16 +20,22 @@ constexpr uint32_t kVersion = 1;
 static_assert(std::endian::native == std::endian::little,
               "serializer assumes a little-endian host");
 
+// resize + memcpy rather than vector::insert of a byte range: the same
+// bytes, and GCC 12 does not misreport the copy as a -Wstringop-overflow.
 template <typename T>
-void Append(std::vector<uint8_t>& out, const T& v) {
-  const auto* p = reinterpret_cast<const uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
+void AppendArray(std::vector<uint8_t>& out, const T* data, size_t count) {
+  const size_t at = out.size();
+  const size_t bytes = sizeof(T) * count;
+  if (bytes == 0) {
+    return;
+  }
+  out.resize(at + bytes);
+  std::memcpy(out.data() + at, data, bytes);
 }
 
 template <typename T>
-void AppendArray(std::vector<uint8_t>& out, const T* data, size_t count) {
-  const auto* p = reinterpret_cast<const uint8_t*>(data);
-  out.insert(out.end(), p, p + sizeof(T) * count);
+void Append(std::vector<uint8_t>& out, const T& v) {
+  AppendArray(out, &v, 1);
 }
 
 // Cursor-based reader with bounds checking.

@@ -1,15 +1,16 @@
-// Portable half of the batched paged-attention kernel: the batch driver
-// (validation, per-item page-table resolution, scratch growth, ThreadPool
-// fan-out, SIMD dispatch, tracing) plus the scalar block kernels shared
-// through paged_attention_inner.h, and the retained scalar reference.
+// Portable half of the batched paged-attention kernel: the batch entry
+// (validation, page-table resolution, the work grid, scratch growth,
+// ThreadPool fan-out, SIMD dispatch, tracing), the two task bodies, the
+// portable kernels, the shared exponential and the retained reference.
 //
 // Compiled with -ffp-contract=off (see src/llm/CMakeLists.txt): every
 // multiply and add must round separately so results are bit-identical to the
-// AVX2 unit and to the pre-fusion per-element loop.
+// AVX2 unit and to the reference.
 #include "src/llm/paged_attention.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/llm/paged_attention_inner.h"
 #include "src/obs/trace.h"
@@ -18,26 +19,405 @@
 #include "src/util/thread_pool.h"
 
 namespace spinfer {
+
+float SoftmaxExp(float x) {
+  using namespace paged_attention_detail;
+  // The clamps are written as the selections the AVX2 unit's min/max
+  // instructions make, so NaN flows through both units the same way.
+  float v = (0.0f < x) ? 0.0f : x;
+  v = (kExpLo > v) ? kExpLo : v;
+  // n = round(v / ln2) lands in kr's low mantissa bits; r = v - n ln2 in two
+  // steps (n * kExpLn2Hi is exact).
+  const float kr = v * kExpLog2e + kExpRoundMagic;
+  const float n = kr - kExpRoundMagic;
+  float r = v - n * kExpLn2Hi;
+  r = r - n * kExpLn2Lo;
+  const float z = r * r;
+  float y = kExpP0;
+  y = y * r + kExpP1;
+  y = y * r + kExpP2;
+  y = y * r + kExpP3;
+  y = y * r + kExpP4;
+  y = y * r + kExpP5;
+  y = y * z;
+  y = y + r;
+  y = y + 1.0f;
+  // 2^n as a float: (n + 127) << 23, with n in [-126, 0] read from kr's
+  // low bits (the higher bits shift out).
+  uint32_t bits = 0;
+  std::memcpy(&bits, &kr, sizeof(bits));
+  bits = (bits + 127u) << 23;
+  float pow2n = 0.0f;
+  std::memcpy(&pow2n, &bits, sizeof(pow2n));
+  const float e = y * pow2n;
+  return x < kExpLo ? 0.0f : e;
+}
+
+namespace paged_attention_detail {
 namespace {
 
+constexpr int kL = kTileLanes;
+
+// The portable kernels: the reference's scalar chains, written so the
+// baseline-ISA compiler can auto-vectorize the independent-chain loops (PV
+// across rows, the tiles across lanes — exact) but not a dot product (a
+// reduction; reordering it would change bits, and without -ffast-math the
+// compiler must not).
+void QkBlock(const float* qh, const float* kbase, int64_t rows, int64_t stride,
+             int64_t hd, float inv_sqrt_d, float* scores) {
+  for (int64_t t = 0; t < rows; ++t) {
+    const float* krow = kbase + t * stride;
+    float dot = 0.0f;
+    for (int64_t r = 0; r < hd; ++r) {
+      dot += qh[r] * krow[r];
+    }
+    scores[t] = dot * inv_sqrt_d;
+  }
+}
+
+void PvBlock(const float* probs, const float* vbase, int64_t rows,
+             int64_t stride, int64_t hd, float* acc) {
+  for (int64_t t = 0; t < rows; ++t) {
+    const float p = probs[t];
+    const float* vrow = vbase + t * stride;
+    for (int64_t r = 0; r < hd; ++r) {
+      acc[r] += p * vrow[r];
+    }
+  }
+}
+
+float RowMax(const float* scores, int64_t n) {
+  float m = -1e30f;
+  for (int64_t t = 0; t < n; ++t) {
+    m = std::max(m, scores[t]);
+  }
+  return m;
+}
+
+void RowExp(float* scores, int64_t n, float max) {
+  for (int64_t t = 0; t < n; ++t) {
+    scores[t] = SoftmaxExp(scores[t] - max);
+  }
+}
+
+void TileQkBlock(const float* qt, const float* kbase, int64_t rows,
+                 int64_t stride, int64_t hd, float inv_sqrt_d,
+                 float* scores) {
+  for (int64_t t = 0; t < rows; ++t) {
+    const float* krow = kbase + t * stride;
+    float dot[kL] = {};
+    for (int64_t r = 0; r < hd; ++r) {
+      for (int j = 0; j < kL; ++j) {
+        dot[j] += qt[r * kL + j] * krow[r];
+      }
+    }
+    for (int j = 0; j < kL; ++j) {
+      scores[t * kL + j] = dot[j] * inv_sqrt_d;
+    }
+  }
+}
+
+// Lanes past the tile's queries have lane_ctx 0, so they are skipped here;
+// `full` only lets the AVX2 unit drop the masks.
+void TileSoftmax(float* scores, int64_t keys, int64_t /*full*/,
+                 const int32_t* lane_ctx, float* denom) {
+  float m[kL];
+  std::fill(m, m + kL, -1e30f);
+  for (int64_t t = 0; t < keys; ++t) {
+    for (int j = 0; j < kL; ++j) {
+      if (t < lane_ctx[j]) {
+        m[j] = std::max(m[j], scores[t * kL + j]);
+      }
+    }
+  }
+  float d[kL] = {};
+  for (int64_t t = 0; t < keys; ++t) {
+    for (int j = 0; j < kL; ++j) {
+      if (t < lane_ctx[j]) {
+        const float e = SoftmaxExp(scores[t * kL + j] - m[j]);
+        scores[t * kL + j] = e;
+        d[j] += e;
+      }
+    }
+  }
+  std::copy(d, d + kL, denom);
+}
+
+void TilePvBlock(const float* probs, const float* vbase, int64_t rows,
+                 int64_t stride, int64_t hd, int64_t t0, int64_t full,
+                 const int32_t* lane_ctx, float* acc) {
+  for (int64_t t = 0; t < rows; ++t) {
+    const float* p = probs + t * kL;
+    const float* vrow = vbase + t * stride;
+    for (int64_t r = 0; r < hd; ++r) {
+      const float v = vrow[r];
+      float* a = acc + r * kL;
+      if (t < full) {
+        for (int j = 0; j < kL; ++j) {
+          a[j] += p[j] * v;
+        }
+        continue;
+      }
+      for (int j = 0; j < kL; ++j) {
+        if (t0 + t < lane_ctx[j]) {
+          a[j] += p[j] * v;
+        }
+      }
+    }
+  }
+}
+
+const AttnKernels kPortableKernels = {&QkBlock,     &PvBlock,
+                                      &RowMax,      &RowExp,
+                                      &TileQkBlock, &TileSoftmax,
+                                      &TilePvBlock};
+
+}  // namespace
+
+const AttnKernels& PortableAttnKernels() { return kPortableKernels; }
+
+uint64_t AttnPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
+
+}  // namespace paged_attention_detail
+
+namespace {
+
+using paged_attention_detail::AttnKernels;
 using paged_attention_detail::AttnPhaseRecorder;
-using paged_attention_detail::PvBlockFn;
-using paged_attention_detail::QkBlockFn;
+using paged_attention_detail::kTileLanes;
+using Task = PagedAttentionScratch::Task;
 
 // AlignedBuffer::Reserve allocates exactly what is asked, so a decode loop
-// whose context grows one token per step would reallocate `scores` every
-// step. Growing geometrically keeps the serving loop's allocation count
+// whose context grows one token per step would reallocate every step.
+// Growing geometrically keeps the serving loop's allocation count
 // O(log max_context) instead of O(steps).
-void ReserveGeometric(AlignedBuffer<float>* buf, size_t count) {
+template <typename T>
+void ReserveGeometric(AlignedBuffer<T>* buf, size_t count) {
   if (count > buf->capacity()) {
     buf->Reserve(std::max(count, 2 * buf->capacity()));
   }
 }
 
-// Per-work-item scratch slices are padded to whole cache lines so
-// concurrently running tasks never share a line (speed only — each task's
-// writes are private either way).
+// Per-task scratch slices are padded to whole cache lines so concurrently
+// running tasks never share a line (speed only — each task's writes are
+// private either way).
 int64_t RoundUpLine(int64_t floats) { return (floats + 15) & ~int64_t{15}; }
+
+// A task's float slices, `width` lanes (a tile) or heads (a lone query)
+// wide: staged queries and PV accumulators (hd per lane or head), the
+// denominators, then one score row per lane or head.
+struct TaskSlices {
+  float* q;
+  float* acc;
+  float* denom;
+  float* scores;
+};
+int64_t TaskFloats(int64_t hd, int64_t width, int64_t keys) {
+  return 2 * RoundUpLine(hd * width) + RoundUpLine(width) +
+         width * RoundUpLine(keys);
+}
+TaskSlices Slices(float* base, int64_t hd, int64_t width) {
+  float* acc = base + RoundUpLine(hd * width);
+  float* denom = acc + RoundUpLine(hd * width);
+  return {base, acc, denom, denom + RoundUpLine(width)};
+}
+
+// Everything a task reads, resolved once per call; the ParallelFor body
+// captures only its address.
+struct BatchArgs {
+  const PagedKvCache* cache;
+  int64_t layer;
+  const FloatMatrix* q;
+  FloatMatrix* out;
+  const PagedAttentionItem* items;
+  const int64_t* contexts;
+  const std::vector<int32_t>* const* block_lists;
+  const Task* tasks;
+  float* floats;
+  const AttnKernels* k;
+  int64_t hd;
+  int64_t group;  // query heads per kv head
+  float inv_sqrt_d;
+  bool tracing;
+};
+
+// One (tile, query head): the tile's queries in the lanes, one walk over the
+// KV blocks up to the tile's longest horizon for QK and one for PV.
+template <bool kTimed>
+void RunTile(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
+  constexpr int kL = kTileLanes;
+  const int64_t hd = a.hd;
+  const int64_t r0q = task.head0 * hd;
+  const int64_t r0k = (task.head0 / a.group) * hd;
+  const TaskSlices s = Slices(a.floats + task.offset, hd, kL);
+  int32_t lane_ctx[kL];
+  int64_t full = task.keys;  // keys inside every query's horizon
+  for (int j = 0; j < kL; ++j) {
+    if (j >= task.lanes) {
+      lane_ctx[j] = 0;
+      for (int64_t r = 0; r < hd; ++r) {
+        s.q[r * kL + j] = 0.0f;
+      }
+      continue;
+    }
+    const int64_t i = task.item + j;
+    const int64_t col = a.items[i].col;
+    lane_ctx[j] = static_cast<int32_t>(a.contexts[i]);
+    full = std::min(full, a.contexts[i]);
+    for (int64_t r = 0; r < hd; ++r) {
+      s.q[r * kL + j] = a.q->at(r0q + r, col);
+    }
+  }
+  std::fill(s.acc, s.acc + hd * kL, 0.0f);
+  const std::vector<int32_t>& blocks = *a.block_lists[task.item];
+  const int64_t stride = a.cache->config().kv_dim;
+  const int64_t bt = a.cache->config().block_tokens;
+  const int64_t keys = task.keys;
+  uint64_t t_phase = 0;
+  if constexpr (kTimed) {
+    t_phase = rec->Now();
+  }
+  for (int64_t t0 = 0; t0 < keys; t0 += bt) {
+    const float* kbase =
+        a.cache->KBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]) +
+        r0k;
+    a.k->tile_qk_block(s.q, kbase, std::min(bt, keys - t0), stride, hd,
+                       a.inv_sqrt_d, s.scores + t0 * kL);
+  }
+  if constexpr (kTimed) {
+    const uint64_t now = rec->Now();
+    rec->qk_ns += now - t_phase;
+    t_phase = now;
+  }
+  a.k->tile_softmax(s.scores, keys, full, lane_ctx, s.denom);
+  if constexpr (kTimed) {
+    const uint64_t now = rec->Now();
+    rec->softmax_ns += now - t_phase;
+    t_phase = now;
+  }
+  for (int64_t t0 = 0; t0 < keys; t0 += bt) {
+    const float* vbase =
+        a.cache->VBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]) +
+        r0k;
+    const int64_t rows = std::min(bt, keys - t0);
+    a.k->tile_pv_block(s.scores + t0 * kL, vbase, rows, stride, hd, t0,
+                       std::clamp<int64_t>(full - t0, 0, rows), lane_ctx,
+                       s.acc);
+  }
+  for (int j = 0; j < task.lanes; ++j) {
+    const int64_t col = a.items[task.item + j].col;
+    for (int64_t r = 0; r < hd; ++r) {
+      a.out->at(r0q + r, col) = s.acc[r * kL + j] / s.denom[j];
+    }
+  }
+  if constexpr (kTimed) {
+    rec->pv_ns += rec->Now() - t_phase;
+  }
+}
+
+// One lone query over query heads [head0, head1): each KV block is walked
+// once for all of them (block-major), for QK and again for PV.
+template <bool kTimed>
+void RunLone(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
+  const int64_t hd = a.hd;
+  const int64_t nh = task.head1 - task.head0;
+  const int64_t ctx = task.keys;
+  const int64_t row = RoundUpLine(ctx);  // one score row per head
+  const TaskSlices s = Slices(a.floats + task.offset, hd, nh);
+  const int64_t col = a.items[task.item].col;
+  for (int64_t r = 0; r < nh * hd; ++r) {
+    s.q[r] = a.q->at(task.head0 * hd + r, col);
+  }
+  std::fill(s.acc, s.acc + nh * hd, 0.0f);
+  const std::vector<int32_t>& blocks = *a.block_lists[task.item];
+  const int64_t stride = a.cache->config().kv_dim;
+  const int64_t bt = a.cache->config().block_tokens;
+  uint64_t t_phase = 0;
+  if constexpr (kTimed) {
+    t_phase = rec->Now();
+  }
+  for (int64_t t0 = 0; t0 < ctx; t0 += bt) {
+    const float* kblock =
+        a.cache->KBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]);
+    const int64_t rows = std::min(bt, ctx - t0);
+    for (int64_t hh = 0; hh < nh; ++hh) {
+      const int64_t r0k = ((task.head0 + hh) / a.group) * hd;
+      a.k->qk_block(s.q + hh * hd, kblock + r0k, rows, stride, hd,
+                    a.inv_sqrt_d, s.scores + hh * row + t0);
+    }
+  }
+  if constexpr (kTimed) {
+    const uint64_t now = rec->Now();
+    rec->qk_ns += now - t_phase;
+    t_phase = now;
+  }
+  for (int64_t hh = 0; hh < nh; ++hh) {
+    float* sc = s.scores + hh * row;
+    a.k->row_exp(sc, ctx, a.k->row_max(sc, ctx));
+    float denom = 0.0f;
+    for (int64_t t = 0; t < ctx; ++t) {
+      denom += sc[t];
+    }
+    s.denom[hh] = denom;
+  }
+  if constexpr (kTimed) {
+    const uint64_t now = rec->Now();
+    rec->softmax_ns += now - t_phase;
+    t_phase = now;
+  }
+  for (int64_t t0 = 0; t0 < ctx; t0 += bt) {
+    const float* vblock =
+        a.cache->VBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]);
+    const int64_t rows = std::min(bt, ctx - t0);
+    for (int64_t hh = 0; hh < nh; ++hh) {
+      const int64_t r0k = ((task.head0 + hh) / a.group) * hd;
+      a.k->pv_block(s.scores + hh * row + t0, vblock + r0k, rows, stride, hd,
+                    s.acc + hh * hd);
+    }
+  }
+  for (int64_t hh = 0; hh < nh; ++hh) {
+    for (int64_t r = 0; r < hd; ++r) {
+      a.out->at((task.head0 + hh) * hd + r, col) =
+          s.acc[hh * hd + r] / s.denom[hh];
+    }
+  }
+  if constexpr (kTimed) {
+    rec->pv_ns += rec->Now() - t_phase;
+  }
+}
+
+void RunTask(const BatchArgs& a, int64_t idx) {
+  const Task& task = a.tasks[idx];
+  if (!a.tracing) {
+    if (task.lanes == 0) {
+      RunLone<false>(a, task, nullptr);
+    } else {
+      RunTile<false>(a, task, nullptr);
+    }
+    return;
+  }
+  AttnPhaseRecorder rec;
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const uint64_t task_start = tracer.NowNs();
+  if (task.lanes == 0) {
+    RunLone<true>(a, task, &rec);
+  } else {
+    RunTile<true>(a, task, &rec);
+  }
+  const uint64_t task_end = tracer.NowNs();
+  obs::TraceArg task_args[5] = {{"seq", a.items[task.item].seq_id},
+                                {"head", task.head0},
+                                {"heads", task.head1 - task.head0},
+                                {"queries", std::max(task.lanes, 1)},
+                                {"ctx", task.keys}};
+  tracer.Record("attn.item", task_start, task_end - task_start, task_args, 5);
+  // Each task is one walk, but the phase split still matters for
+  // profiling: synthetic child slices laid end to end, like
+  // cpu_spmv.convert/accumulate.
+  tracer.Record("attn.qk", task_start, rec.qk_ns);
+  tracer.Record("attn.softmax", task_start + rec.qk_ns, rec.softmax_ns);
+  tracer.Record("attn.pv", task_start + rec.qk_ns + rec.softmax_ns, rec.pv_ns);
+}
 
 void BatchImpl(const PagedKvCache& cache, int64_t layer, int64_t heads,
                int64_t kv_heads, const FloatMatrix& q,
@@ -78,16 +458,80 @@ void BatchImpl(const PagedKvCache& cache, int64_t layer, int64_t heads,
     scratch->block_lists[static_cast<size_t>(i)] = blocks;
     max_ctx = std::max(max_ctx, ctx);
   }
+  SPINFER_CHECK(max_ctx <= INT32_MAX);  // lane horizons are int32 lanes
+  SPINFER_CHECK(ni <= INT32_MAX);
 
-  const int64_t n_work = ni * heads;
-  const int64_t hd_stride = RoundUpLine(hd);
-  const int64_t ctx_stride = RoundUpLine(max_ctx);
-  ReserveGeometric(&scratch->q, static_cast<size_t>(n_work * hd_stride));
-  ReserveGeometric(&scratch->acc, static_cast<size_t>(n_work * hd_stride));
-  ReserveGeometric(&scratch->scores, static_cast<size_t>(n_work * ctx_stride));
-  float* q_base = scratch->q.data();
-  float* acc_base = scratch->acc.data();
-  float* scores_base = scratch->scores.data();
+  // The work grid. A run is a maximal stretch of consecutive items of one
+  // sequence; runs of kTileMinQueries or more are cut into equal tiles of
+  // at most kTileLanes queries, one task per (tile, query head); shorter
+  // runs' items are lone queries, one task per (item, head band).
+  auto run_end = [&](int64_t i) {
+    int64_t j = i + 1;
+    while (j < ni && items[static_cast<size_t>(j)].seq_id ==
+                         items[static_cast<size_t>(i)].seq_id) {
+      ++j;
+    }
+    return j;
+  };
+  int64_t n_lone = 0;
+  int64_t n_tiles = 0;
+  for (int64_t i = 0; i < ni;) {
+    const int64_t j = run_end(i);
+    if (j - i < paged_attention_detail::kTileMinQueries) {
+      n_lone += j - i;
+    } else {
+      n_tiles += (j - i + kTileLanes - 1) / kTileLanes;
+    }
+    i = j;
+  }
+  // Head bands only when lone items alone would leave threads idle; band
+  // boundaries cannot change bits (each head's chains are its own).
+  const int64_t threads = ThreadPool::Global().num_threads();
+  const int64_t bands =
+      (n_lone > 0 && n_lone < threads)
+          ? std::min(heads, (threads + n_lone - 1) / n_lone)
+          : 1;
+  const int64_t n_tasks = n_tiles * heads + n_lone * bands;
+  ReserveGeometric(&scratch->tasks, static_cast<size_t>(n_tasks));
+  Task* tasks = scratch->tasks.data();
+  int64_t n = 0;
+  int64_t floats = 0;
+  auto emit = [&](int64_t item, int64_t lanes, int64_t head0, int64_t head1,
+                  int64_t keys) {
+    tasks[n++] = {static_cast<int32_t>(item), static_cast<int32_t>(lanes),
+                  static_cast<int32_t>(head0), static_cast<int32_t>(head1),
+                  keys, floats};
+    floats += TaskFloats(hd, lanes == 0 ? head1 - head0 : kTileLanes, keys);
+  };
+  for (int64_t i = 0; i < ni;) {
+    const int64_t j = run_end(i);
+    const int64_t len = j - i;
+    if (len < paged_attention_detail::kTileMinQueries) {
+      for (int64_t it = i; it < j; ++it) {
+        const int64_t ctx = scratch->contexts[static_cast<size_t>(it)];
+        for (int64_t b = 0; b < bands; ++b) {
+          emit(it, 0, b * heads / bands, (b + 1) * heads / bands, ctx);
+        }
+      }
+    } else {
+      const int64_t tiles = (len + kTileLanes - 1) / kTileLanes;
+      int64_t first = i;
+      for (int64_t t = 0; t < tiles; ++t) {
+        const int64_t lanes = len / tiles + (t < len % tiles ? 1 : 0);
+        int64_t keys = 0;
+        for (int64_t it = first; it < first + lanes; ++it) {
+          keys = std::max(keys, scratch->contexts[static_cast<size_t>(it)]);
+        }
+        for (int64_t h = 0; h < heads; ++h) {
+          emit(first, lanes, h, h + 1, keys);
+        }
+        first += lanes;
+      }
+    }
+    i = j;
+  }
+  SPINFER_CHECK_EQ(n, n_tasks);
+  ReserveGeometric(&scratch->floats, static_cast<size_t>(floats));
 
   const bool tracing = obs::TracingEnabled();
   obs::TraceScope call_scope("paged_attn");
@@ -95,68 +539,34 @@ void BatchImpl(const PagedKvCache& cache, int64_t layer, int64_t heads,
     call_scope.AddArg("items", ni);
     call_scope.AddArg("heads", heads);
     call_scope.AddArg("max_ctx", max_ctx);
+    call_scope.AddArg("tasks", n_tasks);
   }
 
-  const bool avx2 = variant == CpuSpmmVariant::kAvx2;
-  const QkBlockFn qk_fn = avx2 ? &paged_attention_detail::QkBlockAvx2
-                               : &paged_attention_detail::ScalarQkBlock;
-  const PvBlockFn pv_fn = avx2 ? &paged_attention_detail::PvBlockAvx2
-                               : &paged_attention_detail::ScalarPvBlock;
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(hd));
-  const int64_t group = heads / kv_heads;
-
-  // One task per (item, head); each owns rows [h*hd, (h+1)*hd) of its item's
-  // output column, so writes are disjoint and bits thread-count-independent.
-  // grain=1: tasks are coarse (a whole context sweep) and ragged contexts
-  // make them uneven, so finer chunks schedule better than block splits.
-  ParallelFor(
-      0, n_work,
-      [&](int64_t idx) {
-        const int64_t i = idx / heads;
-        const int64_t h = idx % heads;
-        const PagedAttentionItem& it = items[static_cast<size_t>(i)];
-        const std::vector<int32_t>& blocks =
-            *scratch->block_lists[static_cast<size_t>(i)];
-        const int64_t ctx = scratch->contexts[static_cast<size_t>(i)];
-        const int64_t r0q = h * hd;
-        const int64_t r0k = (h / group) * hd;
-        float* qh = q_base + idx * hd_stride;
-        float* acc = acc_base + idx * hd_stride;
-        float* sc = scores_base + idx * ctx_stride;
-        if (!tracing) {
-          paged_attention_detail::RunAttentionItem<false>(
-              cache, layer, blocks, ctx, q, it.col, r0q, r0k, hd, inv_sqrt_d,
-              qk_fn, pv_fn, qh, sc, acc, out);
-          return;
-        }
-        AttnPhaseRecorder rec;
-        obs::Tracer& tracer = obs::Tracer::Global();
-        const uint64_t task_start = tracer.NowNs();
-        paged_attention_detail::RunAttentionItem<true>(
-            cache, layer, blocks, ctx, q, it.col, r0q, r0k, hd, inv_sqrt_d,
-            qk_fn, pv_fn, qh, sc, acc, out, &rec);
-        const uint64_t task_end = tracer.NowNs();
-        obs::TraceArg task_args[3] = {{"seq", it.seq_id},
-                                      {"head", h},
-                                      {"ctx", ctx}};
-        tracer.Record("attn.item", task_start, task_end - task_start,
-                      task_args, 3);
-        // The fused pass is one walk, but the phase split still matters for
-        // profiling: synthetic child slices laid end to end, like
-        // cpu_spmv.convert/accumulate.
-        tracer.Record("attn.qk", task_start, rec.qk_ns);
-        tracer.Record("attn.softmax", task_start + rec.qk_ns, rec.softmax_ns);
-        tracer.Record("attn.pv", task_start + rec.qk_ns + rec.softmax_ns,
-                      rec.pv_ns);
-      },
-      /*grain=*/1);
+  const BatchArgs args = {
+      &cache,
+      layer,
+      &q,
+      out,
+      items.data(),
+      scratch->contexts.data(),
+      scratch->block_lists.data(),
+      tasks,
+      scratch->floats.data(),
+      variant == CpuSpmmVariant::kAvx2
+          ? &paged_attention_detail::Avx2AttnKernels()
+          : &paged_attention_detail::PortableAttnKernels(),
+      hd,
+      heads / kv_heads,
+      1.0f / std::sqrt(static_cast<float>(hd)),
+      tracing};
+  // Each task owns disjoint output rows of its columns, so bits are
+  // thread-count-independent. grain=1: tasks are coarse (a whole context
+  // sweep) and ragged contexts make them uneven.
+  ParallelFor(0, n_tasks, [&args](int64_t idx) { RunTask(args, idx); },
+              /*grain=*/1);
 }
 
 }  // namespace
-
-namespace paged_attention_detail {
-uint64_t AttnPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
-}  // namespace paged_attention_detail
 
 void PagedAttentionDecodeBatch(const PagedKvCache& cache, int64_t layer,
                                int64_t heads, int64_t kv_heads,
@@ -243,7 +653,7 @@ void PagedAttentionDecodeReference(const PagedKvCache& cache, int64_t layer,
     float denom = 0.0f;
     for (int64_t t = 0; t < ctx; ++t) {
       float& s = (*scores)[static_cast<size_t>(t)];
-      s = std::exp(s - max_score);
+      s = SoftmaxExp(s - max_score);
       denom += s;
     }
     // t-outer/r-inner: V rows stream once per head and the block pointer

@@ -1,30 +1,39 @@
-// Fused, SIMD-dispatched, batched paged-attention decode kernel — the
-// executing counterpart of the analytic DecodeAttentionCost model
+// Fused, SIMD-dispatched, batched paged-attention kernel — the executing
+// counterpart of the analytic DecodeAttentionCost model
 // (src/llm/attention.h), built in the CPU-backend-v2 style.
 //
-// One call computes causal decode attention for a whole batch of
-// (sequence, query-column) work items at one layer: QK^T, the max-subtracted
-// softmax, and PV are fused into a single block-wise pass over each
-// sequence's paged KV blocks, so every K and V row is touched exactly once
-// per query head while L1-resident (the old per-element loop re-resolved the
-// V block pointer once per output element — O(hd * ctx) pointer walks per
-// head). The strided query column is hoisted into contiguous per-head
-// scratch, and the (item x head) work grid runs on the global ThreadPool
-// with disjoint output rows per task.
+// One call computes causal attention for a whole batch of (sequence,
+// query-column) work items at one layer: QK^T, the max-subtracted softmax
+// and PV over each sequence's paged KV blocks. The batch is cut into a work
+// grid whose every task walks the K/V it needs once for all the queries
+// that share it:
+//   * Query tiles. Consecutive items of one sequence form a run (a prefill
+//     chunk's columns, as MixedStepBands emits them). A run of at least
+//     kTileMinQueries items (paged_attention_inner.h) is cut into tiles of
+//     at most 8 queries, and one task handles one (tile, query head): the
+//     tile's queries sit in the 8 SIMD lanes, each K and V element is
+//     broadcast against them, and every lane keeps its own horizon — a key
+//     past it is masked out of that lane's max, exp, denominator and PV,
+//     never multiplied by zero.
+//   * Lone queries (a decode item, or a run too short to tile). One task
+//     per item walks each KV block once for all of the item's heads
+//     (block-major). When the pool has more threads than lone items, an
+//     item's heads are split into bands so no thread idles.
 //
 // Contracts, matching the rest of the CPU kernel family:
 //   * Bit-identity with the retained reference (PagedAttentionDecodeReference)
-//     and with TinyTransformer::Forward's in-batch attention: the fusion and
-//     the SIMD variants reschedule — never reorder — each output element's
-//     scalar accumulation chain (QK dots ascend the head dimension, softmax
-//     and PV ascend the context, separate mul/add roundings, -ffp-contract=off,
-//     no FMA). Serving token streams and virtual-time reports are therefore
-//     byte-identical to the pre-fusion engine.
-//   * Determinism: output bits do not depend on thread count (each work item
-//     owns its head's rows of its column) or on which SIMD variant ran.
-//   * Allocation-free when warm: all scratch lives in PagedAttentionScratch,
-//     grown geometrically so a decode loop whose context grows one token per
-//     step does not reallocate per step.
+//     and with TinyTransformer::Forward's in-batch attention: every path
+//     reschedules — never reorders — each output element's scalar chain (QK
+//     dots ascend the head dimension, the denominator and PV ascend the
+//     context, separate mul/add roundings, -ffp-contract=off, no FMA), and
+//     all three take the exponential from one repository-owned function,
+//     SoftmaxExp, so no result depends on the host's libm.
+//   * Determinism: output bits do not depend on the SIMD variant, the thread
+//     count, the batch mix or how a run is cut into tiles (each task owns
+//     disjoint output rows of its columns).
+//   * Allocation-free when warm: the task list and all per-task scratch live
+//     in PagedAttentionScratch, grown geometrically so a decode loop whose
+//     context grows one token per step does not reallocate per step.
 //
 // Grouped-query attention: `kv_heads` may divide `heads`; query head h reads
 // the cached K/V rows of kv head h / (heads / kv_heads). Classic MHA is
@@ -60,20 +69,31 @@ struct PagedAttentionItem {
 // every step. grow_count()/capacity_bytes() feed the zero-allocation
 // observability contract (TinyTransformer::MatmulScratchGrowCount).
 struct PagedAttentionScratch {
-  AlignedBuffer<float> q;       // staged contiguous query heads
-  AlignedBuffer<float> scores;  // per-work-item attention scores
-  AlignedBuffer<float> acc;     // per-work-item PV accumulators
+  // One task of the work grid: a tile of `lanes` consecutive items starting
+  // at `item` for one query head (head1 == head0 + 1), or, with lanes == 0,
+  // the lone item `item` over query heads [head0, head1). Its private float
+  // slices (staged queries, PV accumulators, denominators, scores) start at
+  // `offset` in `floats`; `keys` is the longest horizon it attends.
+  struct Task {
+    int32_t item;
+    int32_t lanes;
+    int32_t head0;
+    int32_t head1;
+    int64_t keys;
+    int64_t offset;
+  };
+  AlignedBuffer<Task> tasks;
+  AlignedBuffer<float> floats;
   // Per-item views resolved once per call (hot loops must not re-resolve
   // block lists per token — see PagedKvCache::KRow).
   std::vector<const std::vector<int32_t>*> block_lists;
   std::vector<int64_t> contexts;
 
   int64_t grow_count() const {
-    return static_cast<int64_t>(q.grow_count() + scores.grow_count() +
-                                acc.grow_count());
+    return tasks.grow_count() + floats.grow_count();
   }
   uint64_t capacity_bytes() const {
-    return (q.capacity() + scores.capacity() + acc.capacity()) * sizeof(float);
+    return tasks.capacity() * sizeof(Task) + floats.capacity() * sizeof(float);
   }
 };
 
@@ -101,6 +121,16 @@ bool PagedAttentionVariantAvailable(CpuSpmmVariant v);
 // The variant PagedAttentionDecodeBatch dispatches to; cached, honors the
 // SPINFER_SIMD override via ActiveSimdLevel().
 CpuSpmmVariant ActivePagedAttentionVariant();
+
+// The softmax exponential every attention path here shares: the kernel, the
+// reference and TinyTransformer::Forward. exp(x) for x <= 0 by Cephes-style
+// range reduction (x = n ln2 + r, |r| <= ln2 / 2), a degree-5 polynomial and
+// an exponent-field construction of 2^n, every multiply and add rounded
+// separately: within 1 ulp of a double-precision exp on [-87.33, 0],
+// SoftmaxExp(0) == 1 exactly, inputs above 0 are taken as 0, inputs below
+// ln(FLT_MIN) give 0 (so -inf gives 0), NaN gives NaN. Defined out of line
+// in the portable unit; the AVX2 unit mirrors it operation for operation.
+float SoftmaxExp(float x);
 
 // The pre-fusion scalar kernel, retained as the differential reference: one
 // sequence, one column, single-threaded, no SIMD, no fusion — but with the

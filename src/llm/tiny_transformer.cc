@@ -156,10 +156,15 @@ TinyTransformer::TinyTransformer(const TinyConfig& config, uint64_t seed)
       embedding_.at(r, v) = embedding.at(v, r).ToFloat();
     }
   }
-  pos_divisor_.resize(static_cast<size_t>(config.hidden));
+  pos_signal_ = FloatMatrix(config.max_seq, config.hidden);
   for (int64_t r = 0; r < config.hidden; ++r) {
-    pos_divisor_[static_cast<size_t>(r)] =
+    const double divisor =
         std::pow(10000.0, static_cast<double>(2 * (r / 2)) / config.hidden);
+    for (int64_t pos = 0; pos < config.max_seq; ++pos) {
+      const double p = static_cast<double>(pos) / divisor;
+      pos_signal_.at(pos, r) =
+          0.1f * static_cast<float>((r % 2 == 0) ? std::sin(p) : std::cos(p));
+    }
   }
   layers_.resize(static_cast<size_t>(config.layers));
   for (Layer& l : layers_) {
@@ -257,16 +262,10 @@ uint64_t TinyTransformer::MatmulScratchCapacityBytes() const {
 void TinyTransformer::EmbedInto(int32_t token, int64_t pos, int64_t col,
                                 FloatMatrix* act) const {
   SPINFER_CHECK(token >= 0 && token < config_.vocab);
-  const int64_t h = config_.hidden;
-  // Embedding + a fixed sinusoidal positional signal. `pos` is the token's
-  // absolute position, so a decode step embeds exactly the bits a
-  // full-sequence Forward would give that position.
-  for (int64_t r = 0; r < h; ++r) {
-    const double p =
-        static_cast<double>(pos) / pos_divisor_[static_cast<size_t>(r)];
-    act->at(r, col) = embedding_.at(r, token) +
-                      0.1f * static_cast<float>((r % 2 == 0) ? std::sin(p)
-                                                             : std::cos(p));
+  SPINFER_CHECK(pos >= 0 && pos < config_.max_seq);
+  const float* signal = pos_signal_.data() + pos * config_.hidden;
+  for (int64_t r = 0; r < config_.hidden; ++r) {
+    act->at(r, col) = embedding_.at(r, token) + signal[r];
   }
 }
 
@@ -358,7 +357,7 @@ FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
           }
           float denom = 0.0f;
           for (int64_t s = 0; s <= t; ++s) {
-            scores[s] = std::exp(scores[s] - max_score);
+            scores[s] = SoftmaxExp(scores[s] - max_score);
             denom += scores[s];
           }
           for (int64_t r = 0; r < hd; ++r) {

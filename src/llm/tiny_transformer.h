@@ -29,7 +29,9 @@
 // tied unembedding is UnembedInto over the FP32-widened embedding, whose
 // lanes run across the vocabulary while every logit keeps one serial r-
 // ascending chain. Both loops vectorize on the baseline ISA with a single
-// implementation, so the SIMD variants cannot differ there.
+// implementation, so the SIMD variants cannot differ there. Both modes'
+// attention softmax takes its exponential from SoftmaxExp
+// (paged_attention.h), the same function as the batched kernel's.
 #pragma once
 
 #include <cstdint>
@@ -225,6 +227,15 @@ class TinyTransformer {
   // Average sparsity across transformer weights.
   double WeightSparsity() const;
 
+  // Embeds `token` at absolute position `pos` into column `col` of `act`:
+  // embedding(r, token) + 0.1f * float(f(pos / 10000^(2*(r/2)/hidden))),
+  // f = sin on even r and cos on odd r, the signal read from a table built
+  // once per model. A decode step therefore embeds exactly the bits a
+  // full-sequence Forward gives that position.
+  void EmbedInto(int32_t token, int64_t pos, int64_t col, FloatMatrix* act) const;
+  // hidden x vocab: the FP16 embedding draws widened exactly (tied LM head).
+  const FloatMatrix& embedding() const { return embedding_; }
+
  private:
   // Reusable buffers for one Forward or step pass. Shapes depend only on
   // (panel width, hidden, ffn, bands), so every layer — and every subsequent
@@ -257,16 +268,13 @@ class TinyTransformer {
                   const FloatMatrix& x, MatmulBackend backend, const char* label,
                   FloatMatrix* out) const;
 
-  // Embeds `token` at absolute position `pos` into column `col` of `act`.
-  void EmbedInto(int32_t token, int64_t pos, int64_t col, FloatMatrix* act) const;
-
   void EncodeAll();
 
   TinyConfig config_;
   // hidden x vocab: the FP16 draws widened exactly (tied LM head).
   FloatMatrix embedding_;
-  // Per hidden row, the positional signal's divisor 10000^(2*(r/2)/hidden).
-  std::vector<double> pos_divisor_;
+  // max_seq x hidden: the positional signal, built once per model.
+  FloatMatrix pos_signal_;
   std::vector<Layer> layers_;
   // `mutable`: Forward is logically const. A single TinyTransformer must not
   // run concurrent Forward calls (matching the SpmmWorkspace contract).

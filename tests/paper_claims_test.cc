@@ -119,9 +119,9 @@ TEST(PaperClaimsTest, FastestKernelAtOperatingPoint) {
       for (const GemmShape& g : LayerGemmShapes(model)) {
         const SpmmProblem p = Problem(g.m, g.k, 16, 0.6);
         const double spinfer_t = TimeUs("spinfer", p, dev);
-        for (const std::string& other :
+        for (const char* other :
              {"cublas_tc", "flash_llm", "sparta", "sputnik", "cusparse", "smat"}) {
-          EXPECT_LE(spinfer_t, TimeUs(other.c_str(), p, dev))
+          EXPECT_LE(spinfer_t, TimeUs(other, p, dev))
               << dev.name << " " << model.name << " " << g.op << " vs " << other;
         }
       }

@@ -264,5 +264,29 @@ TEST(TinyTransformerTest, UnembedMatchesSerialDotChainBitwise) {
   }
 }
 
+// The positional table reproduces the per-element formula it replaced, bit
+// for bit, at every position the model can embed.
+TEST(TinyTransformerTest, EmbeddingMatchesSinusoidFormulaAtEveryPosition) {
+  const TinyConfig cfg = SmallConfig();
+  const TinyTransformer model(cfg, 5);
+  FloatMatrix act(cfg.hidden, 2);
+  for (const int32_t token : {0, 17, static_cast<int32_t>(cfg.vocab - 1)}) {
+    for (int64_t pos = 0; pos < cfg.max_seq; ++pos) {
+      model.EmbedInto(token, pos, /*col=*/1, &act);
+      for (int64_t r = 0; r < cfg.hidden; ++r) {
+        const double p =
+            static_cast<double>(pos) /
+            std::pow(10000.0, static_cast<double>(2 * (r / 2)) / cfg.hidden);
+        const float signal = 0.1f * static_cast<float>(
+                                        (r % 2 == 0) ? std::sin(p) : std::cos(p));
+        const float want = model.embedding().at(r, token) + signal;
+        ASSERT_EQ(std::bit_cast<uint32_t>(act.at(r, 1)),
+                  std::bit_cast<uint32_t>(want))
+            << "token " << token << " pos " << pos << " row " << r;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace spinfer
