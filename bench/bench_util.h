@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -19,6 +20,20 @@
 
 namespace spinfer {
 
+// `--threads` (default `def`); exits with an error naming the flag when it
+// is negative, since a negative width would read as "hardware concurrency".
+inline int ThreadsFlag(const CliFlags& flags, int def) {
+  const int64_t threads = flags.GetInt("threads", def);
+  if (threads < 0) {
+    std::fprintf(stderr,
+                 "error: --threads must be >= 0 (got %ld); 0 selects hardware "
+                 "concurrency\n",
+                 static_cast<long>(threads));
+    std::exit(1);
+  }
+  return static_cast<int>(threads);
+}
+
 // Parses the flags shared by every bench binary and configures the global
 // thread pool. `--threads=N` sets the sweep/kernel execution width (default:
 // hardware concurrency). Determinism guarantee: every parallel loop in the
@@ -32,7 +47,7 @@ namespace spinfer {
 inline CliFlags BenchInit(int argc, char** argv) {
   CliFlags flags(argc, argv);
   flags.RestrictTo({"threads", "trace"});
-  ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads", 0)));
+  ThreadPool::SetGlobalThreads(ThreadsFlag(flags, 0));
   const std::string trace_path = flags.GetString("trace", "");
   if (!trace_path.empty()) {
     obs::EnableTracingToFileAtExit(trace_path);

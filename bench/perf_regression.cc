@@ -101,7 +101,7 @@ int Main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   flags.RestrictTo(
       {"threads", "reps", "out", "trace", "metrics", "timeline", "prom"});
-  ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads", 1)));
+  ThreadPool::SetGlobalThreads(ThreadsFlag(flags, 1));
   const int reps = static_cast<int>(flags.GetInt("reps", 5));
   const std::string out_path = flags.GetString("out", "BENCH.json");
   const std::string trace_path = flags.GetString("trace", "");
@@ -137,6 +137,16 @@ int Main(int argc, char** argv) {
   auto bench = [&](const std::string& name, const std::function<void()>& fn) {
     bench_at(name, threads, fn);
   };
+
+  // --- ThreadPool: the fork/join cost of one distributed loop. -------------
+  // 10,000 empty 16-index loops on the global pool. Above one thread each
+  // loop is distributed (16 one-index chunks), so the time is the team's
+  // publish, claim and join overhead; at --threads=1 each runs inline.
+  bench("thread_pool_fork_join", [&] {
+    for (int loop = 0; loop < 10000; ++loop) {
+      ParallelFor(0, 16, [](int64_t) {});
+    }
+  });
 
   // --- ReferenceGemm: dense FP16 oracle. -----------------------------------
   {
@@ -238,7 +248,7 @@ int Main(int argc, char** argv) {
         g_sink = out.data()[0];
       });
     }
-    ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads", 1)));
+    ThreadPool::SetGlobalThreads(threads);
 
     // --- Bitmap-direct SpMV (batch-1 decode fast path), same layer shape. --
     // cpu_spmv is the dispatched variant the serving path runs; the

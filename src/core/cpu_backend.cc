@@ -23,9 +23,9 @@ namespace cpu_backend_detail {
 // variant shares one clean copy; see the declaration for why.
 uint64_t SpmmPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
 
-void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans, RowBodyRef row) {
-  // Null when tracing is off. The closure holds two pointers, which fit in
-  // std::function's inline buffer, so this ParallelFor allocates nothing.
+void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
+                      FunctionRef<void(int64_t, SpmmPhaseRecorder*)> row) {
+  // Null when tracing is off.
   const SweepSpans* traced = obs::TracingEnabled() ? &spans : nullptr;
   ParallelFor(0, grid_rows, [&row, traced](int64_t gtr) {
     if (traced == nullptr) {

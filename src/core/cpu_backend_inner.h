@@ -20,6 +20,7 @@
 #include <cstdint>
 
 #include "src/format/tca_bme.h"
+#include "src/util/function_ref.h"
 
 namespace spinfer {
 namespace cpu_backend_detail {
@@ -62,32 +63,6 @@ struct SweepSpans {
   const char* accumulate;
 };
 
-// Non-owning reference to a sweep's row body, called as body(gtr, rec): an
-// object pointer plus a trampoline that casts it back to its own type. The
-// drivers' capture-by-reference lambdas outgrow std::function's inline
-// buffer, so a std::function would heap-allocate on every call; this never
-// allocates. The referenced callable must outlive the reference, which a
-// temporary lambda passed straight to RowParallelSweep does.
-class RowBodyRef {
- public:
-  template <typename F>
-  RowBodyRef(const F& body)  // implicit: drivers pass their lambda directly
-      : obj_(&body), call_(&Trampoline<F>) {}
-
-  void operator()(int64_t gtr, SpmmPhaseRecorder* rec) const {
-    call_(obj_, gtr, rec);
-  }
-
- private:
-  template <typename F>
-  static void Trampoline(const void* obj, int64_t gtr, SpmmPhaseRecorder* rec) {
-    (*static_cast<const F*>(obj))(gtr, rec);
-  }
-
-  const void* obj_;
-  void (*call_)(const void*, int64_t, SpmmPhaseRecorder*);
-};
-
 // The row-parallel sweep of every CPU SpMM/SpMV driver, defined in
 // cpu_backend.cc: runs row(gtr, rec) once per GroupTile grid row gtr in
 // [0, grid_rows) on the global ThreadPool. Each row owns the output rows of
@@ -97,7 +72,8 @@ class RowBodyRef {
 // instrumentation); traced rows get a fresh recorder and are emitted as one
 // row_task span plus back-to-back synthetic child slices whose durations are
 // the row's per-phase totals.
-void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans, RowBodyRef row);
+void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
+                      FunctionRef<void(int64_t, SpmmPhaseRecorder*)> row);
 
 // Widest N-block the block tile takes: blocks at most this wide (every
 // decode batch, and the last block of a panel like N = 132) run it; wider

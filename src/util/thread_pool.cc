@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <memory>
-#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -12,17 +10,46 @@
 
 namespace spinfer {
 
-// Per-worker task deque. A plain mutex per queue keeps the stealing protocol
-// obviously correct (and ThreadSanitizer-clean); tasks are coarse enough —
-// ParallelFor chunks, whole bench sweep points — that lock traffic is noise.
-struct ThreadPool::Queue {
-  std::mutex mutex;
-  std::deque<std::function<void()>> tasks;
+// One published loop; lives on the stack of the ParallelFor that runs it.
+struct ThreadPool::Loop {
+  std::atomic<int64_t> cursor;
+  int64_t end;
+  int64_t grain;
+  FunctionRef<void(int64_t)> body;
+
+  // Claims and runs chunks until the cursor passes `end`; returns whether
+  // any chunk ran.
+  bool RunChunks() {
+    bool ran = false;
+    int64_t first;
+    while ((first = cursor.fetch_add(grain, std::memory_order_relaxed)) < end) {
+      const int64_t last = std::min(end, first + grain);
+      for (int64_t i = first; i < last; ++i) {
+        body(i);
+      }
+      ran = true;
+    }
+    return ran;
+  }
 };
 
 namespace {
 
+// How long an idle worker polls for the next loop before it parks. A model
+// step's loops come microseconds apart, so a hot team skips the futex wake;
+// the bound keeps idle workers from taking cores from other processes.
+constexpr std::chrono::microseconds kSpinWindow{50};
+
+// The pause of a spin-wait: it frees the core's pipeline for its sibling
+// hyperthread while the waiter polls.
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 int ResolveThreads(int num_threads) {
+  SPINFER_CHECK(num_threads >= 0);
   if (num_threads > 0) {
     return num_threads;
   }
@@ -30,123 +57,60 @@ int ResolveThreads(int num_threads) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-// Worker index of the current thread within its pool, or -1 off-pool. Used
-// to route Submit to the submitting worker's own queue (LIFO locality) and
-// to pick a distinct steal-victim starting point per worker.
-thread_local int tls_worker_index = -1;
-thread_local const ThreadPool* tls_worker_pool = nullptr;
-
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(ResolveThreads(num_threads)) {
-  // The caller participates in ParallelFor, so a width-N pool spawns N-1
-  // dedicated workers; width 1 means fully inline execution.
-  const int spawned = num_threads_ - 1;
-  queues_.reserve(spawned);
-  for (int i = 0; i < spawned; ++i) {
-    queues_.push_back(new Queue());
-  }
-  workers_.reserve(spawned);
-  for (int i = 0; i < spawned; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  workers_.reserve(num_threads_ - 1);
+  for (int i = 1; i < num_threads_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_.store(true, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
   }
   wake_cv_.notify_all();
   for (std::thread& t : workers_) {
     t.join();
   }
-  for (Queue* q : queues_) {
-    delete q;
-  }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (queues_.empty()) {
-    tasks_inline_.fetch_add(1, std::memory_order_relaxed);
-    task();  // width-1 pool: run inline
-    return;
-  }
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  size_t target;
-  if (tls_worker_pool == this && tls_worker_index >= 0) {
-    target = static_cast<size_t>(tls_worker_index);
-  } else {
-    target = next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::TryGetTask(int worker_index, std::function<void()>* task) {
-  // Own queue first, newest task (back): best cache locality.
-  {
-    Queue* own = queues_[worker_index];
-    std::lock_guard<std::mutex> lock(own->mutex);
-    if (!own->tasks.empty()) {
-      *task = std::move(own->tasks.back());
-      own->tasks.pop_back();
-      tasks_popped_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // Steal the oldest task (front) from another worker, scanning from a
-  // per-worker start so thieves spread across victims.
-  const size_t n = queues_.size();
-  for (size_t d = 1; d < n; ++d) {
-    Queue* victim = queues_[(static_cast<size_t>(worker_index) + d) % n];
-    std::lock_guard<std::mutex> lock(victim->mutex);
-    if (!victim->tasks.empty()) {
-      *task = std::move(victim->tasks.front());
-      victim->tasks.pop_front();
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(int worker_index) {
-  tls_worker_index = worker_index;
-  tls_worker_pool = this;
-  std::function<void()> task;
+void ThreadPool::WorkerLoop() {
+  uint64_t seen = 0;
   while (true) {
-    if (TryGetTask(worker_index, &task)) {
-      task();
-      task = nullptr;
-      continue;
+    const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+    uint64_t gen;
+    for (int spins = 0; (gen = generation_.load(std::memory_order_acquire)) == seen;
+         ++spins) {
+      CpuRelax();
+      if (spins % 64 == 63 && std::chrono::steady_clock::now() > deadline) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        wake_cv_.wait(lock, [&] {
+          return generation_.load(std::memory_order_relaxed) != seen;
+        });
+      }
     }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
+    seen = gen;
     if (stopping_.load(std::memory_order_relaxed)) {
       return;
     }
-    // Re-check for work published between the failed scan and the lock;
-    // Submit holds no lock ordering against the queues, so sleep only after
-    // a locked re-scan fails.
-    lock.unlock();
-    if (TryGetTask(worker_index, &task)) {
-      task();
-      task = nullptr;
-      continue;
+    // Count in before reading loop_: ParallelFor retires its loop by nulling
+    // loop_ and then waiting for active_ to reach 0, so a worker either sees
+    // null or is waited for (both sides are seq_cst).
+    active_.fetch_add(1);
+    Loop* loop = loop_.load();
+    if (loop != nullptr && loop->RunChunks()) {
+      tasks_popped_.fetch_add(1, std::memory_order_relaxed);
     }
-    lock.lock();
-    if (stopping_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    wake_cv_.wait_for(lock, std::chrono::milliseconds(2));
+    active_.fetch_sub(1, std::memory_order_release);
   }
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end,
-                             const std::function<void(int64_t)>& fn, int64_t grain) {
+                             FunctionRef<void(int64_t)> fn, int64_t grain) {
   const int64_t total = end - begin;
   if (total <= 0) {
     return;
@@ -156,12 +120,11 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end,
     // per-index cost, coarse enough that the shared cursor stays cold.
     grain = std::max<int64_t>(1, total / (static_cast<int64_t>(num_threads_) * 8));
   }
-  // Inline fast path: a width-1 pool, or a range that fits in a single
-  // chunk, runs on the caller with no task handoff, no shared loop state,
-  // and no wake/wait traffic. Same indices, same order as the one chunk the
-  // caller would have claimed anyway — results are unchanged.
+  // Inline path: the same indices in the same order as the one chunk the
+  // caller would have claimed, so results are unchanged.
   parallel_fors_.fetch_add(1, std::memory_order_relaxed);
-  if (num_threads_ == 1 || total <= grain) {
+  if (num_threads_ == 1 || total <= grain ||
+      busy_.exchange(true, std::memory_order_acquire)) {
     parallel_fors_inline_.fetch_add(1, std::memory_order_relaxed);
     for (int64_t i = begin; i < end; ++i) {
       fn(i);
@@ -169,62 +132,35 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end,
     return;
   }
   SPINFER_TRACE_SCOPE_ARG("threadpool.parallel_for", "total", total);
+  tasks_submitted_.fetch_add(static_cast<uint64_t>(num_threads_ - 1),
+                             std::memory_order_relaxed);
 
-  // Shared loop state. Heap-allocated and reference-counted so helper tasks
-  // that lose the race for the last chunk can still touch it safely after
-  // the caller has returned.
-  struct LoopState {
-    std::atomic<int64_t> cursor;
-    int64_t end = 0;
-    int64_t grain = 0;
-    const std::function<void(int64_t)>* fn = nullptr;
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    int64_t done = 0;  // indices completed, guarded by done_mutex
-    int64_t total = 0;
-  };
-  auto state = std::make_shared<LoopState>();
-  state->cursor.store(begin, std::memory_order_relaxed);
-  state->end = end;
-  state->grain = grain;
-  state->fn = &fn;
-  state->total = total;
-
-  auto run_chunks = [](const std::shared_ptr<LoopState>& s) {
-    int64_t chunk_begin;
-    while ((chunk_begin = s->cursor.fetch_add(s->grain, std::memory_order_relaxed)) <
-           s->end) {
-      const int64_t chunk_end = std::min(s->end, chunk_begin + s->grain);
-      for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-        (*s->fn)(i);
-      }
-      std::lock_guard<std::mutex> lock(s->done_mutex);
-      s->done += chunk_end - chunk_begin;
-      if (s->done == s->total) {
-        s->done_cv.notify_all();
-      }
-    }
-  };
-
-  // One helper task per worker; each loops until the cursor is exhausted.
-  // Helpers that start after the range is drained exit immediately.
-  const int64_t max_helpers =
-      std::min<int64_t>(num_threads_ - 1, (total + grain - 1) / grain);
-  for (int64_t h = 0; h < max_helpers; ++h) {
-    Submit([state, run_chunks] { run_chunks(state); });
+  Loop loop{{begin}, end, grain, fn};
+  loop_.store(&loop);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    generation_.fetch_add(1, std::memory_order_release);
   }
-  // The caller works too, then blocks until in-flight chunks finish.
-  run_chunks(state);
-  std::unique_lock<std::mutex> lock(state->done_mutex);
-  state->done_cv.wait(lock, [&] { return state->done == state->total; });
+  wake_cv_.notify_all();
+  loop.RunChunks();
+  loop_.store(nullptr);
+  // Wait out the workers still inside the loop. A worker finishing a chunk
+  // needs at most one chunk's time; past a short burst of pauses, yield so
+  // a descheduled worker on an oversubscribed host gets the core back.
+  for (int spins = 0; active_.load() != 0; ++spins) {
+    if (spins < 256) {
+      CpuRelax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  busy_.store(false, std::memory_order_release);
 }
 
 ThreadPool::Stats ThreadPool::stats() const {
   Stats s;
   s.tasks_submitted = tasks_submitted_.load(std::memory_order_relaxed);
-  s.tasks_inline = tasks_inline_.load(std::memory_order_relaxed);
   s.tasks_popped = tasks_popped_.load(std::memory_order_relaxed);
-  s.tasks_stolen = tasks_stolen_.load(std::memory_order_relaxed);
   s.parallel_fors = parallel_fors_.load(std::memory_order_relaxed);
   s.parallel_fors_inline = parallel_fors_inline_.load(std::memory_order_relaxed);
   return s;
@@ -269,8 +205,8 @@ void ThreadPool::SetGlobalThreads(int num_threads) {
   g_global_pool = std::make_unique<ThreadPool>(num_threads);
 }
 
-void ParallelFor(int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& fn, int64_t grain) {
+void ParallelFor(int64_t begin, int64_t end, FunctionRef<void(int64_t)> fn,
+                 int64_t grain) {
   ThreadPool::Global().ParallelFor(begin, end, fn, grain);
 }
 

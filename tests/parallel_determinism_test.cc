@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "src/baselines/kernel_registry.h"
@@ -94,6 +96,78 @@ TEST(ThreadPoolTest, LargeGrainStillCoversRange) {
   }
 }
 
+// The team runs one loop at a time; a caller that finds it busy runs its
+// loop inline. Four callers contending for one team must each still see
+// every index of every call run exactly once.
+TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 200;
+  constexpr int64_t kRange = 256;
+  std::vector<int> bad_calls(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      const int64_t base = c * kRange;  // each caller's own index range
+      std::vector<int> hits(kRange);
+      for (int call = 0; call < kCalls; ++call) {
+        std::fill(hits.begin(), hits.end(), 0);
+        pool.ParallelFor(base, base + kRange,
+                         [&](int64_t i) { hits[static_cast<size_t>(i - base)] += 1; });
+        if (std::count(hits.begin(), hits.end(), 1) != kRange) {
+          bad_calls[static_cast<size_t>(c)] += 1;
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) {
+    t.join();
+  }
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(bad_calls[static_cast<size_t>(c)], 0) << "caller " << c;
+  }
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsOnItsIssuingThread) {
+  ThreadPool pool(4);
+  constexpr int64_t kOuter = 16;
+  constexpr int64_t kInner = 64;
+  std::vector<std::thread::id> outer(kOuter);
+  std::vector<std::thread::id> inner(kOuter * kInner);
+  pool.ParallelFor(
+      0, kOuter,
+      [&](int64_t o) {
+        outer[static_cast<size_t>(o)] = std::this_thread::get_id();
+        pool.ParallelFor(0, kInner, [&](int64_t i) {
+          inner[static_cast<size_t>(o * kInner + i)] = std::this_thread::get_id();
+        });
+      },
+      /*grain=*/1);
+  for (int64_t o = 0; o < kOuter; ++o) {
+    for (int64_t i = 0; i < kInner; ++i) {
+      ASSERT_EQ(inner[static_cast<size_t>(o * kInner + i)],
+                outer[static_cast<size_t>(o)])
+          << "outer " << o << ", inner " << i;
+    }
+  }
+}
+
+// Start-up and shutdown race the workers' first and last looks at the
+// team; one distributed loop per pool puts a loop between them.
+TEST(ThreadPoolTest, BuildAndDestroyRepeatedly) {
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(4);
+    std::vector<int> hits(64, 0);
+    pool.ParallelFor(0, 64, [&](int64_t i) { hits[static_cast<size_t>(i)] += 1; },
+                     /*grain=*/1);
+    ASSERT_EQ(std::count(hits.begin(), hits.end(), 1), 64) << "round " << round;
+  }
+}
+
+TEST(ThreadPoolDeathTest, NegativeWidthIsCheckFailure) {
+  EXPECT_DEATH(ThreadPool(-4), "num_threads >= 0");
+}
+
 // --- Scheduling statistics (src/util/thread_pool.h Stats) ------------------
 
 TEST(ThreadPoolStatsTest, InlinePathsAreCountedExactly) {
@@ -104,14 +178,12 @@ TEST(ThreadPoolStatsTest, InlinePathsAreCountedExactly) {
 
   std::atomic<int> calls{0};
   pool.ParallelFor(0, 100, [&](int64_t) { calls.fetch_add(1); });
-  pool.Submit([&] { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 101);
+  EXPECT_EQ(calls.load(), 100);
 
   // Width 1 is fully inline: no task ever reaches a queue.
   const ThreadPool::Stats s = pool.stats();
   EXPECT_EQ(s.parallel_fors, 1u);
   EXPECT_EQ(s.parallel_fors_inline, 1u);
-  EXPECT_EQ(s.tasks_inline, 1u);
   EXPECT_EQ(s.tasks_submitted, 0u);
   EXPECT_EQ(s.tasks_popped, 0u);
   EXPECT_EQ(s.tasks_stolen, 0u);
@@ -155,13 +227,11 @@ TEST(ThreadPoolStatsTest, PublishMetricsExportsGaugesToRegistry) {
   ThreadPool pool(1);
   std::atomic<int> calls{0};
   pool.ParallelFor(0, 64, [&](int64_t) { calls.fetch_add(1); });
-  pool.Submit([&] { calls.fetch_add(1); });
   pool.PublishMetrics();  // nullptr = the global registry
 
   EXPECT_EQ(reg.GetGauge("threadpool.num_threads")->Value(), 1.0);
   EXPECT_EQ(reg.GetGauge("threadpool.parallel_fors")->Value(), 1.0);
   EXPECT_EQ(reg.GetGauge("threadpool.parallel_fors_inline")->Value(), 1.0);
-  EXPECT_EQ(reg.GetGauge("threadpool.tasks_inline")->Value(), 1.0);
   EXPECT_EQ(reg.GetGauge("threadpool.tasks_submitted")->Value(), 0.0);
   EXPECT_EQ(reg.GetGauge("threadpool.tasks_popped")->Value(), 0.0);
   EXPECT_EQ(reg.GetGauge("threadpool.tasks_stolen")->Value(), 0.0);

@@ -24,6 +24,7 @@ WARN_RATIO = 1.30  # flag rows whose wall time moved by more than this factor
 # (e.g. perf_regression.cc lost a block in a refactor) would otherwise vanish
 # without a trace — this list makes that failure mode visible too.
 EXPECTED_BENCHES = (
+    "thread_pool_fork_join",
     "reference_gemm",
     "spinfer_functional",
     "tca_bme_encode",
