@@ -8,8 +8,9 @@
 #include "src/core/spinfer_kernel.h"
 #include "src/format/sparse_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   const DeviceSpec dev = Rtx4090();
 
   PrintHeader("Ablation: split-K factor (modeled us, N=16, s=60%, RTX4090)");

@@ -9,8 +9,9 @@
 #include "src/core/autotuner.h"
 #include "src/gpusim/occupancy.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   const DeviceSpec dev = Rtx4090();
 
   struct Shape {

@@ -8,8 +8,9 @@
 #include "bench/bench_util.h"
 #include "src/llm/disaggregation.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   PrintHeader("Extension: disaggregated prefill/decode for OPT-13B (in=512, out=128)");
 
   for (double rps : {1.0, 4.0, 16.0}) {

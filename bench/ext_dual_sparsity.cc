@@ -5,8 +5,9 @@
 #include "bench/bench_util.h"
 #include "src/core/dual_sparse.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   const DeviceSpec dev = Rtx4090();
   const SpmmProblem p = MakeProblem(8192, 8192, 16, 0.6);
   const double base_us = ModeledTimeUs("spinfer", p, dev);

@@ -12,8 +12,9 @@
 #include "src/format/tca_bme_quant.h"
 #include "src/util/random.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   const DeviceSpec dev = Rtx4090();
   const int64_t m = 4096;
   const int64_t k = 4096;

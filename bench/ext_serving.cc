@@ -7,8 +7,9 @@
 #include "bench/bench_util.h"
 #include "src/llm/serving.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   PrintHeader("Extension: OPT-13B serving on 1x RTX4090, Poisson arrivals");
 
   for (double rps : {1.0, 3.0, 6.0}) {

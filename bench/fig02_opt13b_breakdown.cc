@@ -5,8 +5,9 @@
 #include "bench/bench_util.h"
 #include "src/llm/engine.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   EngineConfig cfg;
   cfg.model = Opt13B();
   cfg.framework = Framework::kFasterTransformer;

@@ -13,8 +13,9 @@
 #include "src/format/tiled_csl.h"
 #include "src/util/random.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   const int64_t m = 4096;
   const int64_t k = 4096;
 

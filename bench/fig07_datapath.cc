@@ -8,8 +8,9 @@
 #include "bench/bench_util.h"
 #include "src/util/random.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   Rng rng(707);
   const HalfMatrix w = HalfMatrix::RandomSparse(512, 512, 0.6, rng);
   const HalfMatrix x = HalfMatrix::Random(512, 16, rng, 0.5f);

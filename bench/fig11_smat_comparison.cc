@@ -3,8 +3,9 @@
 // pays off when whole 8x8 blocks vanish — above ~99.7% sparsity.
 #include "bench/bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   const DeviceSpec dev = Rtx4090();
   const int64_t m = 8192;
   const int64_t k = 8192;

@@ -25,8 +25,9 @@ void PrintBreakdown(const char* label, const spinfer::InferenceReport& r) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   PrintHeader("Figure 15: end-to-end time breakdown (OPT-13B, batch 16, out 256)");
 
   EngineConfig cfg;

@@ -6,8 +6,9 @@
 
 #include "bench/bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   const DeviceSpec dev = Rtx4090();
   const int64_t m = 28672;
   const int64_t k = 8192;

@@ -235,6 +235,29 @@ int Main(int argc, char** argv) {
       CpuSpmmInto(enc, x8, &ws, &out);
       g_sink = out.data()[0];
     });
+    // n16 and n32 run the AVX-512 tile where it is dispatched and RowTerm
+    // staging elsewhere; n8_avx2 pins the AVX2 tile on hosts that dispatch
+    // past it (absent where AVX2 is unavailable).
+    // Their own stream, so the other points keep their inputs.
+    Rng wide_rng(1011);
+    const HalfMatrix x16 = HalfMatrix::Random(kCpuSpmmK, 16, wide_rng);
+    const HalfMatrix x32 = HalfMatrix::Random(kCpuSpmmK, 32, wide_rng);
+    bench("cpu_spmm_n16", [&] {
+      CpuSpmmInto(enc, x16, &ws, &out);
+      g_sink = out.data()[0];
+    });
+    bench("cpu_spmm_n32", [&] {
+      CpuSpmmInto(enc, x32, &ws, &out);
+      g_sink = out.data()[0];
+    });
+    if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
+      bench("cpu_spmm_n8_avx2", [&] {
+        out.Reshape(enc.rows(), 8);
+        out.Fill(0.0f);
+        CpuSpmmAccumulateIntoVariant(enc, x8, &ws, &out, CpuSpmmVariant::kAvx2);
+        g_sink = out.data()[0];
+      });
+    }
     bench("cpu_spmm_n64", [&] {
       CpuSpmmInto(enc, x64, &ws, &out);
       g_sink = out.data()[0];

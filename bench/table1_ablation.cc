@@ -11,8 +11,9 @@
 #include "src/gpusim/pipeline.h"
 #include "src/gpusim/timeline.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spinfer;
+  BenchInit(argc, argv);
   const DeviceSpec dev = Rtx4090();
   // The ablation aggregates a decode-phase workload; model the OPT-30B fc1
   // shape, executed many times as in the paper's 303ms total.

@@ -1,10 +1,10 @@
 // Portable half of the v2 backend: the driver (workspace, N-blocking, the
 // narrow-block layout, GroupTile-row parallelism, dispatch) plus the portable
-// block tile and auto-vectorizing row update.
+// tile and auto-vectorizing row update.
 //
 // Compiled with -ffp-contract=off (see src/core/CMakeLists.txt): the updates
 // must round every multiply and every add separately so their results are
-// bit-identical to the AVX2 unit, which uses explicit mul/add intrinsics.
+// bit-identical to the SIMD units, which use explicit mul/add intrinsics.
 #include "src/core/cpu_backend.h"
 
 #include <algorithm>
@@ -57,18 +57,18 @@ void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
 
 namespace {
 
-using cpu_backend_detail::kBlockTileMaxCols;
-using cpu_backend_detail::ProcessGroupTile;
+using cpu_backend_detail::kPortableTileMaxCols;
 using cpu_backend_detail::RowTerm;
+using cpu_backend_detail::SpmmPhaseRecorder;
 
-// Portable block tile: one bitmap row at a time, its nonzeros walked in bit
-// order into per-column accumulators read and written at the block's column
-// stride. The baseline ISA has neither a masked load nor a cheap blend, so
-// the AVX2 unit's expand-and-sweep would not pay here. kWidth 1 (a one-lane
-// walk, the N = 1 decode shape) and 8 (a whole block, which vectorizes) fix
-// the width at compile time; kWidth 0 guards each of the 8 lanes by nb, which
-// keeps the accumulators in registers where a variable-length loop would
-// not.
+// Portable BitmapTile body: one bitmap row at a time, its nonzeros walked in
+// bit order into per-column accumulators read and written at the block's
+// column stride. The baseline ISA has neither a masked load nor a cheap
+// blend, so the SIMD units' expand-and-sweep would not pay here. kWidth 1 (a
+// one-lane walk, the N = 1 decode shape) and 8 (a whole block, which
+// vectorizes) fix the width at compile time; kWidth 0 guards each of the 8
+// lanes by nb, which keeps the accumulators in registers where a
+// variable-length loop would not.
 template <int kWidth>
 void PortableTileRows(uint64_t bitmap, const float* vals, int64_t bt_r,
                       const float* xt, int64_t n, int64_t nb, float* blk,
@@ -106,14 +106,14 @@ void PortableTileRows(uint64_t bitmap, const float* vals, int64_t bt_r,
   }
 }
 
-struct PortableBlockTile {
+struct PortableTile8 {
   void operator()(uint64_t bitmap, const float* vals, int64_t bt_r,
                   int64_t bt_c, const float* xf, int64_t n, int64_t j0,
                   int64_t nb, float* blk, int64_t ldb) const {
     const float* xt = xf + bt_c * n + j0;
     if (nb == 1) {
       PortableTileRows<1>(bitmap, vals, bt_r, xt, n, nb, blk, ldb);
-    } else if (nb == kBlockTileMaxCols) {
+    } else if (nb == kPortableTileMaxCols) {
       PortableTileRows<8>(bitmap, vals, bt_r, xt, n, nb, blk, ldb);
     } else {
       PortableTileRows<0>(bitmap, vals, bt_r, xt, n, nb, blk, ldb);
@@ -155,7 +155,7 @@ struct PortableRowFma {
 };
 
 // LUT-based batch conversion for the portable variant; exact, so it matches
-// the AVX2 unit's vcvtph2ps bit for bit.
+// the SIMD units' vcvtph2ps bit for bit.
 struct PortableConvert {
   void operator()(const Half* src, float* dst, size_t count) const {
     for (size_t i = 0; i < count; ++i) {
@@ -164,26 +164,67 @@ struct PortableConvert {
   }
 };
 
-void ProcessGroupTilePortable(const TcaBmeMatrix& w, int64_t gt, const float* xf,
-                              int64_t n, int64_t j0, int64_t nb, float* out,
-                              int64_t ldo,
-                              cpu_backend_detail::SpmmPhaseRecorder* rec) {
+void ProcessGroupTileNarrowPortable(const TcaBmeMatrix& w, int64_t gt,
+                                    const float* xf, int64_t n, int64_t j0,
+                                    int64_t nb, float* blk, int64_t ldb,
+                                    SpmmPhaseRecorder* rec) {
+  using cpu_backend_detail::ProcessGroupTileNarrow;
+  using Tile = cpu_backend_detail::TilePair<PortableTile8>;
   if (rec != nullptr) {
-    ProcessGroupTile<true>(w, gt, xf, n, j0, nb, out, ldo, PortableBlockTile{},
-                           PortableRowFma{}, PortableConvert{}, rec);
+    ProcessGroupTileNarrow<true>(w, gt, xf, n, j0, nb, blk, ldb, Tile{},
+                                 PortableConvert{}, rec);
   } else {
-    ProcessGroupTile<false>(w, gt, xf, n, j0, nb, out, ldo, PortableBlockTile{},
-                            PortableRowFma{}, PortableConvert{});
+    ProcessGroupTileNarrow<false>(w, gt, xf, n, j0, nb, blk, ldb, Tile{},
+                                  PortableConvert{});
+  }
+}
+
+void ProcessGroupTileWidePortable(const TcaBmeMatrix& w, int64_t gt,
+                                  const float* xf, int64_t n, int64_t j0,
+                                  int64_t nb, float* out, int64_t ldo,
+                                  SpmmPhaseRecorder* rec) {
+  using cpu_backend_detail::ProcessGroupTileWide;
+  if (rec != nullptr) {
+    ProcessGroupTileWide<true>(w, gt, xf, n, j0, nb, out, ldo, PortableRowFma{},
+                               PortableConvert{}, rec);
+  } else {
+    ProcessGroupTileWide<false>(w, gt, xf, n, j0, nb, out, ldo,
+                                PortableRowFma{}, PortableConvert{});
   }
 }
 
 using GroupTileFn = void (*)(const TcaBmeMatrix&, int64_t, const float*, int64_t,
                              int64_t, int64_t, float*, int64_t,
-                             cpu_backend_detail::SpmmPhaseRecorder*);
+                             SpmmPhaseRecorder*);
 
-GroupTileFn KernelFor(CpuSpmmVariant v) {
-  return v == CpuSpmmVariant::kAvx2 ? &cpu_backend_detail::ProcessGroupTileAvx2
-                                    : &ProcessGroupTilePortable;
+// A variant's two kernels and the widest block its narrow one takes.
+struct VariantKernels {
+  GroupTileFn narrow;
+  GroupTileFn wide;
+  int64_t tile_max_cols;
+};
+
+const VariantKernels& KernelsFor(CpuSpmmVariant v) {
+  static constexpr VariantKernels kPortable = {
+      &ProcessGroupTileNarrowPortable, &ProcessGroupTileWidePortable,
+      kPortableTileMaxCols};
+  static constexpr VariantKernels kAvx2 = {
+      &cpu_backend_detail::ProcessGroupTileNarrowAvx2,
+      &cpu_backend_detail::ProcessGroupTileWideAvx2,
+      cpu_backend_detail::kAvx2TileMaxCols};
+  static constexpr VariantKernels kAvx512 = {
+      &cpu_backend_detail::ProcessGroupTileNarrowAvx512,
+      &cpu_backend_detail::ProcessGroupTileWideAvx2,
+      cpu_backend_detail::kAvx512TileMaxCols};
+  switch (v) {
+    case CpuSpmmVariant::kAvx2:
+      return kAvx2;
+    case CpuSpmmVariant::kAvx512:
+      return kAvx512;
+    case CpuSpmmVariant::kPortable:
+      break;
+  }
+  return kPortable;
 }
 
 constexpr cpu_backend_detail::SweepSpans kSpmmSpans = {
@@ -214,12 +255,13 @@ void CopyBlockRows(float* out, int64_t n, int64_t j0, int64_t nb, float* blk,
 // per-element accumulation order (N-block, then GroupTile column, then
 // storage bit order) is fixed regardless of thread count.
 //
-// A block at most kBlockTileMaxCols wide runs the block tile on a
+// A block at most the variant's tile width wide runs its narrow kernel on a
 // column-major copy of its columns: each grid row copies its own rows of the
 // block into the workspace, sweeps them and copies them back, so the layout
 // change costs one pass per call instead of a transpose per tile. At N = 1
 // the output already has that layout and is swept in place: the FP16 SpMV
-// is this driver's N = 1 case.
+// is this driver's N = 1 case. Wider blocks run the wide kernel on the
+// row-major output.
 template <typename FillPanel>
 void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
                     const FillPanel& fill_panel, SpmmWorkspace* ws,
@@ -241,7 +283,8 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
   ws->x_panel.Reserve(static_cast<size_t>(x_rows * n));
   // Reserved on every call, narrow or not, so a workspace warmed on its
   // widest shape never grows on the decode widths that follow.
-  ws->block.Reserve(static_cast<size_t>(m * std::min(n, kBlockTileMaxCols)));
+  const VariantKernels& kernels = KernelsFor(variant);
+  ws->block.Reserve(static_cast<size_t>(m * std::min(n, kernels.tile_max_cols)));
   float* xf = ws->x_panel.data();
   {
     // Named like the per-tile value staging so trace_report aggregates the
@@ -250,19 +293,19 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
     fill_panel(xf);
   }
 
-  const GroupTileFn kernel = KernelFor(variant);
   const int64_t grid_cols = w.gt_grid_cols();
   const int64_t gt_rows = w.config().gt_rows;
   float* out_data = out->data();
   float* blk = n == 1 ? out_data : ws->block.data();
   cpu_backend_detail::RowParallelSweep(
       w.gt_grid_rows(), kSpmmSpans,
-      [&](int64_t gtr, cpu_backend_detail::SpmmPhaseRecorder* rec) {
+      [&](int64_t gtr, SpmmPhaseRecorder* rec) {
         const int64_t r0 = gtr * gt_rows;
         const int64_t r1 = std::min(m, r0 + gt_rows);
         for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
           const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
-          const bool narrow = nb <= kBlockTileMaxCols;
+          const bool narrow = nb <= kernels.tile_max_cols;
+          const GroupTileFn kernel = narrow ? kernels.narrow : kernels.wide;
           float* dst = narrow ? blk : out_data;
           const int64_t ldo = narrow ? m : n;
           if (dst != out_data) {
@@ -306,20 +349,46 @@ void QuantAccumulateImpl(const TcaBmeMatrix& w, const FloatMatrix& x,
 }  // namespace
 
 const char* CpuSpmmVariantName(CpuSpmmVariant v) {
-  return v == CpuSpmmVariant::kAvx2 ? "avx2" : "portable";
+  switch (v) {
+    case CpuSpmmVariant::kAvx2:
+      return "avx2";
+    case CpuSpmmVariant::kAvx512:
+      return "avx512";
+    case CpuSpmmVariant::kPortable:
+      break;
+  }
+  return "portable";
 }
 
 bool CpuSpmmVariantAvailable(CpuSpmmVariant v) {
-  if (v == CpuSpmmVariant::kPortable) {
-    return true;
-  }
   const CpuFeatures& f = GetCpuFeatures();
-  return cpu_backend_detail::CpuSpmmAvx2Compiled() && f.avx2 && f.fma && f.f16c;
+  const bool avx2 =
+      cpu_backend_detail::CpuSpmmAvx2Compiled() && f.avx2 && f.fma && f.f16c;
+  switch (v) {
+    case CpuSpmmVariant::kAvx2:
+      return avx2;
+    case CpuSpmmVariant::kAvx512:
+      // Its wide blocks run the AVX2 unit's kernel.
+      return avx2 && cpu_backend_detail::CpuSpmmAvx512Compiled() &&
+             f.avx512f && f.avx512vl && f.avx512bw && f.avx512dq;
+    case CpuSpmmVariant::kPortable:
+      break;
+  }
+  return true;
+}
+
+int64_t CpuSpmmTileMaxCols(CpuSpmmVariant v) {
+  return KernelsFor(v).tile_max_cols;
 }
 
 CpuSpmmVariant ActiveCpuSpmmVariant() {
   static const CpuSpmmVariant active = [] {
-    if (ActiveSimdLevel() == SimdLevel::kAvx2 &&
+    const SimdLevel level = ActiveSimdLevel();
+    if (level >= SimdLevel::kAvx512 &&
+        CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+      return CpuSpmmVariant::kAvx512;
+    }
+    if (level >= SimdLevel::kAvx2 &&
         CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
       return CpuSpmmVariant::kAvx2;
     }

@@ -12,21 +12,24 @@
 //   * The FP16 activation panel is converted to FP32 once per call into a
 //     reusable workspace (exact conversion, so results are unchanged).
 //   * Output columns are processed in blocks of kCpuSpmmNBlock.
-//   * A block at most 8 columns wide — every decode batch including N = 1,
-//     and the last block of a panel like N = 132 — runs one row-lane tile:
-//     each BitmapTile is decoded once, branch-free (its Values expanded into
-//     column-aligned lanes by a popcount permutation and transposed), and
-//     its 8 output rows sit in the 8 lanes of one accumulator per column,
-//     swept with a bitmap-keyed blend. The block is held column-major in the
-//     workspace for the sweep; at N = 1 the output already is, so the
-//     single-column SpMV (src/core/cpu_spmv.h) is simply this path at N = 1.
+//   * A block at most the variant's tile width W wide (CpuSpmmTileMaxCols:
+//     8 for portable and AVX2, 48 for AVX-512) — every decode batch
+//     including N = 1, and the last block of a panel like N = 132 — runs one
+//     row-lane tile over each TCTile half-column (16 rows, 8 columns): it is
+//     decoded once, branch-free, and its output rows sit in the lanes of one
+//     accumulator per column, updated only where the bitmap bit is set. The
+//     block is held column-major in the workspace for the sweep; at N = 1
+//     the output already is, so the single-column SpMV
+//     (src/core/cpu_spmv.h) is simply this path at N = 1.
 //   * Wider blocks stage each interior BitmapTile row's nonzeros once and
 //     replay them as one register-tiled update per 64/32/8 columns.
-//   * The innermost updates are SIMD-dispatched at runtime: an AVX2 unit
-//     (compiled separately with -mavx2 -mfma -mf16c) when the CPU supports
-//     it, portable loops otherwise. Both are compiled with FP contraction off
-//     and accumulate per element in the same order, so the two paths are
-//     bit-identical — dispatch changes speed, never results.
+//   * The innermost updates are SIMD-dispatched at runtime to the widest
+//     variant the CPU supports: AVX-512 (the tile, compiled separately with
+//     -mavx512f -mavx512vl -mavx512bw -mavx512dq, with AVX2's RowTerm update
+//     for wider blocks), AVX2 (compiled separately with -mavx2 -mfma
+//     -mf16c), or portable loops. All are compiled with FP contraction off
+//     and accumulate per element in the same order, so every path is
+//     bit-identical — dispatch and W change speed, never results.
 //   * GroupTile rows are distributed over the global ThreadPool; each task
 //     owns a disjoint output-row range, so any thread count produces
 //     bit-identical output.
@@ -48,16 +51,18 @@ inline constexpr int64_t kCpuSpmmNBlock = 128;
 
 // Reusable scratch for the SpMM/SpMV calls: the FP32 X panel (half->float is
 // exact, so converting the panel once per call changes no result bits), the
-// column-major copy of a narrow output block, and the INT8 path's quantized
+// column-major copy of a narrow output block (at most the variant's tile
+// width W columns; see CpuSpmmTileMaxCols), and the INT8 path's quantized
 // activation vector (int16 codes, so the widening multiply-adds read them
 // directly). Grown monotonically, never shrunk — a serving loop that has seen
 // its largest shapes performs zero heap allocations in this path afterwards.
-// Weight values are converted per BitmapTile into a stack-resident staging
-// array inside the kernel and need no heap scratch. Not thread-safe to share
-// across concurrent calls; give each serving thread its own.
+// Weight values are converted per TCTile half-column (or BitmapTile, in wide
+// blocks) into a stack-resident staging array inside the kernel and need no
+// heap scratch. Not thread-safe to share across concurrent calls; give each
+// serving thread its own.
 struct SpmmWorkspace {
   AlignedBuffer<float> x_panel;     // K x N fp32 activation panel
-  AlignedBuffer<float> block;       // M x min(N, 8) column-major output block
+  AlignedBuffer<float> block;       // M x min(N, W) column-major output block
   AlignedBuffer<int16_t> xq_panel;  // K quantized activation codes (SpMV INT8)
 
   int64_t grow_count() const {
@@ -101,12 +106,20 @@ void CpuSpmmAccumulate(const TcaBmeMatrix& w, const HalfMatrix& x, FloatMatrix* 
 enum class CpuSpmmVariant {
   kPortable,  // auto-vectorized C++; always available
   kAvx2,      // hand-written AVX2; requires compile-time and runtime support
+  kAvx512,    // the AVX-512 tile for narrow blocks, AVX2 for wide ones;
+              // requires both units and AVX-512 F/VL/BW/DQ at runtime
 };
 
+// "portable", "avx2" or "avx512".
 const char* CpuSpmmVariantName(CpuSpmmVariant v);
 
 // Whether `v` can run on this build + this machine.
 bool CpuSpmmVariantAvailable(CpuSpmmVariant v);
+
+// The widest N-block `v`'s tile takes (8 for portable and AVX2, 48 for
+// AVX-512); wider blocks stage RowTerms. Every width is bit-identical to
+// every other, so this changes speed, never results.
+int64_t CpuSpmmTileMaxCols(CpuSpmmVariant v);
 
 // The variant CpuSpmm* dispatches to (feature detection + SPINFER_SIMD
 // override, cached at first use).

@@ -10,7 +10,8 @@
 // element therefore sees exactly the same rounding sequence as the portable
 // loop, making the two variants bit-identical on any input.
 //
-// Block tile (N-blocks at most 8 wide, so every decode batch) — vectorized
+// Tile (N-blocks at most 8 wide; the walk hands it a TCTile half-column and
+// it applies this body to the upper BitmapTile, then the lower) — vectorized
 // across a BitmapTile's 8 output rows, never within a row: one ymm register
 // holds the 8 row accumulators of one output column, and the tile's 8
 // columns are swept in order. Each tile is decoded once for all the block's
@@ -89,7 +90,7 @@ constexpr PermLut MakePermLut() {
 
 constexpr PermLut kPermLut = MakePermLut();
 
-struct Avx2BlockTile {
+struct Avx2Tile8 {
   void operator()(uint64_t bitmap, const float* vals, int64_t bt_r,
                   int64_t bt_c, const float* xf, int64_t n, int64_t j0,
                   int64_t nb, float* blk, int64_t ldb) const {
@@ -259,32 +260,44 @@ struct Avx2Convert {
 
 }  // namespace
 
-void ProcessGroupTileAvx2(const TcaBmeMatrix& w, int64_t gt, const float* xf,
-                          int64_t n, int64_t j0, int64_t nb, float* out,
-                          int64_t ldo, SpmmPhaseRecorder* rec) {
+void ProcessGroupTileNarrowAvx2(const TcaBmeMatrix& w, int64_t gt,
+                                const float* xf, int64_t n, int64_t j0,
+                                int64_t nb, float* blk, int64_t ldb,
+                                SpmmPhaseRecorder* rec) {
+  using Tile = TilePair<Avx2Tile8>;
   if (rec != nullptr) {
-    ProcessGroupTile<true>(w, gt, xf, n, j0, nb, out, ldo, Avx2BlockTile{},
-                           Avx2RowFma{}, Avx2Convert{}, rec);
+    ProcessGroupTileNarrow<true>(w, gt, xf, n, j0, nb, blk, ldb, Tile{},
+                                 Avx2Convert{}, rec);
   } else {
-    ProcessGroupTile<false>(w, gt, xf, n, j0, nb, out, ldo, Avx2BlockTile{},
-                            Avx2RowFma{}, Avx2Convert{});
+    ProcessGroupTileNarrow<false>(w, gt, xf, n, j0, nb, blk, ldb, Tile{},
+                                  Avx2Convert{});
+  }
+}
+
+void ProcessGroupTileWideAvx2(const TcaBmeMatrix& w, int64_t gt,
+                              const float* xf, int64_t n, int64_t j0,
+                              int64_t nb, float* out, int64_t ldo,
+                              SpmmPhaseRecorder* rec) {
+  if (rec != nullptr) {
+    ProcessGroupTileWide<true>(w, gt, xf, n, j0, nb, out, ldo, Avx2RowFma{},
+                               Avx2Convert{}, rec);
+  } else {
+    ProcessGroupTileWide<false>(w, gt, xf, n, j0, nb, out, ldo, Avx2RowFma{},
+                                Avx2Convert{});
   }
 }
 
 #else  // !SPINFER_CPU_BACKEND_AVX2
 
-void ProcessGroupTileAvx2(const TcaBmeMatrix& w, int64_t gt, const float* xf,
-                          int64_t n, int64_t j0, int64_t nb, float* out,
-                          int64_t ldo, SpmmPhaseRecorder* rec) {
-  (void)w;
-  (void)gt;
-  (void)xf;
-  (void)n;
-  (void)j0;
-  (void)nb;
-  (void)out;
-  (void)ldo;
-  (void)rec;
+void ProcessGroupTileNarrowAvx2(const TcaBmeMatrix&, int64_t, const float*,
+                                int64_t, int64_t, int64_t, float*, int64_t,
+                                SpmmPhaseRecorder*) {
+  SPINFER_CHECK_MSG(false, "AVX2 CPU SpMM kernel was not compiled into this binary");
+}
+
+void ProcessGroupTileWideAvx2(const TcaBmeMatrix&, int64_t, const float*,
+                              int64_t, int64_t, int64_t, float*, int64_t,
+                              SpmmPhaseRecorder*) {
   SPINFER_CHECK_MSG(false, "AVX2 CPU SpMM kernel was not compiled into this binary");
 }
 

@@ -1,12 +1,14 @@
-// Internal: the per-GroupTile kernel shared by every CPU SpMM SIMD variant,
-// and the row-parallel sweep every CPU SpMM and SpMV driver runs.
+// Internal: the per-GroupTile kernels shared by every CPU SpMM SIMD variant
+// (a narrow one and a wide one), and the row-parallel sweep every CPU SpMM
+// and SpMV driver runs.
 //
-// Each variant (portable auto-vectorized, AVX2) supplies only the innermost
-// updates (the narrow-block tile and the wide-block row update) and the
-// half->float batch conversion; the tile walk and ragged-edge handling live
-// here exactly once. The storage-order walk and its Values-cursor arithmetic
-// are ForEachNonzeroTile (tca_bme.h), shared with the encoders, the decoders
-// and the INT8 SpMV kernels. That is what makes the bit-identity contract
+// Each variant (portable auto-vectorized, AVX2, AVX-512) supplies only the
+// innermost updates it implements (the narrow-block half-column tile, the
+// wide-block row update) and the half->float batch conversion; the tile
+// walks and ragged-edge handling live here exactly once. The storage-order
+// walks and their Values-cursor arithmetic are ForEachNonzeroHalfColumn and
+// ForEachNonzeroTile (tca_bme.h), shared with the encoders, the decoders and
+// the INT8 SpMV kernels. That is what makes the bit-identity contract
 // between variants cheap to keep: a variant cannot disagree about *which*
 // products to form, only about how to schedule identical per-element
 // mul-then-add chains — and those are lane-independent, so any vector width
@@ -33,8 +35,8 @@ struct RowTerm {
 };
 
 // Per-row-task phase accounting for tracing. Timing is a compile-time
-// template parameter of ProcessGroupTile (`kTimed`), so the untraced
-// instantiation contains no timing code at all — bit-for-bit the
+// template parameter of the ProcessGroupTile* kernels (`kTimed`), so the
+// untraced instantiation contains no timing code at all — bit-for-bit the
 // pre-instrumentation loop; the driver selects the instantiation once per
 // task on the hoisted tracing flag (see src/obs/trace.h). When active,
 // decode/convert/accumulate nanoseconds accumulate here and the driver emits
@@ -45,8 +47,8 @@ struct RowTerm {
 // AVX-encoded code to the portable path via COMDAT merging.
 struct SpmmPhaseRecorder {
   uint64_t convert_ns = 0;     // half->float staging of tile Values
-  uint64_t decode_ns = 0;      // RowTerm gathering; nonzero only for nb > 8
-  uint64_t accumulate_ns = 0;  // row updates, incl. the block tile's decode
+  uint64_t decode_ns = 0;      // RowTerm gathering; wide blocks only
+  uint64_t accumulate_ns = 0;  // row updates, incl. the narrow tile's decode
   uint64_t tiles = 0;          // nonzero BitmapTiles processed
   uint64_t nnz = 0;            // nonzeros consumed
 
@@ -75,32 +77,46 @@ struct SweepSpans {
 void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
                       FunctionRef<void(int64_t, SpmmPhaseRecorder*)> row);
 
-// Widest N-block the block tile takes: blocks at most this wide (every
-// decode batch, and the last block of a panel like N = 132) run it; wider
-// ones stage RowTerms.
-inline constexpr int64_t kBlockTileMaxCols = kBitmapTileDim;
+// Widest N-block each variant's narrow kernel takes: blocks at most this
+// wide run the variant's half-column tile on a column-major copy of the
+// block; wider ones run its wide kernel, which stages RowTerms. The portable
+// and AVX2 tiles stop at 8, as they always have (the AVX2 tile's own
+// crossover is still unmeasured). The AVX-512 tile's sweep costs the same
+// per column at any density while RowTerm staging gets cheaper as the
+// matrix empties, so the crossover falls with density. On model M's shapes
+// at one thread the tile beat RowTerm staging through N = 64 at 30-70%
+// sparsity; at 90% it won through 48 (x0.73-0.88), tied at 56 and lost
+// x1.2 at 64 (EXPERIMENTS.md, "An AVX-512 half-column tile"). 48 is the
+// widest swept width it lost at no density.
+inline constexpr int64_t kPortableTileMaxCols = 8;
+inline constexpr int64_t kAvx2TileMaxCols = 8;
+inline constexpr int64_t kAvx512TileMaxCols = 48;
 
-// Floats of readable pad past a tile's staged values (BlockTile contract).
+// Floats of readable pad past a half-column's staged values
+// (HalfColumnTile contract).
 inline constexpr int kTileValsPad = 8;
 
-// BlockTile contract: tile(bitmap, vals, bt_r, bt_c, xf, n, j0, nb, blk, ldb)
-// applies one interior BitmapTile to a block of nb <= kBlockTileMaxCols
-// output columns held column-major: element (r, j) lives at blk[j*ldb + r],
-// r the absolute output row. For every j in [0, nb) and every set bit
-// (rr, cc) of `bitmap`, in ascending bit order:
-//     blk[j*ldb + bt_r + rr] += vals[t] * xf[(bt_c + cc)*n + j0 + j]
-// where t is the bit's rank, with one rounding for the multiply and one for
-// the add (no fusion — the variant TUs are compiled with -ffp-contract=off).
-// Each output element's chain is thus t-ascending, exactly as in the RowFma
-// contract below, which is what keeps every width bit-identical to a column
-// of a wider call. Only elements whose bitmap bit is set may change: an
-// unset lane keeps its bits (a blend, never an added zero, which would turn
-// -0.0 into +0.0). `vals` is readable for kTileValsPad floats past the
-// tile's popcount, so a vector expansion may load a whole row at any in-tile
-// offset.
+// HalfColumnTile contract: tile(upper, lower, vals, bt_r, bt_c, xf, n, j0,
+// nb, blk, ldb) applies one interior TCTile half-column — BitmapTile `upper`
+// over output rows [bt_r, bt_r + 8) and `lower` over [bt_r + 8, bt_r + 16),
+// both over matrix columns [bt_c, bt_c + 8) — to a block of nb output
+// columns held column-major: element (r, j) lives at blk[j*ldb + r], r the
+// absolute output row. `vals` holds upper's values in bit order, then
+// lower's. For every j in [0, nb) and every set bit (rr, cc) of either tile,
+// in ascending bit order:
+//     blk[j*ldb + r] += vals[t] * xf[(bt_c + cc)*n + j0 + j]
+// where r is the bit's output row and t its rank in `vals`, with one rounding
+// for the multiply and one for the add (no fusion — the variant TUs are
+// compiled with -ffp-contract=off). Each output element's chain is thus
+// t-ascending, exactly as in the RowFma contract below, which is what keeps
+// every width bit-identical to a column of a wider call. Only elements whose
+// bit is set may change: an unset lane keeps its bits (a blend or a masked
+// add, never an added zero, which would turn -0.0 into +0.0). Either tile
+// may be empty, never both. `vals` is readable for kTileValsPad floats past
+// the two runs, so a vector expansion may load a whole row at any offset.
 //
 // RowFma contract: fma(orow, terms, count, nb), called for blocks wider
-// than kBlockTileMaxCols, performs, for every j in [0, nb) and t in
+// than the variant's tile width, performs, for every j in [0, nb) and t in
 // [0, count) in ascending t order:
 //     orow[j] = orow[j] + terms[t].v * terms[t].xrow[j]
 // with the same mul-then-add rounding. Per-element results are then
@@ -110,8 +126,8 @@ inline constexpr int kTileValsPad = 8;
 // ConvertFn contract: convert(src, dst, count) writes dst[i] =
 // float(src[i]) for i in [0, count). Half->float widening is exact, so the
 // LUT and F16C implementations produce identical bits; the choice never
-// affects results, only speed. A variant whose block tile reads the staging
-// pad zeroes it here.
+// affects results, only speed. A variant whose tile reads the staging pad
+// zeroes it here.
 
 // Ragged-edge BitmapTile: rows/cols may fall outside the logical matrix, so
 // every element is guarded. Scalar on purpose — edges are rare, and sharing
@@ -146,72 +162,114 @@ static inline void EdgeBitmapTile(uint64_t bitmap, const float* tile_vals,
   }
 }
 
-// Applies one GroupTile's nonzeros to the output columns [j0, j0+nb), reading
-// activations from the fp32 panel `xf` (row-major K x N). A block at most
-// kBlockTileMaxCols wide accumulates into the column-major block `out` with
-// column stride `ldo` (see the BlockTile contract); a wider one into the
-// row-major M x N output `out` (ldo == n). The choice is made once per
-// call, so each tile walk carries only its own path (one walk holding both
-// measured ~3% slower at N = 1). Each BitmapTile's
-// compressed Values run is converted half->float in one batch into an
-// L1-resident staging array, so the hot updates read floats and the
-// conversion vectorizes. The caller owns N-blocking, the block layout and
-// row-parallelism; ForEachNonzeroTile supplies the storage-order walk and
-// each tile's Values offset.
-template <bool kTimed, typename BlockTile, typename RowFma, typename ConvertFn>
-static void ProcessGroupTile(const TcaBmeMatrix& w, int64_t gt, const float* xf,
-                             int64_t n, int64_t j0, int64_t nb, float* out,
-                             int64_t ldo, const BlockTile& block_tile,
-                             const RowFma& row_fma, const ConvertFn& convert,
-                             SpmmPhaseRecorder* rec = nullptr) {
+// Converts `count` of a GroupTile's Values, from `src`, into `dst` — one
+// batch per visit of the walk, so the hot updates read floats and the
+// conversion vectorizes — and charges the batch to `rec` when timed.
+// `tiles` is the number of nonzero BitmapTiles the batch covers.
+template <bool kTimed, typename ConvertFn>
+static void StageValues(const ConvertFn& convert, const Half* src, int count,
+                        int tiles, float* dst, SpmmPhaseRecorder* rec) {
+  uint64_t t_phase = 0;
+  if constexpr (kTimed) {
+    t_phase = rec->Now();
+  }
+  convert(src, dst, static_cast<size_t>(count));
+  if constexpr (kTimed) {
+    rec->convert_ns += rec->Now() - t_phase;
+    rec->tiles += static_cast<uint64_t>(tiles);
+    rec->nnz += static_cast<uint64_t>(count);
+  }
+}
+
+// Applies one GroupTile's nonzeros to a narrow block — output columns
+// [j0, j0 + nb), nb at most the variant's tile width — held column-major in
+// `blk` with column stride `ldb` (see the HalfColumnTile contract), reading
+// activations from the fp32 panel `xf` (row-major K x N). The walk visits
+// TCTile half-columns (ForEachNonzeroHalfColumn) and stages both tiles'
+// Values in one batch into an L1-resident array. A half-column that crosses
+// the matrix edge runs EdgeBitmapTile on each of its nonzero tiles. The tile
+// fuses its decode into the sweep, so it charges wholly to accumulate. The
+// caller owns N-blocking, the block layout and row-parallelism.
+template <bool kTimed, typename HalfColumnTile, typename ConvertFn>
+static void ProcessGroupTileNarrow(const TcaBmeMatrix& w, int64_t gt,
+                                   const float* xf, int64_t n, int64_t j0,
+                                   int64_t nb, float* blk, int64_t ldb,
+                                   const HalfColumnTile& tile,
+                                   const ConvertFn& convert,
+                                   SpmmPhaseRecorder* rec = nullptr) {
   const Half* hvalues = w.values().data();
   const int64_t m = w.rows();
   const int64_t k = w.cols();
-  // Stages one tile's values; returns whether the tile crosses the matrix
-  // edge.
-  const auto stage = [&](uint64_t bitmap, size_t first, int64_t bt_r,
-                         int64_t bt_c, float* tile_vals) {
-    const int pc = std::popcount(bitmap);
+  ForEachNonzeroHalfColumn(w, gt, [&](uint64_t upper, uint64_t lower,
+                                      size_t first, int64_t bt_r, int64_t bt_c) {
+    alignas(64) float vals[2 * kBitmapTileDim * kBitmapTileDim + kTileValsPad];
+    const int pc_upper = std::popcount(upper);
+    StageValues<kTimed>(convert, hvalues + first, pc_upper + std::popcount(lower),
+                        (upper != 0) + (lower != 0), vals, rec);
     uint64_t t_phase = 0;
     if constexpr (kTimed) {
       t_phase = rec->Now();
     }
-    convert(hvalues + first, tile_vals, static_cast<size_t>(pc));
-    if constexpr (kTimed) {
-      rec->convert_ns += rec->Now() - t_phase;
-      rec->tiles += 1;
-      rec->nnz += static_cast<uint64_t>(pc);
+    if (bt_r + 2 * kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
+      if (upper != 0) {
+        EdgeBitmapTile(upper, vals, bt_r, bt_c, m, k, xf, n, j0, nb, blk,
+                       /*row_stride=*/1, /*col_stride=*/ldb);
+      }
+      if (lower != 0) {
+        EdgeBitmapTile(lower, vals + pc_upper, bt_r + kBitmapTileDim, bt_c, m,
+                       k, xf, n, j0, nb, blk, /*row_stride=*/1,
+                       /*col_stride=*/ldb);
+      }
+    } else {
+      tile(upper, lower, vals, bt_r, bt_c, xf, n, j0, nb, blk, ldb);
     }
-    return bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k;
-  };
-  if (nb <= kBlockTileMaxCols) {
-    // The block tile fuses its decode, so it charges wholly to accumulate.
-    ForEachNonzeroTile(w, gt, [&](uint64_t bitmap, int64_t /*bi*/, size_t first,
-                                  int64_t bt_r, int64_t bt_c) {
-      alignas(32) float tile_vals[kBitmapTileDim * kBitmapTileDim + kTileValsPad];
-      const bool edge = stage(bitmap, first, bt_r, bt_c, tile_vals);
-      uint64_t t_phase = 0;
-      if constexpr (kTimed) {
-        t_phase = rec->Now();
-      }
-      if (edge) {
-        EdgeBitmapTile(bitmap, tile_vals, bt_r, bt_c, m, k, xf, n, j0, nb, out,
-                       /*row_stride=*/1, /*col_stride=*/ldo);
-      } else {
-        block_tile(bitmap, tile_vals, bt_r, bt_c, xf, n, j0, nb, out, ldo);
-      }
-      if constexpr (kTimed) {
-        rec->accumulate_ns += rec->Now() - t_phase;
-      }
-    });
-    return;
+    if constexpr (kTimed) {
+      rec->accumulate_ns += rec->Now() - t_phase;
+    }
+  });
+}
+
+// Adapts an 8-row BitmapTile body — tile8(bitmap, vals, bt_r, bt_c, xf, n,
+// j0, nb, blk, ldb), the HalfColumnTile contract restricted to one tile — to
+// a half-column: the upper tile, then the lower, each skipped when empty.
+// The portable and AVX2 tiles are such bodies.
+template <typename Tile8>
+struct TilePair {
+  Tile8 tile8;
+  void operator()(uint64_t upper, uint64_t lower, const float* vals,
+                  int64_t bt_r, int64_t bt_c, const float* xf, int64_t n,
+                  int64_t j0, int64_t nb, float* blk, int64_t ldb) const {
+    if (upper != 0) {
+      tile8(upper, vals, bt_r, bt_c, xf, n, j0, nb, blk, ldb);
+    }
+    if (lower != 0) {
+      tile8(lower, vals + std::popcount(upper), bt_r + kBitmapTileDim, bt_c,
+            xf, n, j0, nb, blk, ldb);
+    }
   }
+};
+
+// Applies one GroupTile's nonzeros to a wide block — output columns
+// [j0, j0 + nb) of the row-major M x N output `out` (ldo == n) — by staging
+// each interior BitmapTile row's nonzeros once as RowTerms and replaying
+// them through `row_fma` per register tile. ForEachNonzeroTile supplies the
+// storage-order walk and each tile's Values offset.
+template <bool kTimed, typename RowFma, typename ConvertFn>
+static void ProcessGroupTileWide(const TcaBmeMatrix& w, int64_t gt,
+                                 const float* xf, int64_t n, int64_t j0,
+                                 int64_t nb, float* out, int64_t ldo,
+                                 const RowFma& row_fma, const ConvertFn& convert,
+                                 SpmmPhaseRecorder* rec = nullptr) {
+  const Half* hvalues = w.values().data();
+  const int64_t m = w.rows();
+  const int64_t k = w.cols();
   ForEachNonzeroTile(w, gt, [&](uint64_t bitmap, int64_t /*bi*/, size_t first,
                                 int64_t bt_r, int64_t bt_c) {
     alignas(32) float tile_vals[kBitmapTileDim * kBitmapTileDim + kTileValsPad];
-    const bool edge = stage(bitmap, first, bt_r, bt_c, tile_vals);
+    StageValues<kTimed>(convert, hvalues + first, std::popcount(bitmap), 1,
+                        tile_vals, rec);
     uint64_t t_phase = 0;
-    if (edge) {
+    if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
       if constexpr (kTimed) {
         t_phase = rec->Now();
       }
@@ -222,10 +280,10 @@ static void ProcessGroupTile(const TcaBmeMatrix& w, int64_t gt, const float* xf,
       }
       return;
     }
-    // Interior tile of a wide block: bits are row-major (bit = r*8 + c), so
-    // each bitmap byte is one output row's nonzeros and its Values are
-    // contiguous in the staging array. Gather the row's terms once and
-    // replay them per register tile.
+    // Interior tile: bits are row-major (bit = r*8 + c), so each bitmap byte
+    // is one output row's nonzeros and its Values are contiguous in the
+    // staging array. Gather the row's terms once and replay them per
+    // register tile.
     int tv = 0;
     for (int rr = 0; rr < kBitmapTileDim; ++rr) {
       uint64_t rowmask = (bitmap >> (rr * kBitmapTileDim)) & 0xFFull;
@@ -258,14 +316,31 @@ static void ProcessGroupTile(const TcaBmeMatrix& w, int64_t gt, const float* xf,
   });
 }
 
-// The AVX2 variant's kernel, defined in cpu_backend_avx2.cc (built with
-// -mavx2 -mfma -mf16c when the compiler supports them). Same arguments as
-// ProcessGroupTile. Call only when CpuSpmmAvx2Compiled() and the running CPU
-// advertises AVX2+FMA+F16C.
+// Per-GroupTile kernels of the SIMD units, each with the arguments of the
+// templates above (the narrow ones writing the column-major block, the wide
+// ones the row-major output) plus the recorder (null: the untimed
+// instantiation). Call a unit's kernels only when its *Compiled() is true
+// and the running CPU advertises its features (CpuSpmmVariantAvailable).
+//
+// cpu_backend_avx2.cc, built with -mavx2 -mfma -mf16c when the compiler
+// supports them: the AVX2 tile and RowTerm update.
 bool CpuSpmmAvx2Compiled();
-void ProcessGroupTileAvx2(const TcaBmeMatrix& w, int64_t gt, const float* xf,
-                          int64_t n, int64_t j0, int64_t nb, float* out,
-                          int64_t ldo, SpmmPhaseRecorder* rec);
+void ProcessGroupTileNarrowAvx2(const TcaBmeMatrix& w, int64_t gt,
+                                const float* xf, int64_t n, int64_t j0,
+                                int64_t nb, float* blk, int64_t ldb,
+                                SpmmPhaseRecorder* rec);
+void ProcessGroupTileWideAvx2(const TcaBmeMatrix& w, int64_t gt,
+                              const float* xf, int64_t n, int64_t j0,
+                              int64_t nb, float* out, int64_t ldo,
+                              SpmmPhaseRecorder* rec);
+// cpu_backend_avx512.cc, additionally built with -mavx512f -mavx512vl
+// -mavx512bw -mavx512dq: the AVX-512 tile only. The variant's wide blocks
+// run ProcessGroupTileWideAvx2.
+bool CpuSpmmAvx512Compiled();
+void ProcessGroupTileNarrowAvx512(const TcaBmeMatrix& w, int64_t gt,
+                                  const float* xf, int64_t n, int64_t j0,
+                                  int64_t nb, float* blk, int64_t ldb,
+                                  SpmmPhaseRecorder* rec);
 
 }  // namespace cpu_backend_detail
 }  // namespace spinfer

@@ -47,10 +47,11 @@ using SpmvInt8KernelFn = void (*)(const TcaBmeQuantMatrix&, int64_t,
                                   const int16_t*, float, float*,
                                   SpmmPhaseRecorder*);
 
+// The INT8 SpMV has no AVX-512 kernel: that variant runs the AVX2 one.
 SpmvInt8KernelFn SpmvInt8KernelFor(CpuSpmmVariant v) {
-  return v == CpuSpmmVariant::kAvx2
-             ? &cpu_spmv_detail::ProcessGroupTileSpmvInt8Avx2
-             : &ProcessGroupTileSpmvInt8Portable;
+  return v == CpuSpmmVariant::kPortable
+             ? &ProcessGroupTileSpmvInt8Portable
+             : &cpu_spmv_detail::ProcessGroupTileSpmvInt8Avx2;
 }
 
 void SpmvInt8AccumulateCore(const TcaBmeQuantMatrix& w, const FloatMatrix& x,

@@ -119,15 +119,40 @@ class TcaBmeMatrix {
 //
 // The one CPU implementation of the nesting above (docs/FORMAT.md §1): both
 // encoders, both decoders and every CPU kernel walk GroupTiles through these
-// two templates, so the order is written down exactly once. The warp-level
-// simulator (src/core/spinfer_kernel.cc) keeps its own walk on purpose, as
-// the independent oracle of this order.
+// templates, all built on ForEachHalfColumn, so the order is written down
+// exactly once. The warp-level simulator (src/core/spinfer_kernel.cc) keeps
+// its own walk on purpose, as the independent oracle of this order.
 //
 // Translation units built with extra ISA flags instantiate them only with
 // lambdas defined inside internal-linkage functions. Such a closure type is
 // local to its TU, and so is every instantiation it produces, so no COMDAT
 // copy carrying AVX encodings can stand in for the portable one (DESIGN.md
 // §5, "CPU backend v2", pillar 2).
+
+// Calls visit(i, bt_r, bt_c) for every TCTile half-column of GroupTile
+// (gr, gc) in storage order: TCTiles column-major, and within each the left
+// half (TL over BL) before the right (TR over BR). A half-column is two
+// BitmapTiles stacked over 16 rows and 8 columns, stored next to each other:
+// `i` is the upper tile's rank in its GroupTile and i + 1 the lower one's;
+// (bt_r, bt_c) is the upper tile's top-left element in the padded matrix.
+// No output row takes products from both tiles, so walking a half-column as
+// one unit reorders no row's chain.
+template <typename Visit>
+void ForEachHalfColumn(const TcaBmeConfig& cfg, int64_t gr, int64_t gc,
+                       const Visit& visit) {
+  const int tc_rows = cfg.gt_rows / kTcTileDim;
+  const int tc_cols = cfg.gt_cols / kTcTileDim;
+  int i = 0;
+  for (int tcc = 0; tcc < tc_cols; ++tcc) {
+    const int64_t tc_c = gc * cfg.gt_cols + static_cast<int64_t>(tcc) * kTcTileDim;
+    for (int tcr = 0; tcr < tc_rows; ++tcr) {
+      const int64_t tc_r = gr * cfg.gt_rows + static_cast<int64_t>(tcr) * kTcTileDim;
+      for (int h = 0; h < 2; ++h, i += 2) {
+        visit(i, tc_r, tc_c + h * kBitmapTileDim);
+      }
+    }
+  }
+}
 
 // Calls visit(i, bt_r, bt_c) for every BitmapTile of GroupTile (gr, gc) in
 // storage order: TCTiles column-major, quadrants TL, BL, TR, BR within each.
@@ -137,18 +162,10 @@ class TcaBmeMatrix {
 template <typename Visit>
 void ForEachBitmapTile(const TcaBmeConfig& cfg, int64_t gr, int64_t gc,
                        const Visit& visit) {
-  const int tc_rows = cfg.gt_rows / kTcTileDim;
-  const int tc_cols = cfg.gt_cols / kTcTileDim;
-  int i = 0;
-  for (int tcc = 0; tcc < tc_cols; ++tcc) {
-    const int64_t tc_c = gc * cfg.gt_cols + static_cast<int64_t>(tcc) * kTcTileDim;
-    for (int tcr = 0; tcr < tc_rows; ++tcr) {
-      const int64_t tc_r = gr * cfg.gt_rows + static_cast<int64_t>(tcr) * kTcTileDim;
-      for (int q = 0; q < 4; ++q, ++i) {
-        visit(i, tc_r + (q % 2) * kBitmapTileDim, tc_c + (q / 2) * kBitmapTileDim);
-      }
-    }
-  }
+  ForEachHalfColumn(cfg, gr, gc, [&](int i, int64_t bt_r, int64_t bt_c) {
+    visit(i, bt_r, bt_c);
+    visit(i + 1, bt_r + kBitmapTileDim, bt_c);
+  });
 }
 
 // Walks GroupTile `gt` of an encoded TcaBmeMatrix or TcaBmeQuantMatrix in
@@ -171,6 +188,31 @@ void ForEachNonzeroTile(const Matrix& m, int64_t gt, const Visit& visit) {
                       }
                       visit(bitmap, first_index + i, first, bt_r, bt_c);
                       first += static_cast<size_t>(std::popcount(bitmap));
+                    });
+}
+
+// The same walk one TCTile half-column at a time (ForEachHalfColumn), for
+// kernels that sweep 16 output rows at once: calls
+// visit(upper, lower, first, bt_r, bt_c) for each half-column with at least
+// one nonzero tile. `upper` covers rows [bt_r, bt_r + 8) and `lower` rows
+// [bt_r + 8, bt_r + 16), both over columns [bt_c, bt_c + 8); `first` is the
+// offset of the upper tile's first Values element, and the lower tile's run
+// follows at first + popcount(upper).
+template <typename Matrix, typename Visit>
+void ForEachNonzeroHalfColumn(const Matrix& m, int64_t gt, const Visit& visit) {
+  SPINFER_CHECK(gt >= 0 && gt < m.num_group_tiles());
+  const uint64_t* bitmaps = m.bitmaps().data() + gt * 4 * m.tcs_per_gt();
+  size_t first = m.gtile_offsets()[gt];
+  ForEachHalfColumn(m.config(), gt / m.gt_grid_cols(), gt % m.gt_grid_cols(),
+                    [&](int i, int64_t bt_r, int64_t bt_c) {
+                      const uint64_t upper = bitmaps[i];
+                      const uint64_t lower = bitmaps[i + 1];
+                      if ((upper | lower) == 0) {
+                        return;
+                      }
+                      visit(upper, lower, first, bt_r, bt_c);
+                      first += static_cast<size_t>(std::popcount(upper) +
+                                                   std::popcount(lower));
                     });
 }
 

@@ -101,11 +101,13 @@ bool KvAllocator::AppendToken(int64_t seq_id, CowRemap* remap) {
   return true;
 }
 
-void KvAllocator::ReleaseBlock(int32_t block) {
+bool KvAllocator::ReleaseBlock(int32_t block) {
   SPINFER_CHECK(block >= 0 && block < total_blocks_ && ref_count_[block] > 0);
-  if (--ref_count_[block] == 0) {
-    free_list_.push_back(block);
+  if (--ref_count_[block] != 0) {
+    return false;
   }
+  free_list_.push_back(block);
+  return true;
 }
 
 void KvAllocator::RemoveSequence(int64_t seq_id) {
@@ -120,6 +122,11 @@ void KvAllocator::RemoveSequence(int64_t seq_id) {
 }
 
 void KvAllocator::TruncateSequence(int64_t seq_id, int64_t tokens) {
+  TruncateSequence(seq_id, tokens, [](int32_t) {});
+}
+
+void KvAllocator::TruncateSequence(int64_t seq_id, int64_t tokens,
+                                   FunctionRef<void(int32_t)> on_freed) {
   const auto it = sequences_.find(seq_id);
   SPINFER_CHECK_MSG(it != sequences_.end(), "unknown sequence: " << seq_id);
   Sequence& seq = it->second;
@@ -128,8 +135,11 @@ void KvAllocator::TruncateSequence(int64_t seq_id, int64_t tokens) {
                                                 << seq.tokens << " to " << tokens);
   const int64_t keep = BlocksFor(tokens);
   while (static_cast<int64_t>(seq.blocks.size()) > keep) {
-    ReleaseBlock(seq.blocks.back());
+    const int32_t block = seq.blocks.back();
     seq.blocks.pop_back();
+    if (ReleaseBlock(block)) {
+      on_freed(block);
+    }
   }
   seq.tokens = tokens;
 }
@@ -353,15 +363,10 @@ void PagedKvCache::RemoveSequence(int64_t seq_id) {
 }
 
 void PagedKvCache::TruncateSequence(int64_t seq_id, int64_t tokens) {
-  const std::vector<int32_t>* blocks = alloc_.SequenceBlockList(seq_id);
-  SPINFER_CHECK_MSG(blocks != nullptr, "unknown sequence: " << seq_id);
-  const std::vector<int32_t> held = *blocks;
-  alloc_.TruncateSequence(seq_id, tokens);
-  for (int32_t b : held) {
-    if (alloc_.BlockRefCount(b) == 0) {
-      DeindexBlock(b);
-    }
-  }
+  // Only a released tail block can lose its last holder; the blocks kept
+  // are still held by this sequence.
+  alloc_.TruncateSequence(seq_id, tokens,
+                          [this](int32_t block) { DeindexBlock(block); });
 }
 
 int64_t PagedKvCache::SlotIndex(int64_t layer, int64_t seq_id, int64_t token) const {

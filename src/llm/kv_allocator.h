@@ -23,6 +23,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/util/function_ref.h"
+
 namespace spinfer {
 
 struct KvAllocatorConfig {
@@ -77,6 +79,10 @@ class KvAllocator {
   // now-unused tail blocks to the free list (refcount-aware). The serving
   // benches rewind decode state with this; eviction uses RemoveSequence.
   void TruncateSequence(int64_t seq_id, int64_t tokens);
+  // The same, calling on_freed(block) for each tail block whose last holder
+  // this was, as it returns to the free list. Allocates nothing.
+  void TruncateSequence(int64_t seq_id, int64_t tokens,
+                        FunctionRef<void(int32_t)> on_freed);
 
   // Whether `tokens` more tokens could be added for a hypothetical new
   // sequence right now.
@@ -121,7 +127,8 @@ class KvAllocator {
   }
 
   // Drops one reference; pushes the block back on the free list at zero.
-  void ReleaseBlock(int32_t block);
+  // Drops one holder of `block`; returns whether that freed it.
+  bool ReleaseBlock(int32_t block);
 
   KvAllocatorConfig config_;
   int64_t total_blocks_ = 0;

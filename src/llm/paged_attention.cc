@@ -589,17 +589,24 @@ void PagedAttentionDecodeBatchVariant(
 }
 
 bool PagedAttentionVariantAvailable(CpuSpmmVariant v) {
-  if (v == CpuSpmmVariant::kPortable) {
-    return true;
+  switch (v) {
+    case CpuSpmmVariant::kAvx2: {
+      const CpuFeatures& f = GetCpuFeatures();
+      return paged_attention_detail::PagedAttentionAvx2Compiled() && f.avx2 &&
+             f.fma;
+    }
+    case CpuSpmmVariant::kAvx512:
+      return false;  // attention has no AVX-512 kernels
+    case CpuSpmmVariant::kPortable:
+      break;
   }
-  const CpuFeatures& f = GetCpuFeatures();
-  return paged_attention_detail::PagedAttentionAvx2Compiled() && f.avx2 &&
-         f.fma;
+  return true;
 }
 
 CpuSpmmVariant ActivePagedAttentionVariant() {
   static const CpuSpmmVariant v = [] {
-    if (ActiveSimdLevel() == SimdLevel::kAvx2 &&
+    // The AVX-512 tier runs the AVX2 attention kernels.
+    if (ActiveSimdLevel() >= SimdLevel::kAvx2 &&
         PagedAttentionVariantAvailable(CpuSpmmVariant::kAvx2)) {
       return CpuSpmmVariant::kAvx2;
     }

@@ -116,10 +116,12 @@ void PagedAttentionDecodeBatchVariant(
 
 // Whether `v` can run here. The attention AVX2 unit needs avx2+fma at
 // runtime (it never touches F16C — the KV pools are FP32), so its gate is
-// its own, not CpuSpmmVariantAvailable's.
+// its own, not CpuSpmmVariantAvailable's. Attention has no AVX-512 kernels,
+// so kAvx512 is never available.
 bool PagedAttentionVariantAvailable(CpuSpmmVariant v);
 // The variant PagedAttentionDecodeBatch dispatches to; cached, honors the
-// SPINFER_SIMD override via ActiveSimdLevel().
+// SPINFER_SIMD override via ActiveSimdLevel(). The AVX-512 tier runs the
+// AVX2 kernels.
 CpuSpmmVariant ActivePagedAttentionVariant();
 
 // The softmax exponential every attention path here shares: the kernel, the

@@ -1,5 +1,6 @@
 #include "src/util/cpu_features.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,17 +18,30 @@ CpuFeatures Detect() {
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.f16c = __builtin_cpu_supports("f16c") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
+  f.avx512vl = __builtin_cpu_supports("avx512vl") != 0;
+  f.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
+  f.avx512dq = __builtin_cpu_supports("avx512dq") != 0;
 #endif
   return f;
 }
 
-SimdLevel Resolve() {
-  const CpuFeatures& f = GetCpuFeatures();
+// The widest tier the CPU supports.
+SimdLevel HardwareLevel(const CpuFeatures& f) {
   // The AVX2 kernels also use F16C half conversions; every AVX2-era CPU has
-  // all three, but dispatch verifies each flag it depends on.
-  const SimdLevel hw =
-      (f.avx2 && f.fma && f.f16c) ? SimdLevel::kAvx2 : SimdLevel::kPortable;
-  return ApplySimdOverride(hw, std::getenv("SPINFER_SIMD"), stderr);
+  // all three, but dispatch verifies each flag it depends on. The AVX-512
+  // tier builds on the AVX2 one and adds the four subsets its tile uses.
+  if (!(f.avx2 && f.fma && f.f16c)) {
+    return SimdLevel::kPortable;
+  }
+  if (f.avx512f && f.avx512vl && f.avx512bw && f.avx512dq) {
+    return SimdLevel::kAvx512;
+  }
+  return SimdLevel::kAvx2;
+}
+
+SimdLevel Resolve() {
+  return ApplySimdOverride(HardwareLevel(GetCpuFeatures()),
+                           std::getenv("SPINFER_SIMD"), stderr);
 }
 
 }  // namespace
@@ -41,9 +55,9 @@ SimdLevel ApplySimdOverride(SimdLevel hw_level, const char* env,
     return SimdLevel::kPortable;
   }
   if (std::strcmp(env, "avx2") == 0) {
-    // Request AVX2; falls back when the CPU lacks it — the override can
-    // narrow dispatch but never select an unsupported tier.
-    return hw_level;
+    // At most AVX2; a CPU without it keeps its lower level — the override
+    // can narrow dispatch but never select an unsupported tier.
+    return std::min(hw_level, SimdLevel::kAvx2);
   }
   // A typo like SPINFER_SIMD=portble used to silently keep the hardware
   // level, so the user benchmarked AVX2 believing it was the portable path.
@@ -75,6 +89,8 @@ const char* SimdLevelName(SimdLevel level) {
       return "portable";
     case SimdLevel::kAvx2:
       return "avx2";
+    case SimdLevel::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -94,6 +110,9 @@ std::string CpuFeaturesSummary() {
   add(f.fma, "fma");
   add(f.f16c, "f16c");
   add(f.avx512f, "avx512f");
+  add(f.avx512vl, "avx512vl");
+  add(f.avx512bw, "avx512bw");
+  add(f.avx512dq, "avx512dq");
   if (s.empty()) {
     s = "baseline";
   }

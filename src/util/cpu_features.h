@@ -2,17 +2,21 @@
 //
 // The library ships one binary that must run correctly on any x86-64 machine
 // (and non-x86 hosts), so SIMD kernels are selected at runtime: translation
-// units compiled with -mavx2/-mfma are entered only after the running CPU has
-// advertised those features. Detection happens once and is cached.
+// units compiled with -mavx2/-mfma or -mavx512* are entered only after the
+// running CPU has advertised those features. Detection happens once and is
+// cached.
 //
-// Dispatch can be pinned for debugging and A/B testing with the environment
-// variable SPINFER_SIMD:
+// Unset, dispatch takes the widest tier the hardware supports. It can be
+// narrowed for debugging and A/B testing with the environment variable
+// SPINFER_SIMD:
 //   SPINFER_SIMD=portable   always take the portable fallback ("scalar" is
 //                           accepted as a synonym)
-//   SPINFER_SIMD=avx2       request AVX2 (silently falls back when the CPU
-//                           lacks it — the override can widen testing, never
-//                           crash the process)
-// Any other value is ignored with a warning on stderr (a typo must not
+//   SPINFER_SIMD=avx2       at most AVX2: an AVX-512 host runs its AVX2
+//                           kernels, a host without AVX2 the portable ones
+//                           (the override narrows, never selects a tier the
+//                           CPU lacks, so it cannot crash the process)
+// There is no "avx512" value: it would select nothing the unset default does
+// not. Any other value is ignored with a warning on stderr (a typo must not
 // silently benchmark the wrong variant). Every SIMD variant in the library
 // is bit-identical to the portable path by contract, so the override changes
 // speed, never results.
@@ -28,6 +32,9 @@ struct CpuFeatures {
   bool fma = false;
   bool f16c = false;
   bool avx512f = false;
+  bool avx512vl = false;  // the AVX-512 tier needs F, VL, BW and DQ
+  bool avx512bw = false;
+  bool avx512dq = false;
 };
 
 // What the running CPU supports; detected once, cached.
@@ -37,7 +44,9 @@ const CpuFeatures& GetCpuFeatures();
 enum class SimdLevel {
   kPortable = 0,  // plain C++, auto-vectorized; runs everywhere
   kAvx2 = 1,      // AVX2+FMA hand-written kernels (x86-64)
+  kAvx512 = 2,    // AVX-512 F/VL/BW/DQ kernels on top of the AVX2 tier
 };
+
 
 // The level dispatch should use: hardware features clamped by the
 // SPINFER_SIMD override. Cached after the first call.
@@ -53,7 +62,8 @@ SimdLevel ApplySimdOverride(SimdLevel hw_level, const char* env,
 
 const char* SimdLevelName(SimdLevel level);
 
-// Human-readable summary, e.g. "avx2+fma+avx512f (dispatch: avx2)".
+// Human-readable summary, e.g.
+// "avx2+fma+f16c+avx512f+avx512vl+avx512bw+avx512dq (dispatch: avx512)".
 std::string CpuFeaturesSummary();
 
 }  // namespace spinfer

@@ -5,8 +5,10 @@
 #include <bit>
 #include <vector>
 
+#include "src/core/cpu_backend_inner.h"
 #include "src/core/spinfer_kernel.h"
 #include "src/numeric/compare.h"
+#include "src/obs/trace.h"
 #include "src/util/cpu_features.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
@@ -99,6 +101,12 @@ TEST(CpuBackendTest, SimdVariantsBitIdentical) {
     avx2.Fill(0.0f);
     CpuSpmmAccumulateIntoVariant(enc, x, &ws, &avx2, CpuSpmmVariant::kAvx2);
     ExpectBitIdentical(portable, avx2);
+    if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+      FloatMatrix avx512(160, 33);
+      avx512.Fill(0.0f);
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &avx512, CpuSpmmVariant::kAvx512);
+      ExpectBitIdentical(portable, avx512);
+    }
   }
 }
 
@@ -241,11 +249,15 @@ TEST(CpuBackendTest, NarrowPanelColumnsMatchWidePanelBitwise) {
   // N-blocks of width <= 8 take the block tile; a 13-wide block takes
   // RowTerm staging. Both form each element's chain in the same order, so
   // column j of an N-wide call equals column j of the 13-wide call bit for
-  // bit.
+  // bit. A variant whose tile reaches 13 columns (AVX-512) is checked
+  // against the portable variant's 13-wide call, which stages RowTerms.
   constexpr int64_t kWide = 13;
   std::vector<CpuSpmmVariant> variants = {CpuSpmmVariant::kPortable};
   if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
     variants.push_back(CpuSpmmVariant::kAvx2);
+  }
+  if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+    variants.push_back(CpuSpmmVariant::kAvx512);
   }
   const std::pair<int64_t, int64_t> shapes[] = {{70, 90}, {129, 257}};
   for (const auto& [m, k] : shapes) {
@@ -258,7 +270,9 @@ TEST(CpuBackendTest, NarrowPanelColumnsMatchWidePanelBitwise) {
       for (const CpuSpmmVariant v : variants) {
         SpmmWorkspace ws;
         FloatMatrix wide = init;
-        CpuSpmmAccumulateIntoVariant(enc, x, &ws, &wide, v);
+        CpuSpmmAccumulateIntoVariant(
+            enc, x, &ws, &wide,
+            CpuSpmmTileMaxCols(v) < kWide ? v : CpuSpmmVariant::kPortable);
         for (int64_t n = 1; n <= 8; ++n) {
           SCOPED_TRACE(::testing::Message()
                        << CpuSpmmVariantName(v) << " m=" << m << " k=" << k
@@ -294,6 +308,11 @@ TEST(CpuBackendTest, SimdVariantsBitIdenticalAtEveryWidth) {
       FloatMatrix avx2 = init;
       CpuSpmmAccumulateIntoVariant(enc, x, &ws, &avx2, CpuSpmmVariant::kAvx2);
       ExpectSameBits(portable, avx2);
+      if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+        FloatMatrix avx512 = init;
+        CpuSpmmAccumulateIntoVariant(enc, x, &ws, &avx512, CpuSpmmVariant::kAvx512);
+        ExpectSameBits(portable, avx512);
+      }
     }
   }
 }
@@ -308,6 +327,9 @@ TEST(CpuBackendTest, NarrowTailBlockMatchesNarrowCallBitwise) {
   std::vector<CpuSpmmVariant> variants = {CpuSpmmVariant::kPortable};
   if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
     variants.push_back(CpuSpmmVariant::kAvx2);
+  }
+  if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+    variants.push_back(CpuSpmmVariant::kAvx512);
   }
   for (const double sparsity : {0.3, 0.6, 0.9}) {
     Rng rng(705 + static_cast<uint64_t>(sparsity * 100));
@@ -332,6 +354,263 @@ TEST(CpuBackendTest, NarrowTailBlockMatchesNarrowCallBitwise) {
       }
     }
   }
+}
+
+// --- Tile reach and half-column walk ----------------------------------------
+//
+// Each variant's tile takes blocks up to CpuSpmmTileMaxCols(v) columns (8 for
+// portable and AVX2, 48 for AVX-512) and walks TCTile half-columns: 16 rows,
+// an upper and a lower BitmapTile. These cases pin the widths at and past a
+// tile's reach, half-columns with empty halves or crossing the matrix edge,
+// and everything the tile must leave alone.
+
+std::vector<CpuSpmmVariant> AvailableVariants() {
+  std::vector<CpuSpmmVariant> variants;
+  for (const CpuSpmmVariant v : {CpuSpmmVariant::kPortable, CpuSpmmVariant::kAvx2,
+                                 CpuSpmmVariant::kAvx512}) {
+    if (CpuSpmmVariantAvailable(v)) {
+      variants.push_back(v);
+    }
+  }
+  return variants;
+}
+
+// Wider than every variant's tile, so the portable variant's call at this
+// width stages RowTerms: the independent oracle of the cases below.
+int64_t RowTermOracleWidth() {
+  return CpuSpmmTileMaxCols(CpuSpmmVariant::kAvx512) + 9;
+}
+
+TEST(CpuBackendTest, TileWidthAndOnePastMatchRowTermCallBitwise) {
+  // At W the block runs the tile, at W + 1 the wide kernel. m = 70 ends
+  // inside an upper BitmapTile, m = 136 right below one (the lower tile lies
+  // wholly past the edge): both end in a half-column that crosses the edge.
+  const int64_t wide = RowTermOracleWidth();
+  for (const int64_t m : {int64_t{70}, int64_t{136}}) {
+    for (const double sparsity : {0.3, 0.6, 0.9}) {
+      Rng rng(721 + static_cast<uint64_t>(m + sparsity * 100));
+      const HalfMatrix w = HalfMatrix::RandomSparse(m, 90, sparsity, rng);
+      const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+      const HalfMatrix x = HalfMatrix::Random(90, wide, rng, 0.5f);
+      const FloatMatrix init = PrefilledOutput(m, wide, 722 + static_cast<uint64_t>(m));
+      SpmmWorkspace ws;
+      FloatMatrix oracle = init;
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &oracle, CpuSpmmVariant::kPortable);
+      for (const CpuSpmmVariant v : AvailableVariants()) {
+        const int64_t tile_max = CpuSpmmTileMaxCols(v);
+        for (const int64_t n : {tile_max, tile_max + 1}) {
+          SCOPED_TRACE(::testing::Message() << CpuSpmmVariantName(v) << " m=" << m
+                                            << " sparsity=" << sparsity << " n=" << n);
+          FloatMatrix got = LeadingColumns(init, n);
+          CpuSpmmAccumulateIntoVariant(enc, LeadingColumns(x, n), &ws, &got, v);
+          ExpectSameBits(got, LeadingColumns(oracle, n));
+        }
+      }
+    }
+  }
+}
+
+TEST(CpuBackendTest, HalfColumnsWithEmptyTilesMatchPortableBitwise) {
+  // Half-column (band, half) of a 128x128 matrix gets, by (band + half) % 4:
+  // an empty upper tile, an empty lower tile, both empty (the walk skips
+  // it), or neither.
+  Rng rng(723);
+  HalfMatrix w = HalfMatrix::RandomSparse(128, 128, 0.3, rng);
+  for (int64_t band = 0; band < 128 / kTcTileDim; ++band) {
+    for (int64_t half = 0; half < 128 / kBitmapTileDim; ++half) {
+      const int64_t pattern = (band + half) % 4;
+      for (int64_t rr = 0; rr < kTcTileDim; ++rr) {
+        const bool upper = rr < kBitmapTileDim;
+        if (pattern == 3 || (pattern == 0 && !upper) || (pattern == 1 && upper)) {
+          continue;
+        }
+        for (int64_t cc = 0; cc < kBitmapTileDim; ++cc) {
+          w.at(band * kTcTileDim + rr, half * kBitmapTileDim + cc) = Half(0.0f);
+        }
+      }
+    }
+  }
+  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+  int64_t empty_tiles = 0;
+  for (const uint64_t bitmap : enc.bitmaps()) {
+    empty_tiles += bitmap == 0;
+  }
+  ASSERT_EQ(empty_tiles, enc.num_bitmap_tiles() / 2);
+  for (const int64_t n : {int64_t{1}, int64_t{4}, int64_t{8}, int64_t{9},
+                          int64_t{16}, CpuSpmmTileMaxCols(CpuSpmmVariant::kAvx512)}) {
+    const HalfMatrix x = HalfMatrix::Random(128, n, rng, 0.5f);
+    const FloatMatrix init = PrefilledOutput(128, n, 724 + static_cast<uint64_t>(n));
+    SpmmWorkspace ws;
+    FloatMatrix portable = init;
+    CpuSpmmAccumulateIntoVariant(enc, x, &ws, &portable, CpuSpmmVariant::kPortable);
+    for (const CpuSpmmVariant v : AvailableVariants()) {
+      SCOPED_TRACE(::testing::Message() << CpuSpmmVariantName(v) << " n=" << n);
+      FloatMatrix got = init;
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &got, v);
+      ExpectSameBits(got, portable);
+    }
+  }
+}
+
+TEST(CpuBackendTest, NegativeZeroAccumulatorSurvivesRowsWithoutProducts) {
+  // Every fifth weight row is zero, so its outputs take no product; their
+  // -0.0 must keep its sign, which an added +0.0 product would flip.
+  Rng rng(725);
+  HalfMatrix w = HalfMatrix::RandomSparse(96, 128, 0.5, rng);
+  for (int64_t r = 2; r < w.rows(); r += 5) {
+    for (int64_t c = 0; c < w.cols(); ++c) {
+      w.at(r, c) = Half(0.0f);
+    }
+  }
+  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+  for (const int64_t n : {int64_t{1}, int64_t{3}, int64_t{8}, int64_t{16},
+                          CpuSpmmTileMaxCols(CpuSpmmVariant::kAvx512)}) {
+    const HalfMatrix x = HalfMatrix::Random(128, n, rng, 0.5f);
+    for (const CpuSpmmVariant v : AvailableVariants()) {
+      SCOPED_TRACE(::testing::Message() << CpuSpmmVariantName(v) << " n=" << n);
+      SpmmWorkspace ws;
+      FloatMatrix out(96, n);
+      out.Fill(-0.0f);
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &out, v);
+      for (int64_t r = 2; r < out.rows(); r += 5) {
+        for (int64_t j = 0; j < n; ++j) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(out.at(r, j)), 0x80000000u)
+              << "row " << r << " column " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(CpuBackendTest, NarrowKernelsWriteNothingOutsideTheBlock) {
+  // The SIMD units' narrow kernels, driven directly over every GroupTile
+  // into a column-major block whose stride leaves 10 canary rows past
+  // m = 70 and which has one canary column past nb. The canaries hold a NaN
+  // payload that any write would replace; the live block must equal the
+  // portable variant's columns [j0, j0 + nb).
+  using KernelFn = void (*)(const TcaBmeMatrix&, int64_t, const float*, int64_t,
+                            int64_t, int64_t, float*, int64_t,
+                            cpu_backend_detail::SpmmPhaseRecorder*);
+  struct Kernel {
+    CpuSpmmVariant variant;
+    KernelFn fn;
+  };
+  const Kernel kernels[] = {
+      {CpuSpmmVariant::kAvx2, &cpu_backend_detail::ProcessGroupTileNarrowAvx2},
+      {CpuSpmmVariant::kAvx512, &cpu_backend_detail::ProcessGroupTileNarrowAvx512}};
+  constexpr uint32_t kCanary = 0x7fc0c0deu;
+  constexpr int64_t kM = 70;
+  constexpr int64_t kK = 90;
+  constexpr int64_t kLdb = kM + 10;
+  constexpr int64_t kJ0 = 3;
+  Rng rng(726);
+  const HalfMatrix w = HalfMatrix::RandomSparse(kM, kK, 0.5, rng);
+  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+  for (const Kernel& kernel : kernels) {
+    if (!CpuSpmmVariantAvailable(kernel.variant)) {
+      continue;
+    }
+    const int64_t nb = CpuSpmmTileMaxCols(kernel.variant);
+    const int64_t n = kJ0 + nb + 2;
+    SCOPED_TRACE(::testing::Message() << CpuSpmmVariantName(kernel.variant));
+    const HalfMatrix x = HalfMatrix::Random(kK, n, rng, 0.5f);
+    const FloatMatrix init = PrefilledOutput(kM, n, 727);
+    SpmmWorkspace ws;
+    FloatMatrix oracle = init;
+    CpuSpmmAccumulateIntoVariant(enc, x, &ws, &oracle, CpuSpmmVariant::kPortable);
+
+    std::vector<float> xf(static_cast<size_t>(kK * n));
+    for (size_t i = 0; i < xf.size(); ++i) {
+      xf[i] = x.data()[i].ToFloat();
+    }
+    std::vector<float> blk(static_cast<size_t>(kLdb * (nb + 1)),
+                           std::bit_cast<float>(kCanary));
+    for (int64_t j = 0; j < nb; ++j) {
+      for (int64_t r = 0; r < kM; ++r) {
+        blk[static_cast<size_t>(j * kLdb + r)] = init.at(r, kJ0 + j);
+      }
+    }
+    for (int64_t gt = 0; gt < enc.num_group_tiles(); ++gt) {
+      kernel.fn(enc, gt, xf.data(), n, kJ0, nb, blk.data(), kLdb, nullptr);
+    }
+    for (int64_t j = 0; j <= nb; ++j) {
+      for (int64_t r = 0; r < kLdb; ++r) {
+        const uint32_t got = std::bit_cast<uint32_t>(blk[static_cast<size_t>(j * kLdb + r)]);
+        const uint32_t want = j < nb && r < kM
+                                  ? std::bit_cast<uint32_t>(oracle.at(r, kJ0 + j))
+                                  : kCanary;
+        ASSERT_EQ(got, want) << "row " << r << " column " << j;
+      }
+    }
+  }
+}
+
+TEST(CpuBackendTest, TileMatchesPortableAtEveryWidthDensityAndThreadCount) {
+  // Every width from 1 to one past the widest tile, so every variant runs
+  // both its tile and its wide kernel, at densities from 1% to 70%.
+  const int64_t widest = CpuSpmmTileMaxCols(CpuSpmmVariant::kAvx512) + 1;
+  for (const double sparsity : {0.3, 0.6, 0.9, 0.99}) {
+    Rng rng(728 + static_cast<uint64_t>(sparsity * 100));
+    const HalfMatrix w = HalfMatrix::RandomSparse(129, 257, sparsity, rng);
+    const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+    for (int64_t n = 1; n <= widest; ++n) {
+      const HalfMatrix x = HalfMatrix::Random(257, n, rng, 0.5f);
+      const FloatMatrix init = PrefilledOutput(129, n, 729 + static_cast<uint64_t>(n));
+      SpmmWorkspace ws;
+      ThreadPool::SetGlobalThreads(1);
+      FloatMatrix portable = init;
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &portable, CpuSpmmVariant::kPortable);
+      for (const int threads : {1, 3}) {
+        ThreadPool::SetGlobalThreads(threads);
+        for (const CpuSpmmVariant v : AvailableVariants()) {
+          SCOPED_TRACE(::testing::Message() << CpuSpmmVariantName(v) << " sparsity="
+                                            << sparsity << " n=" << n
+                                            << " threads=" << threads);
+          FloatMatrix got = init;
+          CpuSpmmAccumulateIntoVariant(enc, x, &ws, &got, v);
+          ExpectSameBits(got, portable);
+        }
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(0);  // restore the default pool
+}
+
+TEST(CpuBackendTest, TracedKernelsMatchUntracedBitwise) {
+  // Traced rows run each kernel's timed instantiation; it must form the same
+  // bits as the untimed one, for the tile, the wide kernel and a panel that
+  // runs both.
+  Rng rng(730);
+  const HalfMatrix w = HalfMatrix::RandomSparse(136, 200, 0.6, rng);
+  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Reset();
+  tracer.Start();
+  const bool recording = obs::TracingEnabled();
+  tracer.Stop();
+  if (!recording) {
+    GTEST_SKIP() << "tracing is compiled out (SPINFER_TRACING_DISABLED)";
+  }
+  for (const CpuSpmmVariant v : AvailableVariants()) {
+    const int64_t tile_max = CpuSpmmTileMaxCols(v);
+    for (const int64_t n : {int64_t{1}, int64_t{8}, tile_max, tile_max + 1,
+                            int64_t{132}}) {
+      SCOPED_TRACE(::testing::Message() << CpuSpmmVariantName(v) << " n=" << n);
+      const HalfMatrix x = HalfMatrix::Random(200, n, rng, 0.5f);
+      const FloatMatrix init = PrefilledOutput(136, n, 731 + static_cast<uint64_t>(n));
+      SpmmWorkspace ws;
+      FloatMatrix untraced = init;
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &untraced, v);
+      tracer.Start();
+      FloatMatrix traced = init;
+      CpuSpmmAccumulateIntoVariant(enc, x, &ws, &traced, v);
+      tracer.Stop();
+      ExpectSameBits(traced, untraced);
+    }
+  }
+  // The traced calls must really have recorded spans, or this proves nothing.
+  EXPECT_FALSE(tracer.Drain().empty());
+  tracer.Reset();
 }
 
 TEST(CpuBackendTest, AllZeroMatrix) {

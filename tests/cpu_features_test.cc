@@ -47,6 +47,35 @@ TEST(CpuFeaturesTest, Avx2RequestCannotExceedHardware) {
   EXPECT_TRUE(warning.empty()) << warning;
 }
 
+TEST(CpuFeaturesTest, UnsetOverrideSelectsAvx512OnCapableHardware) {
+  EXPECT_EQ(Apply(SimdLevel::kAvx512, nullptr).first, SimdLevel::kAvx512);
+  EXPECT_EQ(Apply(SimdLevel::kAvx512, "").first, SimdLevel::kAvx512);
+}
+
+TEST(CpuFeaturesTest, Avx2RequestNarrowsAnAvx512Host) {
+  // SPINFER_SIMD=avx2 keeps the AVX2 kernels running in dispatched paths on
+  // AVX-512 hosts.
+  const auto [level, warning] = Apply(SimdLevel::kAvx512, "avx2");
+  EXPECT_EQ(level, SimdLevel::kAvx2);
+  EXPECT_TRUE(warning.empty()) << warning;
+}
+
+TEST(CpuFeaturesTest, PortableNarrowsAnAvx512Host) {
+  for (const char* env : {"portable", "scalar"}) {
+    const auto [level, warning] = Apply(SimdLevel::kAvx512, env);
+    EXPECT_EQ(level, SimdLevel::kPortable) << env;
+    EXPECT_TRUE(warning.empty()) << env << ": " << warning;
+  }
+}
+
+TEST(CpuFeaturesTest, Avx512IsNotAnOverrideValue) {
+  // It would select nothing the unset default does not, so it is rejected
+  // like any other unknown value and dispatch keeps the hardware level.
+  const auto [level, warning] = Apply(SimdLevel::kAvx2, "avx512");
+  EXPECT_EQ(level, SimdLevel::kAvx2);
+  EXPECT_NE(warning.find("unrecognized"), std::string::npos) << warning;
+}
+
 TEST(CpuFeaturesTest, UnrecognizedValueWarnsAndKeepsHardwareLevel) {
   // The motivating typo: SPINFER_SIMD=portble used to silently run AVX2
   // while the user believed they were testing the portable path.
@@ -67,8 +96,11 @@ TEST(CpuFeaturesTest, ActiveLevelIsConsistentWithDetectedFeatures) {
   // ActiveSimdLevel() may be narrowed by the environment, but can never
   // exceed what the hardware reports.
   const CpuFeatures& f = GetCpuFeatures();
-  const SimdLevel hw =
-      (f.avx2 && f.fma && f.f16c) ? SimdLevel::kAvx2 : SimdLevel::kPortable;
+  const bool avx2 = f.avx2 && f.fma && f.f16c;
+  const bool avx512 = avx2 && f.avx512f && f.avx512vl && f.avx512bw && f.avx512dq;
+  const SimdLevel hw = avx512 ? SimdLevel::kAvx512
+                       : avx2 ? SimdLevel::kAvx2
+                              : SimdLevel::kPortable;
   EXPECT_LE(static_cast<int>(ActiveSimdLevel()), static_cast<int>(hw));
 }
 
@@ -76,6 +108,18 @@ TEST(CpuFeaturesTest, SummaryMentionsDispatchLevel) {
   const std::string s = CpuFeaturesSummary();
   EXPECT_NE(s.find("dispatch: "), std::string::npos) << s;
   EXPECT_NE(s.find(SimdLevelName(ActiveSimdLevel())), std::string::npos) << s;
+}
+
+TEST(CpuFeaturesTest, SummaryNamesEachAvx512SubsetTheTierNeeds) {
+  const CpuFeatures& f = GetCpuFeatures();
+  const std::string s = CpuFeaturesSummary();
+  const std::pair<bool, const char*> subsets[] = {{f.avx512f, "avx512f"},
+                                                  {f.avx512vl, "avx512vl"},
+                                                  {f.avx512bw, "avx512bw"},
+                                                  {f.avx512dq, "avx512dq"}};
+  for (const auto& [has, name] : subsets) {
+    EXPECT_EQ(s.find(name) != std::string::npos, has) << name << ": " << s;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // case, so comparing it with a variant-pinned N = 1 SpMM call checks the
 // entry points and variants against each other; the independent oracle is
 // column 0 of a 13-wide call, which runs RowTerm staging instead of the
-// block tile.
+// block tile (the portable variant's call, for a variant whose tile reaches
+// 13 columns).
 #include "src/core/cpu_spmv.h"
 
 #include <gtest/gtest.h>
@@ -119,6 +120,12 @@ TEST(CpuSpmvTest, SimdVariantsBitIdentical) {
     avx2.Fill(0.0f);
     CpuSpmvAccumulateIntoVariant(enc, x, &ws, &avx2, CpuSpmmVariant::kAvx2);
     ExpectBitIdentical(portable, avx2);
+    if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+      FloatMatrix avx512(160, 1);
+      avx512.Fill(0.0f);
+      CpuSpmvAccumulateIntoVariant(enc, x, &ws, &avx512, CpuSpmmVariant::kAvx512);
+      ExpectBitIdentical(portable, avx512);
+    }
   }
 }
 
@@ -221,11 +228,16 @@ TEST(CpuSpmvTest, FloatSpmvMatchesColumnOfWideRowTermCall) {
   // shares nothing with below the tile walk, and forms every element's chain
   // in the same order; so column 0 of that call is an oracle for all three
   // FP16 SpMV forms. Every seventh weight row is zeroed: those outputs take
-  // no product at all and must keep the accumulate form's -0.0 bitwise.
+  // no product at all and must keep the accumulate form's -0.0 bitwise. A
+  // variant whose tile reaches 13 columns (AVX-512) takes its oracle from
+  // the portable variant's 13-wide call, which stages RowTerms.
   constexpr int64_t kWide = 13;
   std::vector<CpuSpmmVariant> variants = {CpuSpmmVariant::kPortable};
   if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx2)) {
     variants.push_back(CpuSpmmVariant::kAvx2);
+  }
+  if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+    variants.push_back(CpuSpmmVariant::kAvx512);
   }
   for (const double sparsity : {0.01, 0.3, 0.5, 0.7, 0.9}) {
     SCOPED_TRACE(::testing::Message() << "sparsity=" << sparsity);
@@ -254,12 +266,14 @@ TEST(CpuSpmvTest, FloatSpmvMatchesColumnOfWideRowTermCall) {
     for (const CpuSpmmVariant v : variants) {
       SCOPED_TRACE(CpuSpmmVariantName(v));
       SpmmWorkspace ws;
+      const CpuSpmmVariant wide_v =
+          CpuSpmmTileMaxCols(v) < kWide ? v : CpuSpmmVariant::kPortable;
       FloatMatrix wide(160, kWide);
       wide.Fill(0.0f);
-      CpuSpmmAccumulateIntoVariant(enc, xh, &ws, &wide, v);
+      CpuSpmmAccumulateIntoVariant(enc, xh, &ws, &wide, wide_v);
       FloatMatrix wide_acc(160, kWide);
       wide_acc.Fill(-0.0f);
-      CpuSpmmAccumulateIntoVariant(enc, xh, &ws, &wide_acc, v);
+      CpuSpmmAccumulateIntoVariant(enc, xh, &ws, &wide_acc, wide_v);
 
       FloatMatrix got;
       CpuSpmvInto(enc, x1h, &ws, &got);
@@ -406,6 +420,13 @@ TEST(CpuSpmvInt8Test, SimdVariantsAndThreadCountsBitIdentical) {
     avx2.Fill(0.0f);
     CpuSpmvInt8AccumulateIntoVariant(encq, x, &ws, &avx2, CpuSpmmVariant::kAvx2);
     ExpectBitIdentical(portable, avx2);
+  }
+  if (CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+    FloatMatrix avx512(160, 1);
+    avx512.Fill(0.0f);
+    CpuSpmvInt8AccumulateIntoVariant(encq, x, &ws, &avx512,
+                                     CpuSpmmVariant::kAvx512);
+    ExpectBitIdentical(portable, avx512);
   }
   ThreadPool::SetGlobalThreads(1);
   FloatMatrix one;

@@ -1,5 +1,5 @@
-// Warm CPU SpMM/SpMV calls, paged-attention calls and model steps allocate
-// nothing on the heap, at every pool width.
+// Warm CPU SpMM/SpMV calls, paged-attention calls, KV-cache rewinds and
+// model steps allocate nothing on the heap, at every pool width.
 //
 // cpu_backend.h promises that once the workspace and output have seen a
 // call's shapes, repeat calls are allocation-free. Workspace growth is
@@ -135,6 +135,37 @@ TEST_F(KernelAllocTest, WarmSpmmCallsAllocateNothing) {
   }
 }
 
+TEST_F(KernelAllocTest, WarmAvx512SpmmCallsAllocateNothing) {
+  if (!CpuSpmmVariantAvailable(CpuSpmmVariant::kAvx512)) {
+    GTEST_SKIP() << "AVX-512 variant unavailable on this build/machine";
+  }
+  Rng rng(817);
+  const HalfMatrix w = HalfMatrix::RandomSparse(192, 160, 0.6, rng);
+  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+  // The variant-pinned entry, so the widths up to the tile's reach and just
+  // past it run the AVX-512 tile and the AVX2 RowTerm update whatever the
+  // dispatch: 1 in place, 9 and the widest tile block on the workspace's
+  // block, one past it and 64 RowTerm staging, 132 both.
+  const int64_t tile_max = CpuSpmmTileMaxCols(CpuSpmmVariant::kAvx512);
+  for (const int threads : kPoolWidths) {
+    ThreadPool::SetGlobalThreads(threads);
+    for (const int64_t n : {int64_t{1}, int64_t{9}, tile_max, tile_max + 1,
+                            int64_t{64}, int64_t{132}}) {
+      Rng xrng(818 + static_cast<uint64_t>(n));
+      const HalfMatrix x = HalfMatrix::Random(160, n, xrng, 0.5f);
+      SpmmWorkspace ws;
+      FloatMatrix out(192, n);
+      out.Fill(0.0f);
+      EXPECT_EQ(WarmAllocations([&] {
+                  CpuSpmmAccumulateIntoVariant(enc, x, &ws, &out,
+                                               CpuSpmmVariant::kAvx512);
+                }),
+                0)
+          << "n=" << n << ", " << threads << " threads";
+    }
+  }
+}
+
 TEST_F(KernelAllocTest, WarmFloatSpmvCallAllocatesNothing) {
   Rng rng(813);
   const HalfMatrix w = HalfMatrix::RandomSparse(192, 160, 0.6, rng);
@@ -200,6 +231,39 @@ TEST_F(KernelAllocTest, WarmPagedAttentionCallAllocatesNothing) {
               }),
               0)
         << threads << " threads";
+  }
+}
+
+// Rewinding 8 decode sequences by one slot, as the serving benches do
+// between replays. Each rewind frees the one-slot block its append opened,
+// so every call takes the path that deindexes freed blocks.
+TEST_F(KernelAllocTest, RewindingWarmDecodeSequencesAllocatesNothing) {
+  PagedKvCacheConfig cfg;
+  cfg.layers = 1;
+  cfg.kv_dim = 32;
+  cfg.block_tokens = 16;
+  cfg.num_blocks = 32;
+  PagedKvCache cache(cfg);
+  constexpr int64_t kSequences = 8;
+  constexpr int64_t kPromptLen = 16;
+  for (int64_t id = 0; id < kSequences; ++id) {
+    ASSERT_TRUE(cache.AddSequence(id, kPromptLen));
+    ASSERT_TRUE(cache.AppendToken(id));
+  }
+  EXPECT_EQ(WarmAllocations(
+                [&] {
+                  for (int64_t id = 0; id < kSequences; ++id) {
+                    cache.TruncateSequence(id, kPromptLen);
+                  }
+                },
+                [&] {
+                  for (int64_t id = 0; id < kSequences; ++id) {
+                    ASSERT_TRUE(cache.AppendToken(id));
+                  }
+                }),
+            0);
+  for (int64_t id = 0; id < kSequences; ++id) {
+    EXPECT_EQ(cache.SequenceTokens(id), kPromptLen + 1);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +213,59 @@ void ExpectNonzeroTilesArePopcountPrefix(const Matrix& m) {
   EXPECT_DEATH(ForEachNonzeroTile(m, m.num_group_tiles(),
                                   [](uint64_t, int64_t, size_t, int64_t, int64_t) {}),
                "gt < m.num_group_tiles");
+}
+
+// ForEachNonzeroHalfColumn must visit exactly the nonzero tiles
+// ForEachNonzeroTile visits, paired as (upper, lower) half-columns: the upper
+// tile's corner, its Values offset as `first`, the lower tile 8 rows down
+// with its run right after the upper one's, and no visit where both are
+// empty.
+template <typename Matrix>
+void ExpectHalfColumnsPairTheNonzeroTiles(const Matrix& m) {
+  for (int64_t gt = 0; gt < m.num_group_tiles(); ++gt) {
+    std::map<std::array<int64_t, 2>, std::pair<uint64_t, size_t>> tiles;
+    ForEachNonzeroTile(m, gt, [&](uint64_t bitmap, int64_t, size_t first,
+                                  int64_t bt_r, int64_t bt_c) {
+      tiles[{bt_r, bt_c}] = {bitmap, first};
+    });
+    size_t covered = 0;
+    ForEachNonzeroHalfColumn(m, gt, [&](uint64_t upper, uint64_t lower,
+                                        size_t first, int64_t bt_r, int64_t bt_c) {
+      ASSERT_NE(upper | lower, 0u) << "gt " << gt;
+      const std::pair<uint64_t, std::array<int64_t, 2>> halves[] = {
+          {upper, {bt_r, bt_c}}, {lower, {bt_r + kBitmapTileDim, bt_c}}};
+      size_t offset = first;
+      for (const auto& [bitmap, corner] : halves) {
+        const auto it = tiles.find(corner);
+        if (bitmap == 0) {
+          EXPECT_EQ(it, tiles.end()) << "gt " << gt;
+          continue;
+        }
+        ASSERT_NE(it, tiles.end()) << "gt " << gt;
+        EXPECT_EQ(it->second.first, bitmap);
+        EXPECT_EQ(it->second.second, offset) << "gt " << gt;
+        offset += static_cast<size_t>(std::popcount(bitmap));
+        ++covered;
+      }
+    });
+    EXPECT_EQ(covered, tiles.size()) << "gt " << gt;
+  }
+  EXPECT_DEATH(ForEachNonzeroHalfColumn(
+                   m, m.num_group_tiles(),
+                   [](uint64_t, uint64_t, size_t, int64_t, int64_t) {}),
+               "gt < m.num_group_tiles");
+}
+
+TEST(TcaBmeDeathTest, ForEachNonzeroHalfColumnPairsTheNonzeroTiles) {
+  // 98% sparsity leaves about a quarter of the BitmapTiles empty, so
+  // half-columns with one empty tile, two, or none all occur.
+  Rng rng(81);
+  const HalfMatrix w = HalfMatrix::RandomSparse(40, 72, 0.98, rng);  // ragged
+  TcaBmeConfig cfg;
+  cfg.gt_rows = 32;
+  cfg.gt_cols = 48;
+  ExpectHalfColumnsPairTheNonzeroTiles(TcaBmeMatrix::Encode(w, cfg));
+  ExpectHalfColumnsPairTheNonzeroTiles(TcaBmeQuantMatrix::Encode(w, cfg));
 }
 
 TEST(TcaBmeDeathTest, ForEachNonzeroTileOffsetsArePopcountPrefix) {

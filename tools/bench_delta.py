@@ -30,6 +30,9 @@ EXPECTED_BENCHES = (
     "tca_bme_encode",
     "smbd_decode",
     "cpu_spmm_n8",
+    "cpu_spmm_n16",
+    "cpu_spmm_n32",
+    "cpu_spmm_n8_avx2",
     "cpu_spmm_n64",
     "cpu_spmm_n64_t2",
     "cpu_spmm_n64_t4",
