@@ -315,7 +315,7 @@ int Main(int argc, char** argv) {
 
   // --- Batched paged-attention decode kernel (fused, SIMD-dispatched). -----
   // The executing attention path in isolation: 4 sequences x 8 heads over a
-  // paged FP32 KV cache, head_dim 32. The ctx=256/2048 points track the
+  // paged FP16 KV cache, head_dim 32. The ctx=256/2048 points track the
   // context scaling (attention is the decode bottleneck at long context);
   // the _ref point runs the retained scalar reference on the same pages, so
   // ctx2048_ref / ctx2048 is the fused kernel's paired speedup.
@@ -330,15 +330,16 @@ int Main(int argc, char** argv) {
     constexpr int64_t kAttnCtx = 2048;
     constexpr int64_t kAttnHeads = 8;
     Rng rng(2001);
+    std::vector<float> krow(static_cast<size_t>(kcfg.kv_dim));
+    std::vector<float> vrow(static_cast<size_t>(kcfg.kv_dim));
     for (int64_t s = 0; s < kAttnSeqs; ++s) {
       SPINFER_CHECK(cache.AddSequence(s, kAttnCtx));
       for (int64_t t = 0; t < kAttnCtx; ++t) {
-        float* krow = cache.KRow(0, s, t);
-        float* vrow = cache.VRow(0, s, t);
         for (int64_t r = 0; r < kcfg.kv_dim; ++r) {
-          krow[r] = rng.Uniform(-1.0f, 1.0f);
-          vrow[r] = rng.Uniform(-1.0f, 1.0f);
+          krow[static_cast<size_t>(r)] = rng.Uniform(-1.0f, 1.0f);
+          vrow[static_cast<size_t>(r)] = rng.Uniform(-1.0f, 1.0f);
         }
+        cache.WriteSlot(0, s, t, krow.data(), vrow.data());
       }
     }
     FloatMatrix q(kcfg.kv_dim, kAttnSeqs);
@@ -386,6 +387,65 @@ int Main(int argc, char** argv) {
       PagedAttentionDecodeBatch(cache, /*layer=*/0, kAttnHeads, kAttnHeads,
                                 chunk_q, chunk_items, &chunk_out, &scratch);
       g_sink = chunk_out.data()[0];
+    });
+  }
+
+  // --- Decode attention over shared prefixes (servebench rag_prefix). ------
+  // One decode step's attention at the shape of rag_prefix's decode-only
+  // steps: kv_dim 256 (8 heads x 32), 4 layers, 8 sequences over 4 shared
+  // 448-token prefixes (sequence s adopts prefix s % 4 through the prefix
+  // index), contexts 470-540, all 4 layers per repetition.
+  {
+    constexpr int64_t kLayers = 4;
+    constexpr int64_t kSeqs = 8;
+    constexpr int64_t kPrefixes = 4;
+    constexpr int64_t kPrefixLen = 448;
+    constexpr int64_t kHeads = 8;
+    PagedKvCacheConfig kcfg;
+    kcfg.layers = kLayers;
+    kcfg.kv_dim = 256;
+    kcfg.block_tokens = 16;
+    kcfg.num_blocks = kPrefixes * (kPrefixLen / 16) + kSeqs * 6;
+    PagedKvCache cache(kcfg);
+    Rng rng(2002);
+    std::vector<float> krow(static_cast<size_t>(kcfg.kv_dim));
+    std::vector<float> vrow(static_cast<size_t>(kcfg.kv_dim));
+    std::vector<PagedAttentionItem> items;
+    for (int64_t s = 0; s < kSeqs; ++s) {
+      const int64_t ctx = 470 + 10 * s;
+      std::vector<int32_t> prompt(static_cast<size_t>(ctx));
+      for (int64_t t = 0; t < ctx; ++t) {
+        prompt[static_cast<size_t>(t)] = static_cast<int32_t>(
+            t < kPrefixLen ? (s % kPrefixes) * kPrefixLen + t
+                           : kPrefixes * kPrefixLen + s);
+      }
+      const PagedKvCache::PrefixMatch match = cache.MatchPrefix(prompt);
+      SPINFER_CHECK_EQ(match.tokens, s < kPrefixes ? 0 : kPrefixLen);
+      SPINFER_CHECK(cache.AddSequenceSharing(s, ctx, match));
+      for (int64_t t = match.tokens; t < ctx; ++t) {
+        for (int64_t layer = 0; layer < kLayers; ++layer) {
+          for (int64_t r = 0; r < kcfg.kv_dim; ++r) {
+            krow[static_cast<size_t>(r)] = rng.Uniform(-1.0f, 1.0f);
+            vrow[static_cast<size_t>(r)] = rng.Uniform(-1.0f, 1.0f);
+          }
+          cache.WriteSlot(layer, s, t, krow.data(), vrow.data());
+        }
+      }
+      cache.IndexPrefix(s, prompt, kPrefixLen);
+      items.push_back({s, s, -1});
+    }
+    FloatMatrix q(kcfg.kv_dim, kSeqs);
+    for (int64_t i = 0; i < q.size(); ++i) {
+      q.data()[i] = rng.Uniform(-1.0f, 1.0f);
+    }
+    FloatMatrix attn(kcfg.kv_dim, kSeqs);
+    PagedAttentionScratch scratch;
+    bench("paged_attention_decode_b8_shared", [&] {
+      for (int64_t layer = 0; layer < kLayers; ++layer) {
+        PagedAttentionDecodeBatch(cache, layer, kHeads, kHeads, q, items,
+                                  &attn, &scratch);
+      }
+      g_sink = attn.data()[0];
     });
   }
 

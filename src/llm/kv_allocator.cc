@@ -111,12 +111,19 @@ bool KvAllocator::ReleaseBlock(int32_t block) {
 }
 
 void KvAllocator::RemoveSequence(int64_t seq_id) {
+  RemoveSequence(seq_id, [](int32_t) {});
+}
+
+void KvAllocator::RemoveSequence(int64_t seq_id,
+                                 FunctionRef<void(int32_t)> on_freed) {
   const auto it = sequences_.find(seq_id);
   if (it == sequences_.end()) {
     return;
   }
   for (int32_t b : it->second.blocks) {
-    ReleaseBlock(b);
+    if (ReleaseBlock(b)) {
+      on_freed(b);
+    }
   }
   sequences_.erase(it);
 }
@@ -220,12 +227,12 @@ PagedKvCache::PagedKvCache(const PagedKvCacheConfig& config)
     : config_(config), alloc_(BookkeepingConfig(config)) {
   SPINFER_CHECK(config.layers > 0 && config.kv_dim > 0);
   SPINFER_CHECK(config.block_tokens > 0 && config.num_blocks > 0);
-  const size_t floats = static_cast<size_t>(config.layers) *
+  const size_t halves = static_cast<size_t>(config.layers) *
                         static_cast<size_t>(config.num_blocks) *
                         static_cast<size_t>(config.block_tokens) *
                         static_cast<size_t>(config.kv_dim);
-  k_pool_.assign(floats, 0.0f);
-  v_pool_.assign(floats, 0.0f);
+  k_pool_.assign(halves, Half(0.0f));
+  v_pool_.assign(halves, Half(0.0f));
 }
 
 bool PagedKvCache::AddSequence(int64_t seq_id, int64_t tokens) {
@@ -311,18 +318,24 @@ void PagedKvCache::DeindexBlock(int32_t block) {
   block_hash_.erase(it);
 }
 
-void PagedKvCache::CopyBlockPrefix(int32_t old_block, int32_t new_block,
-                                   int64_t slots) {
+void PagedKvCache::CopySlots(const PagedKvCache& src, int32_t src_block,
+                             int32_t dst_block, int64_t slots) {
   if (slots <= 0) {
     return;
   }
-  const int64_t row_floats = config_.block_tokens * config_.kv_dim;
-  const size_t bytes = static_cast<size_t>(slots * config_.kv_dim) * sizeof(float);
+  const int64_t bt = config_.block_tokens;
+  const int64_t kv_dim = config_.kv_dim;
   for (int64_t layer = 0; layer < config_.layers; ++layer) {
-    const int64_t src = (layer * config_.num_blocks + old_block) * row_floats;
-    const int64_t dst = (layer * config_.num_blocks + new_block) * row_floats;
-    std::memcpy(k_pool_.data() + dst, k_pool_.data() + src, bytes);
-    std::memcpy(v_pool_.data() + dst, v_pool_.data() + src, bytes);
+    const Half* ks = src.k_pool_.data() + src.BlockOffset(layer, src_block);
+    const Half* vs = src.v_pool_.data() + src.BlockOffset(layer, src_block);
+    Half* kd = k_pool_.data() + BlockOffset(layer, dst_block);
+    Half* vd = v_pool_.data() + BlockOffset(layer, dst_block);
+    // K: the leading `slots` keys of every dimension; V: the leading rows.
+    for (int64_t d = 0; d < kv_dim; ++d) {
+      std::memcpy(kd + d * bt, ks + d * bt,
+                  static_cast<size_t>(slots) * sizeof(Half));
+    }
+    std::memcpy(vd, vs, static_cast<size_t>(slots * kv_dim) * sizeof(Half));
   }
 }
 
@@ -335,8 +348,8 @@ bool PagedKvCache::AppendToken(int64_t seq_id) {
   if (remap.happened) {
     // The already-written slots of the shared block must follow the remap so
     // the sequence keeps reading its own history bit-for-bit.
-    CopyBlockPrefix(remap.old_block, remap.new_block,
-                    tokens_before % config_.block_tokens);
+    CopySlots(*this, remap.old_block, remap.new_block,
+              tokens_before % config_.block_tokens);
     ++cow_copies_;
   }
   // Whichever block now holds the new slot is about to receive a write its
@@ -349,17 +362,9 @@ bool PagedKvCache::AppendToken(int64_t seq_id) {
 }
 
 void PagedKvCache::RemoveSequence(int64_t seq_id) {
-  const std::vector<int32_t>* blocks = alloc_.SequenceBlockList(seq_id);
-  if (blocks == nullptr) {
-    return;
-  }
-  const std::vector<int32_t> held = *blocks;
-  alloc_.RemoveSequence(seq_id);
-  for (int32_t b : held) {
-    if (alloc_.BlockRefCount(b) == 0) {
-      DeindexBlock(b);
-    }
-  }
+  // Only a block that lost its last holder leaves the index; blocks other
+  // sequences still hold stay adoptable.
+  alloc_.RemoveSequence(seq_id, [this](int32_t block) { DeindexBlock(block); });
 }
 
 void PagedKvCache::TruncateSequence(int64_t seq_id, int64_t tokens) {
@@ -369,43 +374,49 @@ void PagedKvCache::TruncateSequence(int64_t seq_id, int64_t tokens) {
                           [this](int32_t block) { DeindexBlock(block); });
 }
 
-int64_t PagedKvCache::SlotIndex(int64_t layer, int64_t seq_id, int64_t token) const {
-  SPINFER_CHECK(layer >= 0 && layer < config_.layers);
+std::pair<int32_t, int64_t> PagedKvCache::Slot(int64_t seq_id,
+                                               int64_t token) const {
   const std::vector<int32_t>* blocks = alloc_.SequenceBlockList(seq_id);
   SPINFER_CHECK_MSG(blocks != nullptr, "unknown sequence: " << seq_id);
   SPINFER_CHECK_MSG(token >= 0 && token < alloc_.SequenceTokens(seq_id),
                     "token slot " << token << " out of range for sequence "
                                   << seq_id);
-  const int64_t block = (*blocks)[static_cast<size_t>(token / config_.block_tokens)];
-  const int64_t offset = token % config_.block_tokens;
-  return ((layer * config_.num_blocks + block) * config_.block_tokens + offset) *
-         config_.kv_dim;
+  return {(*blocks)[static_cast<size_t>(token / config_.block_tokens)],
+          token % config_.block_tokens};
 }
 
-float* PagedKvCache::KRow(int64_t layer, int64_t seq_id, int64_t token) {
-  return k_pool_.data() + SlotIndex(layer, seq_id, token);
+void PagedKvCache::WriteSlot(int64_t layer, int64_t seq_id, int64_t token,
+                             const float* k, const float* v, int64_t stride) {
+  SPINFER_CHECK(layer >= 0 && layer < config_.layers);
+  const auto [block, slot] = Slot(seq_id, token);
+  const int64_t bt = config_.block_tokens;
+  Half* kd = k_pool_.data() + BlockOffset(layer, block) + slot;
+  Half* vd = v_pool_.data() + BlockOffset(layer, block) + slot * config_.kv_dim;
+  for (int64_t r = 0; r < config_.kv_dim; ++r) {
+    kd[r * bt] = Half(k[r * stride]);
+    vd[r] = Half(v[r * stride]);
+  }
 }
 
-const float* PagedKvCache::KRow(int64_t layer, int64_t seq_id, int64_t token) const {
-  return k_pool_.data() + SlotIndex(layer, seq_id, token);
+void PagedKvCache::ReadSlot(int64_t layer, int64_t seq_id, int64_t token,
+                            float* k, float* v) const {
+  SPINFER_CHECK(layer >= 0 && layer < config_.layers);
+  const auto [block, slot] = Slot(seq_id, token);
+  const int64_t bt = config_.block_tokens;
+  const Half* ks = k_pool_.data() + BlockOffset(layer, block) + slot;
+  const Half* vs = v_pool_.data() + BlockOffset(layer, block) + slot * config_.kv_dim;
+  for (int64_t r = 0; r < config_.kv_dim; ++r) {
+    k[r] = ks[r * bt].ToFloat();
+    v[r] = vs[r].ToFloat();
+  }
 }
 
-float* PagedKvCache::VRow(int64_t layer, int64_t seq_id, int64_t token) {
-  return v_pool_.data() + SlotIndex(layer, seq_id, token);
+const Half* PagedKvCache::KBlockBase(int64_t layer, int32_t block) const {
+  return k_pool_.data() + BlockOffset(layer, block);
 }
 
-const float* PagedKvCache::VRow(int64_t layer, int64_t seq_id, int64_t token) const {
-  return v_pool_.data() + SlotIndex(layer, seq_id, token);
-}
-
-const float* PagedKvCache::KBlockBase(int64_t layer, int32_t block) const {
-  return k_pool_.data() +
-         (layer * config_.num_blocks + block) * config_.block_tokens * config_.kv_dim;
-}
-
-const float* PagedKvCache::VBlockBase(int64_t layer, int32_t block) const {
-  return v_pool_.data() +
-         (layer * config_.num_blocks + block) * config_.block_tokens * config_.kv_dim;
+const Half* PagedKvCache::VBlockBase(int64_t layer, int32_t block) const {
+  return v_pool_.data() + BlockOffset(layer, block);
 }
 
 bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to, int64_t from_seq,
@@ -425,15 +436,12 @@ bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to, int64_t from_seq,
   if (!to->AddSequence(to_seq, tokens)) {
     return false;
   }
-  const int64_t layers = from->config().layers;
-  const int64_t kv_dim = from->config().kv_dim;
-  for (int64_t layer = 0; layer < layers; ++layer) {
-    for (int64_t t = 0; t < tokens; ++t) {
-      const float* ksrc = from->KRow(layer, from_seq, t);
-      const float* vsrc = from->VRow(layer, from_seq, t);
-      std::copy(ksrc, ksrc + kv_dim, to->KRow(layer, to_seq, t));
-      std::copy(vsrc, vsrc + kv_dim, to->VRow(layer, to_seq, t));
-    }
+  const std::vector<int32_t>& src = *from->SequenceBlockList(from_seq);
+  const std::vector<int32_t>& dst = *to->SequenceBlockList(to_seq);
+  const int64_t bt = from->config().block_tokens;
+  for (size_t i = 0; i < src.size(); ++i) {
+    const int64_t first = static_cast<int64_t>(i) * bt;
+    to->CopySlots(*from, src[i], dst[i], std::min(bt, tokens - first));
   }
   from->RemoveSequence(from_seq);
   return true;

@@ -14,15 +14,17 @@
 //     over full prompt-prefix blocks, so TinyTransformer's KV-cache decode
 //     path reads and writes through the page tables the allocator maintains
 //     and new arrivals can adopt identical prefix blocks instead of
-//     recomputing them. One token's K (or V) at one layer is one contiguous
-//     `kv_dim`-float row inside its block.
+//     recomputing them. K and V are stored in FP16 (see PagedKvCache for
+//     the two block layouts).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/numeric/fp16.h"
 #include "src/util/function_ref.h"
 
 namespace spinfer {
@@ -74,6 +76,9 @@ class KvAllocator {
   // Releases all of a sequence's blocks (refcount-aware: a block returns to
   // the free list only when its last holder drops it).
   void RemoveSequence(int64_t seq_id);
+  // The same, calling on_freed(block) for each block whose last holder this
+  // was, as it returns to the free list. Allocates nothing.
+  void RemoveSequence(int64_t seq_id, FunctionRef<void(int32_t)> on_freed);
 
   // Shrinks a sequence to `tokens` (<= its current count), returning any
   // now-unused tail blocks to the free list (refcount-aware). The serving
@@ -142,7 +147,7 @@ class KvAllocator {
 
 struct PagedKvCacheConfig {
   int64_t layers = 0;
-  // Floats per token per tensor (== hidden for classic MHA: heads * head_dim).
+  // Values per token per tensor (== hidden for classic MHA: heads * head_dim).
   int64_t kv_dim = 0;
   int64_t block_tokens = 16;
   int64_t num_blocks = 0;
@@ -151,11 +156,24 @@ struct PagedKvCacheConfig {
 // Block-paged K/V storage for the executing CPU serving path. Bookkeeping
 // (which blocks a sequence owns, free list, refcounts, fragmentation
 // counters) is delegated to an internal KvAllocator; this class adds the
-// actual float pools, slot addressing, and the prefix index. Values are
-// stored as the FP32 activations the transformer computed — storage is
-// exact, so a decode that reads a cached K/V row sees bit-for-bit the column
-// that was written at prefill/append time (the substrate of the
-// batched-vs-single bit-identity tests).
+// FP16 pools, slot addressing, and the prefix index.
+//
+// Page format. K and V are stored as Half: WriteSlot rounds each value once
+// (round-to-nearest-even, Half(float)), and every reader widens it back to
+// float, which is exact. So a decode that reads a cached slot sees
+// bit-for-bit the FP16 rounding of the column written at prefill/append
+// time, whichever path wrote it (the substrate of the batched-vs-single
+// bit-identity tests). Within one block at one layer:
+//   * K is dims-major, [kv_dim][block_tokens]: element (slot s, dim d) sits at
+//     KBlockBase(layer, block)[d * block_tokens + s], so a kv head's slice
+//     of a block is head_dim * block_tokens contiguous halves, and one
+//     dimension of block_tokens consecutive keys is one vector load;
+//   * V is slot-major, [block_tokens][kv_dim]: element (s, d) sits at
+//     VBlockBase(layer, block)[s * kv_dim + d], so one slot's head slice is
+//     head_dim contiguous halves.
+// Each layout puts its reduction's independent chains side by side: a QK
+// score is one chain per key (keys in the SIMD lanes), a PV output one chain
+// per head dimension (dimensions in the lanes).
 //
 // Prefix index: full prompt-prefix blocks are keyed by a chained content
 // hash h_i = H(h_{i-1}, tokens of block i) and looked up by MatchPrefix.
@@ -215,19 +233,24 @@ class PagedKvCache {
   }
   int32_t BlockRefCount(int32_t block) const { return alloc_.BlockRefCount(block); }
 
-  // K/V row of one token slot: `kv_dim` contiguous floats. `token` must be
-  // < SequenceTokens(seq_id). Resolves the sequence's block list per call;
-  // hot loops (attention) should resolve the list once and use *BlockBase.
-  float* KRow(int64_t layer, int64_t seq_id, int64_t token);
-  const float* KRow(int64_t layer, int64_t seq_id, int64_t token) const;
-  float* VRow(int64_t layer, int64_t seq_id, int64_t token);
-  const float* VRow(int64_t layer, int64_t seq_id, int64_t token) const;
+  // Stores one token slot's K and V at `layer`, each rounded to FP16 once:
+  // k[r * stride] and v[r * stride] for r in [0, kv_dim) (stride 1 for
+  // contiguous rows, the panel width for a column of a row-major panel).
+  // `token` must be < SequenceTokens(seq_id). Resolves the sequence's block
+  // list per call.
+  void WriteSlot(int64_t layer, int64_t seq_id, int64_t token, const float* k,
+                 const float* v, int64_t stride = 1);
+  // Widens one slot's stored K and V into kv_dim floats each (exact). For
+  // tests and tools; hot loops resolve the block list once and read blocks
+  // through *BlockBase.
+  void ReadSlot(int64_t layer, int64_t seq_id, int64_t token, float* k,
+                float* v) const;
 
-  // Base of one block's rows at one layer (block_tokens * kv_dim floats);
-  // token t of a sequence lives at offset (t % block_tokens) * kv_dim inside
-  // block blocks[t / block_tokens].
-  const float* KBlockBase(int64_t layer, int32_t block) const;
-  const float* VBlockBase(int64_t layer, int32_t block) const;
+  // One block's block_tokens * kv_dim halves at one layer, in the layouts
+  // above; token t of a sequence lives in slot t % block_tokens of block
+  // blocks[t / block_tokens].
+  const Half* KBlockBase(int64_t layer, int32_t block) const;
+  const Half* VBlockBase(int64_t layer, int32_t block) const;
 
   // Accounting passthrough (scheduler gauges, fragmentation counters).
   int64_t total_blocks() const { return alloc_.total_blocks(); }
@@ -244,7 +267,7 @@ class PagedKvCache {
 
   const PagedKvCacheConfig& config() const { return config_; }
   uint64_t StorageBytes() const {
-    return 2ull * k_pool_.size() * sizeof(float);
+    return 2ull * k_pool_.size() * sizeof(Half);
   }
 
  private:
@@ -256,18 +279,30 @@ class PagedKvCache {
     std::vector<int32_t> tokens;  // the block_tokens token ids it covers
   };
 
-  int64_t SlotIndex(int64_t layer, int64_t seq_id, int64_t token) const;
-  // Copies the first `slots` rows of `old_block` into `new_block` across all
-  // layers (K and V pools).
-  void CopyBlockPrefix(int32_t old_block, int32_t new_block, int64_t slots);
+  friend bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to,
+                                int64_t from_seq, int64_t to_seq);
+
+  // Offset of `block`'s first half at `layer` in either pool.
+  int64_t BlockOffset(int64_t layer, int32_t block) const {
+    return (layer * config_.num_blocks + block) * config_.block_tokens *
+           config_.kv_dim;
+  }
+  // The block holding `token` of `seq_id` and the token's slot in it.
+  std::pair<int32_t, int64_t> Slot(int64_t seq_id, int64_t token) const;
+  // Copies the first `slots` slots of `src`'s block `src_block` into this
+  // cache's `dst_block` at every layer, K and V, as Half bits (no rounding).
+  // The caches share geometry; `src` may be this cache.
+  void CopySlots(const PagedKvCache& src, int32_t src_block, int32_t dst_block,
+                 int64_t slots);
   // Removes the index entry for `block`, if any.
   void DeindexBlock(int32_t block);
 
   PagedKvCacheConfig config_;
   KvAllocator alloc_;
-  // [layer][block][slot][kv_dim] pools, allocated once at construction.
-  std::vector<float> k_pool_;
-  std::vector<float> v_pool_;
+  // [layer][block] pools of block_tokens * kv_dim halves each (K dims-major,
+  // V slot-major), allocated once at construction.
+  std::vector<Half> k_pool_;
+  std::vector<Half> v_pool_;
   // Chained content hash -> indexed block. Keys collide only across distinct
   // chains; entries verify (block tokens) on lookup so a collision is a miss.
   std::unordered_map<uint64_t, PrefixEntry> index_;
@@ -281,8 +316,8 @@ class PagedKvCache {
 // handoff of a disaggregated deployment). The two pools must share geometry
 // (layers, kv_dim, block_tokens) and `to` must not hold `to_seq` (CHECKed).
 // Returns false, mutating nothing, when `from` does not hold the sequence or
-// `to` cannot allocate it; on success the destination rows are bit-for-bit
-// the source rows, the destination blocks are fresh private (unshared,
+// `to` cannot allocate it; on success the destination slots hold the source
+// slots' Half bits (nothing is rounded again), the destination blocks are fresh private (unshared,
 // unindexed) blocks, and the source's blocks are released refcount-aware —
 // a slot shared with another source sequence survives there, the copy here
 // is private. Total live refcounts are conserved: the sequence's holds move

@@ -59,39 +59,44 @@ namespace {
 constexpr int kL = kTileLanes;
 
 // The portable kernels: the reference's scalar chains, written so the
-// baseline-ISA compiler can auto-vectorize the independent-chain loops (PV
-// across rows, the tiles across lanes — exact) but not a dot product (a
-// reduction; reordering it would change bits, and without -ffast-math the
-// compiler must not).
-void QkBlock(const float* qh, const float* kbase, int64_t rows, int64_t stride,
-             int64_t hd, float inv_sqrt_d, float* scores) {
-  for (int64_t t = 0; t < rows; ++t) {
-    const float* krow = kbase + t * stride;
-    float dot = 0.0f;
-    for (int64_t r = 0; r < hd; ++r) {
-      dot += qh[r] * krow[r];
+// baseline-ISA compiler can auto-vectorize the independent-chain loops (QK
+// across keys, PV across rows — exact) but not a dot product (a reduction;
+// reordering it would change bits, and without -ffast-math the compiler
+// must not). They widen through the Half table, and a tile runs them once
+// per query.
+
+// One query (dimension r at q[r * q_stride]) against a block's keys:
+// scores[t] is key t's chain, ascending r from +0.0f.
+void QkBlockQuery(const float* q, int64_t q_stride, const Half* khead,
+                  int64_t rows, int64_t bt, int64_t hd, float inv_sqrt_d,
+                  float* scores) {
+  std::fill(scores, scores + rows, 0.0f);
+  for (int64_t r = 0; r < hd; ++r) {
+    const float qr = q[r * q_stride];
+    const Half* krow = khead + r * bt;
+    for (int64_t t = 0; t < rows; ++t) {
+      scores[t] += qr * krow[t].ToFloat();
     }
-    scores[t] = dot * inv_sqrt_d;
+  }
+  for (int64_t t = 0; t < rows; ++t) {
+    scores[t] *= inv_sqrt_d;
   }
 }
 
-void PvBlock(const float* probs, const float* vbase, int64_t rows,
+void QkBlock(const float* qh, const Half* khead, int64_t rows, int64_t bt,
+             int64_t hd, float inv_sqrt_d, float* scores) {
+  QkBlockQuery(qh, 1, khead, rows, bt, hd, inv_sqrt_d, scores);
+}
+
+void PvBlock(const float* probs, const Half* vhead, int64_t rows,
              int64_t stride, int64_t hd, float* acc) {
   for (int64_t t = 0; t < rows; ++t) {
     const float p = probs[t];
-    const float* vrow = vbase + t * stride;
+    const Half* vrow = vhead + t * stride;
     for (int64_t r = 0; r < hd; ++r) {
-      acc[r] += p * vrow[r];
+      acc[r] += p * vrow[r].ToFloat();
     }
   }
-}
-
-float RowMax(const float* scores, int64_t n) {
-  float m = -1e30f;
-  for (int64_t t = 0; t < n; ++t) {
-    m = std::max(m, scores[t]);
-  }
-  return m;
 }
 
 void RowExp(float* scores, int64_t n, float max) {
@@ -100,77 +105,45 @@ void RowExp(float* scores, int64_t n, float max) {
   }
 }
 
-void TileQkBlock(const float* qt, const float* kbase, int64_t rows,
-                 int64_t stride, int64_t hd, float inv_sqrt_d,
-                 float* scores) {
-  for (int64_t t = 0; t < rows; ++t) {
-    const float* krow = kbase + t * stride;
-    float dot[kL] = {};
-    for (int64_t r = 0; r < hd; ++r) {
-      for (int j = 0; j < kL; ++j) {
-        dot[j] += qt[r * kL + j] * krow[r];
-      }
+void SoftmaxRows(float* scores, int64_t ld, int64_t n, const int64_t* len,
+                 float* denom) {
+  for (int64_t i = 0; i < n; ++i) {
+    float* row = scores + i * ld;
+    float m = -1e30f;
+    for (int64_t t = 0; t < len[i]; ++t) {
+      m = std::max(m, row[t]);
     }
-    for (int j = 0; j < kL; ++j) {
-      scores[t * kL + j] = dot[j] * inv_sqrt_d;
+    RowExp(row, len[i], m);
+    float d = 0.0f;
+    for (int64_t t = 0; t < len[i]; ++t) {
+      d += row[t];
     }
+    denom[i] = d;
   }
 }
 
-// Lanes past the tile's queries have lane_ctx 0, so they are skipped here;
-// `full` only lets the AVX2 unit drop the masks.
-void TileSoftmax(float* scores, int64_t keys, int64_t /*full*/,
-                 const int32_t* lane_ctx, float* denom) {
-  float m[kL];
-  std::fill(m, m + kL, -1e30f);
-  for (int64_t t = 0; t < keys; ++t) {
-    for (int j = 0; j < kL; ++j) {
-      if (t < lane_ctx[j]) {
-        m[j] = std::max(m[j], scores[t * kL + j]);
-      }
-    }
+void TileQkBlock(const float* qt, const Half* khead, int64_t rows, int64_t bt,
+                 int64_t hd, float inv_sqrt_d, float* scores, int64_t ld) {
+  for (int j = 0; j < kL; ++j) {
+    QkBlockQuery(qt + j, kL, khead, rows, bt, hd, inv_sqrt_d, scores + j * ld);
   }
-  float d[kL] = {};
-  for (int64_t t = 0; t < keys; ++t) {
-    for (int j = 0; j < kL; ++j) {
-      if (t < lane_ctx[j]) {
-        const float e = SoftmaxExp(scores[t * kL + j] - m[j]);
-        scores[t * kL + j] = e;
-        d[j] += e;
-      }
-    }
-  }
-  std::copy(d, d + kL, denom);
 }
 
-void TilePvBlock(const float* probs, const float* vbase, int64_t rows,
-                 int64_t stride, int64_t hd, int64_t t0, int64_t full,
-                 const int32_t* lane_ctx, float* acc) {
-  for (int64_t t = 0; t < rows; ++t) {
-    const float* p = probs + t * kL;
-    const float* vrow = vbase + t * stride;
-    for (int64_t r = 0; r < hd; ++r) {
-      const float v = vrow[r];
-      float* a = acc + r * kL;
-      if (t < full) {
-        for (int j = 0; j < kL; ++j) {
-          a[j] += p[j] * v;
-        }
-        continue;
-      }
-      for (int j = 0; j < kL; ++j) {
-        if (t0 + t < lane_ctx[j]) {
-          a[j] += p[j] * v;
-        }
-      }
-    }
+// A horizon is a prefix of the keys, so query j's live keys in the block
+// are its first lane_ctx[j] - t0 rows; `full` only lets the AVX2 unit drop
+// the per-query checks.
+void TilePvBlock(const float* probs, int64_t ld, const Half* vhead,
+                 int64_t rows, int64_t stride, int64_t hd, int64_t t0,
+                 int64_t /*full*/, const int32_t* lane_ctx, float* acc) {
+  for (int j = 0; j < kL; ++j) {
+    const int64_t live = std::clamp<int64_t>(lane_ctx[j] - t0, 0, rows);
+    PvBlock(probs + j * ld, vhead, live, stride, hd, acc + j * hd);
   }
 }
 
 const AttnKernels kPortableKernels = {&QkBlock,     &PvBlock,
-                                      &RowMax,      &RowExp,
-                                      &TileQkBlock, &TileSoftmax,
-                                      &TilePvBlock};
+                                      &RowExp,      &SoftmaxRows,
+                                      &TileQkBlock, &TilePvBlock};
 
 }  // namespace
 
@@ -241,8 +214,9 @@ struct BatchArgs {
   bool tracing;
 };
 
-// One (tile, query head): the tile's queries in the lanes, one walk over the
-// KV blocks up to the tile's longest horizon for QK and one for PV.
+// One (tile, query head): the tile's queries share one walk over the KV
+// blocks up to the tile's longest horizon for QK and one for PV; each
+// query's scores are a row of their own.
 template <bool kTimed>
 void RunTile(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
   constexpr int kL = kTileLanes;
@@ -250,8 +224,10 @@ void RunTile(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
   const int64_t r0q = task.head0 * hd;
   const int64_t r0k = (task.head0 / a.group) * hd;
   const TaskSlices s = Slices(a.floats + task.offset, hd, kL);
+  const int64_t keys = task.keys;
+  const int64_t ld = RoundUpLine(keys);  // one score row per query
   int32_t lane_ctx[kL];
-  int64_t full = task.keys;  // keys inside every query's horizon
+  int64_t full = keys;  // keys inside every query's horizon
   for (int j = 0; j < kL; ++j) {
     if (j >= task.lanes) {
       lane_ctx[j] = 0;
@@ -270,44 +246,47 @@ void RunTile(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
   }
   std::fill(s.acc, s.acc + hd * kL, 0.0f);
   const std::vector<int32_t>& blocks = *a.block_lists[task.item];
-  const int64_t stride = a.cache->config().kv_dim;
+  const int64_t kv_dim = a.cache->config().kv_dim;
   const int64_t bt = a.cache->config().block_tokens;
-  const int64_t keys = task.keys;
   uint64_t t_phase = 0;
   if constexpr (kTimed) {
     t_phase = rec->Now();
   }
   for (int64_t t0 = 0; t0 < keys; t0 += bt) {
-    const float* kbase =
+    const Half* khead =
         a.cache->KBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]) +
-        r0k;
-    a.k->tile_qk_block(s.q, kbase, std::min(bt, keys - t0), stride, hd,
-                       a.inv_sqrt_d, s.scores + t0 * kL);
+        r0k * bt;
+    a.k->tile_qk_block(s.q, khead, std::min(bt, keys - t0), bt, hd,
+                       a.inv_sqrt_d, s.scores + t0, ld);
   }
   if constexpr (kTimed) {
     const uint64_t now = rec->Now();
     rec->qk_ns += now - t_phase;
     t_phase = now;
   }
-  a.k->tile_softmax(s.scores, keys, full, lane_ctx, s.denom);
+  int64_t len[kL];
+  for (int j = 0; j < kL; ++j) {
+    len[j] = lane_ctx[j];
+  }
+  a.k->softmax_rows(s.scores, ld, task.lanes, len, s.denom);
   if constexpr (kTimed) {
     const uint64_t now = rec->Now();
     rec->softmax_ns += now - t_phase;
     t_phase = now;
   }
   for (int64_t t0 = 0; t0 < keys; t0 += bt) {
-    const float* vbase =
+    const Half* vhead =
         a.cache->VBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]) +
         r0k;
     const int64_t rows = std::min(bt, keys - t0);
-    a.k->tile_pv_block(s.scores + t0 * kL, vbase, rows, stride, hd, t0,
+    a.k->tile_pv_block(s.scores + t0, ld, vhead, rows, kv_dim, hd, t0,
                        std::clamp<int64_t>(full - t0, 0, rows), lane_ctx,
                        s.acc);
   }
   for (int j = 0; j < task.lanes; ++j) {
     const int64_t col = a.items[task.item + j].col;
     for (int64_t r = 0; r < hd; ++r) {
-      a.out->at(r0q + r, col) = s.acc[r * kL + j] / s.denom[j];
+      a.out->at(r0q + r, col) = s.acc[j * hd + r] / s.denom[j];
     }
   }
   if constexpr (kTimed) {
@@ -330,19 +309,19 @@ void RunLone(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
   }
   std::fill(s.acc, s.acc + nh * hd, 0.0f);
   const std::vector<int32_t>& blocks = *a.block_lists[task.item];
-  const int64_t stride = a.cache->config().kv_dim;
+  const int64_t kv_dim = a.cache->config().kv_dim;
   const int64_t bt = a.cache->config().block_tokens;
   uint64_t t_phase = 0;
   if constexpr (kTimed) {
     t_phase = rec->Now();
   }
   for (int64_t t0 = 0; t0 < ctx; t0 += bt) {
-    const float* kblock =
+    const Half* kblock =
         a.cache->KBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]);
     const int64_t rows = std::min(bt, ctx - t0);
     for (int64_t hh = 0; hh < nh; ++hh) {
       const int64_t r0k = ((task.head0 + hh) / a.group) * hd;
-      a.k->qk_block(s.q + hh * hd, kblock + r0k, rows, stride, hd,
+      a.k->qk_block(s.q + hh * hd, kblock + r0k * bt, rows, bt, hd,
                     a.inv_sqrt_d, s.scores + hh * row + t0);
     }
   }
@@ -351,14 +330,12 @@ void RunLone(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
     rec->qk_ns += now - t_phase;
     t_phase = now;
   }
-  for (int64_t hh = 0; hh < nh; ++hh) {
-    float* sc = s.scores + hh * row;
-    a.k->row_exp(sc, ctx, a.k->row_max(sc, ctx));
-    float denom = 0.0f;
-    for (int64_t t = 0; t < ctx; ++t) {
-      denom += sc[t];
-    }
-    s.denom[hh] = denom;
+  int64_t len[kTileLanes];
+  std::fill(len, len + kTileLanes, ctx);
+  for (int64_t hh = 0; hh < nh; hh += kTileLanes) {
+    a.k->softmax_rows(s.scores + hh * row, row,
+                      std::min<int64_t>(kTileLanes, nh - hh), len,
+                      s.denom + hh);
   }
   if constexpr (kTimed) {
     const uint64_t now = rec->Now();
@@ -366,12 +343,12 @@ void RunLone(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
     t_phase = now;
   }
   for (int64_t t0 = 0; t0 < ctx; t0 += bt) {
-    const float* vblock =
+    const Half* vblock =
         a.cache->VBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]);
     const int64_t rows = std::min(bt, ctx - t0);
     for (int64_t hh = 0; hh < nh; ++hh) {
       const int64_t r0k = ((task.head0 + hh) / a.group) * hd;
-      a.k->pv_block(s.scores + hh * row + t0, vblock + r0k, rows, stride, hd,
+      a.k->pv_block(s.scores + hh * row + t0, vblock + r0k, rows, kv_dim, hd,
                     s.acc + hh * hd);
     }
   }
@@ -593,7 +570,7 @@ bool PagedAttentionVariantAvailable(CpuSpmmVariant v) {
     case CpuSpmmVariant::kAvx2: {
       const CpuFeatures& f = GetCpuFeatures();
       return paged_attention_detail::PagedAttentionAvx2Compiled() && f.avx2 &&
-             f.fma;
+             f.fma && f.f16c;
     }
     case CpuSpmmVariant::kAvx512:
       return false;  // attention has no AVX-512 kernels
@@ -647,12 +624,13 @@ void PagedAttentionDecodeReference(const PagedKvCache& cache, int64_t layer,
     const int64_t r0k = (head / group) * hd;
     float max_score = -1e30f;
     for (int64_t t = 0; t < ctx; ++t) {
-      const float* krow =
+      // Key t's dimension r sits at kcol[r * bt] (dims-major K).
+      const Half* kcol =
           cache.KBlockBase(layer, (*blocks)[static_cast<size_t>(t / bt)]) +
-          (t % bt) * kv_dim;
+          r0k * bt + t % bt;
       float dot = 0.0f;
       for (int64_t r = 0; r < hd; ++r) {
-        dot += q.at(r0q + r, col) * krow[r0k + r];
+        dot += q.at(r0q + r, col) * kcol[r * bt].ToFloat();
       }
       (*scores)[static_cast<size_t>(t)] = dot * inv_sqrt_d;
       max_score = std::max(max_score, (*scores)[static_cast<size_t>(t)]);
@@ -671,12 +649,12 @@ void PagedAttentionDecodeReference(const PagedKvCache& cache, int64_t layer,
       out->at(r0q + r, col) = 0.0f;
     }
     for (int64_t t = 0; t < ctx; ++t) {
-      const float* vrow =
+      const Half* vrow =
           cache.VBlockBase(layer, (*blocks)[static_cast<size_t>(t / bt)]) +
-          (t % bt) * kv_dim;
+          (t % bt) * kv_dim + r0k;
       const float s = (*scores)[static_cast<size_t>(t)];
       for (int64_t r = 0; r < hd; ++r) {
-        out->at(r0q + r, col) += s * vrow[r0k + r];
+        out->at(r0q + r, col) += s * vrow[r].ToFloat();
       }
     }
     for (int64_t r = 0; r < hd; ++r) {

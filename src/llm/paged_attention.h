@@ -10,15 +10,18 @@
 //   * Query tiles. Consecutive items of one sequence form a run (a prefill
 //     chunk's columns, as MixedStepBands emits them). A run of at least
 //     kTileMinQueries items (paged_attention_inner.h) is cut into tiles of
-//     at most 8 queries, and one task handles one (tile, query head): the
-//     tile's queries sit in the 8 SIMD lanes, each K and V element is
-//     broadcast against them, and every lane keeps its own horizon — a key
-//     past it is masked out of that lane's max, exp, denominator and PV,
-//     never multiplied by zero.
+//     at most 8 queries, and one task handles one (tile, query head): every
+//     K and V vector the task widens serves all of the tile's queries, and
+//     every query keeps its own horizon — a key past it is left out of that
+//     query's max, exp, denominator and PV, never multiplied by zero.
 //   * Lone queries (a decode item, or a run too short to tile). One task
 //     per item walks each KV block once for all of the item's heads
 //     (block-major). When the pool has more threads than lone items, an
 //     item's heads are split into bands so no thread idles.
+// Both put a block's keys in the SIMD lanes for QK and the head dimensions
+// in the lanes for PV.
+// The pages are FP16 (kv_allocator.h: K dims-major, V slot-major), and every
+// path widens each value it reads, which is exact.
 //
 // Contracts, matching the rest of the CPU kernel family:
 //   * Bit-identity with the retained reference (PagedAttentionDecodeReference)
@@ -85,7 +88,7 @@ struct PagedAttentionScratch {
   AlignedBuffer<Task> tasks;
   AlignedBuffer<float> floats;
   // Per-item views resolved once per call (hot loops must not re-resolve
-  // block lists per token — see PagedKvCache::KRow).
+  // block lists per token — see PagedKvCache::WriteSlot).
   std::vector<const std::vector<int32_t>*> block_lists;
   std::vector<int64_t> contexts;
 
@@ -114,10 +117,10 @@ void PagedAttentionDecodeBatchVariant(
     const FloatMatrix& q, const std::vector<PagedAttentionItem>& items,
     FloatMatrix* out, PagedAttentionScratch* scratch, CpuSpmmVariant v);
 
-// Whether `v` can run here. The attention AVX2 unit needs avx2+fma at
-// runtime (it never touches F16C — the KV pools are FP32), so its gate is
-// its own, not CpuSpmmVariantAvailable's. Attention has no AVX-512 kernels,
-// so kAvx512 is never available.
+// Whether `v` can run here. The attention AVX2 unit needs avx2+fma+f16c at
+// runtime (F16C widens the FP16 KV pages); its gate is its own, not
+// CpuSpmmVariantAvailable's. Attention has no AVX-512 kernels, so kAvx512 is
+// never available.
 bool PagedAttentionVariantAvailable(CpuSpmmVariant v);
 // The variant PagedAttentionDecodeBatch dispatches to; cached, honors the
 // SPINFER_SIMD override via ActiveSimdLevel(). The AVX-512 tier runs the
@@ -135,7 +138,8 @@ CpuSpmmVariant ActivePagedAttentionVariant();
 float SoftmaxExp(float x);
 
 // The pre-fusion scalar kernel, retained as the differential reference: one
-// sequence, one column, single-threaded, no SIMD, no fusion — but with the
+// sequence, one column, single-threaded, no SIMD, no fusion, each K/V value
+// widened from its page as it is read — but with the
 // PV loop nest in the corrected t-outer/r-inner order (order-preserving; see
 // the bit-identity contract above) so V rows stream once per head instead of
 // once per output element. `scores` is caller-owned scratch, grown to the

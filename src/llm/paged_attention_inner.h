@@ -2,7 +2,7 @@
 // paged-attention kernel fills, and the exponential's constants.
 //
 // The batch code (paged_attention.cc) owns the work grid, the KV block
-// walks, query staging, the denominators of lone queries and the writeback.
+// walks, query staging, the softmax denominators and the writeback.
 // A variant supplies only the kernels below, so it can disagree about
 // *scheduling* identical per-element mul-then-add chains, never about which
 // products to form or in what order a given output element accumulates them.
@@ -26,19 +26,24 @@
 
 #include <cstdint>
 
+#include "src/numeric/fp16.h"
+
 namespace spinfer {
 namespace paged_attention_detail {
 
-// A query tile holds at most this many queries, one per SIMD lane.
+// A query tile holds at most this many queries; the AVX2 tile kernels keep
+// one register per query.
 inline constexpr int kTileLanes = 8;
 
 // Runs of at least this many consecutive items of one sequence are cut into
 // tiles; shorter runs are lone queries. A tile costs about the same for 1 or
-// 8 queries, a lone query a fixed amount each. Measured at context 448, 8
-// heads x 32, one thread, AVX2 (EXPERIMENTS.md, "One K/V pass per query
-// tile"), median microseconds per query, tile vs lone: 82-94 vs 42-48 at 2
-// queries, 57-61 vs 45-50 at 3, 42-48 vs 47-50 at 4, 20-24 vs 40-107 at 8.
-inline constexpr int64_t kTileMinQueries = 4;
+// 8 queries, a lone query a fixed amount each. Measured on the FP16 pages
+// at context 448, 8 heads x 32, one thread, AVX2 (EXPERIMENTS.md, "FP16 KV
+// pages"), median microseconds per query in three rounds, tile vs lone:
+// 24.7-39.0 vs 21.2-22.9 at 4 queries, 20.4-31.4 vs 21.2-23.0 at 5 (the
+// tile ahead in two rounds, and by minimum 20.4 vs 21.2-22.0 in all three),
+// 15.4-16.1 vs 21.2-22.9 at 7, 13.9-21.3 vs 22.0-23.6 at 8.
+inline constexpr int64_t kTileMinQueries = 5;
 
 // Per-task phase counters for the traced path, split at the kernel's three
 // stages. Now() is out-of-line (paged_attention.cc) so this header does not
@@ -66,51 +71,61 @@ inline constexpr float kExpP3 = 4.1665795894e-2f;
 inline constexpr float kExpP4 = 1.6666665459e-1f;
 inline constexpr float kExpP5 = 5.0000001201e-1f;
 
-// One variant's kernels. Block kernels see one KV block of one kv head:
-// `kbase`/`vbase` point at the block's first row with the head's offset
-// applied, row t is base + t * stride, and `rows` <= block_tokens.
+// One variant's kernels. Block kernels see one KV block of one kv head, in
+// the cache's FP16 page format (kv_allocator.h), and widen what they read:
+// `khead` is the head's dims-major K slice (key t's dimension r at
+// khead[r * bt + t]), `vhead` the head's first V element (key t's row at
+// vhead + t * stride), and `rows` <= bt keys are live.
 struct AttnKernels {
   // Lone queries, one head:
-  //   qk_block: scores[t] = dot(qh, k_t) * inv_sqrt_d for t in [0, rows).
-  //   pv_block: acc[r] += probs[t] * v_t[r], t ascending (outer).
-  //   row_max:  the max of scores[0, n) from -1e30f.
-  //   row_exp:  scores[t] = SoftmaxExp(scores[t] - max) for t in [0, n).
-  void (*qk_block)(const float* qh, const float* kbase, int64_t rows,
-                   int64_t stride, int64_t hd, float inv_sqrt_d,
-                   float* scores);
-  void (*pv_block)(const float* probs, const float* vbase, int64_t rows,
+  //   qk_block: scores[t] = dot(qh, k_t) * inv_sqrt_d for t in [0, rows),
+  //     the keys in the SIMD lanes.
+  //   pv_block: acc[r] += probs[t] * v_t[r], t ascending (outer), the head
+  //     dimensions in the SIMD lanes.
+  void (*qk_block)(const float* qh, const Half* khead, int64_t rows,
+                   int64_t bt, int64_t hd, float inv_sqrt_d, float* scores);
+  void (*pv_block)(const float* probs, const Half* vhead, int64_t rows,
                    int64_t stride, int64_t hd, float* acc);
-  float (*row_max)(const float* scores, int64_t n);
+  // row_exp: scores[t] = SoftmaxExp(scores[t] - max) for t in [0, n) (the
+  // softmax's exponential, elementwise; the tests compare the AVX2 mirror
+  // with SoftmaxExp through it).
   void (*row_exp)(float* scores, int64_t n, float max);
-  // Query tiles, one head. Lane j of the tile is query j; `qt` is the
-  // tile's query head transposed (qt[r * 8 + j]), scores and accumulators
-  // are lane-interleaved (scores[t * 8 + j], acc[r * 8 + j]). Lane j attends
-  // keys [0, lane_ctx[j]); every lane attends the first `full` keys.
-  //   tile_qk_block: scores[t * 8 + j] = dot(q_j, k_t) * inv_sqrt_d for
-  //     every lane and t in [0, rows) — horizons are applied later.
-  //   tile_softmax: over keys [0, keys), per lane, the masked max, then
-  //     scores = SoftmaxExp(score - max) and denom[j] = the t-ascending sum
-  //     of lane j's unmasked exps (masked lanes' scores are left unspecified).
-  //   tile_pv_block: acc[r * 8 + j] += probs[t * 8 + j] * v_t[r] for the
-  //     block's keys t0 + t inside lane j's horizon, t ascending; `full`
-  //     counts the block's leading rows inside every horizon.
-  void (*tile_qk_block)(const float* qt, const float* kbase, int64_t rows,
-                        int64_t stride, int64_t hd, float inv_sqrt_d,
-                        float* scores);
-  void (*tile_softmax)(float* scores, int64_t keys, int64_t full,
-                       const int32_t* lane_ctx, float* denom);
-  void (*tile_pv_block)(const float* probs, const float* vbase, int64_t rows,
-                        int64_t stride, int64_t hd, int64_t t0, int64_t full,
-                        const int32_t* lane_ctx, float* acc);
+  // The softmax of n <= 8 score rows (a lone query's heads or a tile's
+  // queries): row i at scores + i * ld, over its first len[i] keys. Each
+  // row's max from -1e30f, then scores = SoftmaxExp(score - max) in place,
+  // and denom[i] = the t-ascending sum of row i's exps from 0.0f. Slots of
+  // a row past len[i], up to the next multiple of 8, may be overwritten
+  // (ld leaves room for them).
+  void (*softmax_rows)(float* scores, int64_t ld, int64_t n,
+                       const int64_t* len, float* denom);
+  // Query tiles, one head: the same schemes with the tile's 8 queries
+  // sharing each widening load. `qt` is the tile's query head transposed
+  // (qt[r * 8 + j]); query j's scores are row j of `scores` (row stride
+  // `ld`, key t at column t) and its PV accumulators acc[j * hd + r]. Query
+  // j attends keys [0, lane_ctx[j]); every query attends the first `full`
+  // keys.
+  //   tile_qk_block: scores[j * ld + t] = dot(q_j, k_t) * inv_sqrt_d for
+  //     every j < 8 and t in [0, rows) — horizons apply later, so a score
+  //     past its query's horizon is computed but never read.
+  //   tile_pv_block: acc[j * hd + r] += probs[j * ld + t] * v_t[r] for the
+  //     block's keys t0 + t inside query j's horizon, t ascending (a key
+  //     past it is skipped, never multiplied by zero); `full` counts the
+  //     block's leading rows inside every horizon.
+  void (*tile_qk_block)(const float* qt, const Half* khead, int64_t rows,
+                        int64_t bt, int64_t hd, float inv_sqrt_d,
+                        float* scores, int64_t ld);
+  void (*tile_pv_block)(const float* probs, int64_t ld, const Half* vhead,
+                        int64_t rows, int64_t stride, int64_t hd, int64_t t0,
+                        int64_t full, const int32_t* lane_ctx, float* acc);
 };
 
 // The portable kernels (paged_attention.cc): the scalar chains written as
-// plain loops, the tile kernels as plain 8-lane loops.
+// plain loops.
 const AttnKernels& PortableAttnKernels();
-// The AVX2 kernels (paged_attention_avx2.cc, built with -mavx2 -mfma when
-// available; a CHECK-failing stub otherwise). Gate:
-// PagedAttentionVariantAvailable(kAvx2) — compiled-in AND runtime avx2+fma.
-// Explicit separate mul/add intrinsics, never FMA.
+// The AVX2 kernels (paged_attention_avx2.cc, built with -mavx2 -mfma
+// -mf16c when available; a CHECK-failing stub otherwise). Gate:
+// PagedAttentionVariantAvailable(kAvx2) — compiled-in AND runtime
+// avx2+fma+f16c. Explicit separate mul/add intrinsics, never FMA.
 const AttnKernels& Avx2AttnKernels();
 // Whether the AVX2 unit was built with its ISA flags (false on non-x86 or
 // pre-AVX2 toolchains; the stub then CHECK-fails if ever reached).

@@ -37,6 +37,13 @@ void CopyInto(const FloatMatrix& src, FloatMatrix* dst) {
   std::copy(src.data(), src.data() + src.size(), dst->data());
 }
 
+// Rounds every element to FP16 and back (the paged KV cache's page format).
+void RoundThroughHalf(FloatMatrix* m) {
+  for (int64_t i = 0; i < m->size(); ++i) {
+    m->data()[i] = Half(m->data()[i]).ToFloat();
+  }
+}
+
 // LayerNorm over the hidden dimension. Activations are (hidden x seq):
 // normalize each column.
 void LayerNormColumns(FloatMatrix* a) {
@@ -330,6 +337,9 @@ FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
     MatmulInto(l.wq, l.enc_wq, s.normed, backend, "tt.matmul.wq", &s.q);
     MatmulInto(l.wk, l.enc_wk, s.normed, backend, "tt.matmul.wk", &s.kk);
     MatmulInto(l.wv, l.enc_wv, s.normed, backend, "tt.matmul.wv", &s.v);
+    // K and V through FP16 once, as the paged cache stores them.
+    RoundThroughHalf(&s.kk);
+    RoundThroughHalf(&s.v);
     const FloatMatrix& q = s.q;
     const FloatMatrix& kk = s.kk;
     const FloatMatrix& v = s.v;
@@ -525,13 +535,9 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
       // the full K/V exactly.
       SPINFER_CHECK_EQ(s.kk.rows(), band.cache->config().kv_dim);
       for (const PagedAttentionItem& it : s.attn_items) {
-        const int64_t pos = s.positions[static_cast<size_t>(it.col)];
-        float* krow = band.cache->KRow(layer, it.seq_id, pos);
-        float* vrow = band.cache->VRow(layer, it.seq_id, pos);
-        for (int64_t r = 0; r < s.kk.rows(); ++r) {
-          krow[r] = s.kk.at(r, it.col);
-          vrow[r] = s.v.at(r, it.col);
-        }
+        band.cache->WriteSlot(layer, it.seq_id,
+                              s.positions[static_cast<size_t>(it.col)],
+                              &s.kk.at(0, it.col), &s.v.at(0, it.col), n);
       }
       // Heads band with the rows: this band's q rows hold its query heads,
       // which read exactly its kv heads.

@@ -11,9 +11,8 @@
 // a single load from a 65,536-entry lookup table. The table is built at
 // compile time from the bit-twiddled reference conversion below, which stays
 // available (fp16_detail::HalfToFloatBits) as the oracle the exhaustive
-// equivalence test in tests/fp16_test.cc compares against. float→half is the
-// same RNE bit algorithm as before, inlined here so hot encoders avoid the
-// call.
+// equivalence test in tests/fp16_test.cc compares against. float→half is an
+// RNE bit algorithm inlined here so hot encoders avoid the call.
 #pragma once
 
 #include <array>
@@ -22,18 +21,6 @@
 
 namespace spinfer {
 namespace fp16_detail {
-
-// Rounds the low `shift` bits of `m` away (round-to-nearest-even) and returns
-// m >> shift (+1 if rounded up). Requires 1 <= shift <= 31.
-constexpr uint32_t ShiftRightRne(uint32_t m, int shift) {
-  const uint32_t kept = m >> shift;
-  const uint32_t half = 1u << (shift - 1);
-  const uint32_t rem = m & ((half << 1) - 1u);
-  if (rem > half || (rem == half && (kept & 1u))) {
-    return kept + 1;
-  }
-  return kept;
-}
 
 // Reference bit-twiddled half→float conversion (exact for every encoding,
 // NaN payloads included). The lookup table is generated from this function;
@@ -68,53 +55,31 @@ constexpr float HalfToFloatBits(uint16_t h) {
 
 // float→half with round-to-nearest-even; overflow maps to +/-inf, float
 // subnormals (< 2^-126, far below half's 2^-24 ulp) flush to zero, NaNs are
-// quieted.
+// quieted (payload dropped: sign | 0x7e00). Three predictable branches, no
+// loop: the paged KV cache rounds every K/V value it stores through here.
 constexpr uint16_t FloatToHalfBits(float f) {
   const uint32_t x = std::bit_cast<uint32_t>(f);
-
-  const uint16_t sign = static_cast<uint16_t>((x >> 16) & 0x8000u);
-  const uint32_t biased_exp = (x >> 23) & 0xffu;
-  const uint32_t mant = x & 0x7fffffu;
-
-  if (biased_exp == 0xff) {
-    // Inf or NaN; quiet any NaN.
-    return mant != 0 ? static_cast<uint16_t>(sign | 0x7e00u)
-                     : static_cast<uint16_t>(sign | 0x7c00u);
+  const uint32_t sign = (x >> 16) & 0x8000u;
+  const uint32_t a = x & 0x7fffffffu;  // |f|
+  uint32_t h = 0;
+  if (a >= 0x47800000u) {
+    // |f| >= 2^16: infinity, or a quiet NaN.
+    h = a > 0x7f800000u ? 0x7e00u : 0x7c00u;
+  } else if (a >= 0x38800000u) {
+    // A normal half (|f| >= 2^-14). Rebias the exponent (-112 << 23) and
+    // round the 13 dropped mantissa bits to nearest even: adding 0xfff plus
+    // the kept lsb carries exactly when they exceed half an ulp, or equal it
+    // with the lsb odd. A carry out of the mantissa bumps the exponent, and
+    // from 65520 up it lands on infinity (0x7c00).
+    h = (a - 0x37fff001u + ((a >> 13) & 1u)) >> 13;
+  } else {
+    // A subnormal half or zero: adding 0.5f puts the sum's float ulp at
+    // 2^-24, the half's subnormal step, so the float addition itself (in the
+    // default rounding mode) rounds |f| to nearest even there; the sum's low bits are then the half's
+    // (0x400, the smallest normal, when it rounds up out of the range).
+    h = std::bit_cast<uint32_t>(std::bit_cast<float>(a) + 0.5f) - 0x3f000000u;
   }
-  if (biased_exp == 0) {
-    // Float subnormal: magnitude < 2^-126, far below half's smallest
-    // subnormal (2^-24); rounds to zero.
-    return sign;
-  }
-
-  const int e = static_cast<int>(biased_exp) - 127;  // unbiased exponent
-  if (e >= 16) {
-    return static_cast<uint16_t>(sign | 0x7c00u);  // overflow -> inf
-  }
-  if (e >= -14) {
-    // Normal half candidate. Rounding may carry into the exponent (including
-    // into infinity at e == 15), which the bit layout handles naturally.
-    // ShiftRightRne is applied to the full 24-bit significand (implicit bit
-    // included), so its result lies in [2^10, 2^11]; subtracting 2^10 leaves
-    // the mantissa field, and a rounding carry to exactly 2^11 propagates
-    // into the exponent via the addition — the correct RNE carry behaviour.
-    uint32_t val = (static_cast<uint32_t>(e + 15) << 10) +
-                   ShiftRightRne(mant | 0x800000u, 13) - (1u << 10);
-    if (val >= 0x7c00u) {
-      val = 0x7c00u;
-    }
-    return static_cast<uint16_t>(sign | val);
-  }
-  // Subnormal half: result = round(1.mant * 2^e / 2^-24) in units of 2^-24.
-  // The total right shift of the 24-bit significand is 13 + (-14 - e).
-  const int shift = 13 + (-14 - e);
-  if (shift > 31) {
-    return sign;  // far underflow
-  }
-  const uint32_t significand = mant | 0x800000u;
-  const uint32_t val = ShiftRightRne(significand, shift);
-  // val can reach 0x400 (rounds up to the smallest normal); layout handles it.
-  return static_cast<uint16_t>(sign | val);
+  return static_cast<uint16_t>(sign | h);
 }
 
 // 65,536-entry half→float table, constant-initialized in fp16.cc from

@@ -207,16 +207,17 @@ TEST_F(KernelAllocTest, WarmPagedAttentionCallAllocatesNothing) {
   PagedKvCache cache(cfg);
   Rng rng(814);
   std::vector<PagedAttentionItem> items;
+  std::vector<float> k(static_cast<size_t>(cfg.kv_dim));
+  std::vector<float> v(static_cast<size_t>(cfg.kv_dim));
   for (size_t s = 0; s < contexts.size(); ++s) {
     const int64_t id = static_cast<int64_t>(s);
     ASSERT_TRUE(cache.AddSequence(id, contexts[s]));
     for (int64_t t = 0; t < contexts[s]; ++t) {
-      float* k = cache.KRow(0, id, t);
-      float* v = cache.VRow(0, id, t);
       for (int64_t r = 0; r < cfg.kv_dim; ++r) {
-        k[r] = rng.Uniform(-1.0f, 1.0f);
-        v[r] = rng.Uniform(-1.0f, 1.0f);
+        k[static_cast<size_t>(r)] = rng.Uniform(-1.0f, 1.0f);
+        v[static_cast<size_t>(r)] = rng.Uniform(-1.0f, 1.0f);
       }
+      cache.WriteSlot(0, id, t, k.data(), v.data());
     }
     items.push_back({id, id, -1});
   }
@@ -265,6 +266,42 @@ TEST_F(KernelAllocTest, RewindingWarmDecodeSequencesAllocatesNothing) {
   for (int64_t id = 0; id < kSequences; ++id) {
     EXPECT_EQ(cache.SequenceTokens(id), kPromptLen + 1);
   }
+}
+
+// Retiring 8 finished sequences, as the serving loop does. Each holds an
+// indexed prompt-prefix block, so every removal deindexes the blocks it
+// frees; the uncounted reset re-admits and re-indexes them.
+TEST_F(KernelAllocTest, RemovingWarmSequencesAllocatesNothing) {
+  PagedKvCacheConfig cfg;
+  cfg.layers = 1;
+  cfg.kv_dim = 32;
+  cfg.block_tokens = 16;
+  cfg.num_blocks = 32;
+  PagedKvCache cache(cfg);
+  constexpr int64_t kSequences = 8;
+  constexpr int64_t kPromptLen = 17;  // one indexable block plus one slot
+  std::vector<std::vector<int32_t>> prompts;
+  for (int64_t id = 0; id < kSequences; ++id) {
+    prompts.emplace_back(kPromptLen, static_cast<int32_t>(id));
+  }
+  auto admit_all = [&] {
+    for (int64_t id = 0; id < kSequences; ++id) {
+      ASSERT_TRUE(cache.AddSequence(id, kPromptLen));
+      cache.IndexPrefix(id, prompts[static_cast<size_t>(id)], kPromptLen);
+    }
+  };
+  admit_all();
+  ASSERT_EQ(cache.indexed_blocks(), kSequences);
+  EXPECT_EQ(WarmAllocations(
+                [&] {
+                  for (int64_t id = 0; id < kSequences; ++id) {
+                    cache.RemoveSequence(id);
+                  }
+                  EXPECT_EQ(cache.indexed_blocks(), 0);
+                  EXPECT_EQ(cache.free_blocks(), cfg.num_blocks);
+                },
+                admit_all),
+            0);
 }
 
 // One serving step: a decode batch of 8 plus one 32-token prefill chunk on

@@ -38,7 +38,8 @@ void ExpectBitIdentical(const FloatMatrix& a, const FloatMatrix& b) {
 }
 
 // A one-layer cache with `seqs` sequences of the given context lengths,
-// filled with deterministic pseudo-random K/V rows.
+// filled with deterministic pseudo-random K/V rows (uniform in [-1, 1), so
+// almost every value is rounded when the cache stores it in FP16).
 PagedKvCache MakeFilledCache(int64_t kv_dim, const std::vector<int64_t>& ctxs,
                              uint64_t seed, int64_t block_tokens = 16) {
   PagedKvCacheConfig cfg;
@@ -52,16 +53,16 @@ PagedKvCache MakeFilledCache(int64_t kv_dim, const std::vector<int64_t>& ctxs,
   cfg.num_blocks = blocks;
   PagedKvCache cache(cfg);
   Rng rng(seed);
+  std::vector<float> k(static_cast<size_t>(kv_dim)), v(static_cast<size_t>(kv_dim));
   for (size_t s = 0; s < ctxs.size(); ++s) {
     const int64_t id = static_cast<int64_t>(s);
     EXPECT_TRUE(cache.AddSequence(id, ctxs[s]));
     for (int64_t t = 0; t < ctxs[s]; ++t) {
-      float* k = cache.KRow(0, id, t);
-      float* v = cache.VRow(0, id, t);
       for (int64_t r = 0; r < kv_dim; ++r) {
-        k[r] = rng.Uniform(-1.0f, 1.0f);
-        v[r] = rng.Uniform(-1.0f, 1.0f);
+        k[static_cast<size_t>(r)] = rng.Uniform(-1.0f, 1.0f);
+        v[static_cast<size_t>(r)] = rng.Uniform(-1.0f, 1.0f);
       }
+      cache.WriteSlot(0, id, t, k.data(), v.data());
     }
   }
   return cache;
@@ -114,9 +115,8 @@ TEST(PagedAttentionTest, FusedMatchesReferenceOnRaggedContexts) {
   ExpectBitIdentical(out, ref);
 }
 
-// head_dim 20 defeats the AVX2 QK fast path (which needs hd % 8 == 0), so
-// the dispatched variant takes its scalar fallback — the speed-only knob
-// must not change bits.
+// head_dim 20: the lone PV's ragged register block (8 + 8, then 4 rows one
+// at a time) must not change bits.
 TEST(PagedAttentionTest, OddHeadDimMatchesReference) {
   constexpr int64_t kHeads = 3, kHd = 20;
   PagedKvCache cache = MakeFilledCache(kHeads * kHd, {33, 7}, 13);
@@ -224,17 +224,17 @@ TEST(PagedAttentionTest, GqaMatchesReferenceAndReplicatedMha) {
   PagedKvCache mha_cache(mha_cfg);
   ASSERT_TRUE(mha_cache.AddSequence(0, kCtx));
   constexpr int64_t kGroup = kHeads / kKvHeads;
+  std::vector<float> gk(kKvHeads * kHd), gv(kKvHeads * kHd);
+  std::vector<float> mk(kHeads * kHd), mv(kHeads * kHd);
   for (int64_t t = 0; t < kCtx; ++t) {
-    const float* gk = gqa_cache.KRow(0, 0, t);
-    const float* gv = gqa_cache.VRow(0, 0, t);
-    float* mk = mha_cache.KRow(0, 0, t);
-    float* mv = mha_cache.VRow(0, 0, t);
+    gqa_cache.ReadSlot(0, 0, t, gk.data(), gv.data());
     for (int64_t h = 0; h < kHeads; ++h) {
       for (int64_t r = 0; r < kHd; ++r) {
         mk[h * kHd + r] = gk[(h / kGroup) * kHd + r];
         mv[h * kHd + r] = gv[(h / kGroup) * kHd + r];
       }
     }
+    mha_cache.WriteSlot(0, 0, t, mk.data(), mv.data());
   }
   FloatMatrix mha_out(q.rows(), q.cols());
   PagedAttentionDecodeBatch(mha_cache, /*layer=*/0, kHeads, kHeads, q, items,
@@ -446,7 +446,7 @@ TEST(PagedAttentionTest, GqaRunsMatchReference) {
 }
 
 // head_dim 20: the tiles' PV takes a ragged register block (8 + 8 + 4
-// rows) and the lone AVX2 QK its portable fallback.
+// rows) and the lone PV a ragged tail.
 TEST(PagedAttentionTest, HeadDim20RunsMatchReference) {
   constexpr int64_t kHeads = 3, kHd = 20;
   PagedKvCache cache = MakeFilledCache(kHeads * kHd, {33, 7}, 49);
@@ -462,6 +462,43 @@ TEST(PagedAttentionTest, HeadDim20RunsMatchReference) {
   const FloatMatrix q = RandomPanel(kHeads * kHd, col, 50);
   ExpectEveryPathMatches(cache, kHeads, kHeads, q, items,
                          ReferenceBatch(cache, kHeads, kHeads, q, items));
+}
+
+// The page format at every block size, on values that are not exact in
+// FP16 (MakeFilledCache's are rounded when stored): block_tokens 4, 8, 12
+// and 16 — 4 and 12 leave the AVX2 lone QK a group that would read past a
+// block's row, which takes the portable tail — with GQA and with head_dim
+// 20, tiles and lone queries mixed.
+TEST(PagedAttentionTest, EveryBlockSizeMatchesReference) {
+  struct Shape {
+    int64_t heads, kv_heads, hd;
+  };
+  for (const Shape sh : {Shape{8, 2, 16}, Shape{3, 3, 20}}) {
+    for (const int64_t bt : {4, 8, 12, 16}) {
+      PagedKvCache cache = MakeFilledCache(sh.kv_heads * sh.hd,
+                                           {45, 23, 7, 64}, 61 + bt, bt);
+      std::vector<PagedAttentionItem> items;
+      int64_t col = 0;
+      items.push_back({1, col++, -1});
+      for (int64_t p = 30; p < 39; ++p) {  // a run of 9: two tiles
+        items.push_back({0, col++, p + 1});
+      }
+      items.push_back({2, col++, -1});
+      items.push_back({3, col++, -1});
+      items.push_back({0, col++, 41});  // a run of 2: lone queries
+      items.push_back({0, col++, 45});
+      for (int64_t p = 50; p < 56; ++p) {  // a run of 6: one tile
+        items.push_back({3, col++, p + 1});
+      }
+      const FloatMatrix q = RandomPanel(sh.heads * sh.hd, col, 62 + bt);
+      SCOPED_TRACE(::testing::Message() << "block_tokens " << bt << " heads "
+                                        << sh.heads << "/" << sh.kv_heads
+                                        << " head_dim " << sh.hd);
+      ExpectEveryPathMatches(
+          cache, sh.heads, sh.kv_heads, q, items,
+          ReferenceBatch(cache, sh.heads, sh.kv_heads, q, items));
+    }
+  }
 }
 
 // Masking canary: K/V slots past every lane's horizon — the rest of its
@@ -489,13 +526,13 @@ TEST(PagedAttentionTest, SlotsPastEveryHorizonNeverReachAnOutput) {
                            std::numeric_limits<float>::infinity(),
                            -std::numeric_limits<float>::infinity()};
   auto poison_from = [&](int64_t seq, int64_t from) {
+    std::vector<float> k(kHeads * kHd), v(kHeads * kHd);
     for (int64_t t = from; t < kTokens; ++t) {
-      float* k = cache.KRow(0, seq, t);
-      float* v = cache.VRow(0, seq, t);
       for (int64_t r = 0; r < kHeads * kHd; ++r) {
         k[r] = poison[(t + r) % 3];
         v[r] = poison[(t + r + 1) % 3];
       }
+      cache.WriteSlot(0, seq, t, k.data(), v.data());
     }
   };
   poison_from(0, 53);  // past the run's longest horizon
@@ -510,11 +547,13 @@ TEST(PagedAttentionTest, SlotsPastEveryHorizonNeverReachAnOutput) {
 TEST(PagedAttentionTest, KeysPastALanesHorizonAreMaskedNotZeroed) {
   constexpr int64_t kHeads = 4, kHd = 16, kTokens = 64;
   PagedKvCache cache = MakeFilledCache(kHeads * kHd, {kTokens}, 55);
+  std::vector<float> k(kHeads * kHd);
+  const std::vector<float> v(kHeads * kHd,
+                             std::numeric_limits<float>::infinity());
   for (int64_t t = 20; t < kTokens; ++t) {
-    float* v = cache.VRow(0, 0, t);
-    for (int64_t r = 0; r < kHeads * kHd; ++r) {
-      v[r] = std::numeric_limits<float>::infinity();
-    }
+    std::vector<float> unused(kHeads * kHd);
+    cache.ReadSlot(0, 0, t, k.data(), unused.data());  // K stays as filled
+    cache.WriteSlot(0, 0, t, k.data(), v.data());
   }
   const std::vector<int64_t> horizons = {10, 12, 14, 16, 40, 44, 48, 64,
                                          11, 20, 13, 55};

@@ -6,16 +6,22 @@
 //   * Isolation: no block belongs to two live sequences (or twice to one).
 //   * Token counts match the shadow model exactly; failed operations change
 //     nothing.
-//   * Data integrity: every live K/V row still holds the unique pattern
-//     written when its token was added — block recycling never lets one
-//     sequence's writes reach another's rows.
+//   * Data integrity: every live K/V row still holds the FP16 rounding of
+//     the pattern written when its token was added, bit for bit — block
+//     recycling never lets one sequence's writes reach another's rows, and
+//     copy-on-write and migration move Half bits without rounding again.
 //   * Full reclamation: draining all sequences returns every block.
 #include "src/llm/kv_allocator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <utility>
 #include <set>
 #include <vector>
 
@@ -33,25 +39,69 @@ PagedKvCacheConfig SmallCache() {
   return cfg;
 }
 
-// Unique, exactly-representable float per (seq, token, layer, element); V
-// rows get +0.5 so K/V mixups are caught too.
+// A value that is not exact in FP16 and rounds to a half picked by hashing
+// `code`: a finite half (multiplicative hash, exponent 31 folded away) plus
+// a quarter of its ulp, which round-to-nearest-even takes back down. Every
+// write through the cache therefore rounds, and two codes' halves collide
+// with probability about 1/63488 per element — a row mixed up with another
+// keeps all of its elements only by a many-way coincidence.
+float RoundedPattern(uint64_t code) {
+  uint16_t bits = static_cast<uint16_t>((code * 2654435761u) >> 16);
+  if ((bits & 0x7c00u) == 0x7c00u) {
+    bits ^= 0x4000u;
+  }
+  const float h = Half::FromBits(bits).ToFloat();
+  const int exponent = std::max((bits >> 10) & 0x1f, 1);
+  const float quarter_ulp = std::ldexp(1.0f, exponent - 27);
+  return std::signbit(h) ? h - quarter_ulp : h + quarter_ulp;
+}
+
+// One pattern per (seq, token, layer, element); K codes are even and V codes
+// odd, so K/V mixups are caught too.
 float PatternK(int64_t seq, int64_t token, int64_t layer, int64_t r) {
-  return static_cast<float>(((seq * 128 + token) * 2 + layer) * 4 + r);
+  return RoundedPattern(
+      2 * static_cast<uint64_t>(((seq * 128 + token) * 2 + layer) * 4 + r));
 }
 float PatternV(int64_t seq, int64_t token, int64_t layer, int64_t r) {
-  return PatternK(seq, token, layer, r) + 0.5f;
+  return RoundedPattern(
+      2 * static_cast<uint64_t>(((seq * 128 + token) * 2 + layer) * 4 + r) + 1);
+}
+
+// The stored value every read must return: the pattern's FP16 rounding, as
+// float bits.
+uint32_t Stored(float pattern) {
+  return std::bit_cast<uint32_t>(Half(pattern).ToFloat());
+}
+
+// Slot `token` of `seq` at `layer`, widened, as float bits.
+struct SlotBits {
+  std::vector<uint32_t> k;
+  std::vector<uint32_t> v;
+};
+SlotBits ReadBits(const PagedKvCache& cache, int64_t layer, int64_t seq,
+                  int64_t token) {
+  const size_t d = static_cast<size_t>(cache.config().kv_dim);
+  std::vector<float> k(d), v(d);
+  cache.ReadSlot(layer, seq, token, k.data(), v.data());
+  SlotBits out{std::vector<uint32_t>(d), std::vector<uint32_t>(d)};
+  for (size_t r = 0; r < d; ++r) {
+    out.k[r] = std::bit_cast<uint32_t>(k[r]);
+    out.v[r] = std::bit_cast<uint32_t>(v[r]);
+  }
+  return out;
 }
 
 // Writes pattern key `key`'s row into live sequence `seq`'s slot `token`
 // (the two differ once a migration renamed the sequence).
 void FillTokenAs(PagedKvCache* cache, int64_t seq, int64_t key, int64_t token) {
+  const int64_t d = cache->config().kv_dim;
+  std::vector<float> k(static_cast<size_t>(d)), v(static_cast<size_t>(d));
   for (int64_t layer = 0; layer < cache->config().layers; ++layer) {
-    float* k = cache->KRow(layer, seq, token);
-    float* v = cache->VRow(layer, seq, token);
-    for (int64_t r = 0; r < cache->config().kv_dim; ++r) {
-      k[r] = PatternK(key, token, layer, r);
-      v[r] = PatternV(key, token, layer, r);
+    for (int64_t r = 0; r < d; ++r) {
+      k[static_cast<size_t>(r)] = PatternK(key, token, layer, r);
+      v[static_cast<size_t>(r)] = PatternV(key, token, layer, r);
     }
+    cache->WriteSlot(layer, seq, token, k.data(), v.data());
   }
 }
 
@@ -92,12 +142,13 @@ class Shadow {
       const int64_t key = Key(seq);
       for (int64_t t = 0; t < tokens; ++t) {
         for (int64_t layer = 0; layer < cfg_.layers; ++layer) {
-          const float* k = cache.KRow(layer, seq, t);
-          const float* v = cache.VRow(layer, seq, t);
+          const SlotBits got = ReadBits(cache, layer, seq, t);
           for (int64_t r = 0; r < cfg_.kv_dim; ++r) {
-            ASSERT_EQ(k[r], PatternK(key, t, layer, r))
+            ASSERT_EQ(got.k[static_cast<size_t>(r)],
+                      Stored(PatternK(key, t, layer, r)))
                 << "seq=" << seq << " token=" << t << " layer=" << layer;
-            ASSERT_EQ(v[r], PatternV(key, t, layer, r))
+            ASSERT_EQ(got.v[static_cast<size_t>(r)],
+                      Stored(PatternV(key, t, layer, r)))
                 << "seq=" << seq << " token=" << t << " layer=" << layer;
           }
         }
@@ -210,21 +261,23 @@ TEST(PagedKvPropertyTest, RandomOpSequencesPreserveInvariants) {
 
 // Expected K/V for position `pos` holding token id `tok` (writer-agnostic).
 float SharedPatternK(int32_t tok, int64_t pos, int64_t layer, int64_t r) {
-  return static_cast<float>(((static_cast<int64_t>(tok) * 64 + pos) * 2 + layer) * 4 +
-                            r);
+  return RoundedPattern(2 * static_cast<uint64_t>(
+      ((static_cast<int64_t>(tok) * 64 + pos) * 2 + layer) * 4 + r));
 }
 float SharedPatternV(int32_t tok, int64_t pos, int64_t layer, int64_t r) {
-  return SharedPatternK(tok, pos, layer, r) + 0.5f;
+  return RoundedPattern(2 * static_cast<uint64_t>(
+      ((static_cast<int64_t>(tok) * 64 + pos) * 2 + layer) * 4 + r) + 1);
 }
 
 void FillSharedToken(PagedKvCache* cache, int64_t seq, int64_t pos, int32_t tok) {
+  const int64_t d = cache->config().kv_dim;
+  std::vector<float> k(static_cast<size_t>(d)), v(static_cast<size_t>(d));
   for (int64_t layer = 0; layer < cache->config().layers; ++layer) {
-    float* k = cache->KRow(layer, seq, pos);
-    float* v = cache->VRow(layer, seq, pos);
-    for (int64_t r = 0; r < cache->config().kv_dim; ++r) {
-      k[r] = SharedPatternK(tok, pos, layer, r);
-      v[r] = SharedPatternV(tok, pos, layer, r);
+    for (int64_t r = 0; r < d; ++r) {
+      k[static_cast<size_t>(r)] = SharedPatternK(tok, pos, layer, r);
+      v[static_cast<size_t>(r)] = SharedPatternV(tok, pos, layer, r);
     }
+    cache->WriteSlot(layer, seq, pos, k.data(), v.data());
   }
 }
 
@@ -268,14 +321,14 @@ class SharedShadow {
     for (const auto& [seq, content] : content_) {
       for (int64_t t = 0; t < static_cast<int64_t>(content.size()); ++t) {
         for (int64_t layer = 0; layer < cfg_.layers; ++layer) {
-          const float* k = cache.KRow(layer, seq, t);
-          const float* v = cache.VRow(layer, seq, t);
+          const SlotBits got = ReadBits(cache, layer, seq, t);
+          const int32_t tok = content[static_cast<size_t>(t)];
           for (int64_t r = 0; r < cfg_.kv_dim; ++r) {
-            ASSERT_EQ(k[r], SharedPatternK(content[static_cast<size_t>(t)], t,
-                                           layer, r))
+            ASSERT_EQ(got.k[static_cast<size_t>(r)],
+                      Stored(SharedPatternK(tok, t, layer, r)))
                 << "seq=" << seq << " token=" << t << " layer=" << layer;
-            ASSERT_EQ(v[r], SharedPatternV(content[static_cast<size_t>(t)], t,
-                                           layer, r))
+            ASSERT_EQ(got.v[static_cast<size_t>(r)],
+                      Stored(SharedPatternV(tok, t, layer, r)))
                 << "seq=" << seq << " token=" << t << " layer=" << layer;
           }
         }
@@ -437,19 +490,21 @@ TEST(PagedKvPropertyTest, CopyOnWriteIsolatesDivergentAppends) {
   FillSharedToken(&cache, 1, 6, 42);
   for (size_t t = 0; t < prompt.size(); ++t) {
     for (int64_t layer = 0; layer < cfg.layers; ++layer) {
+      const SlotBits got = ReadBits(cache, layer, 0, static_cast<int64_t>(t));
       for (int64_t r = 0; r < cfg.kv_dim; ++r) {
-        EXPECT_EQ(cache.KRow(layer, 0, static_cast<int64_t>(t))[r],
-                  SharedPatternK(prompt[t], static_cast<int64_t>(t), layer, r));
+        EXPECT_EQ(got.k[static_cast<size_t>(r)],
+                  Stored(SharedPatternK(prompt[t], static_cast<int64_t>(t),
+                                        layer, r)));
       }
     }
   }
   // The adopter's retained slots survived the copy; its divergent slot reads
   // back the new token.
   for (int64_t t = 0; t < 6; ++t) {
-    EXPECT_EQ(cache.KRow(0, 1, t)[0],
-              SharedPatternK(prompt[static_cast<size_t>(t)], t, 0, 0));
+    EXPECT_EQ(ReadBits(cache, 0, 1, t).k[0],
+              Stored(SharedPatternK(prompt[static_cast<size_t>(t)], t, 0, 0)));
   }
-  EXPECT_EQ(cache.KRow(0, 1, 6)[0], SharedPatternK(42, 6, 0, 0));
+  EXPECT_EQ(ReadBits(cache, 0, 1, 6).k[0], Stored(SharedPatternK(42, 6, 0, 0)));
 }
 
 // --- Cross-pool migration fuzz ----------------------------------------------
@@ -596,18 +651,95 @@ TEST(PagedKvPropertyTest, AppendAcrossBlockBoundaryKeepsEarlierRows) {
   for (int64_t t = 0; t < cfg.block_tokens; ++t) {
     FillToken(&cache, 7, t);
   }
-  const float* before = cache.KRow(0, 7, 0);
+  const int32_t before = (*cache.SequenceBlockList(7))[0];
   ASSERT_TRUE(cache.AppendToken(7));  // forces a second block
   FillToken(&cache, 7, cfg.block_tokens);
-  EXPECT_EQ(cache.KRow(0, 7, 0), before);
+  EXPECT_EQ((*cache.SequenceBlockList(7))[0], before);
   for (int64_t t = 0; t <= cfg.block_tokens; ++t) {
     for (int64_t layer = 0; layer < cfg.layers; ++layer) {
+      const SlotBits got = ReadBits(cache, layer, 7, t);
       for (int64_t r = 0; r < cfg.kv_dim; ++r) {
-        EXPECT_EQ(cache.KRow(layer, 7, t)[r], PatternK(7, t, layer, r));
-        EXPECT_EQ(cache.VRow(layer, 7, t)[r], PatternV(7, t, layer, r));
+        EXPECT_EQ(got.k[static_cast<size_t>(r)], Stored(PatternK(7, t, layer, r)));
+        EXPECT_EQ(got.v[static_cast<size_t>(r)], Stored(PatternV(7, t, layer, r)));
       }
     }
   }
+}
+
+// The page format: a slot reads back the FP16 rounding of what was written,
+// bit for bit — round-to-nearest-even at ties (normal, subnormal and at the
+// overflow edge), signed zero and infinities kept, a NaN still a NaN.
+TEST(PagedKvPropertyTest, WriteThenReadReturnsTheHalfRoundingBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> values = {
+      1.0f + std::ldexp(1.0f, -11),      // tie -> 1.0 (even)
+      1.0f + 3 * std::ldexp(1.0f, -11),  // tie -> 1 + 2^-9 (even)
+      -(1.0f + std::ldexp(1.0f, -11)),   // negative tie -> -1.0
+      std::ldexp(1.0f, -25),             // subnormal tie -> +0
+      3 * std::ldexp(1.0f, -25),         // subnormal tie -> 2^-23
+      65519.0f,                          // below the overflow tie -> 65504
+      65520.0f,                          // overflow tie -> +inf
+      -0.0f,
+      inf,
+      -inf,
+      0.1f,
+      -1e6f,                             // overflow -> -inf
+      std::ldexp(1.0f, -130),            // float subnormal -> +0
+      std::numeric_limits<float>::quiet_NaN(),
+  };
+  // The ties' expected halves, spelled out.
+  EXPECT_EQ(Half(values[0]).bits(), 0x3c00u);
+  EXPECT_EQ(Half(values[1]).bits(), 0x3c02u);
+  EXPECT_EQ(Half(values[2]).bits(), 0xbc00u);
+  EXPECT_EQ(Half(values[3]).bits(), 0x0000u);
+  EXPECT_EQ(Half(values[4]).bits(), 0x0002u);
+  EXPECT_EQ(Half(values[5]).bits(), 0x7bffu);
+  EXPECT_EQ(Half(values[6]).bits(), 0x7c00u);
+
+  const int64_t n = static_cast<int64_t>(values.size());
+  PagedKvCacheConfig cfg;
+  cfg.layers = 2;
+  cfg.kv_dim = n;
+  cfg.block_tokens = 4;
+  cfg.num_blocks = 3;
+  PagedKvCache cache(cfg);
+  ASSERT_TRUE(cache.AddSequence(0, 6));
+  std::vector<float> reversed(values.rbegin(), values.rend());
+  for (int64_t layer = 0; layer < cfg.layers; ++layer) {
+    for (int64_t t = 0; t < 6; ++t) {
+      cache.WriteSlot(layer, 0, t, layer == 0 ? values.data() : reversed.data(),
+                      layer == 0 ? reversed.data() : values.data());
+    }
+  }
+  for (int64_t layer = 0; layer < cfg.layers; ++layer) {
+    for (int64_t t = 0; t < 6; ++t) {
+      std::vector<float> k(values.size()), v(values.size());
+      cache.ReadSlot(layer, 0, t, k.data(), v.data());
+      const std::vector<float>& want_k = layer == 0 ? values : reversed;
+      const std::vector<float>& want_v = layer == 0 ? reversed : values;
+      for (size_t r = 0; r < values.size(); ++r) {
+        for (const auto& [got, want] :
+             {std::pair{k[r], want_k[r]}, std::pair{v[r], want_v[r]}}) {
+          if (std::isnan(want)) {
+            EXPECT_TRUE(std::isnan(got)) << "layer " << layer << " slot " << t;
+          } else {
+            EXPECT_EQ(std::bit_cast<uint32_t>(got), Stored(want))
+                << "value " << want << " layer " << layer << " slot " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PagedKvPropertyTest, StorageBytesCountsHalves) {
+  PagedKvCacheConfig cfg;
+  cfg.layers = 3;
+  cfg.kv_dim = 12;
+  cfg.block_tokens = 4;
+  cfg.num_blocks = 7;
+  const PagedKvCache cache(cfg);
+  EXPECT_EQ(cache.StorageBytes(), 2u * 3 * 7 * 4 * 12 * sizeof(Half));
 }
 
 }  // namespace

@@ -155,7 +155,8 @@ TEST(ServingEngineTest, BatchedDecodeBitIdenticalToSingleSequence) {
 
 // The paged KV decode path is exactly the full-recompute path: causal
 // attention means position t's activations never depend on later positions,
-// and the cache stores the FP32 K/V columns bit-for-bit.
+// and the cache stores each K/V column's FP16 rounding, which Forward's
+// attention applies too.
 TEST(ServingEngineTest, KvDecodeMatchesFullRecomputeGenerate) {
   const TinyTransformer model = MakePrunedModel();
   Rng rng(23);

@@ -44,6 +44,7 @@ EXPECTED_BENCHES = (
     "paged_attention_ctx2048",
     "paged_attention_ctx2048_ref",
     "paged_attention_chunk128",
+    "paged_attention_decode_b8_shared",
     "serving_decode_b1",
     "serving_decode_b4",
     "serving_decode_b8",
