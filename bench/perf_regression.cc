@@ -3,11 +3,12 @@
 // Times the repository's hot paths — the functional simulator (ReferenceGemm,
 // the SpInfer functional kernel, the TCA-BME encoder, SMBD decode) and the
 // production CPU backend (CpuSpmmInto at decode/prefill widths with thread
-// sweep points, plus a tiny-transformer decode step) — on fixed shapes and
-// writes the results to BENCH.json (name -> wall_ms / repetitions /
-// threads). The shapes and seeds are frozen so successive PRs can diff the
-// numbers directly (tools/bench_delta.py renders the diff against
-// bench/BENCH_baseline.json); EXPERIMENTS.md records the trajectory.
+// sweep points, plus a tiny-transformer decode step), the serving paths and
+// model set-up — on fixed shapes and writes the results to BENCH.json
+// (name -> wall_ms / repetitions / threads). The shapes and seeds are
+// frozen so successive PRs can diff the numbers directly
+// (tools/bench_delta.py renders the diff against bench/BENCH_baseline.json);
+// EXPERIMENTS.md records the trajectory.
 //
 // Usage: perf_regression [--threads=N] [--reps=R] [--out=BENCH.json]
 //                        [--trace=TRACE.json] [--metrics=METRICS.json]
@@ -762,6 +763,36 @@ int Main(int argc, char** argv) {
       g_sink = static_cast<float>(rep.completed);
     };
     bench("serving_disagg", [&] { run_disagg(); });
+  }
+
+  // --- Set-up: the serving benchmark's model M, built and cut. ------------
+  // model_setup_m draws, encodes and prunes model M (the serving
+  // benchmark's shape and seed) at the paper's 60% operating point;
+  // sharded_setup_tp4 cuts that model into 4 tensor-parallel bands, each
+  // with its KV pool.
+  {
+    TinyConfig m;
+    m.vocab = 256;
+    m.hidden = 256;
+    m.ffn = 1024;
+    m.layers = 4;
+    m.heads = 8;
+    m.max_seq = 576;
+    std::unique_ptr<TinyTransformer> model;
+    bench("model_setup_m", [&] {
+      model = std::make_unique<TinyTransformer>(m, 1013);
+      model->PruneWeights(MagnitudePruner(), 0.6);
+      g_sink = static_cast<float>(model->WeightSparsity());
+    });
+    ShardedEngineConfig scfg;
+    scfg.shards = 4;
+    scfg.kv_block_tokens = 16;
+    scfg.kv_num_blocks = 64;
+    scfg.device = Rtx4090();
+    bench("sharded_setup_tp4", [&] {
+      const ShardedEngine substrate(model.get(), scfg);
+      g_sink = static_cast<float>(substrate.shards());
+    });
   }
 
   WriteBenchJson(out_path, records);

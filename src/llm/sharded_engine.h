@@ -7,8 +7,9 @@
 // additions and cannot be bit-identical to the unsharded model. This engine
 // instead partitions every weight matrix (wq/wk/wv/wo/fc1/fc2) by OUTPUT
 // rows: shard s holds row band s of every layer (TinyTransformer::
-// SliceRowBand, cut at head and TCA-BME GroupTile boundaries and re-encoded
-// with the model's own geometry) plus the KV cache for its kv rows. A step
+// SliceRowBand: a run of whole TCA-BME GroupTile rows cut straight out of
+// the model's encoded arrays, at head boundaries; no weight is held dense)
+// plus the KV cache for its kv rows. A step
 // is the model's own step body, TinyTransformer::MixedStepBands, run over
 // the shards' bands: each band computes its rows of every projection from
 // the full activation panel, so every output element's scalar accumulation
@@ -94,7 +95,7 @@ class ShardedEngine : public ServingSubstrate {
 
  private:
   struct Shard {
-    std::vector<TinyTransformer::Layer> layers;  // this shard's row band
+    std::vector<TinyTransformer::Layer> layers;  // this shard's encoded row band
     PagedKvCache cache;                          // kv_dim / shards rows per token
   };
 

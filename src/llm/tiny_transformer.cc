@@ -68,25 +68,11 @@ void LayerNormColumns(FloatMatrix* a) {
   }
 }
 
-// Band `band` of `bands` of `w`'s rows as an owned copy; the slice spans the
-// full K dimension, so slice * X computes exactly those rows of w * X.
-HalfMatrix SliceRows(const HalfMatrix& w, int64_t band, int64_t bands) {
-  const int64_t rows = w.rows() / bands;
-  HalfMatrix s(rows, w.cols());
-  const Half* first = w.data() + band * rows * w.cols();
-  std::copy(first, first + s.size(), s.data());
-  return s;
-}
-
-void EncodeLayer(TinyTransformer::Layer* l) {
-  const TcaBmeConfig fmt = TinyFormat();
-  l->enc_wq = TcaBmeMatrix::Encode(l->wq, fmt);
-  l->enc_wk = TcaBmeMatrix::Encode(l->wk, fmt);
-  l->enc_wv = TcaBmeMatrix::Encode(l->wv, fmt);
-  l->enc_wo = TcaBmeMatrix::Encode(l->wo, fmt);
-  l->enc_fc1 = TcaBmeMatrix::Encode(l->fc1, fmt);
-  l->enc_fc2 = TcaBmeMatrix::Encode(l->fc2, fmt);
-}
+// A layer's six weights, in the model's draw order.
+constexpr TcaBmeMatrix TinyTransformer::Layer::*kLayerWeights[] = {
+    &TinyTransformer::Layer::wq, &TinyTransformer::Layer::wk,
+    &TinyTransformer::Layer::wv, &TinyTransformer::Layer::wo,
+    &TinyTransformer::Layer::fc1, &TinyTransformer::Layer::fc2};
 
 }  // namespace
 
@@ -173,22 +159,21 @@ TinyTransformer::TinyTransformer(const TinyConfig& config, uint64_t seed)
           0.1f * static_cast<float>((r % 2 == 0) ? std::sin(p) : std::cos(p));
     }
   }
+  // Each weight is drawn, encoded and dropped before the next draw, so the
+  // dense form of the model never exists as a whole.
+  const auto draw = [&](int64_t rows, int64_t cols, float stddev) {
+    return TcaBmeMatrix::Encode(HalfMatrix::Random(rows, cols, rng, stddev),
+                                TinyFormat());
+  };
   layers_.resize(static_cast<size_t>(config.layers));
   for (Layer& l : layers_) {
-    l.wq = HalfMatrix::Random(config.hidden, config.hidden, rng, scale);
-    l.wk = HalfMatrix::Random(config.kv_dim(), config.hidden, rng, scale);
-    l.wv = HalfMatrix::Random(config.kv_dim(), config.hidden, rng, scale);
-    l.wo = HalfMatrix::Random(config.hidden, config.hidden, rng, scale);
-    l.fc1 = HalfMatrix::Random(config.ffn, config.hidden, rng, scale);
-    l.fc2 = HalfMatrix::Random(config.hidden, config.ffn, rng,
-                               1.0f / std::sqrt(static_cast<float>(config.ffn)));
-  }
-  EncodeAll();
-}
-
-void TinyTransformer::EncodeAll() {
-  for (Layer& l : layers_) {
-    EncodeLayer(&l);
+    l.wq = draw(config.hidden, config.hidden, scale);
+    l.wk = draw(config.kv_dim(), config.hidden, scale);
+    l.wv = draw(config.kv_dim(), config.hidden, scale);
+    l.wo = draw(config.hidden, config.hidden, scale);
+    l.fc1 = draw(config.ffn, config.hidden, scale);
+    l.fc2 = draw(config.hidden, config.ffn,
+                 1.0f / std::sqrt(static_cast<float>(config.ffn)));
   }
 }
 
@@ -201,8 +186,8 @@ std::vector<TinyTransformer::Layer> TinyTransformer::SliceRowBand(
   SPINFER_CHECK_MSG(c.heads % bands == 0, "heads must divide by shard count");
   SPINFER_CHECK_MSG(c.kv_head_count() % bands == 0,
                     "kv heads must divide by shard count");
-  // GroupTile-aligned cuts: row slices encoded with the model's own TCA-BME
-  // geometry traverse the same tiles as the whole-matrix encode.
+  // GroupTile-aligned cuts: a band is a run of whole GroupTile rows of the
+  // encoded matrix, which walks the same tiles as the whole-matrix kernel.
   const int64_t gt = TinyFormat().gt_rows;
   SPINFER_CHECK_MSG(c.hidden % (bands * gt) == 0,
                     "hidden slice must be a GroupTile-row multiple");
@@ -212,39 +197,37 @@ std::vector<TinyTransformer::Layer> TinyTransformer::SliceRowBand(
                     "ffn slice must be a GroupTile-row multiple");
   std::vector<Layer> out(layers_.size());
   for (size_t i = 0; i < layers_.size(); ++i) {
-    for (HalfMatrix Layer::*w : {&Layer::wq, &Layer::wk, &Layer::wv, &Layer::wo,
-                                 &Layer::fc1, &Layer::fc2}) {
-      out[i].*w = SliceRows(layers_[i].*w, band, bands);
+    for (TcaBmeMatrix Layer::*w : kLayerWeights) {
+      const TcaBmeMatrix& whole = layers_[i].*w;
+      const int64_t rows = whole.rows() / bands;
+      out[i].*w = whole.CutRows(band * rows, rows);
     }
-    EncodeLayer(&out[i]);
   }
   return out;
 }
 
 void TinyTransformer::PruneWeights(const Pruner& pruner, double sparsity) {
   for (Layer& l : layers_) {
-    l.wq = pruner.Prune(l.wq, sparsity);
-    l.wk = pruner.Prune(l.wk, sparsity);
-    l.wv = pruner.Prune(l.wv, sparsity);
-    l.wo = pruner.Prune(l.wo, sparsity);
-    l.fc1 = pruner.Prune(l.fc1, sparsity);
-    l.fc2 = pruner.Prune(l.fc2, sparsity);
+    for (TcaBmeMatrix Layer::*w : kLayerWeights) {
+      l.*w = TcaBmeMatrix::Encode(pruner.Prune((l.*w).Decode(), sparsity),
+                                  TinyFormat());
+    }
   }
-  EncodeAll();
 }
 
-void TinyTransformer::MatmulInto(const HalfMatrix& dense, const TcaBmeMatrix& encoded,
-                                 const FloatMatrix& x, MatmulBackend backend,
-                                 const char* label, FloatMatrix* out) const {
+void TinyTransformer::MatmulInto(const TcaBmeMatrix& w, const FloatMatrix& x,
+                                 MatmulBackend backend, const char* label,
+                                 FloatMatrix* out) const {
   SPINFER_TRACE_SCOPE(label);
   if (backend == MatmulBackend::kDense) {
+    // The test oracle: an exact decode per call, then the dense GEMM.
     ToHalfInto(x, &scratch_.xh);
-    *out = ReferenceGemm(dense, scratch_.xh);
+    *out = ReferenceGemm(w.Decode(), scratch_.xh);
     return;
   }
   // The sparse path quantizes to FP16 on panel fill — bit-identical to the
   // explicit ToHalfInto staging above, one conversion pass cheaper.
-  CpuSpmmQuantInto(encoded, x, &scratch_.ws, out);
+  CpuSpmmQuantInto(w, x, &scratch_.ws, out);
 }
 
 int64_t TinyTransformer::MatmulScratchGrowCount() const {
@@ -278,7 +261,11 @@ void TinyTransformer::EmbedInto(int32_t token, int64_t pos, int64_t col,
 
 TinyTransformer::LayerWeights TinyTransformer::layer_weights(int64_t layer) const {
   const Layer& l = layers_[static_cast<size_t>(layer)];
-  return LayerWeights{&l.wq, &l.wk, &l.wv, &l.wo, &l.fc1, &l.fc2};
+  const auto decoded = [](const TcaBmeMatrix& w) {
+    return std::make_unique<const HalfMatrix>(w.Decode());
+  };
+  return LayerWeights{decoded(l.wq), decoded(l.wk),  decoded(l.wv),
+                      decoded(l.wo), decoded(l.fc1), decoded(l.fc2)};
 }
 
 TcaBmeConfig TinyTransformer::EncodeFormat() { return TinyFormat(); }
@@ -334,9 +321,9 @@ FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
     // --- Attention block (pre-LN). ---
     CopyInto(act, &s.normed);
     LayerNormColumns(&s.normed);
-    MatmulInto(l.wq, l.enc_wq, s.normed, backend, "tt.matmul.wq", &s.q);
-    MatmulInto(l.wk, l.enc_wk, s.normed, backend, "tt.matmul.wk", &s.kk);
-    MatmulInto(l.wv, l.enc_wv, s.normed, backend, "tt.matmul.wv", &s.v);
+    MatmulInto(l.wq, s.normed, backend, "tt.matmul.wq", &s.q);
+    MatmulInto(l.wk, s.normed, backend, "tt.matmul.wk", &s.kk);
+    MatmulInto(l.wv, s.normed, backend, "tt.matmul.wv", &s.v);
     // K and V through FP16 once, as the paged cache stores them.
     RoundThroughHalf(&s.kk);
     RoundThroughHalf(&s.v);
@@ -380,7 +367,7 @@ FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
         }
       }
     }
-    MatmulInto(l.wo, l.enc_wo, attn_out, backend, "tt.matmul.wo", &s.proj);
+    MatmulInto(l.wo, attn_out, backend, "tt.matmul.wo", &s.proj);
     for (int64_t i = 0; i < act.size(); ++i) {
       act.data()[i] += s.proj.data()[i];  // residual
     }
@@ -388,9 +375,9 @@ FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
     // --- FFN block (pre-LN, GELU). ---
     CopyInto(act, &s.ffn_in);
     LayerNormColumns(&s.ffn_in);
-    MatmulInto(l.fc1, l.enc_fc1, s.ffn_in, backend, "tt.matmul.fc1", &s.hidden_act);
+    MatmulInto(l.fc1, s.ffn_in, backend, "tt.matmul.fc1", &s.hidden_act);
     GeluInPlace({s.hidden_act.data(), static_cast<size_t>(s.hidden_act.size())});
-    MatmulInto(l.fc2, l.enc_fc2, s.hidden_act, backend, "tt.matmul.fc2", &s.ffn_out);
+    MatmulInto(l.fc2, s.hidden_act, backend, "tt.matmul.fc2", &s.ffn_out);
     for (int64_t i = 0; i < act.size(); ++i) {
       act.data()[i] += s.ffn_out.data()[i];
     }
@@ -528,9 +515,9 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     LayerNormColumns(&s.normed);
     fill_bands(layer, h, &s.attn_out,
                [&](const RowBand& band, const Layer& l, FloatMatrix* out) {
-      MatmulInto(l.wq, l.enc_wq, s.normed, backend, "tt.matmul.wq", &s.q);
-      MatmulInto(l.wk, l.enc_wk, s.normed, backend, "tt.matmul.wk", &s.kk);
-      MatmulInto(l.wv, l.enc_wv, s.normed, backend, "tt.matmul.wv", &s.v);
+      MatmulInto(l.wq, s.normed, backend, "tt.matmul.wq", &s.q);
+      MatmulInto(l.wk, s.normed, backend, "tt.matmul.wk", &s.kk);
+      MatmulInto(l.wv, s.normed, backend, "tt.matmul.wv", &s.v);
       // This band's kv rows land in its own cache, so the band caches tile
       // the full K/V exactly.
       SPINFER_CHECK_EQ(s.kk.rows(), band.cache->config().kv_dim);
@@ -548,7 +535,7 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     });
     fill_bands(layer, h, &s.proj,
                [&](const RowBand&, const Layer& l, FloatMatrix* out) {
-      MatmulInto(l.wo, l.enc_wo, s.attn_out, backend, "tt.matmul.wo", out);
+      MatmulInto(l.wo, s.attn_out, backend, "tt.matmul.wo", out);
     });
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.proj.data()[i];  // residual
@@ -559,7 +546,7 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     LayerNormColumns(&s.ffn_in);
     fill_bands(layer, config_.ffn, &s.hidden_act,
                [&](const RowBand&, const Layer& l, FloatMatrix* out) {
-      MatmulInto(l.fc1, l.enc_fc1, s.ffn_in, backend, "tt.matmul.fc1", out);
+      MatmulInto(l.fc1, s.ffn_in, backend, "tt.matmul.fc1", out);
     });
     {
       SPINFER_TRACE_SCOPE("tt.gelu");
@@ -568,7 +555,7 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     }
     fill_bands(layer, h, &s.ffn_out,
                [&](const RowBand&, const Layer& l, FloatMatrix* out) {
-      MatmulInto(l.fc2, l.enc_fc2, s.hidden_act, backend, "tt.matmul.fc2", out);
+      MatmulInto(l.fc2, s.hidden_act, backend, "tt.matmul.fc2", out);
     });
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.ffn_out.data()[i];
@@ -621,8 +608,9 @@ std::vector<int32_t> TinyTransformer::Generate(const std::vector<int32_t>& promp
 uint64_t TinyTransformer::DenseWeightBytes() const {
   uint64_t total = 0;
   for (const Layer& l : layers_) {
-    total += 2ull * (l.wq.size() + l.wk.size() + l.wv.size() + l.wo.size() +
-                     l.fc1.size() + l.fc2.size());
+    for (TcaBmeMatrix Layer::*w : kLayerWeights) {
+      total += 2ull * static_cast<uint64_t>((l.*w).rows() * (l.*w).cols());
+    }
   }
   return total;
 }
@@ -630,9 +618,9 @@ uint64_t TinyTransformer::DenseWeightBytes() const {
 uint64_t TinyTransformer::EncodedWeightBytes() const {
   uint64_t total = 0;
   for (const Layer& l : layers_) {
-    total += l.enc_wq.StorageBytes() + l.enc_wk.StorageBytes() +
-             l.enc_wv.StorageBytes() + l.enc_wo.StorageBytes() +
-             l.enc_fc1.StorageBytes() + l.enc_fc2.StorageBytes();
+    for (TcaBmeMatrix Layer::*w : kLayerWeights) {
+      total += (l.*w).StorageBytes();
+    }
   }
   return total;
 }
@@ -641,9 +629,9 @@ double TinyTransformer::WeightSparsity() const {
   int64_t nnz = 0;
   int64_t total = 0;
   for (const Layer& l : layers_) {
-    for (const HalfMatrix* w : {&l.wq, &l.wk, &l.wv, &l.wo, &l.fc1, &l.fc2}) {
-      nnz += w->CountNonZeros();
-      total += w->size();
+    for (TcaBmeMatrix Layer::*w : kLayerWeights) {
+      nnz += (l.*w).nnz();
+      total += (l.*w).rows() * (l.*w).cols();
     }
   }
   return 1.0 - static_cast<double>(nnz) / static_cast<double>(total);

@@ -68,7 +68,7 @@ struct TinyConfig {
 
 // Which engine executes the weight matmuls.
 enum class MatmulBackend {
-  kDense,     // ReferenceGemm on the dense FP16 weights
+  kDense,     // test oracle: ReferenceGemm on each weight, decoded per call
   kTcaBmeCpu  // CpuSpmm on the TCA-BME-encoded weights
 };
 
@@ -109,14 +109,15 @@ struct PrefillChunk {
 
 class TinyTransformer {
  public:
-  // One layer's six weight matrices, dense and TCA-BME-encoded: the model's
-  // own, or one output-row band of them (SliceRowBand).
+  // One layer's six weight matrices, TCA-BME-encoded: the model's own, or
+  // one output-row band of them (SliceRowBand). The encoding is the only
+  // weight storage; a dense FP16 matrix exists only while one weight is
+  // drawn, pruned or multiplied by the kDense oracle.
   struct Layer {
-    HalfMatrix wq, wo;          // hidden x hidden
-    HalfMatrix wk, wv;          // kv_dim x hidden (== hidden x hidden for MHA)
-    HalfMatrix fc1;             // ffn x hidden
-    HalfMatrix fc2;             // hidden x ffn
-    TcaBmeMatrix enc_wq, enc_wk, enc_wv, enc_wo, enc_fc1, enc_fc2;
+    TcaBmeMatrix wq, wo;  // hidden x hidden
+    TcaBmeMatrix wk, wv;  // kv_dim x hidden (== hidden x hidden for MHA)
+    TcaBmeMatrix fc1;     // ffn x hidden
+    TcaBmeMatrix fc2;     // hidden x ffn
   };
 
   // One row band of the step body: band b of g holds output rows
@@ -129,11 +130,13 @@ class TinyTransformer {
     PagedKvCache* cache = nullptr;
   };
 
-  // Deterministic random initialization (scaled Gaussian).
+  // Deterministic random initialization (scaled Gaussian). Each weight is
+  // drawn, encoded and dropped before the next is drawn.
   TinyTransformer(const TinyConfig& config, uint64_t seed);
 
   // Prunes every transformer weight matrix (attention + FFN; embeddings stay
-  // dense, as in the paper's end-to-end setup) and re-encodes TCA-BME.
+  // dense, as in the paper's end-to-end setup): one at a time, each is
+  // decoded (exact), pruned and re-encoded.
   void PruneWeights(const Pruner& pruner, double sparsity);
 
   // Forward pass over `tokens`; returns logits (seq x vocab).
@@ -196,24 +199,19 @@ class TinyTransformer {
   const TinyConfig& config() const { return config_; }
 
   // --- Weight-partition support (tensor-parallel sharding) ------------------
-  // Read-only views of one layer's dense weights.
+  // One layer's weights decoded to dense FP16: copies the caller owns, built
+  // per call (the model keeps no dense weights).
   struct LayerWeights {
-    const HalfMatrix* wq;
-    const HalfMatrix* wk;
-    const HalfMatrix* wv;
-    const HalfMatrix* wo;
-    const HalfMatrix* fc1;
-    const HalfMatrix* fc2;
+    std::unique_ptr<const HalfMatrix> wq, wk, wv, wo, fc1, fc2;
   };
   LayerWeights layer_weights(int64_t layer) const;
-  // The TCA-BME geometry the model's own matmuls encode with. Row slices must
-  // be encoded with the same tile shape — and sliced at multiples of its
-  // gt_rows — for the sliced kernels to be bit-identical to the whole-matrix
-  // kernel.
+  // The TCA-BME geometry the model's own matmuls encode with; a row band is
+  // cut at multiples of its gt_rows, so the band kernels walk the same tiles
+  // as the whole-matrix kernel.
   static TcaBmeConfig EncodeFormat();
-  // Band `band` of `bands` of every layer (see RowBand), re-encoded with
-  // EncodeFormat(). CHECKs that the cuts fall on head, kv-head and
-  // GroupTile-row boundaries.
+  // Band `band` of `bands` of every layer (see RowBand), cut out of the
+  // encoded weights (TcaBmeMatrix::CutRows). CHECKs that the cuts fall on
+  // head, kv-head and GroupTile-row boundaries.
   std::vector<Layer> SliceRowBand(int64_t band, int64_t bands) const;
   // Observability for the zero-allocation serving contract (tests, benches).
   // Grow count / capacity of the reusable step scratch: once a step at the
@@ -221,10 +219,11 @@ class TinyTransformer {
   // leave both unchanged — i.e. the step performs zero heap allocations.
   int64_t MatmulScratchGrowCount() const;
   uint64_t MatmulScratchCapacityBytes() const;
-  // Weight footprints: dense FP16 vs the encoded TCA-BME bytes.
+  // Weight footprints: what dense FP16 would take (from the shapes) vs the
+  // encoded TCA-BME bytes, which are the resident ones.
   uint64_t DenseWeightBytes() const;
   uint64_t EncodedWeightBytes() const;
-  // Average sparsity across transformer weights.
+  // Average sparsity across transformer weights (from the encoded nnz).
   double WeightSparsity() const;
 
   // Embeds `token` at absolute position `pos` into column `col` of `act`:
@@ -240,7 +239,7 @@ class TinyTransformer {
   // Reusable buffers for one Forward or step pass. Shapes depend only on
   // (panel width, hidden, ffn, bands), so every layer — and every subsequent
   // call at seen shapes — reuses the same storage; nothing here is shrunk.
-  // `xh` stages the FP16 conversion feeding the dense reference backend (the
+  // `xh` stages the FP16 conversion feeding the dense oracle backend (the
   // sparse backend quantizes on panel fill and never touches it). `scores`
   // grows to the longest context Forward attends.
   struct MatmulScratch {
@@ -261,14 +260,12 @@ class TinyTransformer {
 
   // out = W*X on the selected backend, from FP32 activations: the sparse
   // path quantizes to FP16 while filling the SpMM panel (CpuSpmmQuantInto),
-  // the dense reference path stages an explicit FP16 copy — both see the
-  // same FP16 activation bits. `label` is a static string literal naming the
-  // matmul's trace span (e.g. "tt.matmul.wq").
-  void MatmulInto(const HalfMatrix& dense, const TcaBmeMatrix& encoded,
-                  const FloatMatrix& x, MatmulBackend backend, const char* label,
+  // the dense oracle decodes `w` and stages an explicit FP16 copy of X —
+  // both see the same FP16 weight and activation bits. `label` is a static
+  // string literal naming the matmul's trace span (e.g. "tt.matmul.wq").
+  void MatmulInto(const TcaBmeMatrix& w, const FloatMatrix& x,
+                  MatmulBackend backend, const char* label,
                   FloatMatrix* out) const;
-
-  void EncodeAll();
 
   TinyConfig config_;
   // hidden x vocab: the FP16 draws widened exactly (tied LM head).

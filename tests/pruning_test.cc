@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +10,7 @@
 #include "src/pruning/pruner.h"
 #include "src/pruning/wanda.h"
 #include "src/util/random.h"
+#include "src/util/thread_pool.h"
 
 namespace spinfer {
 namespace {
@@ -58,6 +62,49 @@ TEST(MagnitudePrunerTest, KeepsLargestMagnitudes) {
     }
     EXPECT_GE(min_kept, max_dropped);
   }
+}
+
+// The pruner selects (std::nth_element) under the order magnitude
+// descending, then column ascending. That order is strict and total, so on
+// rows full of ties the output is bit for bit a full sort's under it.
+HalfMatrix FullSortMagnitudePrune(const HalfMatrix& w, double sparsity) {
+  HalfMatrix out = w;
+  const int64_t k = w.cols();
+  const int64_t keep = k - static_cast<int64_t>(std::llround(sparsity * static_cast<double>(k)));
+  for (int64_t r = 0; r < w.rows(); ++r) {
+    std::vector<std::pair<float, int64_t>> scored;
+    for (int64_t c = 0; c < k; ++c) {
+      scored.emplace_back(std::fabs(w.at(r, c).ToFloat()), c);
+    }
+    std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    for (int64_t i = keep; i < k; ++i) {
+      out.at(r, scored[static_cast<size_t>(i)].second) = Half(0.0f);
+    }
+  }
+  return out;
+}
+
+TEST(MagnitudePrunerTest, TiedRowsMatchFullSortReference) {
+  const float kTies[] = {0.5f, -0.5f, 0.25f, -0.25f, 0.0f};
+  Rng rng(145);
+  HalfMatrix w(37, 50);
+  for (int64_t i = 0; i < w.size(); ++i) {
+    w.data()[i] = Half(kTies[rng.Below(5)]);
+  }
+  for (const int threads : {1, 3}) {
+    ThreadPool::SetGlobalThreads(threads);
+    for (const double sparsity : {0.0, 0.3, 0.5, 0.6, 0.9, 1.0}) {
+      const HalfMatrix got = MagnitudePruner().Prune(w, sparsity);
+      const HalfMatrix want = FullSortMagnitudePrune(w, sparsity);
+      for (int64_t i = 0; i < w.size(); ++i) {
+        ASSERT_EQ(got.data()[i].bits(), want.data()[i].bits())
+            << "threads=" << threads << " sparsity=" << sparsity << " i=" << i;
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 TEST(MagnitudePrunerTest, ZeroSparsityIsIdentity) {

@@ -1,9 +1,12 @@
 #include "src/llm/tiny_transformer.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +84,105 @@ TEST(TinyTransformerTest, PruningShrinksEncodedWeights) {
   EXPECT_LT(after, before);
   // At 60% sparsity the encoded form also beats the dense FP16 footprint.
   EXPECT_LT(after, model.DenseWeightBytes());
+}
+
+// A layer's six weights in draw order: decoded copies, and the encodings.
+std::array<const HalfMatrix*, 6> Dense(const TinyTransformer::LayerWeights& w) {
+  return {w.wq.get(), w.wk.get(), w.wv.get(), w.wo.get(), w.fc1.get(), w.fc2.get()};
+}
+std::array<const TcaBmeMatrix*, 6> Encoded(const TinyTransformer::Layer& l) {
+  return {&l.wq, &l.wk, &l.wv, &l.wo, &l.fc1, &l.fc2};
+}
+
+void ExpectSameBits(const HalfMatrix& a, const HalfMatrix& b,
+                    const std::string& label) {
+  ASSERT_EQ(a.rows(), b.rows()) << label;
+  ASSERT_EQ(a.cols(), b.cols()) << label;
+  for (int64_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i].bits(), b.data()[i].bits()) << label << " i=" << i;
+  }
+}
+
+void ExpectSameEncoding(const TcaBmeMatrix& a, const TcaBmeMatrix& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.rows(), b.rows()) << label;
+  EXPECT_EQ(a.cols(), b.cols()) << label;
+  EXPECT_EQ(a.nnz(), b.nnz()) << label;
+  EXPECT_EQ(a.gtile_offsets(), b.gtile_offsets()) << label;
+  EXPECT_EQ(a.bitmaps(), b.bitmaps()) << label;
+  ASSERT_EQ(a.values().size(), b.values().size()) << label;
+  for (size_t i = 0; i < a.values().size(); ++i) {
+    ASSERT_EQ(a.values()[i].bits(), b.values()[i].bits()) << label << " i=" << i;
+  }
+}
+
+// The model holds its weights only as TCA-BME. layer_weights() decodes the
+// resident encodings (SliceRowBand(0, 1) cuts each whole), which are what
+// both backends multiply: the dense oracle decodes them per call. Re-encoding
+// the decoded copies reproduces them, and PruneWeights is the pruner applied
+// to exactly those decoded weights.
+TEST(TinyTransformerTest, LayerWeightsDecodeTheResidentEncoding) {
+  TinyTransformer model(TinyConfig{}, 15);
+  const auto expect_resident = [&](const std::string& stage) {
+    const std::vector<TinyTransformer::Layer> whole = model.SliceRowBand(0, 1);
+    for (int64_t l = 0; l < model.config().layers; ++l) {
+      const TinyTransformer::LayerWeights w = model.layer_weights(l);
+      const auto dense = Dense(w);
+      const auto enc = Encoded(whole[static_cast<size_t>(l)]);
+      for (size_t m = 0; m < dense.size(); ++m) {
+        const std::string label =
+            stage + " layer " + std::to_string(l) + " matrix " + std::to_string(m);
+        ExpectSameBits(*dense[m], enc[m]->Decode(), label);
+        ExpectSameEncoding(
+            TcaBmeMatrix::Encode(*dense[m], TinyTransformer::EncodeFormat()),
+            *enc[m], label);
+      }
+    }
+  };
+  expect_resident("constructed");
+  std::vector<TinyTransformer::LayerWeights> before;
+  for (int64_t l = 0; l < model.config().layers; ++l) {
+    before.push_back(model.layer_weights(l));
+  }
+  model.PruneWeights(MagnitudePruner(), 0.6);
+  expect_resident("pruned");
+  for (int64_t l = 0; l < model.config().layers; ++l) {
+    const TinyTransformer::LayerWeights after = model.layer_weights(l);
+    const auto pruned = Dense(after);
+    const auto original = Dense(before[static_cast<size_t>(l)]);
+    for (size_t m = 0; m < pruned.size(); ++m) {
+      ExpectSameBits(*pruned[m], MagnitudePruner().Prune(*original[m], 0.6),
+                     "prune layer " + std::to_string(l) + " matrix " +
+                         std::to_string(m));
+    }
+  }
+}
+
+// A row band is cut straight out of the encoded weights, and equals the
+// encoding of the matching rows of the decoded weights.
+TEST(TinyTransformerTest, RowBandsAreEncodedRowSlices) {
+  TinyTransformer model(TinyConfig{}, 16);  // heads 4: 1, 2 and 4 bands
+  model.PruneWeights(MagnitudePruner(), 0.6);
+  for (const int64_t bands : {1, 2, 4}) {
+    for (int64_t b = 0; b < bands; ++b) {
+      const std::vector<TinyTransformer::Layer> band = model.SliceRowBand(b, bands);
+      for (int64_t l = 0; l < model.config().layers; ++l) {
+        const TinyTransformer::LayerWeights w = model.layer_weights(l);
+        const auto dense = Dense(w);
+        const auto enc = Encoded(band[static_cast<size_t>(l)]);
+        for (size_t m = 0; m < dense.size(); ++m) {
+          const int64_t rows = dense[m]->rows() / bands;
+          HalfMatrix slice(rows, dense[m]->cols());
+          std::copy(dense[m]->data() + b * slice.size(),
+                    dense[m]->data() + (b + 1) * slice.size(), slice.data());
+          ExpectSameEncoding(
+              *enc[m], TcaBmeMatrix::Encode(slice, TinyTransformer::EncodeFormat()),
+              "band " + std::to_string(b) + "/" + std::to_string(bands) +
+                  " layer " + std::to_string(l) + " matrix " + std::to_string(m));
+        }
+      }
+    }
+  }
 }
 
 // The serving contract behind the decode bench: after one warm-up Forward,

@@ -56,6 +56,8 @@ EXPECTED_BENCHES = (
     "serving_tp2",
     "serving_tp4",
     "serving_disagg",
+    "model_setup_m",
+    "sharded_setup_tp4",
 )
 
 
