@@ -37,10 +37,8 @@
 
 #include "bench/bench_util.h"
 #include "src/core/cpu_backend.h"
-#include "src/core/cpu_spmv.h"
 #include "src/llm/paged_attention.h"
 #include "src/core/smbd.h"
-#include "src/format/tca_bme_quant.h"
 #include "src/core/spinfer_kernel.h"
 #include "src/format/tca_bme.h"
 #include "src/gpusim/device_spec.h"
@@ -274,29 +272,19 @@ int Main(int argc, char** argv) {
     }
     ThreadPool::SetGlobalThreads(threads);
 
-    // --- Bitmap-direct SpMV (batch-1 decode fast path), same layer shape. --
+    // --- Batch-1 decode (an SpMV: the SpMM at N = 1), same layer shape. ---
     // cpu_spmv is the dispatched variant the serving path runs; the
-    // _portable point keeps the fallback honest; the _int8 point times the
-    // quantized-weight path (per-call activation quantization included).
+    // _portable point keeps the fallback honest.
     const HalfMatrix x1 = HalfMatrix::Random(kCpuSpmmK, 1, rng);
     bench("cpu_spmv", [&] {
-      CpuSpmvInto(enc, x1, &ws, &out);
+      CpuSpmmInto(enc, x1, &ws, &out);
       g_sink = out.data()[0];
     });
     bench("cpu_spmv_portable", [&] {
       out.Reshape(enc.rows(), 1);
       out.Fill(0.0f);
-      CpuSpmvAccumulateIntoVariant(enc, x1, &ws, &out,
+      CpuSpmmAccumulateIntoVariant(enc, x1, &ws, &out,
                                    CpuSpmmVariant::kPortable);
-      g_sink = out.data()[0];
-    });
-    const TcaBmeQuantMatrix encq = TcaBmeQuantMatrix::Encode(w);
-    FloatMatrix x1f(kCpuSpmmK, 1);
-    for (int64_t i = 0; i < x1f.size(); ++i) {
-      x1f.data()[i] = x1.data()[i].ToFloat();
-    }
-    bench("cpu_spmv_int8", [&] {
-      CpuSpmvInt8Into(encq, x1f, &ws, &out);
       g_sink = out.data()[0];
     });
   }

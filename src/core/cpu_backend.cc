@@ -13,6 +13,7 @@
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/cpu_features.h"
+#include "src/util/function_ref.h"
 #include "src/util/thread_pool.h"
 
 namespace spinfer {
@@ -22,36 +23,6 @@ namespace cpu_backend_detail {
 // Out-of-line (this TU is built without ISA-specific flags) so every SIMD
 // variant shares one clean copy; see the declaration for why.
 uint64_t SpmmPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
-
-void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
-                      FunctionRef<void(int64_t, SpmmPhaseRecorder*)> row) {
-  // Null when tracing is off.
-  const SweepSpans* traced = obs::TracingEnabled() ? &spans : nullptr;
-  ParallelFor(0, grid_rows, [&row, traced](int64_t gtr) {
-    if (traced == nullptr) {
-      row(gtr, nullptr);
-      return;
-    }
-    SpmmPhaseRecorder rec;
-    obs::Tracer& tracer = obs::Tracer::Global();
-    const uint64_t task_start = tracer.NowNs();
-    row(gtr, &rec);
-    const uint64_t task_end = tracer.NowNs();
-    obs::TraceArg task_args[3] = {{"gt_row", gtr},
-                                  {"tiles", static_cast<int64_t>(rec.tiles)},
-                                  {"nnz", static_cast<int64_t>(rec.nnz)}};
-    tracer.Record(traced->row_task, task_start, task_end - task_start,
-                  task_args, 3);
-    uint64_t slice_start = task_start;
-    tracer.Record(traced->convert, slice_start, rec.convert_ns);
-    slice_start += rec.convert_ns;
-    if (traced->decode != nullptr) {
-      tracer.Record(traced->decode, slice_start, rec.decode_ns);
-      slice_start += rec.decode_ns;
-    }
-    tracer.Record(traced->accumulate, slice_start, rec.accumulate_ns);
-  });
-}
 
 }  // namespace cpu_backend_detail
 
@@ -227,9 +198,40 @@ const VariantKernels& KernelsFor(CpuSpmmVariant v) {
   return kPortable;
 }
 
-constexpr cpu_backend_detail::SweepSpans kSpmmSpans = {
-    "cpu_spmm.row_task", "cpu_spmm.convert", "cpu_spmm.decode",
-    "cpu_spmm.accumulate"};
+// Runs row(gtr, rec) once per GroupTile grid row gtr in [0, grid_rows) on
+// the global ThreadPool. Each row owns the output rows of one grid row, so
+// writes are disjoint and bits are thread-count-independent. The tracing
+// check is hoisted out of the loop: untraced rows get a null recorder (the
+// kernels' untimed instantiation, zero instrumentation); traced rows get a
+// fresh recorder and are emitted as one cpu_spmm.row_task span plus
+// back-to-back synthetic child slices whose durations are the row's
+// per-phase totals.
+void RowParallelSweep(int64_t grid_rows,
+                      FunctionRef<void(int64_t, SpmmPhaseRecorder*)> row) {
+  const bool traced = obs::TracingEnabled();
+  ParallelFor(0, grid_rows, [&row, traced](int64_t gtr) {
+    if (!traced) {
+      row(gtr, nullptr);
+      return;
+    }
+    SpmmPhaseRecorder rec;
+    obs::Tracer& tracer = obs::Tracer::Global();
+    const uint64_t task_start = tracer.NowNs();
+    row(gtr, &rec);
+    const uint64_t task_end = tracer.NowNs();
+    obs::TraceArg task_args[3] = {{"gt_row", gtr},
+                                  {"tiles", static_cast<int64_t>(rec.tiles)},
+                                  {"nnz", static_cast<int64_t>(rec.nnz)}};
+    tracer.Record("cpu_spmm.row_task", task_start, task_end - task_start,
+                  task_args, 3);
+    uint64_t slice_start = task_start;
+    tracer.Record("cpu_spmm.convert", slice_start, rec.convert_ns);
+    slice_start += rec.convert_ns;
+    tracer.Record("cpu_spmm.decode", slice_start, rec.decode_ns);
+    slice_start += rec.decode_ns;
+    tracer.Record("cpu_spmm.accumulate", slice_start, rec.accumulate_ns);
+  });
+}
 
 // Copies rows [r0, r1) of output columns [j0, j0+nb) from the row-major
 // output (row stride n) into the column-major block (column stride ldb), or
@@ -259,7 +261,7 @@ void CopyBlockRows(float* out, int64_t n, int64_t j0, int64_t nb, float* blk,
 // column-major copy of its columns: each grid row copies its own rows of the
 // block into the workspace, sweeps them and copies them back, so the layout
 // change costs one pass per call instead of a transpose per tile. At N = 1
-// the output already has that layout and is swept in place: the FP16 SpMV
+// the output already has that layout and is swept in place: batch-1 decode
 // is this driver's N = 1 case. Wider blocks run the wide kernel on the
 // row-major output.
 template <typename FillPanel>
@@ -297,9 +299,8 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
   const int64_t gt_rows = w.config().gt_rows;
   float* out_data = out->data();
   float* blk = n == 1 ? out_data : ws->block.data();
-  cpu_backend_detail::RowParallelSweep(
-      w.gt_grid_rows(), kSpmmSpans,
-      [&](int64_t gtr, SpmmPhaseRecorder* rec) {
+  RowParallelSweep(
+      w.gt_grid_rows(), [&](int64_t gtr, SpmmPhaseRecorder* rec) {
         const int64_t r0 = gtr * gt_rows;
         const int64_t r1 = std::min(m, r0 + gt_rows);
         for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {

@@ -19,8 +19,8 @@
 //     decoded once, branch-free, and its output rows sit in the lanes of one
 //     accumulator per column, updated only where the bitmap bit is set. The
 //     block is held column-major in the workspace for the sweep; at N = 1
-//     the output already is, so the single-column SpMV
-//     (src/core/cpu_spmv.h) is simply this path at N = 1.
+//     the output already is, so batch-1 decode (an SpMV) is simply this
+//     path at N = 1.
 //   * Wider blocks stage each interior BitmapTile row's nonzeros once and
 //     replay them as one register-tiled update per 64/32/8 columns.
 //   * The innermost updates are SIMD-dispatched at runtime to the widest
@@ -49,28 +49,23 @@ namespace spinfer {
 // output tile a GroupTile row touches stays cache-resident.
 inline constexpr int64_t kCpuSpmmNBlock = 128;
 
-// Reusable scratch for the SpMM/SpMV calls: the FP32 X panel (half->float is
-// exact, so converting the panel once per call changes no result bits), the
-// column-major copy of a narrow output block (at most the variant's tile
-// width W columns; see CpuSpmmTileMaxCols), and the INT8 path's quantized
-// activation vector (int16 codes, so the widening multiply-adds read them
-// directly). Grown monotonically, never shrunk — a serving loop that has seen
-// its largest shapes performs zero heap allocations in this path afterwards.
+// Reusable scratch for the SpMM calls: the FP32 X panel (half->float is
+// exact, so converting the panel once per call changes no result bits) and
+// the column-major copy of a narrow output block (at most the variant's tile
+// width W columns; see CpuSpmmTileMaxCols). Grown monotonically, never
+// shrunk — a serving loop that has seen its largest shapes performs zero
+// heap allocations in this path afterwards.
 // Weight values are converted per TCTile half-column (or BitmapTile, in wide
 // blocks) into a stack-resident staging array inside the kernel and need no
 // heap scratch. Not thread-safe to share across concurrent calls; give each
 // serving thread its own.
 struct SpmmWorkspace {
-  AlignedBuffer<float> x_panel;     // K x N fp32 activation panel
-  AlignedBuffer<float> block;       // M x min(N, W) column-major output block
-  AlignedBuffer<int16_t> xq_panel;  // K quantized activation codes (SpMV INT8)
+  AlignedBuffer<float> x_panel;  // K x N fp32 activation panel
+  AlignedBuffer<float> block;    // M x min(N, W) column-major output block
 
-  int64_t grow_count() const {
-    return x_panel.grow_count() + block.grow_count() + xq_panel.grow_count();
-  }
+  int64_t grow_count() const { return x_panel.grow_count() + block.grow_count(); }
   uint64_t capacity_bytes() const {
-    return (x_panel.capacity() + block.capacity()) * sizeof(float) +
-           xq_panel.capacity() * sizeof(int16_t);
+    return (x_panel.capacity() + block.capacity()) * sizeof(float);
   }
 };
 

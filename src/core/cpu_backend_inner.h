@@ -1,28 +1,24 @@
 // Internal: the per-GroupTile kernels shared by every CPU SpMM SIMD variant
-// (a narrow one and a wide one), and the row-parallel sweep every CPU SpMM
-// and SpMV driver runs.
+// (a narrow one and a wide one).
 //
 // Each variant (portable auto-vectorized, AVX2, AVX-512) supplies only the
 // innermost updates it implements (the narrow-block half-column tile, the
 // wide-block row update) and the half->float batch conversion; the tile
 // walks and ragged-edge handling live here exactly once. The storage-order
 // walks and their Values-cursor arithmetic are ForEachNonzeroHalfColumn and
-// ForEachNonzeroTile (tca_bme.h), shared with the encoders, the decoders and
-// the INT8 SpMV kernels. That is what makes the bit-identity contract
-// between variants cheap to keep: a variant cannot disagree about *which*
-// products to form, only about how to schedule identical per-element
-// mul-then-add chains — and those are lane-independent, so any vector width
-// produces the same bits.
+// ForEachNonzeroTile (tca_bme.h), shared with the encoders and the decoders.
+// That is what makes the bit-identity contract between variants cheap to
+// keep: a variant cannot disagree about *which* products to form, only about
+// how to schedule identical per-element mul-then-add chains — and those are
+// lane-independent, so any vector width produces the same bits.
 //
-// Do not include outside src/core/cpu_backend*.cc, src/core/cpu_spmv*.cc and
-// tests.
+// Do not include outside src/core/cpu_backend*.cc and tests.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 
 #include "src/format/tca_bme.h"
-#include "src/util/function_ref.h"
 
 namespace spinfer {
 namespace cpu_backend_detail {
@@ -54,28 +50,6 @@ struct SpmmPhaseRecorder {
 
   uint64_t Now() const;  // Tracer clock (respects an injected FakeClock)
 };
-
-// Span names a RowParallelSweep records under when tracing is on. `decode`
-// is null for kernels that fuse decoding into the accumulate walk (SpMV):
-// their row tasks split into two phase slices, not three.
-struct SweepSpans {
-  const char* row_task;
-  const char* convert;
-  const char* decode;
-  const char* accumulate;
-};
-
-// The row-parallel sweep of every CPU SpMM/SpMV driver, defined in
-// cpu_backend.cc: runs row(gtr, rec) once per GroupTile grid row gtr in
-// [0, grid_rows) on the global ThreadPool. Each row owns the output rows of
-// one grid row, so writes are disjoint and bits are thread-count-
-// independent. The tracing check is hoisted out of the loop: untraced rows
-// get a null recorder (the kernels' untimed instantiation, zero
-// instrumentation); traced rows get a fresh recorder and are emitted as one
-// row_task span plus back-to-back synthetic child slices whose durations are
-// the row's per-phase totals.
-void RowParallelSweep(int64_t grid_rows, const SweepSpans& spans,
-                      FunctionRef<void(int64_t, SpmmPhaseRecorder*)> row);
 
 // Widest N-block each variant's narrow kernel takes: blocks at most this
 // wide run the variant's half-column tile on a column-major copy of the

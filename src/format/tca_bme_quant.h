@@ -42,9 +42,10 @@ class TcaBmeQuantMatrix {
 
   // Tile-grid geometry, mirroring TcaBmeMatrix: the storage nesting
   // (GroupTile row-major; TCTiles column-major within a GroupTile; quadrants
-  // TL, BL, TR, BR) is identical, so kernels walking both formats share one
-  // traversal (ForEachNonzeroTile, tca_bme.h). Bitmaps and scales are
-  // indexed by the same running BitmapTile order the encoder pushed them in.
+  // TL, BL, TR, BR) is identical, so Decode walks it with the same
+  // traversal as TcaBmeMatrix (ForEachNonzeroTile, tca_bme.h). Bitmaps and
+  // scales are indexed by the same running BitmapTile order the encoder
+  // pushed them in.
   int64_t gt_grid_rows() const { return padded_rows_ / cfg_.gt_rows; }
   int64_t gt_grid_cols() const { return padded_cols_ / cfg_.gt_cols; }
   int64_t num_group_tiles() const { return gt_grid_rows() * gt_grid_cols(); }

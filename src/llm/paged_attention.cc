@@ -390,7 +390,7 @@ void RunTask(const BatchArgs& a, int64_t idx) {
   tracer.Record("attn.item", task_start, task_end - task_start, task_args, 5);
   // Each task is one walk, but the phase split still matters for
   // profiling: synthetic child slices laid end to end, like
-  // cpu_spmv.convert/accumulate.
+  // cpu_spmm.convert/decode/accumulate.
   tracer.Record("attn.qk", task_start, rec.qk_ns);
   tracer.Record("attn.softmax", task_start + rec.qk_ns, rec.softmax_ns);
   tracer.Record("attn.pv", task_start + rec.qk_ns + rec.softmax_ns, rec.pv_ns);

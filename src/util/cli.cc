@@ -1,15 +1,41 @@
 #include "src/util/cli.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
-#include "src/util/check.h"
-
 namespace spinfer {
+namespace {
+
+// Bad command lines are user errors, not broken invariants: say what is
+// wrong and exit 1 rather than abort.
+[[noreturn]] void Reject(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(1);
+}
+
+// Runs `parse` (a strtoll/strtod call) over flag `name`'s value, rejecting it
+// unless the whole value is read and in range.
+template <typename Parse>
+auto ParseWhole(const std::string& name, const std::string& value,
+                const char* kind, const Parse& parse) {
+  char* end = nullptr;
+  errno = 0;
+  const auto parsed = parse(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
+    Reject("--" + name + " takes " + kind + ", got '" + value + "'");
+  }
+  return parsed;
+}
+
+}  // namespace
 
 CliFlags::CliFlags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    SPINFER_CHECK_MSG(arg.rfind("--", 0) == 0, "flag must start with --: " << arg);
+    if (arg.rfind("--", 0) != 0) {
+      Reject("unexpected argument '" + arg + "'; flags start with --");
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -31,7 +57,9 @@ void CliFlags::RestrictTo(std::initializer_list<const char*> allowed) const {
         break;
       }
     }
-    SPINFER_CHECK_MSG(known, "unknown flag --" << name);
+    if (!known) {
+      Reject("unknown flag --" + name);
+    }
   }
 }
 
@@ -42,12 +70,22 @@ std::string CliFlags::GetString(const std::string& name, const std::string& def)
 
 int64_t CliFlags::GetInt(const std::string& name, int64_t def) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == flags_.end()) {
+    return def;
+  }
+  return ParseWhole(name, it->second, "an integer", [](const char* text, char** end) {
+    return std::strtoll(text, end, 10);
+  });
 }
 
 double CliFlags::GetDouble(const std::string& name, double def) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == flags_.end()) {
+    return def;
+  }
+  return ParseWhole(name, it->second, "a number", [](const char* text, char** end) {
+    return std::strtod(text, end);
+  });
 }
 
 bool CliFlags::GetBool(const std::string& name, bool def) const {

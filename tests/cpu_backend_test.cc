@@ -57,16 +57,19 @@ TEST(CpuBackendTest, AgreesWithWarpSimulatorExactlyStructured) {
 }
 
 TEST(CpuBackendTest, AccumulateAddsIntoExistingOutput) {
-  Rng rng(193);
-  const HalfMatrix w = HalfMatrix::RandomSparse(64, 64, 0.5, rng);
-  const HalfMatrix x = HalfMatrix::Random(64, 8, rng, 0.5f);
-  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
-  FloatMatrix out(64, 8);
-  out.Fill(10.0f);
-  CpuSpmmAccumulate(enc, x, &out);
-  const FloatMatrix base = CpuSpmm(enc, x);
-  for (int64_t i = 0; i < out.size(); ++i) {
-    EXPECT_NEAR(out.data()[i], base.data()[i] + 10.0f, 1e-4);
+  for (const int64_t n : {int64_t{1}, int64_t{8}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    Rng rng(193);
+    const HalfMatrix w = HalfMatrix::RandomSparse(64, 64, 0.5, rng);
+    const HalfMatrix x = HalfMatrix::Random(64, n, rng, 0.5f);
+    const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+    FloatMatrix out(64, n);
+    out.Fill(10.0f);
+    CpuSpmmAccumulate(enc, x, &out);
+    const FloatMatrix base = CpuSpmm(enc, x);
+    for (int64_t i = 0; i < out.size(); ++i) {
+      EXPECT_NEAR(out.data()[i], base.data()[i] + 10.0f, 1e-4);
+    }
   }
 }
 
@@ -111,16 +114,19 @@ TEST(CpuBackendTest, SimdVariantsBitIdentical) {
 }
 
 TEST(CpuBackendTest, BitIdenticalAcrossThreadCounts) {
-  Rng rng(492);
-  const HalfMatrix w = HalfMatrix::RandomSparse(256, 192, 0.6, rng);
-  const HalfMatrix x = HalfMatrix::Random(192, 17, rng, 0.5f);
-  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
-  ThreadPool::SetGlobalThreads(1);
-  const FloatMatrix one = CpuSpmm(enc, x);
-  for (const int threads : {2, 8}) {
-    ThreadPool::SetGlobalThreads(threads);
-    const FloatMatrix got = CpuSpmm(enc, x);
-    ExpectBitIdentical(one, got);
+  for (const int64_t n : {int64_t{1}, int64_t{17}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    Rng rng(492);
+    const HalfMatrix w = HalfMatrix::RandomSparse(256, 192, 0.6, rng);
+    const HalfMatrix x = HalfMatrix::Random(192, n, rng, 0.5f);
+    const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+    ThreadPool::SetGlobalThreads(1);
+    const FloatMatrix one = CpuSpmm(enc, x);
+    for (const int threads : {2, 8}) {
+      ThreadPool::SetGlobalThreads(threads);
+      const FloatMatrix got = CpuSpmm(enc, x);
+      ExpectBitIdentical(one, got);
+    }
   }
   ThreadPool::SetGlobalThreads(0);  // restore the default pool
 }
@@ -130,7 +136,7 @@ TEST(CpuBackendTest, RaggedShapesOffTileBoundaries) {
   // reaches every kernel path: the block tile in place (1) and on a
   // column-major copy (5), and the RowTerm tiers' masked remainder
   // (31 = 3x8+7, 33 = 32+1).
-  const std::pair<int64_t, int64_t> shapes[] = {{70, 90}, {129, 257}};
+  const std::pair<int64_t, int64_t> shapes[] = {{70, 90}, {129, 257}, {33, 47}};
   for (const auto& [m, k] : shapes) {
     for (const int64_t n : {int64_t{1}, int64_t{5}, int64_t{31}, int64_t{33}}) {
       Rng rng(493 + static_cast<uint64_t>(m + n));
@@ -174,32 +180,35 @@ TEST(CpuBackendTest, QuantIntoBitIdenticalToExplicitHalfStaging) {
   // bits of the two-step pipeline (stage x into a HalfMatrix, then run the
   // half-input kernel): the batched decode path relies on this equivalence
   // to stay bit-identical to the single-sequence path.
-  Rng rng(197);
-  const HalfMatrix w = HalfMatrix::RandomSparse(96, 128, 0.6, rng);
-  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
-  FloatMatrix x(128, 9);
-  for (int64_t i = 0; i < x.size(); ++i) {
-    x.data()[i] = static_cast<float>(rng.Gaussian() * 0.5);
-  }
-  HalfMatrix xh(128, 9);
-  for (int64_t i = 0; i < x.size(); ++i) {
-    xh.data()[i] = Half(x.data()[i]);
-  }
+  for (const int64_t n : {int64_t{1}, int64_t{9}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    Rng rng(197);
+    const HalfMatrix w = HalfMatrix::RandomSparse(96, 128, 0.6, rng);
+    const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
+    FloatMatrix x(128, n);
+    for (int64_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = static_cast<float>(rng.Gaussian() * 0.5);
+    }
+    HalfMatrix xh(128, n);
+    for (int64_t i = 0; i < x.size(); ++i) {
+      xh.data()[i] = Half(x.data()[i]);
+    }
 
-  SpmmWorkspace ws_staged;
-  SpmmWorkspace ws_quant;
-  FloatMatrix staged;
-  FloatMatrix quant;
-  CpuSpmmInto(enc, xh, &ws_staged, &staged);
-  CpuSpmmQuantInto(enc, x, &ws_quant, &quant);
-  ExpectBitIdentical(quant, staged);
+    SpmmWorkspace ws_staged;
+    SpmmWorkspace ws_quant;
+    FloatMatrix staged;
+    FloatMatrix quant;
+    CpuSpmmInto(enc, xh, &ws_staged, &staged);
+    CpuSpmmQuantInto(enc, x, &ws_quant, &quant);
+    ExpectBitIdentical(quant, staged);
 
-  // Accumulate form: both start from the same non-zero output.
-  staged.Fill(2.5f);
-  quant.Fill(2.5f);
-  CpuSpmmAccumulateInto(enc, xh, &ws_staged, &staged);
-  CpuSpmmQuantAccumulateInto(enc, x, &ws_quant, &quant);
-  ExpectBitIdentical(quant, staged);
+    // Accumulate form: both start from the same non-zero output.
+    staged.Fill(2.5f);
+    quant.Fill(2.5f);
+    CpuSpmmAccumulateInto(enc, xh, &ws_staged, &staged);
+    CpuSpmmQuantAccumulateInto(enc, x, &ws_quant, &quant);
+    ExpectBitIdentical(quant, staged);
+  }
 }
 
 // Bit-pattern equality of two outputs. Unlike ExpectBitIdentical's float
@@ -292,9 +301,10 @@ TEST(CpuBackendTest, SimdVariantsBitIdenticalAtEveryWidth) {
                  << CpuFeaturesSummary() << "); nothing to cross-check";
   }
   // Every decode width, RowTerm blocks with a masked remainder (12, 13, 21),
-  // and a panel whose last N-block is 4 wide (132 = 128 + 4).
+  // and a panel whose last N-block is 4 wide (132 = 128 + 4), from nearly
+  // full BitmapTiles (1% sparsity) to mostly empty ones.
   const int64_t widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 21, 132};
-  for (const double sparsity : {0.3, 0.6, 0.9}) {
+  for (const double sparsity : {0.01, 0.3, 0.6, 0.9}) {
     Rng rng(703 + static_cast<uint64_t>(sparsity * 100));
     const HalfMatrix w = HalfMatrix::RandomSparse(129, 257, sparsity, rng);
     const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
@@ -615,11 +625,13 @@ TEST(CpuBackendTest, TracedKernelsMatchUntracedBitwise) {
 
 TEST(CpuBackendTest, AllZeroMatrix) {
   HalfMatrix w(64, 64);
-  Rng rng(195);
-  const HalfMatrix x = HalfMatrix::Random(64, 8, rng);
-  const FloatMatrix out = CpuSpmm(TcaBmeMatrix::Encode(w), x);
-  for (int64_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out.data()[i], 0.0f);
+  for (const int64_t n : {int64_t{1}, int64_t{8}}) {
+    Rng rng(195);
+    const HalfMatrix x = HalfMatrix::Random(64, n, rng);
+    const FloatMatrix out = CpuSpmm(TcaBmeMatrix::Encode(w), x);
+    for (int64_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out.data()[i], 0.0f) << "n=" << n;
+    }
   }
 }
 

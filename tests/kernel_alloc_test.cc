@@ -1,5 +1,5 @@
-// Warm CPU SpMM/SpMV calls, paged-attention calls, KV-cache rewinds and
-// model steps allocate nothing on the heap, at every pool width.
+// Warm CPU SpMM calls (N = 1 included), paged-attention calls, KV-cache
+// rewinds and model steps allocate nothing on the heap, at every pool width.
 //
 // cpu_backend.h promises that once the workspace and output have seen a
 // call's shapes, repeat calls are allocation-free. Workspace growth is
@@ -14,8 +14,6 @@
 #include <new>
 
 #include "src/core/cpu_backend.h"
-#include "src/core/cpu_spmv.h"
-#include "src/format/tca_bme_quant.h"
 #include "src/llm/paged_attention.h"
 #include "src/llm/tiny_transformer.h"
 #include "src/pruning/magnitude.h"
@@ -175,21 +173,7 @@ TEST_F(KernelAllocTest, WarmFloatSpmvCallAllocatesNothing) {
     ThreadPool::SetGlobalThreads(threads);
     SpmmWorkspace ws;
     FloatMatrix out;
-    EXPECT_EQ(WarmAllocations([&] { CpuSpmvQuantInto(enc, x, &ws, &out); }), 0)
-        << threads << " threads";
-  }
-}
-
-TEST_F(KernelAllocTest, WarmInt8SpmvCallAllocatesNothing) {
-  Rng rng(812);
-  const HalfMatrix w = HalfMatrix::RandomSparse(192, 160, 0.6, rng);
-  const TcaBmeQuantMatrix enc = TcaBmeQuantMatrix::Encode(w);
-  const FloatMatrix x = RandomActivations(160, 1, rng);
-  for (const int threads : kPoolWidths) {
-    ThreadPool::SetGlobalThreads(threads);
-    SpmmWorkspace ws;
-    FloatMatrix out;
-    EXPECT_EQ(WarmAllocations([&] { CpuSpmvInt8Into(enc, x, &ws, &out); }), 0)
+    EXPECT_EQ(WarmAllocations([&] { CpuSpmmQuantInto(enc, x, &ws, &out); }), 0)
         << threads << " threads";
   }
 }

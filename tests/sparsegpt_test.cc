@@ -6,8 +6,6 @@
 
 #include "src/pruning/linalg.h"
 #include "src/pruning/magnitude.h"
-#include "src/pruning/nm_pruner.h"
-#include "src/format/sparta_format.h"
 #include "src/util/random.h"
 
 namespace spinfer {
@@ -137,62 +135,6 @@ TEST(SparseGptTest, ZeroSparsityKeepsWeightsIntact) {
   for (int64_t i = 0; i < w.size(); ++i) {
     // No pruning -> no compensation -> identical bits.
     EXPECT_EQ(pruned.data()[i].bits(), w.data()[i].bits());
-  }
-}
-
-// ---- N:M --------------------------------------------------------------------
-
-TEST(NmPrunerTest, TwoFourPattern) {
-  Rng rng(205);
-  const HalfMatrix w = HalfMatrix::Random(8, 64, rng);
-  const NmPruner pruner(2, 4);
-  EXPECT_EQ(pruner.name(), "2:4");
-  EXPECT_DOUBLE_EQ(pruner.PatternSparsity(), 0.5);
-  const HalfMatrix pruned = pruner.Prune(w, 0.0);
-  for (int64_t r = 0; r < 8; ++r) {
-    for (int64_t g = 0; g < 16; ++g) {
-      int nnz = 0;
-      for (int i = 0; i < 4; ++i) {
-        nnz += !pruned.at(r, g * 4 + i).IsZero();
-      }
-      EXPECT_LE(nnz, 2);
-    }
-  }
-  EXPECT_NEAR(pruned.Sparsity(), 0.5, 1e-9);
-}
-
-TEST(NmPrunerTest, KeepsLargestInGroup) {
-  HalfMatrix w(1, 4);
-  w.at(0, 0) = Half(0.1f);
-  w.at(0, 1) = Half(-5.0f);
-  w.at(0, 2) = Half(0.2f);
-  w.at(0, 3) = Half(3.0f);
-  const HalfMatrix pruned = NmPruner(2, 4).Prune(w, 0.0);
-  EXPECT_TRUE(pruned.at(0, 0).IsZero());
-  EXPECT_FALSE(pruned.at(0, 1).IsZero());
-  EXPECT_TRUE(pruned.at(0, 2).IsZero());
-  EXPECT_FALSE(pruned.at(0, 3).IsZero());
-}
-
-// An N:M-pruned matrix fits entirely in SparTA's structured component.
-TEST(NmPrunerTest, TwoFourOutputHasEmptySpartaResidual) {
-  Rng rng(206);
-  const HalfMatrix w = HalfMatrix::Random(32, 64, rng);
-  const HalfMatrix pruned = NmPruner(2, 4).Prune(w, 0.0);
-  const SpartaMatrix enc = SpartaMatrix::Encode(pruned);
-  EXPECT_EQ(enc.residual_nnz(), 0);
-}
-
-TEST(NmPrunerTest, RaggedTailGroups) {
-  Rng rng(207);
-  const HalfMatrix w = HalfMatrix::Random(4, 10, rng);  // 10 = 2 groups + tail of 2
-  const HalfMatrix pruned = NmPruner(1, 4).Prune(w, 0.0);
-  for (int64_t r = 0; r < 4; ++r) {
-    int nnz_tail = 0;
-    for (int64_t c = 8; c < 10; ++c) {
-      nnz_tail += !pruned.at(r, c).IsZero();
-    }
-    EXPECT_LE(nnz_tail, 1);
   }
 }
 

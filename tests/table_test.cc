@@ -37,5 +37,22 @@ TEST(CliTest, ParsesForms) {
   EXPECT_FALSE(flags.Has("missing"));
 }
 
+// A bad command line is the user's error, not a broken invariant: each form
+// exits 1 with an error line naming the argument, flag or value.
+TEST(CliDeathTest, BadInputExitsOneNamingIt) {
+  const char* stray[] = {"prog", "--threads=4", "stray"};
+  EXPECT_EXIT(CliFlags(3, const_cast<char**>(stray)),
+              ::testing::ExitedWithCode(1), "error: unexpected argument 'stray'");
+  const char* typo[] = {"prog", "--treads=4"};
+  EXPECT_EXIT(CliFlags(2, const_cast<char**>(typo)).RestrictTo({"threads"}),
+              ::testing::ExitedWithCode(1), "error: unknown flag --treads");
+  const char* word[] = {"prog", "--threads=four", "--scale=0.5x"};
+  const CliFlags flags(3, const_cast<char**>(word));
+  EXPECT_EXIT(flags.GetInt("threads", 0), ::testing::ExitedWithCode(1),
+              "error: --threads takes an integer, got 'four'");
+  EXPECT_EXIT(flags.GetDouble("scale", 1.0), ::testing::ExitedWithCode(1),
+              "error: --scale takes a number, got '0.5x'");
+}
+
 }  // namespace
 }  // namespace spinfer

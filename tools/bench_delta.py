@@ -38,7 +38,6 @@ EXPECTED_BENCHES = (
     "cpu_spmm_n64_t4",
     "cpu_spmv",
     "cpu_spmv_portable",
-    "cpu_spmv_int8",
     "tiny_transformer_decode_step",
     "paged_attention_ctx256",
     "paged_attention_ctx2048",

@@ -58,17 +58,17 @@ class RenderTest(unittest.TestCase):
     def test_expected_list_covers_spmv_family(self):
         # The batch-1 decode fast path must stay in the perf smoke; losing
         # these records would hide a routing regression.
-        for name in ("cpu_spmv", "cpu_spmv_portable", "cpu_spmv_int8"):
+        for name in ("cpu_spmv", "cpu_spmv_portable"):
             self.assertIn(name, bench_delta.EXPECTED_BENCHES)
 
     def test_expected_bench_in_either_file_is_not_reported_missing(self):
         base = {n: rec(1.0) for n in bench_delta.EXPECTED_BENCHES
-                if n != "cpu_spmv_int8"}
+                if n != "cpu_spmm_n8_avx2"}
         cur = dict(base)
-        cur["cpu_spmv_int8"] = rec(2.0)  # present on one side only
+        cur["cpu_spmm_n8_avx2"] = rec(2.0)  # present on one side only
         out = "\n".join(bench_delta.render(base, cur))
         self.assertNotIn("missing from BOTH files", out)
-        self.assertIn("- `cpu_spmv_int8`: current only (2.000 ms)", out)
+        self.assertIn("- `cpu_spmm_n8_avx2`: current only (2.000 ms)", out)
 
 
 if __name__ == "__main__":
