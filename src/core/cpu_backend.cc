@@ -13,24 +13,14 @@
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/cpu_features.h"
-#include "src/util/function_ref.h"
 #include "src/util/thread_pool.h"
 
 namespace spinfer {
-
-namespace cpu_backend_detail {
-
-// Out-of-line (this TU is built without ISA-specific flags) so every SIMD
-// variant shares one clean copy; see the declaration for why.
-uint64_t SpmmPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
-
-}  // namespace cpu_backend_detail
 
 namespace {
 
 using cpu_backend_detail::kPortableTileMaxCols;
 using cpu_backend_detail::RowTerm;
-using cpu_backend_detail::SpmmPhaseRecorder;
 
 // Portable BitmapTile body: one bitmap row at a time, its nonzeros walked in
 // bit order into per-column accumulators read and written at the block's
@@ -137,36 +127,21 @@ struct PortableConvert {
 
 void ProcessGroupTileNarrowPortable(const TcaBmeMatrix& w, int64_t gt,
                                     const float* xf, int64_t n, int64_t j0,
-                                    int64_t nb, float* blk, int64_t ldb,
-                                    SpmmPhaseRecorder* rec) {
-  using cpu_backend_detail::ProcessGroupTileNarrow;
-  using Tile = cpu_backend_detail::TilePair<PortableTile8>;
-  if (rec != nullptr) {
-    ProcessGroupTileNarrow<true>(w, gt, xf, n, j0, nb, blk, ldb, Tile{},
-                                 PortableConvert{}, rec);
-  } else {
-    ProcessGroupTileNarrow<false>(w, gt, xf, n, j0, nb, blk, ldb, Tile{},
-                                  PortableConvert{});
-  }
+                                    int64_t nb, float* blk, int64_t ldb) {
+  cpu_backend_detail::ProcessGroupTileNarrow(
+      w, gt, xf, n, j0, nb, blk, ldb,
+      cpu_backend_detail::TilePair<PortableTile8>{}, PortableConvert{});
 }
 
 void ProcessGroupTileWidePortable(const TcaBmeMatrix& w, int64_t gt,
                                   const float* xf, int64_t n, int64_t j0,
-                                  int64_t nb, float* out, int64_t ldo,
-                                  SpmmPhaseRecorder* rec) {
-  using cpu_backend_detail::ProcessGroupTileWide;
-  if (rec != nullptr) {
-    ProcessGroupTileWide<true>(w, gt, xf, n, j0, nb, out, ldo, PortableRowFma{},
-                               PortableConvert{}, rec);
-  } else {
-    ProcessGroupTileWide<false>(w, gt, xf, n, j0, nb, out, ldo,
-                                PortableRowFma{}, PortableConvert{});
-  }
+                                  int64_t nb, float* out, int64_t ldo) {
+  cpu_backend_detail::ProcessGroupTileWide(w, gt, xf, n, j0, nb, out, ldo,
+                                           PortableRowFma{}, PortableConvert{});
 }
 
 using GroupTileFn = void (*)(const TcaBmeMatrix&, int64_t, const float*, int64_t,
-                             int64_t, int64_t, float*, int64_t,
-                             SpmmPhaseRecorder*);
+                             int64_t, int64_t, float*, int64_t);
 
 // A variant's two kernels and the widest block its narrow one takes.
 struct VariantKernels {
@@ -198,41 +173,6 @@ const VariantKernels& KernelsFor(CpuSpmmVariant v) {
   return kPortable;
 }
 
-// Runs row(gtr, rec) once per GroupTile grid row gtr in [0, grid_rows) on
-// the global ThreadPool. Each row owns the output rows of one grid row, so
-// writes are disjoint and bits are thread-count-independent. The tracing
-// check is hoisted out of the loop: untraced rows get a null recorder (the
-// kernels' untimed instantiation, zero instrumentation); traced rows get a
-// fresh recorder and are emitted as one cpu_spmm.row_task span plus
-// back-to-back synthetic child slices whose durations are the row's
-// per-phase totals.
-void RowParallelSweep(int64_t grid_rows,
-                      FunctionRef<void(int64_t, SpmmPhaseRecorder*)> row) {
-  const bool traced = obs::TracingEnabled();
-  ParallelFor(0, grid_rows, [&row, traced](int64_t gtr) {
-    if (!traced) {
-      row(gtr, nullptr);
-      return;
-    }
-    SpmmPhaseRecorder rec;
-    obs::Tracer& tracer = obs::Tracer::Global();
-    const uint64_t task_start = tracer.NowNs();
-    row(gtr, &rec);
-    const uint64_t task_end = tracer.NowNs();
-    obs::TraceArg task_args[3] = {{"gt_row", gtr},
-                                  {"tiles", static_cast<int64_t>(rec.tiles)},
-                                  {"nnz", static_cast<int64_t>(rec.nnz)}};
-    tracer.Record("cpu_spmm.row_task", task_start, task_end - task_start,
-                  task_args, 3);
-    uint64_t slice_start = task_start;
-    tracer.Record("cpu_spmm.convert", slice_start, rec.convert_ns);
-    slice_start += rec.convert_ns;
-    tracer.Record("cpu_spmm.decode", slice_start, rec.decode_ns);
-    slice_start += rec.decode_ns;
-    tracer.Record("cpu_spmm.accumulate", slice_start, rec.accumulate_ns);
-  });
-}
-
 // Copies rows [r0, r1) of output columns [j0, j0+nb) from the row-major
 // output (row stride n) into the column-major block (column stride ldb), or
 // back when `to_block` is false.
@@ -253,9 +193,10 @@ void CopyBlockRows(float* out, int64_t n, int64_t j0, int64_t nb, float* blk,
 
 // Shared accumulate core: fills the FP32 X panel once (`fill_panel` is the
 // only thing the FP16 and quantize-FP32 entry points differ in), then sweeps
-// N blocks x GroupTile columns inside the row-parallel sweep. The
-// per-element accumulation order (N-block, then GroupTile column, then
-// storage bit order) is fixed regardless of thread count.
+// N blocks x GroupTile columns, one GroupTile grid row per ParallelFor
+// index. Each grid row owns the output rows of its GroupTiles, so writes are
+// disjoint, and the per-element accumulation order (N-block, then GroupTile
+// column, then storage bit order) is fixed regardless of thread count.
 //
 // A block at most the variant's tile width wide runs its narrow kernel on a
 // column-major copy of its columns: each grid row copies its own rows of the
@@ -289,8 +230,6 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
   ws->block.Reserve(static_cast<size_t>(m * std::min(n, kernels.tile_max_cols)));
   float* xf = ws->x_panel.data();
   {
-    // Named like the per-tile value staging so trace_report aggregates the
-    // whole half->float phase under one row.
     SPINFER_TRACE_SCOPE("cpu_spmm.convert");
     fill_panel(xf);
   }
@@ -299,27 +238,26 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
   const int64_t gt_rows = w.config().gt_rows;
   float* out_data = out->data();
   float* blk = n == 1 ? out_data : ws->block.data();
-  RowParallelSweep(
-      w.gt_grid_rows(), [&](int64_t gtr, SpmmPhaseRecorder* rec) {
-        const int64_t r0 = gtr * gt_rows;
-        const int64_t r1 = std::min(m, r0 + gt_rows);
-        for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
-          const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
-          const bool narrow = nb <= kernels.tile_max_cols;
-          const GroupTileFn kernel = narrow ? kernels.narrow : kernels.wide;
-          float* dst = narrow ? blk : out_data;
-          const int64_t ldo = narrow ? m : n;
-          if (dst != out_data) {
-            CopyBlockRows(out_data, n, j0, nb, blk, m, r0, r1, true);
-          }
-          for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
-            kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, dst, ldo, rec);
-          }
-          if (dst != out_data) {
-            CopyBlockRows(out_data, n, j0, nb, blk, m, r0, r1, false);
-          }
-        }
-      });
+  ParallelFor(0, w.gt_grid_rows(), [&](int64_t gtr) {
+    const int64_t r0 = gtr * gt_rows;
+    const int64_t r1 = std::min(m, r0 + gt_rows);
+    for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
+      const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
+      const bool narrow = nb <= kernels.tile_max_cols;
+      const GroupTileFn kernel = narrow ? kernels.narrow : kernels.wide;
+      float* dst = narrow ? blk : out_data;
+      const int64_t ldo = narrow ? m : n;
+      if (dst != out_data) {
+        CopyBlockRows(out_data, n, j0, nb, blk, m, r0, r1, true);
+      }
+      for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
+        kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, dst, ldo);
+      }
+      if (dst != out_data) {
+        CopyBlockRows(out_data, n, j0, nb, blk, m, r0, r1, false);
+      }
+    }
+  });
 }
 
 void AccumulateImpl(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
@@ -327,24 +265,6 @@ void AccumulateImpl(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* w
   AccumulateCore(
       w, x.rows(), x.cols(), [&](float* xf) { ToFloatInto(x, xf); }, ws, out,
       variant);
-}
-
-// FP32 input: quantize to FP16 on the fly while filling the panel. The panel
-// bits equal float(Half(x[i])) — exactly what ToFloatInto produces from a
-// pre-converted HalfMatrix — so the two entry families are bit-identical.
-void QuantAccumulateImpl(const TcaBmeMatrix& w, const FloatMatrix& x,
-                         SpmmWorkspace* ws, FloatMatrix* out,
-                         CpuSpmmVariant variant) {
-  AccumulateCore(
-      w, x.rows(), x.cols(),
-      [&](float* xf) {
-        const float* src = x.data();
-        const int64_t size = x.size();
-        for (int64_t i = 0; i < size; ++i) {
-          xf[i] = Half(src[i]).ToFloat();
-        }
-      },
-      ws, out, variant);
 }
 
 }  // namespace
@@ -419,17 +339,24 @@ void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
   AccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
 }
 
-void CpuSpmmQuantAccumulateInto(const TcaBmeMatrix& w, const FloatMatrix& x,
-                                SpmmWorkspace* ws, FloatMatrix* out) {
-  QuantAccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
-}
-
 void CpuSpmmQuantInto(const TcaBmeMatrix& w, const FloatMatrix& x,
                       SpmmWorkspace* ws, FloatMatrix* out) {
   SPINFER_CHECK_EQ(w.cols(), x.rows());
   out->Reshape(w.rows(), x.cols());
   out->Fill(0.0f);
-  QuantAccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
+  // Quantizes to FP16 on the fly while filling the panel. The panel bits
+  // equal float(Half(x[i])), exactly what ToFloatInto produces from a
+  // pre-converted HalfMatrix, so this is bit-identical to CpuSpmmInto.
+  AccumulateCore(
+      w, x.rows(), x.cols(),
+      [&](float* xf) {
+        const float* src = x.data();
+        const int64_t size = x.size();
+        for (int64_t i = 0; i < size; ++i) {
+          xf[i] = Half(src[i]).ToFloat();
+        }
+      },
+      ws, out, ActiveCpuSpmmVariant());
 }
 
 FloatMatrix CpuSpmm(const TcaBmeMatrix& w, const HalfMatrix& x) {
@@ -437,11 +364,6 @@ FloatMatrix CpuSpmm(const TcaBmeMatrix& w, const HalfMatrix& x) {
   SpmmWorkspace ws;
   CpuSpmmInto(w, x, &ws, &out);
   return out;
-}
-
-void CpuSpmmAccumulate(const TcaBmeMatrix& w, const HalfMatrix& x, FloatMatrix* out) {
-  SpmmWorkspace ws;
-  CpuSpmmAccumulateInto(w, x, &ws, out);
 }
 
 }  // namespace spinfer

@@ -80,21 +80,18 @@ void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
 void CpuSpmmAccumulateInto(const TcaBmeMatrix& w, const HalfMatrix& x,
                            SpmmWorkspace* ws, FloatMatrix* out);
 
-// Quantize-and-run forms for FP32 activations: each element of `x` is
+// Quantize-and-run form for FP32 activations: each element of `x` is
 // rounded to FP16 while the FP32 panel is built (panel = float(half(x))),
-// bit-identical to converting `x` into a HalfMatrix first and calling the
-// FP16 entry points — without materializing the intermediate FP16 matrix.
-// The serving decode path feeds its FP32 activations straight through these,
+// bit-identical to converting `x` into a HalfMatrix first and calling
+// CpuSpmmInto — without materializing the intermediate FP16 matrix. The
+// serving decode path feeds its FP32 activations straight through this,
 // removing one staging buffer and one full conversion pass per matmul.
 void CpuSpmmQuantInto(const TcaBmeMatrix& w, const FloatMatrix& x,
                       SpmmWorkspace* ws, FloatMatrix* out);
-void CpuSpmmQuantAccumulateInto(const TcaBmeMatrix& w, const FloatMatrix& x,
-                                SpmmWorkspace* ws, FloatMatrix* out);
 
-// Legacy conveniences; thin wrappers over the workspace API that pay one
+// Legacy convenience; a thin wrapper over the workspace API that pays one
 // workspace allocation per call. Results are identical.
 FloatMatrix CpuSpmm(const TcaBmeMatrix& w, const HalfMatrix& x);
-void CpuSpmmAccumulate(const TcaBmeMatrix& w, const HalfMatrix& x, FloatMatrix* out);
 
 // --- SIMD dispatch introspection (tests, benches, diagnostics) -------------
 

@@ -262,42 +262,27 @@ struct Avx2Convert {
 
 void ProcessGroupTileNarrowAvx2(const TcaBmeMatrix& w, int64_t gt,
                                 const float* xf, int64_t n, int64_t j0,
-                                int64_t nb, float* blk, int64_t ldb,
-                                SpmmPhaseRecorder* rec) {
-  using Tile = TilePair<Avx2Tile8>;
-  if (rec != nullptr) {
-    ProcessGroupTileNarrow<true>(w, gt, xf, n, j0, nb, blk, ldb, Tile{},
-                                 Avx2Convert{}, rec);
-  } else {
-    ProcessGroupTileNarrow<false>(w, gt, xf, n, j0, nb, blk, ldb, Tile{},
-                                  Avx2Convert{});
-  }
+                                int64_t nb, float* blk, int64_t ldb) {
+  ProcessGroupTileNarrow(w, gt, xf, n, j0, nb, blk, ldb, TilePair<Avx2Tile8>{},
+                         Avx2Convert{});
 }
 
 void ProcessGroupTileWideAvx2(const TcaBmeMatrix& w, int64_t gt,
                               const float* xf, int64_t n, int64_t j0,
-                              int64_t nb, float* out, int64_t ldo,
-                              SpmmPhaseRecorder* rec) {
-  if (rec != nullptr) {
-    ProcessGroupTileWide<true>(w, gt, xf, n, j0, nb, out, ldo, Avx2RowFma{},
-                               Avx2Convert{}, rec);
-  } else {
-    ProcessGroupTileWide<false>(w, gt, xf, n, j0, nb, out, ldo, Avx2RowFma{},
-                                Avx2Convert{});
-  }
+                              int64_t nb, float* out, int64_t ldo) {
+  ProcessGroupTileWide(w, gt, xf, n, j0, nb, out, ldo, Avx2RowFma{},
+                       Avx2Convert{});
 }
 
 #else  // !SPINFER_CPU_BACKEND_AVX2
 
 void ProcessGroupTileNarrowAvx2(const TcaBmeMatrix&, int64_t, const float*,
-                                int64_t, int64_t, int64_t, float*, int64_t,
-                                SpmmPhaseRecorder*) {
+                                int64_t, int64_t, int64_t, float*, int64_t) {
   SPINFER_CHECK_MSG(false, "AVX2 CPU SpMM kernel was not compiled into this binary");
 }
 
 void ProcessGroupTileWideAvx2(const TcaBmeMatrix&, int64_t, const float*,
-                              int64_t, int64_t, int64_t, float*, int64_t,
-                              SpmmPhaseRecorder*) {
+                              int64_t, int64_t, int64_t, float*, int64_t) {
   SPINFER_CHECK_MSG(false, "AVX2 CPU SpMM kernel was not compiled into this binary");
 }
 

@@ -175,22 +175,15 @@ struct Avx512Convert {
 
 void ProcessGroupTileNarrowAvx512(const TcaBmeMatrix& w, int64_t gt,
                                   const float* xf, int64_t n, int64_t j0,
-                                  int64_t nb, float* blk, int64_t ldb,
-                                  SpmmPhaseRecorder* rec) {
-  if (rec != nullptr) {
-    ProcessGroupTileNarrow<true>(w, gt, xf, n, j0, nb, blk, ldb, Avx512Tile{},
-                                 Avx512Convert{}, rec);
-  } else {
-    ProcessGroupTileNarrow<false>(w, gt, xf, n, j0, nb, blk, ldb, Avx512Tile{},
-                                  Avx512Convert{});
-  }
+                                  int64_t nb, float* blk, int64_t ldb) {
+  ProcessGroupTileNarrow(w, gt, xf, n, j0, nb, blk, ldb, Avx512Tile{},
+                         Avx512Convert{});
 }
 
 #else  // !SPINFER_CPU_BACKEND_AVX512
 
 void ProcessGroupTileNarrowAvx512(const TcaBmeMatrix&, int64_t, const float*,
-                                  int64_t, int64_t, int64_t, float*, int64_t,
-                                  SpmmPhaseRecorder*) {
+                                  int64_t, int64_t, int64_t, float*, int64_t) {
   SPINFER_CHECK_MSG(false,
                     "AVX-512 CPU SpMM kernel was not compiled into this binary");
 }

@@ -30,27 +30,6 @@ struct RowTerm {
   const float* xrow;
 };
 
-// Per-row-task phase accounting for tracing. Timing is a compile-time
-// template parameter of the ProcessGroupTile* kernels (`kTimed`), so the
-// untraced instantiation contains no timing code at all — bit-for-bit the
-// pre-instrumentation loop; the driver selects the instantiation once per
-// task on the hoisted tracing flag (see src/obs/trace.h). When active,
-// decode/convert/accumulate nanoseconds accumulate here and the driver emits
-// them as synthetic child slices of the row-task span.
-//
-// Now() is defined out-of-line in cpu_backend.cc on purpose: this header is
-// compiled into TUs with different ISA flags, and an inline body could hand
-// AVX-encoded code to the portable path via COMDAT merging.
-struct SpmmPhaseRecorder {
-  uint64_t convert_ns = 0;     // half->float staging of tile Values
-  uint64_t decode_ns = 0;      // RowTerm gathering; wide blocks only
-  uint64_t accumulate_ns = 0;  // row updates, incl. the narrow tile's decode
-  uint64_t tiles = 0;          // nonzero BitmapTiles processed
-  uint64_t nnz = 0;            // nonzeros consumed
-
-  uint64_t Now() const;  // Tracer clock (respects an injected FakeClock)
-};
-
 // Widest N-block each variant's narrow kernel takes: blocks at most this
 // wide run the variant's half-column tile on a column-major copy of the
 // block; wider ones run its wide kernel, which stages RowTerms. The portable
@@ -136,41 +115,21 @@ static inline void EdgeBitmapTile(uint64_t bitmap, const float* tile_vals,
   }
 }
 
-// Converts `count` of a GroupTile's Values, from `src`, into `dst` — one
-// batch per visit of the walk, so the hot updates read floats and the
-// conversion vectorizes — and charges the batch to `rec` when timed.
-// `tiles` is the number of nonzero BitmapTiles the batch covers.
-template <bool kTimed, typename ConvertFn>
-static void StageValues(const ConvertFn& convert, const Half* src, int count,
-                        int tiles, float* dst, SpmmPhaseRecorder* rec) {
-  uint64_t t_phase = 0;
-  if constexpr (kTimed) {
-    t_phase = rec->Now();
-  }
-  convert(src, dst, static_cast<size_t>(count));
-  if constexpr (kTimed) {
-    rec->convert_ns += rec->Now() - t_phase;
-    rec->tiles += static_cast<uint64_t>(tiles);
-    rec->nnz += static_cast<uint64_t>(count);
-  }
-}
-
 // Applies one GroupTile's nonzeros to a narrow block — output columns
 // [j0, j0 + nb), nb at most the variant's tile width — held column-major in
 // `blk` with column stride `ldb` (see the HalfColumnTile contract), reading
 // activations from the fp32 panel `xf` (row-major K x N). The walk visits
 // TCTile half-columns (ForEachNonzeroHalfColumn) and stages both tiles'
-// Values in one batch into an L1-resident array. A half-column that crosses
-// the matrix edge runs EdgeBitmapTile on each of its nonzero tiles. The tile
-// fuses its decode into the sweep, so it charges wholly to accumulate. The
-// caller owns N-blocking, the block layout and row-parallelism.
-template <bool kTimed, typename HalfColumnTile, typename ConvertFn>
+// Values in one batch into an L1-resident array, so the hot updates read
+// floats and the conversion vectorizes. A half-column that crosses the
+// matrix edge runs EdgeBitmapTile on each of its nonzero tiles. The caller
+// owns N-blocking, the block layout and row-parallelism.
+template <typename HalfColumnTile, typename ConvertFn>
 static void ProcessGroupTileNarrow(const TcaBmeMatrix& w, int64_t gt,
                                    const float* xf, int64_t n, int64_t j0,
                                    int64_t nb, float* blk, int64_t ldb,
                                    const HalfColumnTile& tile,
-                                   const ConvertFn& convert,
-                                   SpmmPhaseRecorder* rec = nullptr) {
+                                   const ConvertFn& convert) {
   const Half* hvalues = w.values().data();
   const int64_t m = w.rows();
   const int64_t k = w.cols();
@@ -178,12 +137,8 @@ static void ProcessGroupTileNarrow(const TcaBmeMatrix& w, int64_t gt,
                                       size_t first, int64_t bt_r, int64_t bt_c) {
     alignas(64) float vals[2 * kBitmapTileDim * kBitmapTileDim + kTileValsPad];
     const int pc_upper = std::popcount(upper);
-    StageValues<kTimed>(convert, hvalues + first, pc_upper + std::popcount(lower),
-                        (upper != 0) + (lower != 0), vals, rec);
-    uint64_t t_phase = 0;
-    if constexpr (kTimed) {
-      t_phase = rec->Now();
-    }
+    convert(hvalues + first, vals,
+            static_cast<size_t>(pc_upper + std::popcount(lower)));
     if (bt_r + 2 * kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
       if (upper != 0) {
         EdgeBitmapTile(upper, vals, bt_r, bt_c, m, k, xf, n, j0, nb, blk,
@@ -196,9 +151,6 @@ static void ProcessGroupTileNarrow(const TcaBmeMatrix& w, int64_t gt,
       }
     } else {
       tile(upper, lower, vals, bt_r, bt_c, xf, n, j0, nb, blk, ldb);
-    }
-    if constexpr (kTimed) {
-      rec->accumulate_ns += rec->Now() - t_phase;
     }
   });
 }
@@ -228,30 +180,22 @@ struct TilePair {
 // each interior BitmapTile row's nonzeros once as RowTerms and replaying
 // them through `row_fma` per register tile. ForEachNonzeroTile supplies the
 // storage-order walk and each tile's Values offset.
-template <bool kTimed, typename RowFma, typename ConvertFn>
+template <typename RowFma, typename ConvertFn>
 static void ProcessGroupTileWide(const TcaBmeMatrix& w, int64_t gt,
                                  const float* xf, int64_t n, int64_t j0,
                                  int64_t nb, float* out, int64_t ldo,
-                                 const RowFma& row_fma, const ConvertFn& convert,
-                                 SpmmPhaseRecorder* rec = nullptr) {
+                                 const RowFma& row_fma, const ConvertFn& convert) {
   const Half* hvalues = w.values().data();
   const int64_t m = w.rows();
   const int64_t k = w.cols();
   ForEachNonzeroTile(w, gt, [&](uint64_t bitmap, int64_t /*bi*/, size_t first,
                                 int64_t bt_r, int64_t bt_c) {
     alignas(32) float tile_vals[kBitmapTileDim * kBitmapTileDim + kTileValsPad];
-    StageValues<kTimed>(convert, hvalues + first, std::popcount(bitmap), 1,
-                        tile_vals, rec);
-    uint64_t t_phase = 0;
+    convert(hvalues + first, tile_vals,
+            static_cast<size_t>(std::popcount(bitmap)));
     if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
-      if constexpr (kTimed) {
-        t_phase = rec->Now();
-      }
       EdgeBitmapTile(bitmap, tile_vals, bt_r, bt_c, m, k, xf, n, j0, nb,
                      out + j0, /*row_stride=*/ldo, /*col_stride=*/1);
-      if constexpr (kTimed) {
-        rec->accumulate_ns += rec->Now() - t_phase;
-      }
       return;
     }
     // Interior tile: bits are row-major (bit = r*8 + c), so each bitmap byte
@@ -264,9 +208,6 @@ static void ProcessGroupTileWide(const TcaBmeMatrix& w, int64_t gt,
       if (rowmask == 0) {
         continue;
       }
-      if constexpr (kTimed) {
-        t_phase = rec->Now();
-      }
       RowTerm terms[kBitmapTileDim];
       int count = 0;
       while (rowmask != 0) {
@@ -277,44 +218,33 @@ static void ProcessGroupTileWide(const TcaBmeMatrix& w, int64_t gt,
         ++count;
       }
       tv += count;
-      if constexpr (kTimed) {
-        const uint64_t t_mid = rec->Now();
-        rec->decode_ns += t_mid - t_phase;
-        t_phase = t_mid;
-      }
       row_fma(out + (bt_r + rr) * ldo + j0, terms, count, nb);
-      if constexpr (kTimed) {
-        rec->accumulate_ns += rec->Now() - t_phase;
-      }
     }
   });
 }
 
 // Per-GroupTile kernels of the SIMD units, each with the arguments of the
 // templates above (the narrow ones writing the column-major block, the wide
-// ones the row-major output) plus the recorder (null: the untimed
-// instantiation). Call a unit's kernels only when its *Compiled() is true
-// and the running CPU advertises its features (CpuSpmmVariantAvailable).
+// ones the row-major output). Call a unit's kernels only when its
+// *Compiled() is true and the running CPU advertises its features
+// (CpuSpmmVariantAvailable).
 //
 // cpu_backend_avx2.cc, built with -mavx2 -mfma -mf16c when the compiler
 // supports them: the AVX2 tile and RowTerm update.
 bool CpuSpmmAvx2Compiled();
 void ProcessGroupTileNarrowAvx2(const TcaBmeMatrix& w, int64_t gt,
                                 const float* xf, int64_t n, int64_t j0,
-                                int64_t nb, float* blk, int64_t ldb,
-                                SpmmPhaseRecorder* rec);
+                                int64_t nb, float* blk, int64_t ldb);
 void ProcessGroupTileWideAvx2(const TcaBmeMatrix& w, int64_t gt,
                               const float* xf, int64_t n, int64_t j0,
-                              int64_t nb, float* out, int64_t ldo,
-                              SpmmPhaseRecorder* rec);
+                              int64_t nb, float* out, int64_t ldo);
 // cpu_backend_avx512.cc, additionally built with -mavx512f -mavx512vl
 // -mavx512bw -mavx512dq: the AVX-512 tile only. The variant's wide blocks
 // run ProcessGroupTileWideAvx2.
 bool CpuSpmmAvx512Compiled();
 void ProcessGroupTileNarrowAvx512(const TcaBmeMatrix& w, int64_t gt,
                                   const float* xf, int64_t n, int64_t j0,
-                                  int64_t nb, float* blk, int64_t ldb,
-                                  SpmmPhaseRecorder* rec);
+                                  int64_t nb, float* blk, int64_t ldb);
 
 }  // namespace cpu_backend_detail
 }  // namespace spinfer

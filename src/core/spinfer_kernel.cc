@@ -76,9 +76,6 @@ FloatMatrix SpInferSpmmKernel::RunEncoded(const TcaBmeMatrix& enc, const HalfMat
 
   FloatMatrix out(m, n);
 
-  // Enabled check hoisted once per call; per-block instrumentation below
-  // branches on this local, not the atomic.
-  const bool tracing = obs::TracingEnabled();
   obs::TraceScope call_scope("sim.run_encoded");
   if (call_scope.active()) {
     call_scope.AddArg("m", m);
@@ -119,14 +116,6 @@ FloatMatrix SpInferSpmmKernel::RunEncoded(const TcaBmeMatrix& enc, const HalfMat
       return reinterpret_cast<float(*)[8]>(
           &acc[(static_cast<size_t>(tcr) * n8 + nt) * kTileElems]);
     };
-
-    // Pipeline-stage wall-clock, aggregated per block and emitted below as
-    // synthetic child slices of the sim.block span (same scheme as the CPU
-    // backend's phase recorder). Untouched when tracing is off.
-    obs::Tracer& tracer = obs::Tracer::Global();
-    uint64_t xload_ns = 0, decode_ns = 0, mma_ns = 0;
-    const uint64_t block_start = tracing ? tracer.NowNs() : 0;
-    uint64_t t_phase = 0;
 
     for (int64_t gc = gc_begin; gc < gc_end; ++gc) {
       const int64_t gt = block_m * grid_c + gc;
@@ -169,9 +158,6 @@ FloatMatrix SpInferSpmmKernel::RunEncoded(const TcaBmeMatrix& enc, const HalfMat
         // bounds-checked and converted exactly once per slab instead of once
         // per (tcr, mma) — the same values the per-MMA fragment gather
         // produced.
-        if (tracing) {
-          t_phase = tracer.NowNs();
-        }
         for (int64_t nt = 0; nt < n8; ++nt) {
           MmaBOperand& bop = b_ops[static_cast<size_t>(nt)];
           for (int nn = 0; nn < 8; ++nn) {
@@ -183,17 +169,11 @@ FloatMatrix SpInferSpmmKernel::RunEncoded(const TcaBmeMatrix& enc, const HalfMat
             }
           }
         }
-        if (tracing) {
-          xload_ns += tracer.NowNs() - t_phase;
-        }
 
         for (int tcr = 0; tcr < tc_rows; ++tcr) {
           // SMBD: quadrant bitmaps and value-run base pointers, advanced
           // online with PopCount (no stored offsets).
           const int tc = tcc * tc_rows + tcr;
-          if (tracing) {
-            t_phase = tracer.NowNs();
-          }
           uint64_t bitmaps[4];
           const Half* quadrant_values[4];
           for (int q = 0; q < 4; ++q) {
@@ -209,20 +189,12 @@ FloatMatrix SpInferSpmmKernel::RunEncoded(const TcaBmeMatrix& enc, const HalfMat
           // every n-tile below.
           MmaAOperand a_op;
           GatherMmaA(a_frag, &a_op);
-          if (tracing) {
-            const uint64_t t_mid = tracer.NowNs();
-            decode_ns += t_mid - t_phase;
-            t_phase = t_mid;
-          }
 
           for (int64_t nt = 0; nt < n8; ++nt) {
             MmaM16N8K16Tile(a_op, b_ops[static_cast<size_t>(nt)],
                             acc_tile(tcr, nt));
             local.mma_instrs += 1;
             local.flops += 2ull * 16 * 16 * 8;
-          }
-          if (tracing) {
-            mma_ns += tracer.NowNs() - t_phase;
           }
         }
       }
@@ -231,25 +203,6 @@ FloatMatrix SpInferSpmmKernel::RunEncoded(const TcaBmeMatrix& enc, const HalfMat
       SPINFER_CHECK(cursor <= enc.gtile_offsets()[gt + 1]);
     }
 
-    if (tracing) {
-      // Block span tagged with its PerfCounters deltas (the per-block
-      // `local` totals), then the aggregated pipeline stages as back-to-back
-      // child slices.
-      const uint64_t block_end = tracer.NowNs();
-      obs::TraceArg args[5] = {
-          {"block_m", block_m},
-          {"split_p", p},
-          {"mma_instrs", static_cast<int64_t>(local.mma_instrs)},
-          {"ldgsts_instrs", static_cast<int64_t>(local.ldgsts_instrs)},
-          {"dram_bytes_read", static_cast<int64_t>(local.dram_bytes_read)}};
-      tracer.Record("sim.block", block_start, block_end - block_start, args, 5);
-      uint64_t slice = block_start;
-      tracer.Record("sim.xload", slice, xload_ns);
-      slice += xload_ns;
-      tracer.Record("sim.decode", slice, decode_ns);
-      slice += decode_ns;
-      tracer.Record("sim.mma", slice, mma_ns);
-    }
     block_counters[task] = local;
     partials[task] = std::move(acc);
   });

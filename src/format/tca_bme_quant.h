@@ -52,14 +52,9 @@ class TcaBmeQuantMatrix {
   int tc_rows_per_gt() const { return cfg_.gt_rows / kTcTileDim; }
   int tc_cols_per_gt() const { return cfg_.gt_cols / kTcTileDim; }
   int tcs_per_gt() const { return tc_rows_per_gt() * tc_cols_per_gt(); }
-  int64_t BitmapIndex(int64_t gt, int tc, int quadrant) const {
-    return (gt * tcs_per_gt() + tc) * 4 + quadrant;
-  }
 
   const std::vector<uint32_t>& gtile_offsets() const { return gtile_offsets_; }
   const std::vector<uint64_t>& bitmaps() const { return bitmaps_; }
-  const std::vector<int8_t>& codes() const { return codes_; }
-  const std::vector<Half>& scales() const { return scales_; }  // one per BitmapTile
 
  private:
   int64_t rows_ = 0;
@@ -71,7 +66,7 @@ class TcaBmeQuantMatrix {
   std::vector<uint32_t> gtile_offsets_;  // offsets into codes_, per GroupTile
   std::vector<uint64_t> bitmaps_;
   std::vector<int8_t> codes_;
-  std::vector<Half> scales_;
+  std::vector<Half> scales_;  // one per BitmapTile
 };
 
 // Closed-form storage model for the quantized variant.

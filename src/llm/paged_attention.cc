@@ -149,14 +149,11 @@ const AttnKernels kPortableKernels = {&QkBlock,     &PvBlock,
 
 const AttnKernels& PortableAttnKernels() { return kPortableKernels; }
 
-uint64_t AttnPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
-
 }  // namespace paged_attention_detail
 
 namespace {
 
 using paged_attention_detail::AttnKernels;
-using paged_attention_detail::AttnPhaseRecorder;
 using paged_attention_detail::kTileLanes;
 using Task = PagedAttentionScratch::Task;
 
@@ -211,14 +208,12 @@ struct BatchArgs {
   int64_t hd;
   int64_t group;  // query heads per kv head
   float inv_sqrt_d;
-  bool tracing;
 };
 
 // One (tile, query head): the tile's queries share one walk over the KV
 // blocks up to the tile's longest horizon for QK and one for PV; each
 // query's scores are a row of their own.
-template <bool kTimed>
-void RunTile(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
+void RunTile(const BatchArgs& a, const Task& task) {
   constexpr int kL = kTileLanes;
   const int64_t hd = a.hd;
   const int64_t r0q = task.head0 * hd;
@@ -248,10 +243,6 @@ void RunTile(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
   const std::vector<int32_t>& blocks = *a.block_lists[task.item];
   const int64_t kv_dim = a.cache->config().kv_dim;
   const int64_t bt = a.cache->config().block_tokens;
-  uint64_t t_phase = 0;
-  if constexpr (kTimed) {
-    t_phase = rec->Now();
-  }
   for (int64_t t0 = 0; t0 < keys; t0 += bt) {
     const Half* khead =
         a.cache->KBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]) +
@@ -259,21 +250,11 @@ void RunTile(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
     a.k->tile_qk_block(s.q, khead, std::min(bt, keys - t0), bt, hd,
                        a.inv_sqrt_d, s.scores + t0, ld);
   }
-  if constexpr (kTimed) {
-    const uint64_t now = rec->Now();
-    rec->qk_ns += now - t_phase;
-    t_phase = now;
-  }
   int64_t len[kL];
   for (int j = 0; j < kL; ++j) {
     len[j] = lane_ctx[j];
   }
   a.k->softmax_rows(s.scores, ld, task.lanes, len, s.denom);
-  if constexpr (kTimed) {
-    const uint64_t now = rec->Now();
-    rec->softmax_ns += now - t_phase;
-    t_phase = now;
-  }
   for (int64_t t0 = 0; t0 < keys; t0 += bt) {
     const Half* vhead =
         a.cache->VBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]) +
@@ -289,15 +270,11 @@ void RunTile(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
       a.out->at(r0q + r, col) = s.acc[j * hd + r] / s.denom[j];
     }
   }
-  if constexpr (kTimed) {
-    rec->pv_ns += rec->Now() - t_phase;
-  }
 }
 
 // One lone query over query heads [head0, head1): each KV block is walked
 // once for all of them (block-major), for QK and again for PV.
-template <bool kTimed>
-void RunLone(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
+void RunLone(const BatchArgs& a, const Task& task) {
   const int64_t hd = a.hd;
   const int64_t nh = task.head1 - task.head0;
   const int64_t ctx = task.keys;
@@ -311,10 +288,6 @@ void RunLone(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
   const std::vector<int32_t>& blocks = *a.block_lists[task.item];
   const int64_t kv_dim = a.cache->config().kv_dim;
   const int64_t bt = a.cache->config().block_tokens;
-  uint64_t t_phase = 0;
-  if constexpr (kTimed) {
-    t_phase = rec->Now();
-  }
   for (int64_t t0 = 0; t0 < ctx; t0 += bt) {
     const Half* kblock =
         a.cache->KBlockBase(a.layer, blocks[static_cast<size_t>(t0 / bt)]);
@@ -325,22 +298,12 @@ void RunLone(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
                     a.inv_sqrt_d, s.scores + hh * row + t0);
     }
   }
-  if constexpr (kTimed) {
-    const uint64_t now = rec->Now();
-    rec->qk_ns += now - t_phase;
-    t_phase = now;
-  }
   int64_t len[kTileLanes];
   std::fill(len, len + kTileLanes, ctx);
   for (int64_t hh = 0; hh < nh; hh += kTileLanes) {
     a.k->softmax_rows(s.scores + hh * row, row,
                       std::min<int64_t>(kTileLanes, nh - hh), len,
                       s.denom + hh);
-  }
-  if constexpr (kTimed) {
-    const uint64_t now = rec->Now();
-    rec->softmax_ns += now - t_phase;
-    t_phase = now;
   }
   for (int64_t t0 = 0; t0 < ctx; t0 += bt) {
     const Half* vblock =
@@ -358,42 +321,15 @@ void RunLone(const BatchArgs& a, const Task& task, AttnPhaseRecorder* rec) {
           s.acc[hh * hd + r] / s.denom[hh];
     }
   }
-  if constexpr (kTimed) {
-    rec->pv_ns += rec->Now() - t_phase;
-  }
 }
 
 void RunTask(const BatchArgs& a, int64_t idx) {
   const Task& task = a.tasks[idx];
-  if (!a.tracing) {
-    if (task.lanes == 0) {
-      RunLone<false>(a, task, nullptr);
-    } else {
-      RunTile<false>(a, task, nullptr);
-    }
-    return;
-  }
-  AttnPhaseRecorder rec;
-  obs::Tracer& tracer = obs::Tracer::Global();
-  const uint64_t task_start = tracer.NowNs();
   if (task.lanes == 0) {
-    RunLone<true>(a, task, &rec);
+    RunLone(a, task);
   } else {
-    RunTile<true>(a, task, &rec);
+    RunTile(a, task);
   }
-  const uint64_t task_end = tracer.NowNs();
-  obs::TraceArg task_args[5] = {{"seq", a.items[task.item].seq_id},
-                                {"head", task.head0},
-                                {"heads", task.head1 - task.head0},
-                                {"queries", std::max(task.lanes, 1)},
-                                {"ctx", task.keys}};
-  tracer.Record("attn.item", task_start, task_end - task_start, task_args, 5);
-  // Each task is one walk, but the phase split still matters for
-  // profiling: synthetic child slices laid end to end, like
-  // cpu_spmm.convert/decode/accumulate.
-  tracer.Record("attn.qk", task_start, rec.qk_ns);
-  tracer.Record("attn.softmax", task_start + rec.qk_ns, rec.softmax_ns);
-  tracer.Record("attn.pv", task_start + rec.qk_ns + rec.softmax_ns, rec.pv_ns);
 }
 
 void BatchImpl(const PagedKvCache& cache, int64_t layer, int64_t heads,
@@ -510,7 +446,6 @@ void BatchImpl(const PagedKvCache& cache, int64_t layer, int64_t heads,
   SPINFER_CHECK_EQ(n, n_tasks);
   ReserveGeometric(&scratch->floats, static_cast<size_t>(floats));
 
-  const bool tracing = obs::TracingEnabled();
   obs::TraceScope call_scope("paged_attn");
   if (call_scope.active()) {
     call_scope.AddArg("items", ni);
@@ -534,8 +469,7 @@ void BatchImpl(const PagedKvCache& cache, int64_t layer, int64_t heads,
           : &paged_attention_detail::PortableAttnKernels(),
       hd,
       heads / kv_heads,
-      1.0f / std::sqrt(static_cast<float>(hd)),
-      tracing};
+      1.0f / std::sqrt(static_cast<float>(hd))};
   // Each task owns disjoint output rows of its columns, so bits are
   // thread-count-independent. grain=1: tasks are coarse (a whole context
   // sweep) and ragged contexts make them uneven.

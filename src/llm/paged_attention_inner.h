@@ -45,16 +45,6 @@ inline constexpr int kTileLanes = 8;
 // 15.4-16.1 vs 21.2-22.9 at 7, 13.9-21.3 vs 22.0-23.6 at 8.
 inline constexpr int64_t kTileMinQueries = 5;
 
-// Per-task phase counters for the traced path, split at the kernel's three
-// stages. Now() is out-of-line (paged_attention.cc) so this header does not
-// pull in the tracer.
-struct AttnPhaseRecorder {
-  uint64_t qk_ns = 0;
-  uint64_t softmax_ns = 0;
-  uint64_t pv_ns = 0;
-  uint64_t Now() const;
-};
-
 // SoftmaxExp's constants (see its declaration in paged_attention.h), shared
 // by the scalar definition and the AVX2 mirror.
 inline constexpr float kExpLo = -87.3365447505531f;  // ln(FLT_MIN)

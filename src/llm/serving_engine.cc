@@ -15,15 +15,8 @@
 namespace spinfer {
 namespace {
 
-// Constant-folds every request-observability site away under
-// SPINFER_TRACING_DISABLED: guards read `kServingObs && ptr`, so the whole
-// branch is dead code when the flag is set (and the ctor never allocates the
-// observers in the first place).
-#ifdef SPINFER_TRACING_DISABLED
-inline constexpr bool kServingObs = false;
-#else
-inline constexpr bool kServingObs = true;
-#endif
+// Scheduler iterations the SLO tracker's sliding window spans.
+inline constexpr int64_t kSloWindowIters = 64;
 
 // Cached global instruments (find-or-create once; recording is lock-free).
 struct ServingMetrics {
@@ -148,19 +141,17 @@ ServingEngine::ServingEngine(ServingSubstrate* substrate,
   SPINFER_CHECK_MSG(cfg.cost.model.heads > 0,
                     "ServingEngineConfig::cost.model is unset (heads == 0); "
                     "price the engine with e.g. ModelConfigFor(model.config())");
-  if (kServingObs) {
-    if (cfg.obs.request_timeline) {
-      request_log_ = std::make_unique<obs::RequestLog>(cfg.obs.wall_clock);
-    }
-    if (cfg.obs.flight_recorder_iters > 0) {
-      flight_recorder_ =
-          std::make_unique<obs::FlightRecorder>(cfg.obs.flight_recorder_iters);
-    }
-    if (cfg.obs.slo_tracker) {
-      obs::SloTrackerConfig slo;
-      slo.window_iters = cfg.obs.slo_window_iters;
-      slo_tracker_ = std::make_unique<obs::SloTracker>(slo);
-    }
+  if (cfg.obs.request_timeline) {
+    request_log_ = std::make_unique<obs::RequestLog>(cfg.obs.wall_clock);
+  }
+  if (cfg.obs.flight_recorder_iters > 0) {
+    flight_recorder_ =
+        std::make_unique<obs::FlightRecorder>(cfg.obs.flight_recorder_iters);
+  }
+  if (cfg.obs.slo_tracker) {
+    obs::SloTrackerConfig slo;
+    slo.window_iters = kSloWindowIters;
+    slo_tracker_ = std::make_unique<obs::SloTracker>(slo);
   }
 }
 
@@ -265,18 +256,16 @@ ExecServingReport ServingEngine::Run() {
 
   // Observability is read-only on engine state: everything below that touches
   // tl / flight_recorder_ / slo_tracker_ records what already happened and
-  // feeds nothing back. `kServingObs &&` folds the sites out under
-  // SPINFER_TRACING_DISABLED. Submitted events go out up front in queue
+  // feeds nothing back. Submitted events go out up front in queue
   // (arrival, id) order — the single-writer discipline that keeps the JSONL
   // byte-stable across thread counts.
-  obs::RequestLog* const tl = kServingObs ? request_log_.get() : nullptr;
-  obs::FlightRecorder* const fr =
-      kServingObs ? flight_recorder_.get() : nullptr;
-  obs::SloTracker* const slo = kServingObs ? slo_tracker_.get() : nullptr;
-  if (kServingObs && fr != nullptr && cfg_.obs.dump_flight_recorder_on_check) {
+  obs::RequestLog* const tl = request_log_.get();
+  obs::FlightRecorder* const fr = flight_recorder_.get();
+  obs::SloTracker* const slo = slo_tracker_.get();
+  if (fr != nullptr) {
     InstallFlightRecorderCrashDump(fr);
   }
-  if (kServingObs && tl != nullptr) {
+  if (tl != nullptr) {
     for (const int64_t id : queue) {
       const RequestRecord& r = records_[static_cast<size_t>(id)];
       tl->Append(r.id, obs::RequestEventKind::kSubmitted, -1, r.arrival_s,
@@ -361,7 +350,7 @@ ExecServingReport ServingEngine::Run() {
         queue.erase(std::find(queue.begin(), queue.end(), id));
       }
       record_terminal_span(r);
-      if (kServingObs && tl != nullptr) {
+      if (tl != nullptr) {
         // A running victim is "evicted" (its KV blocks were reclaimed); a
         // queued one was merely "cancelled".
         tl->Append(id,
@@ -400,7 +389,7 @@ ExecServingReport ServingEngine::Run() {
         ++report.rejected;
         ++fr_rejected;
         metrics.rejected->Increment();
-        if (kServingObs && tl != nullptr) {
+        if (tl != nullptr) {
           tl->Append(r.id, obs::RequestEventKind::kRejected, iter_idx, now_s);
         }
         continue;
@@ -438,10 +427,10 @@ ExecServingReport ServingEngine::Run() {
       }
       admission_order_.push_back(r.id);
       ++fr_admitted;
-      if (kServingObs && fr != nullptr) {
+      if (fr != nullptr) {
         fr_admitted_ids.push_back(r.id);
       }
-      if (kServingObs && tl != nullptr) {
+      if (tl != nullptr) {
         tl->Append(r.id, obs::RequestEventKind::kAdmitted, iter_idx, now_s,
                    {{"fresh_blocks", fresh_blocks},
                     {"shared_blocks",
@@ -512,7 +501,7 @@ ExecServingReport ServingEngine::Run() {
         std::max(report.peak_kv_blocks, substrate_->cache().used_blocks());
     SPINFER_TRACE_SCOPE_ARG("srv.step", "batch", batch);
 
-    if (kServingObs && tl != nullptr) {
+    if (tl != nullptr) {
       for (const PrefillChunk& c : chunks) {
         tl->Append(c.seq_id, obs::RequestEventKind::kChunkScheduled, iter_idx,
                    now_s, {{"start", c.start}, {"tokens", c.count}});
@@ -522,7 +511,7 @@ ExecServingReport ServingEngine::Run() {
     // admission, pre-retire): that is the working set a crash dump needs.
     // Cost and the post-iteration clock are filled in after pricing.
     obs::IterationSnapshot fr_snap;
-    if (kServingObs && fr != nullptr) {
+    if (fr != nullptr) {
       fr_snap.iter = iter_idx;
       fr_snap.batch = batch;
       fr_snap.decode_seqs = static_cast<int64_t>(dec_ids.size());
@@ -600,19 +589,19 @@ ExecServingReport ServingEngine::Run() {
       if (c.start + c.count == static_cast<int64_t>(r.prompt.size())) {
         r.first_token_s = now_s;
         r.ttft_ms = (now_s - r.arrival_s) * 1e3;
-        if (kServingObs && slo != nullptr) {
+        if (slo != nullptr) {
           slo->RecordTtftMs(r.ttft_ms);
         }
       }
     }
-    if (kServingObs && slo != nullptr) {
+    if (slo != nullptr) {
       // Every decode-phase producer waited exactly this iteration for its
       // token: the iteration cost IS the inter-token gap.
       for (size_t i = 0; i < dec_ids.size(); ++i) {
         slo->RecordTbtMs(iter_us / 1e3);
       }
     }
-    if (kServingObs && tl != nullptr) {
+    if (tl != nullptr) {
       // One decode event per producer (decode-phase and prefill-completers
       // alike), stamped at the post-iteration boundary where the token
       // materializes.
@@ -655,7 +644,7 @@ ExecServingReport ServingEngine::Run() {
       ++report.completed;
       substrate_->RemoveSequence(r.id);
       record_terminal_span(r);
-      if (kServingObs && tl != nullptr) {
+      if (tl != nullptr) {
         tl->Append(r.id, obs::RequestEventKind::kFinished, iter_idx, now_s,
                    {{"generated", static_cast<int64_t>(r.generated.size())},
                     {"eos", eos ? 1 : 0}});
@@ -663,12 +652,12 @@ ExecServingReport ServingEngine::Run() {
       it = running.erase(it);
     }
 
-    if (kServingObs && fr != nullptr) {
+    if (fr != nullptr) {
       fr_snap.vt_s = now_s;
       fr_snap.cost_ms = iter_us / 1e3;
       fr->Record(std::move(fr_snap));
     }
-    if (kServingObs && slo != nullptr) {
+    if (slo != nullptr) {
       slo->EndIteration(substrate_->cache().Utilization(),
                         &obs::MetricsRegistry::Global());
     }

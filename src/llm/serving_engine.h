@@ -38,8 +38,7 @@
 // SPINFER_CHECK crash dumps (obs::FlightRecorder + src/util/crash_dump), and
 // a windowed SLO tracker publishing srv.slo.* gauges (obs::SloTracker). All
 // of it only *reads* engine state: token streams, reports, and the virtual
-// clock are bit-identical with observability on or off, and a
-// SPINFER_TRACING_DISABLED build compiles the recording sites out.
+// clock are bit-identical with observability on or off.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +83,7 @@ bool IsServable(const PagedKvCache& pool, const TinyConfig& model,
 
 // Request-scoped observability. Everything is default-off, and enabling any
 // of it never changes token streams, reports, or the virtual clock
-// (tests/request_log_test.cc asserts bit-identity). Under
-// SPINFER_TRACING_DISABLED these knobs are ignored and the recording sites
-// compile out.
+// (tests/request_log_test.cc asserts bit-identity).
 struct ServingObsConfig {
   // Structured per-request event timeline; read it after Run via
   // ServingEngine::request_log() (WriteJsonl / ChromeAsyncSpans).
@@ -96,11 +93,10 @@ struct ServingObsConfig {
   // check failure dumps the last N iterations to stderr (the engine
   // uninstalls its own hook on destruction).
   int64_t flight_recorder_iters = 0;
-  bool dump_flight_recorder_on_check = true;
-  // Sliding-window TTFT/TBT percentiles + KV occupancy, published to
-  // srv.slo.* gauges in the global MetricsRegistry every iteration.
+  // Sliding-window (64 iterations) TTFT/TBT percentiles + KV occupancy,
+  // published to srv.slo.* gauges in the global MetricsRegistry every
+  // iteration.
   bool slo_tracker = false;
-  int64_t slo_window_iters = 64;
   // Wall clock for the timeline's wall_ns stamps (borrowed, must outlive the
   // engine; nullptr = monotonic SteadyClock). Tests inject obs::FakeClock to
   // make the JSONL byte-stable.
@@ -245,7 +241,7 @@ class ServingEngine {
   const PagedKvCache& kv_cache() const { return substrate_->cache(); }
 
   // Observability surfaces; nullptr when the corresponding ServingObsConfig
-  // knob is off (always nullptr under SPINFER_TRACING_DISABLED).
+  // knob is off.
   obs::RequestLog* request_log() const { return request_log_.get(); }
   obs::FlightRecorder* flight_recorder() const { return flight_recorder_.get(); }
   obs::SloTracker* slo_tracker() const { return slo_tracker_.get(); }

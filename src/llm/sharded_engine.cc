@@ -9,16 +9,9 @@
 namespace spinfer {
 namespace {
 
-#ifdef SPINFER_TRACING_DISABLED
-inline constexpr bool kTpObs = false;
-#else
-inline constexpr bool kTpObs = true;
-#endif
-
 // Cached global instruments for the virtual interconnect (same find-or-create
 // discipline as ServingMetrics in serving_engine.cc). Recording never feeds
-// back into results: token streams and comm_us are identical with metrics on
-// or off.
+// back into results: token streams and comm_us do not read the counters.
 struct TpMetrics {
   obs::Counter* steps;
   obs::Counter* comm_us;
@@ -115,12 +108,9 @@ void ShardedEngine::MixedStep(const std::vector<int64_t>& dec_ids,
   }
   ++steps_;
   step_cols_.push_back(n);
-  if (kTpObs) {
-    TpMetrics& m = TpMetrics::Get();
-    m.steps->Add(1);
-    m.comm_us->Add(
-        static_cast<uint64_t>(layer_us * static_cast<double>(c.layers)));
-  }
+  TpMetrics& m = TpMetrics::Get();
+  m.steps->Add(1);
+  m.comm_us->Add(static_cast<uint64_t>(layer_us * static_cast<double>(c.layers)));
 }
 
 std::string ShardedEngine::StatsToString() const {

@@ -9,18 +9,16 @@
 //
 // Cost contract:
 //   * Tracing DISABLED (default): every instrumentation site costs exactly
-//     one branch on a relaxed atomic flag (TracingEnabled()). Hot loops that
-//     cannot afford even that hoist the check and pass a null recorder (see
-//     src/core/cpu_backend.cc).
+//     one branch on a relaxed atomic flag (TracingEnabled()). Sites sit at
+//     call or stage granularity, never inside a kernel's tile or task loop:
+//     a kernel call (cpu_spmm, paged_attn, sim.run_encoded) has a fixed
+//     number of sites whatever its size (tests/obs_bit_identity_test.cc).
 //   * Tracing ENABLED: a span costs two Clock reads plus one write into the
 //     recording thread's own buffer. The writer path is lock-free: each
 //     thread appends to a chunked log it alone writes, publishing the event
 //     count with a release store; no mutex, no CAS, no cross-thread cache
 //     traffic on the hot path. (The only lock is a one-time registration per
 //     thread.)
-//   * Compiled OUT (-DSPINFER_TRACING_DISABLED): the macros expand to
-//     nothing and TracingEnabled() is a constant false, so instrumented
-//     branches fold away entirely. Start() still parses but records nothing.
 //
 // Determinism contract: recording spans never touches instrumented
 // computations — outputs and PerfCounters are bit-identical with tracing on
@@ -64,13 +62,9 @@ namespace trace_detail {
 inline std::atomic<bool> g_tracing_enabled{false};
 }  // namespace trace_detail
 
-#ifdef SPINFER_TRACING_DISABLED
-constexpr bool TracingEnabled() { return false; }
-#else
 inline bool TracingEnabled() {
   return trace_detail::g_tracing_enabled.load(std::memory_order_relaxed);
 }
-#endif
 
 class Tracer {
  public:
@@ -169,14 +163,6 @@ void EnableTracingToFileAtExit(const std::string& path);
 #define SPINFER_TRACE_CONCAT_INNER(a, b) a##b
 #define SPINFER_TRACE_CONCAT(a, b) SPINFER_TRACE_CONCAT_INNER(a, b)
 
-#ifdef SPINFER_TRACING_DISABLED
-#define SPINFER_TRACE_SCOPE(name) \
-  do {                            \
-  } while (false)
-#define SPINFER_TRACE_SCOPE_ARG(name, arg_name, arg_value) \
-  do {                                                     \
-  } while (false)
-#else
 // One span covering the rest of the enclosing scope.
 #define SPINFER_TRACE_SCOPE(name)                                    \
   ::spinfer::obs::TraceScope SPINFER_TRACE_CONCAT(spinfer_trace_ts_, \
@@ -186,7 +172,6 @@ void EnableTracingToFileAtExit(const std::string& path);
   ::spinfer::obs::TraceScope SPINFER_TRACE_CONCAT(spinfer_trace_ts_, \
                                                   __COUNTER__)(name, arg_name, \
                                                                arg_value)
-#endif
 
 }  // namespace obs
 }  // namespace spinfer

@@ -93,7 +93,14 @@ bool CliFlags::GetBool(const std::string& name, bool def) const {
   if (it == flags_.end()) {
     return def;
   }
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") {
+    return true;
+  }
+  if (v == "false" || v == "0" || v == "no") {
+    return false;
+  }
+  Reject("--" + name + " takes true or false, got '" + v + "'");
 }
 
 }  // namespace spinfer

@@ -19,7 +19,9 @@ class CliFlags {
   CliFlags(int argc, char** argv);
 
   // Typed getters with defaults. GetInt and GetDouble reject a value that is
-  // not wholly a number in range (`--threads=four`, `--reps=5x`, `--n=`).
+  // not wholly a number in range (`--threads=four`, `--reps=5x`, `--n=`);
+  // GetBool takes true/1/yes or false/0/no and rejects anything else
+  // (`--measure=ture`).
   std::string GetString(const std::string& name, const std::string& def) const;
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;

@@ -65,7 +65,8 @@ TEST(CpuBackendTest, AccumulateAddsIntoExistingOutput) {
     const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
     FloatMatrix out(64, n);
     out.Fill(10.0f);
-    CpuSpmmAccumulate(enc, x, &out);
+    SpmmWorkspace ws;
+    CpuSpmmAccumulateInto(enc, x, &ws, &out);
     const FloatMatrix base = CpuSpmm(enc, x);
     for (int64_t i = 0; i < out.size(); ++i) {
       EXPECT_NEAR(out.data()[i], base.data()[i] + 10.0f, 1e-4);
@@ -200,13 +201,6 @@ TEST(CpuBackendTest, QuantIntoBitIdenticalToExplicitHalfStaging) {
     FloatMatrix quant;
     CpuSpmmInto(enc, xh, &ws_staged, &staged);
     CpuSpmmQuantInto(enc, x, &ws_quant, &quant);
-    ExpectBitIdentical(quant, staged);
-
-    // Accumulate form: both start from the same non-zero output.
-    staged.Fill(2.5f);
-    quant.Fill(2.5f);
-    CpuSpmmAccumulateInto(enc, xh, &ws_staged, &staged);
-    CpuSpmmQuantAccumulateInto(enc, x, &ws_quant, &quant);
     ExpectBitIdentical(quant, staged);
   }
 }
@@ -499,8 +493,7 @@ TEST(CpuBackendTest, NarrowKernelsWriteNothingOutsideTheBlock) {
   // payload that any write would replace; the live block must equal the
   // portable variant's columns [j0, j0 + nb).
   using KernelFn = void (*)(const TcaBmeMatrix&, int64_t, const float*, int64_t,
-                            int64_t, int64_t, float*, int64_t,
-                            cpu_backend_detail::SpmmPhaseRecorder*);
+                            int64_t, int64_t, float*, int64_t);
   struct Kernel {
     CpuSpmmVariant variant;
     KernelFn fn;
@@ -541,7 +534,7 @@ TEST(CpuBackendTest, NarrowKernelsWriteNothingOutsideTheBlock) {
       }
     }
     for (int64_t gt = 0; gt < enc.num_group_tiles(); ++gt) {
-      kernel.fn(enc, gt, xf.data(), n, kJ0, nb, blk.data(), kLdb, nullptr);
+      kernel.fn(enc, gt, xf.data(), n, kJ0, nb, blk.data(), kLdb);
     }
     for (int64_t j = 0; j <= nb; ++j) {
       for (int64_t r = 0; r < kLdb; ++r) {
@@ -587,20 +580,13 @@ TEST(CpuBackendTest, TileMatchesPortableAtEveryWidthDensityAndThreadCount) {
 }
 
 TEST(CpuBackendTest, TracedKernelsMatchUntracedBitwise) {
-  // Traced rows run each kernel's timed instantiation; it must form the same
-  // bits as the untimed one, for the tile, the wide kernel and a panel that
-  // runs both.
+  // Traced calls must form the same bits as untraced ones, for the tile, the
+  // wide kernel and a panel that runs both.
   Rng rng(730);
   const HalfMatrix w = HalfMatrix::RandomSparse(136, 200, 0.6, rng);
   const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.Reset();
-  tracer.Start();
-  const bool recording = obs::TracingEnabled();
-  tracer.Stop();
-  if (!recording) {
-    GTEST_SKIP() << "tracing is compiled out (SPINFER_TRACING_DISABLED)";
-  }
   for (const CpuSpmmVariant v : AvailableVariants()) {
     const int64_t tile_max = CpuSpmmTileMaxCols(v);
     for (const int64_t n : {int64_t{1}, int64_t{8}, tile_max, tile_max + 1,

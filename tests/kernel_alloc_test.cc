@@ -123,13 +123,6 @@ TEST_F(KernelAllocTest, WarmSpmmCallsAllocateNothing) {
       EXPECT_EQ(WarmAllocations([&] { CpuSpmmQuantInto(enc, x, &ws, &out); }), 0)
           << "CpuSpmmQuantInto at n=" << n << ", " << threads << " threads";
     }
-    const FloatMatrix x = RandomActivations(160, 4, rng);
-    SpmmWorkspace ws;
-    FloatMatrix out(192, 4);
-    out.Fill(0.0f);
-    EXPECT_EQ(
-        WarmAllocations([&] { CpuSpmmQuantAccumulateInto(enc, x, &ws, &out); }), 0)
-        << "CpuSpmmQuantAccumulateInto at n=4, " << threads << " threads";
   }
 }
 

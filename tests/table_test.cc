@@ -27,11 +27,15 @@ TEST(TableTest, FormatHelpers) {
 }
 
 TEST(CliTest, ParsesForms) {
-  const char* argv[] = {"prog", "--alpha=3", "--beta", "0.5", "--flag", "--name=x"};
-  CliFlags flags(6, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--alpha=3", "--beta", "0.5", "--flag", "--name=x",
+                        "--off=false", "--zero=0", "--no=no"};
+  CliFlags flags(9, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("beta", 0.0), 0.5);
   EXPECT_TRUE(flags.GetBool("flag", false));
+  EXPECT_FALSE(flags.GetBool("off", true));
+  EXPECT_FALSE(flags.GetBool("zero", true));
+  EXPECT_FALSE(flags.GetBool("no", true));
   EXPECT_EQ(flags.GetString("name", ""), "x");
   EXPECT_EQ(flags.GetInt("missing", 7), 7);
   EXPECT_FALSE(flags.Has("missing"));
@@ -46,12 +50,14 @@ TEST(CliDeathTest, BadInputExitsOneNamingIt) {
   const char* typo[] = {"prog", "--treads=4"};
   EXPECT_EXIT(CliFlags(2, const_cast<char**>(typo)).RestrictTo({"threads"}),
               ::testing::ExitedWithCode(1), "error: unknown flag --treads");
-  const char* word[] = {"prog", "--threads=four", "--scale=0.5x"};
-  const CliFlags flags(3, const_cast<char**>(word));
+  const char* word[] = {"prog", "--threads=four", "--scale=0.5x", "--measure=ture"};
+  const CliFlags flags(4, const_cast<char**>(word));
   EXPECT_EXIT(flags.GetInt("threads", 0), ::testing::ExitedWithCode(1),
               "error: --threads takes an integer, got 'four'");
   EXPECT_EXIT(flags.GetDouble("scale", 1.0), ::testing::ExitedWithCode(1),
               "error: --scale takes a number, got '0.5x'");
+  EXPECT_EXIT(flags.GetBool("measure", false), ::testing::ExitedWithCode(1),
+              "error: --measure takes true or false, got 'ture'");
 }
 
 }  // namespace

@@ -5,8 +5,8 @@ Reads the `{"displayTimeUnit": "ms", "traceEvents": [...]}` object written by
 src/obs/chrome_trace.cc and prints one row per span name: count, total ms,
 mean ms, p95 ms, and the share of the dominant parent span's time. Nesting is
 reconstructed per thread from the complete ("X") events' ts/dur intervals, so
-the report shows e.g. cpu_spmm.decode as a child of cpu_spmm.row_task with a
-percentage of that parent.
+the report shows e.g. tt.matmul.fc1 as a child of tt.layer with a percentage
+of that parent.
 
 Stdlib-only on purpose: this must run on a bare CI runner and in the CTest
 wiring (tools/CMakeLists.txt) with no pip installs.
