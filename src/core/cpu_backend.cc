@@ -326,11 +326,6 @@ void CpuSpmmAccumulateIntoVariant(const TcaBmeMatrix& w, const HalfMatrix& x,
   AccumulateImpl(w, x, ws, out, v);
 }
 
-void CpuSpmmAccumulateInto(const TcaBmeMatrix& w, const HalfMatrix& x,
-                           SpmmWorkspace* ws, FloatMatrix* out) {
-  AccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
-}
-
 void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
                  FloatMatrix* out) {
   SPINFER_CHECK_EQ(w.cols(), x.rows());

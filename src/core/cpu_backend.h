@@ -75,11 +75,6 @@ struct SpmmWorkspace {
 void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
                  FloatMatrix* out);
 
-// out += W * X (out must already have shape (w.rows(), x.cols())), for
-// callers that fuse bias/residual into the output before the matmul.
-void CpuSpmmAccumulateInto(const TcaBmeMatrix& w, const HalfMatrix& x,
-                           SpmmWorkspace* ws, FloatMatrix* out);
-
 // Quantize-and-run form for FP32 activations: each element of `x` is
 // rounded to FP16 while the FP32 panel is built (panel = float(half(x))),
 // bit-identical to converting `x` into a HalfMatrix first and calling

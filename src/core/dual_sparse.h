@@ -3,31 +3,16 @@
 // The paper's §6 names runtime activation sparsity (Deja Vu, PowerInfer) as
 // future work: ReLU-family models leave many activation rows exactly zero
 // at inference time, and those rows' weight columns contribute nothing.
-// This extension adds the composition:
-//   * functionally, the CPU backend skips inactive X rows while walking the
-//     bitmaps (the Values cursor still advances — the format is untouched);
-//   * analytically, a cost estimate models the Deja Vu-style deployment
-//     where inactive neurons are predicted in contiguous groups, letting a
-//     GPU kernel skip whole GroupTile columns and their weight traffic.
+// This extension models the composition analytically: a cost estimate of the
+// Deja Vu-style deployment where inactive neurons are predicted in
+// contiguous groups, letting a GPU kernel skip whole GroupTile columns and
+// their weight traffic.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "src/core/spmm.h"
-#include "src/format/tca_bme.h"
 #include "src/gpusim/cost_model.h"
 
 namespace spinfer {
-
-// Rows of X that contain at least one nonzero.
-std::vector<bool> ActiveRows(const HalfMatrix& x);
-
-// O = W * X skipping inactive X rows. Exact: equals CpuSpmm(w, x) because
-// skipped products are zero. `counters` (optional) records the FLOPs
-// actually performed, which shrink with activation sparsity.
-FloatMatrix CpuDualSparseSpmm(const TcaBmeMatrix& w, const HalfMatrix& x,
-                              PerfCounters* counters);
 
 // Modeled GPU time when a fraction `activation_sparsity` of X rows is
 // inactive, clustered in contiguous groups of `neuron_group` rows (the

@@ -2,201 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/util/check.h"
 
 namespace spinfer {
 
-KvAllocator::KvAllocator(const KvAllocatorConfig& config) : config_(config) {
-  SPINFER_CHECK(config.block_tokens > 0);
-  SPINFER_CHECK(config.bytes_per_token > 0);
-  const uint64_t block_bytes =
-      config.bytes_per_token * static_cast<uint64_t>(config.block_tokens);
-  total_blocks_ = static_cast<int64_t>(config.capacity_bytes / block_bytes);
-  free_list_.reserve(static_cast<size_t>(total_blocks_));
-  // LIFO free list; block ids descend so block 0 is handed out first.
-  for (int64_t b = total_blocks_ - 1; b >= 0; --b) {
-    free_list_.push_back(static_cast<int32_t>(b));
-  }
-  ref_count_.assign(static_cast<size_t>(total_blocks_), 0);
-}
-
-bool KvAllocator::AddSequence(int64_t seq_id, int64_t prompt_tokens) {
-  static const std::vector<int32_t> kNoShared;
-  return AddSequenceSharing(seq_id, prompt_tokens, kNoShared);
-}
-
-bool KvAllocator::AddSequenceSharing(int64_t seq_id, int64_t prompt_tokens,
-                                     const std::vector<int32_t>& shared_blocks) {
-  SPINFER_CHECK(prompt_tokens >= 0);
-  SPINFER_CHECK_MSG(sequences_.find(seq_id) == sequences_.end(),
-                    "sequence id already registered: " << seq_id);
-  const int64_t need = BlocksFor(prompt_tokens);
-  const int64_t shared = static_cast<int64_t>(shared_blocks.size());
-  SPINFER_CHECK_MSG(shared <= need, "sequence of " << prompt_tokens
-                                                   << " tokens cannot adopt "
-                                                   << shared << " blocks");
-  if (need - shared > free_blocks()) {
-    return false;
-  }
-  Sequence seq;
-  seq.tokens = prompt_tokens;
-  seq.blocks.reserve(static_cast<size_t>(need));
-  for (int32_t b : shared_blocks) {
-    SPINFER_CHECK_MSG(b >= 0 && b < total_blocks_ && ref_count_[b] > 0,
-                      "cannot adopt non-live block " << b);
-    ++ref_count_[b];
-    seq.blocks.push_back(b);
-  }
-  for (int64_t i = shared; i < need; ++i) {
-    const int32_t b = free_list_.back();
-    free_list_.pop_back();
-    ref_count_[b] = 1;
-    seq.blocks.push_back(b);
-  }
-  sequences_.emplace(seq_id, std::move(seq));
-  return true;
-}
-
-bool KvAllocator::AppendToken(int64_t seq_id, CowRemap* remap) {
-  const auto it = sequences_.find(seq_id);
-  SPINFER_CHECK_MSG(it != sequences_.end(), "unknown sequence: " << seq_id);
-  Sequence& seq = it->second;
-  if (remap != nullptr) {
-    remap->happened = false;
-  }
-  if (BlocksFor(seq.tokens + 1) > static_cast<int64_t>(seq.blocks.size())) {
-    if (free_list_.empty()) {
-      return false;
-    }
-    const int32_t b = free_list_.back();
-    free_list_.pop_back();
-    ref_count_[b] = 1;
-    seq.blocks.push_back(b);
-    ++seq.tokens;
-    return true;
-  }
-  // The new slot lands inside the sequence's last mapped block. If that
-  // block is shared, writing would corrupt the other holders: remap the
-  // entry to a fresh private block (copy-on-write) first.
-  const int64_t block_index = seq.tokens / config_.block_tokens;
-  const int32_t old_block = seq.blocks[static_cast<size_t>(block_index)];
-  if (ref_count_[old_block] > 1) {
-    if (free_list_.empty()) {
-      return false;
-    }
-    const int32_t new_block = free_list_.back();
-    free_list_.pop_back();
-    ref_count_[new_block] = 1;
-    --ref_count_[old_block];
-    seq.blocks[static_cast<size_t>(block_index)] = new_block;
-    if (remap != nullptr) {
-      remap->happened = true;
-      remap->block_index = block_index;
-      remap->old_block = old_block;
-      remap->new_block = new_block;
-    }
-  }
-  ++seq.tokens;
-  return true;
-}
-
-bool KvAllocator::ReleaseBlock(int32_t block) {
-  SPINFER_CHECK(block >= 0 && block < total_blocks_ && ref_count_[block] > 0);
-  if (--ref_count_[block] != 0) {
-    return false;
-  }
-  free_list_.push_back(block);
-  return true;
-}
-
-void KvAllocator::RemoveSequence(int64_t seq_id) {
-  RemoveSequence(seq_id, [](int32_t) {});
-}
-
-void KvAllocator::RemoveSequence(int64_t seq_id,
-                                 FunctionRef<void(int32_t)> on_freed) {
-  const auto it = sequences_.find(seq_id);
-  if (it == sequences_.end()) {
-    return;
-  }
-  for (int32_t b : it->second.blocks) {
-    if (ReleaseBlock(b)) {
-      on_freed(b);
-    }
-  }
-  sequences_.erase(it);
-}
-
-void KvAllocator::TruncateSequence(int64_t seq_id, int64_t tokens) {
-  TruncateSequence(seq_id, tokens, [](int32_t) {});
-}
-
-void KvAllocator::TruncateSequence(int64_t seq_id, int64_t tokens,
-                                   FunctionRef<void(int32_t)> on_freed) {
-  const auto it = sequences_.find(seq_id);
-  SPINFER_CHECK_MSG(it != sequences_.end(), "unknown sequence: " << seq_id);
-  Sequence& seq = it->second;
-  SPINFER_CHECK_MSG(tokens >= 0 && tokens <= seq.tokens,
-                    "cannot truncate sequence " << seq_id << " from "
-                                                << seq.tokens << " to " << tokens);
-  const int64_t keep = BlocksFor(tokens);
-  while (static_cast<int64_t>(seq.blocks.size()) > keep) {
-    const int32_t block = seq.blocks.back();
-    seq.blocks.pop_back();
-    if (ReleaseBlock(block)) {
-      on_freed(block);
-    }
-  }
-  seq.tokens = tokens;
-}
-
-bool KvAllocator::CanFit(int64_t tokens) const {
-  return BlocksFor(tokens) <= free_blocks();
-}
-
-int64_t KvAllocator::SequenceTokens(int64_t seq_id) const {
-  const auto it = sequences_.find(seq_id);
-  return it == sequences_.end() ? 0 : it->second.tokens;
-}
-
-int64_t KvAllocator::SequenceBlocks(int64_t seq_id) const {
-  const auto it = sequences_.find(seq_id);
-  return it == sequences_.end() ? 0 : static_cast<int64_t>(it->second.blocks.size());
-}
-
-const std::vector<int32_t>* KvAllocator::SequenceBlockList(int64_t seq_id) const {
-  const auto it = sequences_.find(seq_id);
-  return it == sequences_.end() ? nullptr : &it->second.blocks;
-}
-
-int32_t KvAllocator::BlockRefCount(int32_t block) const {
-  SPINFER_CHECK(block >= 0 && block < total_blocks_);
-  return ref_count_[block];
-}
-
-int64_t KvAllocator::WastedTokenSlots() const {
-  int64_t waste = 0;
-  for (const auto& [id, seq] : sequences_) {
-    waste += static_cast<int64_t>(seq.blocks.size()) * config_.block_tokens - seq.tokens;
-  }
-  return waste;
-}
-
-// --- PagedKvCache -----------------------------------------------------------
-
 namespace {
-
-// The internal allocator counts whole blocks; feed it a synthetic byte
-// geometry (1 byte per token) so `num_blocks` maps through exactly.
-KvAllocatorConfig BookkeepingConfig(const PagedKvCacheConfig& cfg) {
-  KvAllocatorConfig acfg;
-  acfg.bytes_per_token = 1;
-  acfg.block_tokens = cfg.block_tokens;
-  acfg.capacity_bytes = static_cast<uint64_t>(cfg.num_blocks) *
-                        static_cast<uint64_t>(cfg.block_tokens);
-  return acfg;
-}
 
 // FNV-1a offset basis doubles as the root of every hash chain (the "parent"
 // of a prompt's first block). Deterministic and platform-stable by
@@ -223,10 +35,15 @@ uint64_t ChainBlockHash(uint64_t parent, const int32_t* tokens, int64_t count) {
 
 }  // namespace
 
-PagedKvCache::PagedKvCache(const PagedKvCacheConfig& config)
-    : config_(config), alloc_(BookkeepingConfig(config)) {
+PagedKvCache::PagedKvCache(const PagedKvCacheConfig& config) : config_(config) {
   SPINFER_CHECK(config.layers > 0 && config.kv_dim > 0);
   SPINFER_CHECK(config.block_tokens > 0 && config.num_blocks > 0);
+  // Block ids descend so block 0 is handed out first.
+  free_list_.reserve(static_cast<size_t>(config.num_blocks));
+  for (int64_t b = config.num_blocks - 1; b >= 0; --b) {
+    free_list_.push_back(static_cast<int32_t>(b));
+  }
+  ref_count_.assign(static_cast<size_t>(config.num_blocks), 0);
   const size_t halves = static_cast<size_t>(config.layers) *
                         static_cast<size_t>(config.num_blocks) *
                         static_cast<size_t>(config.block_tokens) *
@@ -235,8 +52,33 @@ PagedKvCache::PagedKvCache(const PagedKvCacheConfig& config)
   v_pool_.assign(halves, Half(0.0f));
 }
 
+const PagedKvCache::Sequence& PagedKvCache::Find(int64_t seq_id) const {
+  const auto it = sequences_.find(seq_id);
+  SPINFER_CHECK_MSG(it != sequences_.end(), "unknown sequence: " << seq_id);
+  return it->second;
+}
+
+PagedKvCache::Sequence& PagedKvCache::Find(int64_t seq_id) {
+  return const_cast<Sequence&>(std::as_const(*this).Find(seq_id));
+}
+
+int32_t PagedKvCache::TakeFreeBlock() {
+  const int32_t block = free_list_.back();
+  free_list_.pop_back();
+  ref_count_[block] = 1;
+  return block;
+}
+
+void PagedKvCache::ReleaseBlock(int32_t block) {
+  SPINFER_CHECK(block >= 0 && block < total_blocks() && ref_count_[block] > 0);
+  if (--ref_count_[block] == 0) {
+    free_list_.push_back(block);
+    DeindexBlock(block);
+  }
+}
+
 bool PagedKvCache::AddSequence(int64_t seq_id, int64_t tokens) {
-  return alloc_.AddSequence(seq_id, tokens);
+  return AddSequenceSharing(seq_id, tokens, PrefixMatch{});
 }
 
 PagedKvCache::PrefixMatch PagedKvCache::MatchPrefix(
@@ -274,24 +116,43 @@ bool PagedKvCache::AddSequenceSharing(int64_t seq_id, int64_t tokens,
   SPINFER_CHECK(match.tokens ==
                 static_cast<int64_t>(match.blocks.size()) * config_.block_tokens);
   SPINFER_CHECK(match.tokens <= tokens);
-  return alloc_.AddSequenceSharing(seq_id, tokens, match.blocks);
+  SPINFER_CHECK_MSG(sequences_.find(seq_id) == sequences_.end(),
+                    "sequence id already registered: " << seq_id);
+  const int64_t need = BlocksForTokens(tokens);
+  const int64_t shared = static_cast<int64_t>(match.blocks.size());
+  if (need - shared > free_blocks()) {
+    return false;
+  }
+  Sequence seq;
+  seq.tokens = tokens;
+  seq.blocks.reserve(static_cast<size_t>(need));
+  for (int32_t b : match.blocks) {
+    SPINFER_CHECK_MSG(b >= 0 && b < total_blocks() && ref_count_[b] > 0,
+                      "cannot adopt non-live block " << b);
+    ++ref_count_[b];
+    seq.blocks.push_back(b);
+  }
+  for (int64_t i = shared; i < need; ++i) {
+    seq.blocks.push_back(TakeFreeBlock());
+  }
+  sequences_.emplace(seq_id, std::move(seq));
+  return true;
 }
 
 void PagedKvCache::IndexPrefix(int64_t seq_id,
                                const std::vector<int32_t>& prompt_tokens,
                                int64_t filled) {
-  const std::vector<int32_t>* blocks = alloc_.SequenceBlockList(seq_id);
-  SPINFER_CHECK_MSG(blocks != nullptr, "unknown sequence: " << seq_id);
+  const Sequence& seq = Find(seq_id);
   const int64_t bt = config_.block_tokens;
   const int64_t len = static_cast<int64_t>(prompt_tokens.size());
-  SPINFER_CHECK(filled <= alloc_.SequenceTokens(seq_id) && filled <= len);
+  SPINFER_CHECK(filled <= seq.tokens && filled <= len);
   // Same len-1 cap as MatchPrefix: never index the block holding the final
   // prompt position unless earlier tokens fill it anyway.
   const int64_t indexable = std::min(filled, len > 0 ? len - 1 : 0) / bt;
   uint64_t parent = kChainSeed;
   for (int64_t b = 0; b < indexable; ++b) {
     const uint64_t h = ChainBlockHash(parent, prompt_tokens.data() + b * bt, bt);
-    const int32_t block = (*blocks)[static_cast<size_t>(b)];
+    const int32_t block = seq.blocks[static_cast<size_t>(b)];
     if (index_.find(h) == index_.end() && block_hash_.count(block) == 0) {
       // Otherwise: first writer wins on the hash (sharing chains through the
       // incumbent block), or this block is already filed under another
@@ -340,48 +201,96 @@ void PagedKvCache::CopySlots(const PagedKvCache& src, int32_t src_block,
 }
 
 bool PagedKvCache::AppendToken(int64_t seq_id) {
-  const int64_t tokens_before = alloc_.SequenceTokens(seq_id);
-  CowRemap remap;
-  if (!alloc_.AppendToken(seq_id, &remap)) {
-    return false;
-  }
-  if (remap.happened) {
-    // The already-written slots of the shared block must follow the remap so
-    // the sequence keeps reading its own history bit-for-bit.
-    CopySlots(*this, remap.old_block, remap.new_block,
-              tokens_before % config_.block_tokens);
+  Sequence& seq = Find(seq_id);
+  const int64_t bt = config_.block_tokens;
+  const size_t block_index = static_cast<size_t>(seq.tokens / bt);
+  if (block_index == seq.blocks.size()) {
+    // The new slot opens a fresh block.
+    if (free_list_.empty()) {
+      return false;
+    }
+    seq.blocks.push_back(TakeFreeBlock());
+  } else if (const int32_t shared = seq.blocks[block_index];
+             ref_count_[shared] > 1) {
+    // The new slot lands in a block other sequences also hold: writing would
+    // corrupt them, so the sequence moves to a private copy first, carrying
+    // its already-written slots bit for bit (copy-on-write).
+    if (free_list_.empty()) {
+      return false;
+    }
+    const int32_t copy = TakeFreeBlock();
+    --ref_count_[shared];
+    CopySlots(*this, shared, copy, seq.tokens % bt);
+    seq.blocks[block_index] = copy;
     ++cow_copies_;
   }
-  // Whichever block now holds the new slot is about to receive a write its
-  // index entry (if any) does not describe — retire the entry. Shared
-  // holders were detached by the CoW above, so only this sequence sees the
-  // divergence.
-  const std::vector<int32_t>* blocks = alloc_.SequenceBlockList(seq_id);
-  DeindexBlock((*blocks)[static_cast<size_t>(tokens_before / config_.block_tokens)]);
+  ++seq.tokens;
+  // The block holding the new slot is about to receive a write its index
+  // entry (if any) does not describe: retire the entry. Shared holders were
+  // detached by the copy above, so only this sequence sees the divergence.
+  DeindexBlock(seq.blocks[block_index]);
   return true;
 }
 
 void PagedKvCache::RemoveSequence(int64_t seq_id) {
-  // Only a block that lost its last holder leaves the index; blocks other
-  // sequences still hold stay adoptable.
-  alloc_.RemoveSequence(seq_id, [this](int32_t block) { DeindexBlock(block); });
+  const auto it = sequences_.find(seq_id);
+  if (it == sequences_.end()) {
+    return;
+  }
+  for (int32_t block : it->second.blocks) {
+    ReleaseBlock(block);
+  }
+  sequences_.erase(it);
 }
 
 void PagedKvCache::TruncateSequence(int64_t seq_id, int64_t tokens) {
-  // Only a released tail block can lose its last holder; the blocks kept
-  // are still held by this sequence.
-  alloc_.TruncateSequence(seq_id, tokens,
-                          [this](int32_t block) { DeindexBlock(block); });
+  Sequence& seq = Find(seq_id);
+  SPINFER_CHECK_MSG(tokens >= 0 && tokens <= seq.tokens,
+                    "cannot truncate sequence " << seq_id << " from "
+                                                << seq.tokens << " to " << tokens);
+  const size_t keep = static_cast<size_t>(BlocksForTokens(tokens));
+  while (seq.blocks.size() > keep) {
+    ReleaseBlock(seq.blocks.back());
+    seq.blocks.pop_back();
+  }
+  seq.tokens = tokens;
+}
+
+int64_t PagedKvCache::SequenceTokens(int64_t seq_id) const {
+  const auto it = sequences_.find(seq_id);
+  return it == sequences_.end() ? 0 : it->second.tokens;
+}
+
+int64_t PagedKvCache::SequenceBlocks(int64_t seq_id) const {
+  const std::vector<int32_t>* blocks = SequenceBlockList(seq_id);
+  return blocks == nullptr ? 0 : static_cast<int64_t>(blocks->size());
+}
+
+const std::vector<int32_t>* PagedKvCache::SequenceBlockList(int64_t seq_id) const {
+  const auto it = sequences_.find(seq_id);
+  return it == sequences_.end() ? nullptr : &it->second.blocks;
+}
+
+int32_t PagedKvCache::BlockRefCount(int32_t block) const {
+  SPINFER_CHECK(block >= 0 && block < total_blocks());
+  return ref_count_[block];
+}
+
+int64_t PagedKvCache::WastedTokenSlots() const {
+  int64_t waste = 0;
+  for (const auto& [id, seq] : sequences_) {
+    waste += static_cast<int64_t>(seq.blocks.size()) * config_.block_tokens - seq.tokens;
+  }
+  return waste;
 }
 
 std::pair<int32_t, int64_t> PagedKvCache::Slot(int64_t seq_id,
                                                int64_t token) const {
-  const std::vector<int32_t>* blocks = alloc_.SequenceBlockList(seq_id);
-  SPINFER_CHECK_MSG(blocks != nullptr, "unknown sequence: " << seq_id);
-  SPINFER_CHECK_MSG(token >= 0 && token < alloc_.SequenceTokens(seq_id),
+  const Sequence& seq = Find(seq_id);
+  SPINFER_CHECK_MSG(token >= 0 && token < seq.tokens,
                     "token slot " << token << " out of range for sequence "
                                   << seq_id);
-  return {(*blocks)[static_cast<size_t>(token / config_.block_tokens)],
+  return {seq.blocks[static_cast<size_t>(token / config_.block_tokens)],
           token % config_.block_tokens};
 }
 

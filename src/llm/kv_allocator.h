@@ -1,21 +1,17 @@
-// Paged KV-cache allocation (vLLM-style block management).
+// Paged KV cache (vLLM-style block management).
 //
 // The serving results (Figs. 13-14, and our serving simulator) hinge on how
 // much KV cache fits beside the weights; a real engine manages that pool in
 // fixed-size blocks so sequences can grow without reserving their maximum
-// context up front. Two layers live here:
-//
-//   * KvAllocator — pure block bookkeeping: per-sequence block lists, O(1)
-//     alloc/free from a free list, token-granular append, per-block refcounts
-//     for prefix sharing (copy-on-write on divergent append), and utilization
-//     accounting the scheduler admits against. No data moves through it.
-//   * PagedKvCache — the executing substrate on top: the same block
-//     discipline plus real per-layer K/V storage and a content-hash index
-//     over full prompt-prefix blocks, so TinyTransformer's KV-cache decode
-//     path reads and writes through the page tables the allocator maintains
-//     and new arrivals can adopt identical prefix blocks instead of
-//     recomputing them. K and V are stored in FP16 (see PagedKvCache for
-//     the two block layouts).
+// context up front. PagedKvCache is that pool for the executing CPU path:
+// per-sequence block lists, O(1) alloc/free from a free list, token-granular
+// append, per-block refcounts for prefix sharing (copy-on-write on divergent
+// append), the utilization accounting the scheduler admits against, real
+// per-layer K/V storage, and a content-hash index over full prompt-prefix
+// blocks. TinyTransformer's KV-cache decode path reads and writes through its
+// page tables, and new arrivals can adopt identical prefix blocks instead of
+// recomputing them. K and V are stored in FP16 (see PagedKvCache for the two
+// block layouts).
 #pragma once
 
 #include <cstdint>
@@ -25,125 +21,8 @@
 #include <vector>
 
 #include "src/numeric/fp16.h"
-#include "src/util/function_ref.h"
 
 namespace spinfer {
-
-struct KvAllocatorConfig {
-  // Pool capacity in bytes (device memory left after weights etc.).
-  uint64_t capacity_bytes = 0;
-  // Bytes of K+V per token across all layers (2 * layers * kv_dim * 2B).
-  uint64_t bytes_per_token = 0;
-  // Tokens per block (16 is vLLM's default granularity).
-  int64_t block_tokens = 16;
-};
-
-// Result of a copy-on-write triggered by AppendToken: the sequence's entry
-// `block_index` was remapped from shared `old_block` to freshly allocated
-// `new_block`. The storage layer must copy the already-written slots of
-// `old_block` into `new_block` before the new token's row is written.
-struct CowRemap {
-  bool happened = false;
-  int64_t block_index = 0;
-  int32_t old_block = 0;
-  int32_t new_block = 0;
-};
-
-class KvAllocator {
- public:
-  explicit KvAllocator(const KvAllocatorConfig& config);
-
-  // Registers a new sequence with `prompt_tokens` already cached; returns
-  // false (allocating nothing) if the pool cannot hold it.
-  bool AddSequence(int64_t seq_id, int64_t prompt_tokens);
-
-  // Like AddSequence, but the sequence adopts `shared_blocks` (each must be
-  // live) as its leading blocks — their refcounts are bumped instead of
-  // allocating — and only the remaining ceil(tokens/bt) - |shared| blocks
-  // come from the free list. Returns false (adopting nothing) if the free
-  // list cannot supply the fresh tail.
-  bool AddSequenceSharing(int64_t seq_id, int64_t prompt_tokens,
-                          const std::vector<int32_t>& shared_blocks);
-
-  // Extends a sequence by one generated token; returns false if a new block
-  // was needed and the pool is exhausted (the caller must evict/preempt).
-  // If the target slot lands in a block shared with another sequence
-  // (refcount > 1), the block is copied-on-write: a fresh block replaces it
-  // in this sequence's list and `remap` (if non-null) reports the swap so
-  // the storage layer can copy the already-written rows.
-  bool AppendToken(int64_t seq_id, CowRemap* remap = nullptr);
-
-  // Releases all of a sequence's blocks (refcount-aware: a block returns to
-  // the free list only when its last holder drops it).
-  void RemoveSequence(int64_t seq_id);
-  // The same, calling on_freed(block) for each block whose last holder this
-  // was, as it returns to the free list. Allocates nothing.
-  void RemoveSequence(int64_t seq_id, FunctionRef<void(int32_t)> on_freed);
-
-  // Shrinks a sequence to `tokens` (<= its current count), returning any
-  // now-unused tail blocks to the free list (refcount-aware). The serving
-  // benches rewind decode state with this; eviction uses RemoveSequence.
-  void TruncateSequence(int64_t seq_id, int64_t tokens);
-  // The same, calling on_freed(block) for each tail block whose last holder
-  // this was, as it returns to the free list. Allocates nothing.
-  void TruncateSequence(int64_t seq_id, int64_t tokens,
-                        FunctionRef<void(int32_t)> on_freed);
-
-  // Whether `tokens` more tokens could be added for a hypothetical new
-  // sequence right now.
-  bool CanFit(int64_t tokens) const;
-
-  int64_t total_blocks() const { return total_blocks_; }
-  int64_t free_blocks() const { return static_cast<int64_t>(free_list_.size()); }
-  int64_t used_blocks() const { return total_blocks_ - free_blocks(); }
-  double Utilization() const {
-    return total_blocks_ == 0
-               ? 0.0
-               : static_cast<double>(used_blocks()) / static_cast<double>(total_blocks_);
-  }
-
-  // Tokens currently cached for `seq_id` (0 if unknown).
-  int64_t SequenceTokens(int64_t seq_id) const;
-  // Blocks held by `seq_id`.
-  int64_t SequenceBlocks(int64_t seq_id) const;
-  // Block ids held by `seq_id` in token order (token t lives in entry
-  // t / block_tokens), or nullptr if the sequence is unknown. The pointer is
-  // invalidated by the next mutating call for that sequence.
-  const std::vector<int32_t>* SequenceBlockList(int64_t seq_id) const;
-  // Holders of `block`: 0 = free, 1 = private, >1 = shared.
-  int32_t BlockRefCount(int32_t block) const;
-  // Internal fragmentation: allocated-but-unused token slots, summed per
-  // sequence. A block shared by k sequences contributes its slack k times —
-  // by design: the figure answers "how many token appends could the resident
-  // sequences absorb without new blocks", not "how many pool slots idle".
-  int64_t WastedTokenSlots() const;
-
-  // Blocks needed to hold `tokens` tokens (schedulers reserve against this).
-  int64_t BlocksForTokens(int64_t tokens) const { return BlocksFor(tokens); }
-
- private:
-  struct Sequence {
-    int64_t tokens = 0;
-    std::vector<int32_t> blocks;
-  };
-
-  int64_t BlocksFor(int64_t tokens) const {
-    return (tokens + config_.block_tokens - 1) / config_.block_tokens;
-  }
-
-  // Drops one reference; pushes the block back on the free list at zero.
-  // Drops one holder of `block`; returns whether that freed it.
-  bool ReleaseBlock(int32_t block);
-
-  KvAllocatorConfig config_;
-  int64_t total_blocks_ = 0;
-  std::vector<int32_t> free_list_;
-  // Holder count per block id; 0 for free blocks.
-  std::vector<int32_t> ref_count_;
-  std::map<int64_t, Sequence> sequences_;
-};
-
-// --- Executing paged KV storage ---------------------------------------------
 
 struct PagedKvCacheConfig {
   int64_t layers = 0;
@@ -153,10 +32,10 @@ struct PagedKvCacheConfig {
   int64_t num_blocks = 0;
 };
 
-// Block-paged K/V storage for the executing CPU serving path. Bookkeeping
-// (which blocks a sequence owns, free list, refcounts, fragmentation
-// counters) is delegated to an internal KvAllocator; this class adds the
-// FP16 pools, slot addressing, and the prefix index.
+// Block-paged K/V storage for the executing CPU serving path: the block
+// bookkeeping (which blocks a sequence owns, a LIFO free list that hands out
+// block 0 first, per-block refcounts, fragmentation counters), the FP16
+// pools, slot addressing, and the prefix index.
 //
 // Page format. K and V are stored as Half: WriteSlot rounds each value once
 // (round-to-nearest-even, Half(float)), and every reader widens it back to
@@ -196,8 +75,14 @@ class PagedKvCache {
   // into an indexed block removes that index entry: the block's content is
   // about to diverge from the hash it was filed under.
   bool AppendToken(int64_t seq_id);
+  // Releases all of a sequence's blocks (refcount-aware: a block returns to
+  // the free list, and leaves the prefix index, only when its last holder
+  // drops it). Unknown ids are ignored. Allocates nothing.
   void RemoveSequence(int64_t seq_id);
-  // Rewinds `seq_id` to `tokens` slots, freeing tail blocks (refcount-aware).
+  // Rewinds `seq_id` to `tokens` (<= its current count) slots, releasing the
+  // now-unused tail blocks the same refcount-aware way. Allocates nothing.
+  // The serving benches rewind decode state with this; eviction uses
+  // RemoveSequence.
   void TruncateSequence(int64_t seq_id, int64_t tokens);
 
   // --- Shared-prefix interface ---------------------------------------------
@@ -216,6 +101,7 @@ class PagedKvCache {
   // this cache) as the sequence's leading blocks; only the tail past
   // `match.tokens` is freshly allocated. The caller fills slots
   // [match.tokens, tokens) — slots before that already hold the prefix KV.
+  // Returns false, adopting nothing, if the free list cannot supply the tail.
   bool AddSequenceSharing(int64_t seq_id, int64_t tokens, const PrefixMatch& match);
 
   // Files the full blocks covering prompt positions [0, min(filled, len-1))
@@ -225,13 +111,16 @@ class PagedKvCache {
   void IndexPrefix(int64_t seq_id, const std::vector<int32_t>& prompt_tokens,
                    int64_t filled);
 
-  bool CanFit(int64_t tokens) const { return alloc_.CanFit(tokens); }
-  int64_t SequenceTokens(int64_t seq_id) const { return alloc_.SequenceTokens(seq_id); }
-  int64_t SequenceBlocks(int64_t seq_id) const { return alloc_.SequenceBlocks(seq_id); }
-  const std::vector<int32_t>* SequenceBlockList(int64_t seq_id) const {
-    return alloc_.SequenceBlockList(seq_id);
-  }
-  int32_t BlockRefCount(int32_t block) const { return alloc_.BlockRefCount(block); }
+  // Tokens cached for `seq_id` (0 if unknown).
+  int64_t SequenceTokens(int64_t seq_id) const;
+  // Blocks held by `seq_id` (0 if unknown).
+  int64_t SequenceBlocks(int64_t seq_id) const;
+  // Block ids held by `seq_id` in token order (token t lives in entry
+  // t / block_tokens), or nullptr if the sequence is unknown. The pointer is
+  // invalidated by the next mutating call for that sequence.
+  const std::vector<int32_t>* SequenceBlockList(int64_t seq_id) const;
+  // Holders of `block`: 0 = free, 1 = private, >1 = shared.
+  int32_t BlockRefCount(int32_t block) const;
 
   // Stores one token slot's K and V at `layer`, each rounded to FP16 once:
   // k[r * stride] and v[r * stride] for r in [0, kv_dim) (stride 1 for
@@ -252,13 +141,22 @@ class PagedKvCache {
   const Half* KBlockBase(int64_t layer, int32_t block) const;
   const Half* VBlockBase(int64_t layer, int32_t block) const;
 
-  // Accounting passthrough (scheduler gauges, fragmentation counters).
-  int64_t total_blocks() const { return alloc_.total_blocks(); }
-  int64_t free_blocks() const { return alloc_.free_blocks(); }
-  int64_t used_blocks() const { return alloc_.used_blocks(); }
-  double Utilization() const { return alloc_.Utilization(); }
-  int64_t WastedTokenSlots() const { return alloc_.WastedTokenSlots(); }
-  int64_t BlocksForTokens(int64_t tokens) const { return alloc_.BlocksForTokens(tokens); }
+  // Accounting (scheduler gauges, fragmentation counters).
+  int64_t total_blocks() const { return config_.num_blocks; }
+  int64_t free_blocks() const { return static_cast<int64_t>(free_list_.size()); }
+  int64_t used_blocks() const { return total_blocks() - free_blocks(); }
+  double Utilization() const {
+    return static_cast<double>(used_blocks()) / static_cast<double>(total_blocks());
+  }
+  // Internal fragmentation: allocated-but-unused token slots, summed per
+  // sequence. A block shared by k sequences contributes its slack k times —
+  // by design: the figure answers "how many token appends could the resident
+  // sequences absorb without new blocks", not "how many pool slots idle".
+  int64_t WastedTokenSlots() const;
+  // Blocks needed to hold `tokens` tokens (schedulers reserve against this).
+  int64_t BlocksForTokens(int64_t tokens) const {
+    return (tokens + config_.block_tokens - 1) / config_.block_tokens;
+  }
 
   // Copy-on-write block copies performed since construction.
   int64_t cow_copies() const { return cow_copies_; }
@@ -271,6 +169,11 @@ class PagedKvCache {
   }
 
  private:
+  struct Sequence {
+    int64_t tokens = 0;
+    std::vector<int32_t> blocks;
+  };
+
   // One indexed full block: where it lives and exactly what it claims to
   // hold, so lookups can verify instead of trusting 64-bit hashes.
   struct PrefixEntry {
@@ -281,6 +184,16 @@ class PagedKvCache {
 
   friend bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to,
                                 int64_t from_seq, int64_t to_seq);
+
+  // The registered sequence `seq_id` (CHECKed).
+  Sequence& Find(int64_t seq_id);
+  const Sequence& Find(int64_t seq_id) const;
+  // Pops the next free block (LIFO) for one holder. The free list must not
+  // be empty.
+  int32_t TakeFreeBlock();
+  // Drops one holder of `block`. The last holder's release returns it to
+  // the free list and removes its index entry, if any.
+  void ReleaseBlock(int32_t block);
 
   // Offset of `block`'s first half at `layer` in either pool.
   int64_t BlockOffset(int64_t layer, int32_t block) const {
@@ -298,7 +211,12 @@ class PagedKvCache {
   void DeindexBlock(int32_t block);
 
   PagedKvCacheConfig config_;
-  KvAllocator alloc_;
+  // Free block ids; the back is handed out next. Reserved to num_blocks at
+  // construction, so releasing never allocates.
+  std::vector<int32_t> free_list_;
+  // Holder count per block id; 0 for free blocks.
+  std::vector<int32_t> ref_count_;
+  std::map<int64_t, Sequence> sequences_;
   // [layer][block] pools of block_tokens * kv_dim halves each (K dims-major,
   // V slot-major), allocated once at construction.
   std::vector<Half> k_pool_;

@@ -293,16 +293,6 @@ ExecServingReport ServingEngine::Run() {
   double batch_time_integral = 0.0;
   int64_t published_cow = 0;
 
-  const auto record_terminal_span = [&](const RequestRecord& r) {
-    // Per-request span on the virtual timeline (finish on eviction).
-    const obs::TraceArg args[] = {{"id", r.id},
-                                  {"generated",
-                                   static_cast<int64_t>(r.generated.size())}};
-    obs::Tracer::Global().Record(
-        "srv.request", static_cast<uint64_t>(r.arrival_s * 1e9),
-        static_cast<uint64_t>((now_s - r.arrival_s) * 1e9), args, 2);
-  };
-
   while (!queue.empty() || !running.empty()) {
     // 0-based index of the iteration this pass would execute; idle passes
     // (clock jumps) share the index with the iteration that follows them.
@@ -349,7 +339,6 @@ ExecServingReport ServingEngine::Run() {
       } else {
         queue.erase(std::find(queue.begin(), queue.end(), id));
       }
-      record_terminal_span(r);
       if (tl != nullptr) {
         // A running victim is "evicted" (its KV blocks were reclaimed); a
         // queued one was merely "cancelled".
@@ -643,7 +632,6 @@ ExecServingReport ServingEngine::Run() {
       metrics.completed->Increment();
       ++report.completed;
       substrate_->RemoveSequence(r.id);
-      record_terminal_span(r);
       if (tl != nullptr) {
         tl->Append(r.id, obs::RequestEventKind::kFinished, iter_idx, now_s,
                    {{"generated", static_cast<int64_t>(r.generated.size())},

@@ -66,7 +66,7 @@ TEST(CpuBackendTest, AccumulateAddsIntoExistingOutput) {
     FloatMatrix out(64, n);
     out.Fill(10.0f);
     SpmmWorkspace ws;
-    CpuSpmmAccumulateInto(enc, x, &ws, &out);
+    CpuSpmmAccumulateIntoVariant(enc, x, &ws, &out, ActiveCpuSpmmVariant());
     const FloatMatrix base = CpuSpmm(enc, x);
     for (int64_t i = 0; i < out.size(); ++i) {
       EXPECT_NEAR(out.data()[i], base.data()[i] + 10.0f, 1e-4);

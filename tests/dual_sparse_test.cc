@@ -2,74 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/cpu_backend.h"
-#include "src/numeric/compare.h"
-#include "src/util/random.h"
-
 namespace spinfer {
 namespace {
-
-// X with whole rows zeroed — the ReLU-induced pattern.
-HalfMatrix RowSparseX(int64_t k, int64_t n, double row_sparsity, Rng& rng) {
-  HalfMatrix x = HalfMatrix::Random(k, n, rng, 0.5f);
-  for (int64_t r = 0; r < k; ++r) {
-    if (rng.Bernoulli(row_sparsity)) {
-      for (int64_t c = 0; c < n; ++c) {
-        x.at(r, c) = Half(0.0f);
-      }
-    }
-  }
-  return x;
-}
-
-TEST(DualSparseTest, ActiveRowsDetection) {
-  Rng rng(231);
-  const HalfMatrix x = RowSparseX(64, 8, 0.5, rng);
-  const std::vector<bool> active = ActiveRows(x);
-  for (int64_t r = 0; r < 64; ++r) {
-    bool any = false;
-    for (int64_t c = 0; c < 8; ++c) {
-      any = any || !x.at(r, c).IsZero();
-    }
-    EXPECT_EQ(active[r], any);
-  }
-}
-
-TEST(DualSparseTest, MatchesDenseActivationPath) {
-  Rng rng(232);
-  const HalfMatrix w = HalfMatrix::RandomSparse(128, 128, 0.6, rng);
-  const HalfMatrix x = RowSparseX(128, 16, 0.7, rng);
-  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
-  const FloatMatrix skip = CpuDualSparseSpmm(enc, x, nullptr);
-  const FloatMatrix full = CpuSpmm(enc, x);
-  // Exact: the skipped products were zero contributions.
-  EXPECT_TRUE(CompareMatrices(skip, full, 0.0, 0.0).ok);
-  EXPECT_TRUE(CompareMatrices(skip, ReferenceGemm(w, x), 2e-3, 5e-2).ok);
-}
-
-TEST(DualSparseTest, FlopsScaleWithActivationSparsity) {
-  Rng rng(233);
-  const HalfMatrix w = HalfMatrix::RandomSparse(128, 128, 0.5, rng);
-  const TcaBmeMatrix enc = TcaBmeMatrix::Encode(w);
-  PerfCounters dense_c;
-  CpuDualSparseSpmm(enc, HalfMatrix::Random(128, 16, rng, 0.5f), &dense_c);
-  PerfCounters sparse_c;
-  CpuDualSparseSpmm(enc, RowSparseX(128, 16, 0.8, rng), &sparse_c);
-  // ~80% of input rows inactive -> ~20% of FLOPs survive (iid mask).
-  EXPECT_LT(static_cast<double>(sparse_c.flops),
-            0.35 * static_cast<double>(dense_c.flops));
-  EXPECT_GT(sparse_c.flops, 0u);
-}
-
-TEST(DualSparseTest, FullyInactiveInputGivesZeroOutput) {
-  Rng rng(234);
-  const HalfMatrix w = HalfMatrix::RandomSparse(64, 64, 0.5, rng);
-  HalfMatrix x(64, 8);  // all zero
-  const FloatMatrix out = CpuDualSparseSpmm(TcaBmeMatrix::Encode(w), x, nullptr);
-  for (int64_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out.data()[i], 0.0f);
-  }
-}
 
 TEST(DualSparseTest, EstimateImprovesWithActivationSparsity) {
   const DeviceSpec dev = Rtx4090();

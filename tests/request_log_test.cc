@@ -11,9 +11,14 @@
 //   * Observability is free of observable effect: enabling every obs knob
 //     changes neither per-request token streams nor one byte of
 //     ExecServingReport::ToString.
+//   * Request intervals live on the virtual clock, so they reach Chrome
+//     traces only as the timeline's async spans, never as events in the
+//     wall-clock tracer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "src/obs/chrome_trace.h"
 #include "src/obs/clock.h"
 #include "src/obs/request_log.h"
+#include "src/obs/trace.h"
 #include "src/pruning/magnitude.h"
 #include "src/util/thread_pool.h"
 
@@ -226,6 +232,38 @@ TEST(RequestLogEngineTest, ObservabilityDoesNotPerturbStreamsOrReport) {
   EXPECT_EQ(with_obs.report, without_obs.report);
   EXPECT_EQ(with_obs.streams, without_obs.streams);
   ThreadPool::SetGlobalThreads(0);
+}
+
+TEST(RequestLogEngineTest, RequestSpansStayOutOfTheWallClockTracer) {
+  const TinyTransformer model = MakeModel();
+  ThreadPool::SetGlobalThreads(1);
+  obs::FakeClock wall(0);
+  ServingEngine engine(&model, ObsEngineConfig(model.config(), &wall));
+  engine.InjectPoissonArrivals(Traffic());
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Reset();
+  tracer.Start(&wall);
+  const ExecServingReport report = engine.Run();
+  tracer.Stop();
+  const std::vector<obs::TraceEvent> events = tracer.Drain();
+  tracer.Reset();
+  ThreadPool::SetGlobalThreads(0);
+
+  // The run was traced (each iteration records an srv.step span) and
+  // finished requests, yet no wall-clock event carries a request's interval.
+  ASSERT_GT(report.completed, 0);
+  EXPECT_FALSE(events.empty());
+  const auto request_events =
+      std::count_if(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+        return std::strcmp(e.name, "srv.request") == 0;
+      });
+  EXPECT_EQ(request_events, 0);
+  // Those virtual-clock intervals are the timeline's async spans.
+  int64_t finished_spans = 0;
+  for (const obs::AsyncSpan& span : engine.request_log()->ChromeAsyncSpans()) {
+    finished_spans += span.cat == "srv.request" && span.name == "request/finished";
+  }
+  EXPECT_EQ(finished_spans, report.completed);
 }
 
 }  // namespace
