@@ -681,11 +681,7 @@ int Main(int argc, char** argv) {
       cfg.kv_num_blocks = 64;
       cfg.enable_prefix_cache = true;
       cfg.cost = Opt13bSpInferCost();
-      if (obs_on) {
-        cfg.obs.request_timeline = true;
-        cfg.obs.flight_recorder_iters = 64;
-        cfg.obs.slo_tracker = true;
-      }
+      cfg.obs.enabled = obs_on;
       auto engine = std::make_unique<ServingEngine>(&model, cfg);
       submit_all(*engine);
       const ExecServingReport rep = engine->Run();
@@ -756,8 +752,8 @@ int Main(int argc, char** argv) {
   // --- Set-up: the serving benchmark's model M, built and cut. ------------
   // model_setup_m draws, encodes and prunes model M (the serving
   // benchmark's shape and seed) at the paper's 60% operating point;
-  // sharded_setup_tp4 cuts that model into 4 tensor-parallel bands, each
-  // with its KV pool.
+  // sharded_setup_tp4 cuts that model into 4 tensor-parallel bands and
+  // allocates the engine's one KV pool.
   {
     TinyConfig m;
     m.vocab = 256;

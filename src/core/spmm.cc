@@ -15,9 +15,4 @@ int64_t SpmmProblem::Nnz() const {
       std::llround(static_cast<double>(m) * static_cast<double>(k) * (1.0 - sparsity)));
 }
 
-uint64_t SpmmProblem::DenseFlops() const {
-  return 2ull * static_cast<uint64_t>(m) * static_cast<uint64_t>(k) *
-         static_cast<uint64_t>(n);
-}
-
 }  // namespace spinfer

@@ -34,7 +34,6 @@ struct SpmmProblem {
   int64_t nnz = -1;
 
   int64_t Nnz() const;
-  uint64_t DenseFlops() const;  // 2*M*K*N
 };
 
 struct KernelEstimate {

@@ -49,11 +49,6 @@ PerfCounters& PerfCounters::operator-=(const PerfCounters& o) {
   return *this;
 }
 
-PerfCounters PerfCounters::Delta(const PerfCounters& before,
-                                 const PerfCounters& after) {
-  return after - before;
-}
-
 uint64_t PerfCounters::TotalWarpInstrs() const {
   return ldgsts_instrs + ldg_instrs + lds_instrs + ldsm_instrs + mma_instrs +
          popc_ops + alu_ops;

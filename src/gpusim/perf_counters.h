@@ -46,10 +46,6 @@ struct PerfCounters {
   // carried from the left operand (it is a static property, not a flow).
   PerfCounters& operator-=(const PerfCounters& o);
 
-  // Delta(before, after) == after - before; reads in snapshot order.
-  static PerfCounters Delta(const PerfCounters& before,
-                            const PerfCounters& after);
-
   // Total warp-level instructions issued — the Table 1 "instructions"
   // column: memory + MMA + POPC + ALU.
   uint64_t TotalWarpInstrs() const;

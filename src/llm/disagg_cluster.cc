@@ -12,13 +12,14 @@
 namespace spinfer {
 namespace {
 
-// A decode instance's execution substrate. It owns the instance's pool, and
-// a sequence enters that pool by KV handoff from the prefill pool that
+// A decode instance's execution substrate: the single-instance substrate,
+// whose pool a sequence enters by KV handoff from the prefill pool that
 // computed it, so registering the sequence (AddSequenceSharing) is the
 // migration. Each step is also priced into the instance's decode samples at
 // its batch and mean post-step context (slots held + 1, the engine's context
-// expression).
-class HandoffSubstrate final : public ServingSubstrate {
+// expression). Decode engines run with the prefix cache off, so the engine
+// never matches or indexes prefixes here.
+class HandoffSubstrate final : public SingleInstanceSubstrate {
  public:
   // Where engine request i waits (the engine numbers its requests densely,
   // in SubmitPrefilled order): a prefill pool, under the cluster's id.
@@ -27,33 +28,28 @@ class HandoffSubstrate final : public ServingSubstrate {
     int64_t seq;
   };
 
-  HandoffSubstrate(const TinyTransformer* model, const PagedKvCacheConfig& kv,
-                   const EngineConfig& cost, std::vector<DisaggIterationSample>* samples)
-      : model_(model), cache_(kv), cost_(cost), samples_(samples) {}
+  HandoffSubstrate(const TinyTransformer* model, const DisaggClusterConfig& cfg,
+                   std::vector<DisaggIterationSample>* samples)
+      : SingleInstanceSubstrate(model, cfg.kv_block_tokens, cfg.kv_num_blocks),
+        cost_(cfg.decode_cost),
+        samples_(samples) {}
 
   std::vector<Source>& sources() { return sources_; }
 
-  const TinyConfig& model_config() const override { return model_->config(); }
-  const PagedKvCache& cache() const override { return cache_; }
-  PagedKvCache::PrefixMatch MatchPrefix(
-      const std::vector<int32_t>& prompt) const override {
-    return {};
-  }
-  bool AddSequenceSharing(int64_t seq_id, const std::vector<int32_t>& prompt,
-                          int64_t tokens,
-                          const PagedKvCache::PrefixMatch& match) override {
+  bool AddSequenceSharing(int64_t seq_id,
+                          const std::vector<int32_t>& /*prompt*/,
+                          int64_t /*tokens*/,
+                          const PagedKvCache::PrefixMatch& /*match*/) override {
     const Source& src = sources_[static_cast<size_t>(seq_id)];
     return MigrateKvSequence(src.pool, &cache_, src.seq, seq_id);
   }
-  void RemoveSequence(int64_t seq_id) override { cache_.RemoveSequence(seq_id); }
-  void IndexPrefix(int64_t seq_id, const std::vector<int32_t>& prompt,
-                   int64_t filled) override {}
   void MixedStep(const std::vector<int64_t>& dec_ids,
                  const std::vector<int32_t>& dec_last,
                  const std::vector<PrefillChunk>& chunks, MatmulBackend backend,
                  std::vector<int32_t>* dec_next,
                  std::vector<int32_t>* chunk_next) override {
-    model_->MixedStep(dec_ids, dec_last, chunks, backend, &cache_, dec_next, chunk_next);
+    SingleInstanceSubstrate::MixedStep(dec_ids, dec_last, chunks, backend,
+                                       dec_next, chunk_next);
     const int64_t batch = static_cast<int64_t>(dec_ids.size());
     int64_t context_sum = 0;
     for (const int64_t id : dec_ids) {
@@ -64,19 +60,16 @@ class HandoffSubstrate final : public ServingSubstrate {
   }
 
  private:
-  const TinyTransformer* model_;
-  PagedKvCache cache_;
   EngineConfig cost_;
   std::vector<DisaggIterationSample>* samples_;
   std::vector<Source> sources_;
 };
 
 // Decode engines run with ServingEngineConfig defaults plus the cluster's
-// batch cap, backend and decode pricing.
+// batch cap and decode pricing.
 ServingEngineConfig DecodeEngineConfig(const DisaggClusterConfig& cfg) {
   ServingEngineConfig e;
   e.max_batch = cfg.max_decode_batch;
-  e.backend = cfg.backend;
   e.cost = cfg.decode_cost;
   return e;
 }
@@ -85,10 +78,9 @@ struct DecodeInstance {
   HandoffSubstrate substrate;
   ServingEngine engine;  // over `substrate`
 
-  DecodeInstance(const TinyTransformer* model, const PagedKvCacheConfig& kv,
-                 const DisaggClusterConfig& cfg,
+  DecodeInstance(const TinyTransformer* model, const DisaggClusterConfig& cfg,
                  std::vector<DisaggIterationSample>* samples)
-      : substrate(model, kv, cfg.decode_cost, samples),
+      : substrate(model, cfg, samples),
         engine(&substrate, DecodeEngineConfig(cfg)) {}
 };
 
@@ -173,7 +165,7 @@ DisaggClusterReport DisaggCluster::Run() {
     }
     for (int64_t i = 0; i < cfg_.decode_instances; ++i) {
       decodes.push_back(std::make_unique<DecodeInstance>(
-          model_, kv, cfg_, &samples_[static_cast<size_t>(i)]));
+          model_, cfg_, &samples_[static_cast<size_t>(i)]));
     }
   }
 
@@ -226,8 +218,8 @@ DisaggClusterReport DisaggCluster::Run() {
     inst.free_at_s = done_s;
     ++report.prefills;
 
-    r.generated.push_back(
-        model_->Prefill(r.prompt, cfg_.backend, &inst.cache, r.id));
+    r.generated.push_back(model_->Prefill(r.prompt, MatmulBackend::kTcaBmeCpu,
+                                          &inst.cache, r.id));
 
     // KV handoff: the prompt's cache pages cross the fabric once, priced on
     // the cost model (the executing tiny pools are stand-ins).

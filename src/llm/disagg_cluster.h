@@ -53,7 +53,6 @@ struct DisaggClusterConfig {
   // Per-instance KV pool geometry (both pools).
   int64_t kv_block_tokens = 16;
   int64_t kv_num_blocks = 64;
-  MatmulBackend backend = MatmulBackend::kTcaBmeCpu;
   // Virtual-clock pricing for each pool (PlanDisaggregation's prefill_cfg /
   // decode_cfg; .model also prices the KV handoff bytes).
   EngineConfig prefill_cost;

@@ -15,8 +15,9 @@
 namespace spinfer {
 namespace {
 
-// Scheduler iterations the SLO tracker's sliding window spans.
-inline constexpr int64_t kSloWindowIters = 64;
+// Scheduler iterations the flight recorder's ring and the SLO tracker's
+// sliding window span.
+inline constexpr int64_t kObsWindowIters = 64;
 
 // Cached global instruments (find-or-create once; recording is lock-free).
 struct ServingMetrics {
@@ -80,22 +81,6 @@ ModelConfig ModelConfigFor(const TinyConfig& cfg) {
   return m;
 }
 
-const char* FinishReasonName(FinishReason r) {
-  switch (r) {
-    case FinishReason::kNone:
-      return "none";
-    case FinishReason::kEos:
-      return "eos";
-    case FinishReason::kMaxTokens:
-      return "max_tokens";
-    case FinishReason::kRejected:
-      return "rejected";
-    case FinishReason::kCancelled:
-      return "cancelled";
-  }
-  return "unknown";
-}
-
 std::string ExecServingReport::ToString() const {
   char buf[768];
   std::snprintf(
@@ -141,16 +126,11 @@ ServingEngine::ServingEngine(ServingSubstrate* substrate,
   SPINFER_CHECK_MSG(cfg.cost.model.heads > 0,
                     "ServingEngineConfig::cost.model is unset (heads == 0); "
                     "price the engine with e.g. ModelConfigFor(model.config())");
-  if (cfg.obs.request_timeline) {
+  if (cfg.obs.enabled) {
     request_log_ = std::make_unique<obs::RequestLog>(cfg.obs.wall_clock);
-  }
-  if (cfg.obs.flight_recorder_iters > 0) {
-    flight_recorder_ =
-        std::make_unique<obs::FlightRecorder>(cfg.obs.flight_recorder_iters);
-  }
-  if (cfg.obs.slo_tracker) {
+    flight_recorder_ = std::make_unique<obs::FlightRecorder>(kObsWindowIters);
     obs::SloTrackerConfig slo;
-    slo.window_iters = kSloWindowIters;
+    slo.window_iters = kObsWindowIters;
     slo_tracker_ = std::make_unique<obs::SloTracker>(slo);
   }
 }

@@ -33,8 +33,8 @@
 // bit): hash-based shared-prefix KV reuse (enable_prefix_cache), chunked
 // prefill (prefill_chunk_tokens), and client cancellation (Cancel).
 //
-// Observability (ServingObsConfig, all default-off): a per-request event
-// timeline (obs::RequestLog), a scheduler flight recorder wired into
+// Observability (ServingObsConfig, one default-off switch): a per-request
+// event timeline (obs::RequestLog), a scheduler flight recorder wired into
 // SPINFER_CHECK crash dumps (obs::FlightRecorder + src/util/crash_dump), and
 // a windowed SLO tracker publishing srv.slo.* gauges (obs::SloTracker). All
 // of it only *reads* engine state: token streams, reports, and the virtual
@@ -72,8 +72,6 @@ enum class FinishReason {
   kCancelled,  // client cancellation (ServingEngine::Cancel)
 };
 
-const char* FinishReasonName(FinishReason r);
-
 // The servability rule every scheduler rejects by: a request can ever run
 // only with a non-empty prompt and budget, prompt + budget within the
 // model's context window `max_seq`, its worst-case blocks within `pool`, and
@@ -81,22 +79,19 @@ const char* FinishReasonName(FinishReason r);
 bool IsServable(const PagedKvCache& pool, const TinyConfig& model,
                 const std::vector<int32_t>& prompt, int64_t max_new);
 
-// Request-scoped observability. Everything is default-off, and enabling any
-// of it never changes token streams, reports, or the virtual clock
+// Request-scoped observability. It is off by default, and turning it on
+// never changes token streams, reports, or the virtual clock
 // (tests/request_log_test.cc asserts bit-identity).
 struct ServingObsConfig {
-  // Structured per-request event timeline; read it after Run via
-  // ServingEngine::request_log() (WriteJsonl / ChromeAsyncSpans).
-  bool request_timeline = false;
-  // Ring capacity (scheduler iterations) of the flight recorder; 0 disables
-  // it. While enabled, Run installs the SPINFER_CHECK crash-dump hook so a
-  // check failure dumps the last N iterations to stderr (the engine
-  // uninstalls its own hook on destruction).
-  int64_t flight_recorder_iters = 0;
-  // Sliding-window (64 iterations) TTFT/TBT percentiles + KV occupancy,
-  // published to srv.slo.* gauges in the global MetricsRegistry every
-  // iteration.
-  bool slo_tracker = false;
+  // Turns on, together: the structured per-request event timeline (read it
+  // after Run via ServingEngine::request_log(): WriteJsonl /
+  // ChromeAsyncSpans); the flight recorder of the last 64 scheduler
+  // iterations, with Run installing the SPINFER_CHECK crash-dump hook so a
+  // check failure dumps them to stderr (the engine uninstalls its own hook
+  // on destruction); and the sliding-window (64 iterations) TTFT/TBT
+  // percentiles + KV occupancy, published to srv.slo.* gauges in the global
+  // MetricsRegistry every iteration.
+  bool enabled = false;
   // Wall clock for the timeline's wall_ns stamps (borrowed, must outlive the
   // engine; nullptr = monotonic SteadyClock). Tests inject obs::FakeClock to
   // make the JSONL byte-stable.
@@ -122,7 +117,7 @@ struct ServingEngineConfig {
   bool enable_prefix_cache = false;
   // Prices the virtual clock (PrefillTimeUs / DecodeStepTimeUs).
   EngineConfig cost;
-  // Request-scoped observability (timeline / flight recorder / SLO tracker).
+  // Request-scoped observability (timeline + flight recorder + SLO tracker).
   ServingObsConfig obs;
 };
 
@@ -240,8 +235,7 @@ class ServingEngine {
   const std::vector<int64_t>& admission_order() const { return admission_order_; }
   const PagedKvCache& kv_cache() const { return substrate_->cache(); }
 
-  // Observability surfaces; nullptr when the corresponding ServingObsConfig
-  // knob is off.
+  // Observability surfaces; nullptr when ServingObsConfig::enabled is off.
   obs::RequestLog* request_log() const { return request_log_.get(); }
   obs::FlightRecorder* flight_recorder() const { return flight_recorder_.get(); }
   obs::SloTracker* slo_tracker() const { return slo_tracker_.get(); }

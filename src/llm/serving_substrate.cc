@@ -3,14 +3,22 @@
 #include "src/util/check.h"
 
 namespace spinfer {
+namespace {
+
+// The borrowed model, CHECKed before the pool is sized from it.
+const TinyTransformer& CheckedModel(const TinyTransformer* model) {
+  SPINFER_CHECK(model != nullptr);
+  return *model;
+}
+
+}  // namespace
 
 SingleInstanceSubstrate::SingleInstanceSubstrate(const TinyTransformer* model,
                                                  int64_t kv_block_tokens,
                                                  int64_t kv_num_blocks)
     : model_(model),
-      cache_(model->KvCacheConfig(kv_block_tokens, kv_num_blocks)) {
-  SPINFER_CHECK(model != nullptr);
-}
+      cache_(CheckedModel(model).KvCacheConfig(kv_block_tokens,
+                                                kv_num_blocks)) {}
 
 const TinyConfig& SingleInstanceSubstrate::model_config() const {
   return model_->config();
@@ -22,9 +30,8 @@ PagedKvCache::PrefixMatch SingleInstanceSubstrate::MatchPrefix(
 }
 
 bool SingleInstanceSubstrate::AddSequenceSharing(
-    int64_t seq_id, const std::vector<int32_t>& prompt, int64_t tokens,
+    int64_t seq_id, const std::vector<int32_t>& /*prompt*/, int64_t tokens,
     const PagedKvCache::PrefixMatch& match) {
-  (void)prompt;  // only sharded substrates re-derive per-shard matches
   return cache_.AddSequenceSharing(seq_id, tokens, match);
 }
 

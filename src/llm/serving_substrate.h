@@ -2,13 +2,13 @@
 //
 // ServingEngine's Orca-style loop (admission, chunk scheduling, virtual-time
 // pricing, retirement) is independent of WHAT executes an iteration: a single
-// TinyTransformer over one PagedKvCache, or N tensor-parallel shards each
-// holding a slice of the weights and of every sequence's KV rows
-// (ShardedEngine). This interface is that seam. The scheduler sees one
-// logical KV pool — `cache()` is the accounting view it admits against — and
-// one MixedStep; a sharded substrate fans both out to its shards, whose
-// allocators run in lockstep (same operation sequence => same block tables),
-// so shard 0's bookkeeping is exact for all of them.
+// TinyTransformer over one PagedKvCache, the same model cut into N
+// tensor-parallel weight bands (ShardedEngine), or a decode instance whose
+// sequences arrive by KV handoff (DisaggCluster). This interface is that
+// seam. Every executing substrate in this library is a
+// SingleInstanceSubstrate: one model and one KV pool, which `cache()`
+// exposes as the view the scheduler admits against. The derived substrates
+// override only what differs: the step, or how a sequence is registered.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,7 @@ class ServingSubstrate {
   virtual const TinyConfig& model_config() const = 0;
 
   // Accounting/read-only view of the KV pool: block counts, per-sequence
-  // tokens, utilization, cow_copies. For a sharded substrate this is shard
-  // 0's cache; lockstep allocators make it exact for every shard.
+  // tokens, utilization, cow_copies.
   virtual const PagedKvCache& cache() const = 0;
 
   // Longest indexed shared prefix of `prompt` (empty match when the prefix
@@ -39,14 +38,14 @@ class ServingSubstrate {
 
   // Registers `seq_id` with `tokens` slots, adopting `match` (from
   // MatchPrefix on this substrate) as its leading blocks. `prompt` is the
-  // full prompt: a sharded substrate re-derives each shard's own match from
-  // it (content hashing + lockstep allocation make the results identical).
+  // full prompt; the substrates in this library register by id and do not
+  // read it.
   virtual bool AddSequenceSharing(int64_t seq_id,
                                   const std::vector<int32_t>& prompt,
                                   int64_t tokens,
                                   const PagedKvCache::PrefixMatch& match) = 0;
 
-  // Releases `seq_id`'s blocks (refcount-aware) on every shard.
+  // Releases `seq_id`'s blocks (refcount-aware).
   virtual void RemoveSequence(int64_t seq_id) = 0;
 
   // Files `seq_id`'s full prompt-prefix blocks in the prefix index.
@@ -62,8 +61,8 @@ class ServingSubstrate {
                          std::vector<int32_t>* chunk_next) = 0;
 };
 
-// The classic single-model, single-cache substrate — ServingEngine's v1
-// execution path, verbatim, behind the interface.
+// The single-model, single-cache substrate — ServingEngine's v1 execution
+// path, verbatim, behind the interface — and the base of every other one.
 class SingleInstanceSubstrate : public ServingSubstrate {
  public:
   // `model` is borrowed and must outlive the substrate.
@@ -86,7 +85,7 @@ class SingleInstanceSubstrate : public ServingSubstrate {
                  std::vector<int32_t>* dec_next,
                  std::vector<int32_t>* chunk_next) override;
 
- private:
+ protected:
   const TinyTransformer* model_;
   PagedKvCache cache_;
 };

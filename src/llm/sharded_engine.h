@@ -8,19 +8,18 @@
 // instead partitions every weight matrix (wq/wk/wv/wo/fc1/fc2) by OUTPUT
 // rows: shard s holds row band s of every layer (TinyTransformer::
 // SliceRowBand: a run of whole TCA-BME GroupTile rows cut straight out of
-// the model's encoded arrays, at head boundaries; no weight is held dense)
-// plus the KV cache for its kv rows. A step
-// is the model's own step body, TinyTransformer::MixedStepBands, run over
-// the shards' bands: each band computes its rows of every projection from
-// the full activation panel, so every output element's scalar accumulation
-// chain is exactly the whole-matrix kernel's, and the inter-shard
-// "collectives" are pure row copies. Consequences:
+// the model's encoded arrays, at head boundaries; no weight is held dense).
+// A step is the model's own step body, TinyTransformer::MixedStepBands, run
+// over the shards' bands: each band computes its rows of every projection
+// from the full activation panel, so every output element's scalar
+// accumulation chain is exactly the whole-matrix kernel's, and the
+// inter-shard "collectives" are pure row copies. Consequences:
 //   * Token streams, logits, and KV bytes are bit-identical to
 //     TinyTransformer::MixedStep for any shard count, batch mix, backend and
 //     thread count — there is no second copy of the layer stack to drift.
-//   * Attention shards by query head (heads % shards == 0); under GQA the kv
-//     groups must not straddle a shard cut (kv_heads % shards == 0), so each
-//     shard's cache holds exactly its own kv heads' rows (kv_dim / shards).
+//   * The cuts fall on query heads (heads % shards == 0) and, under GQA, on
+//     whole kv groups (kv_heads % shards == 0): the Megatron partition whose
+//     communication the time model prices.
 //
 // Time model ("execution real, clock virtual", like ServingEngine): the
 // virtual interconnect still prices the canonical Megatron schedule — two
@@ -29,11 +28,10 @@
 // The analytic cross-check tests recompute that expression per step from
 // step_panel_cols() and match it exactly.
 //
-// KV discipline: per-shard PagedKvCache pools (kv_dim / shards rows each)
-// driven in lockstep — every allocator mutation is applied to all shards in
-// the same order, so block tables, free lists, and prefix indexes are
-// identical across shards and shard 0 serves as the scheduler's exact
-// accounting view (ServingSubstrate::cache()).
+// KV: the one pool of the SingleInstanceSubstrate this engine is, holding
+// every kv row of every sequence. Nothing in the process reads one shard's
+// slice of the KV on its own, so the step writes and attends all heads
+// against it once per layer; the scheduler's view (cache()) is that pool.
 #pragma once
 
 #include <cstdint>
@@ -48,13 +46,13 @@ namespace spinfer {
 struct ShardedEngineConfig {
   int shards = 2;
   int64_t kv_block_tokens = 16;
-  int64_t kv_num_blocks = 64;  // per shard
+  int64_t kv_num_blocks = 64;
   // Interconnect pricing the virtual ring all-reduces (link_bw_gbs /
   // link_latency_us are the fields that matter).
   DeviceSpec device;
 };
 
-class ShardedEngine : public ServingSubstrate {
+class ShardedEngine : public SingleInstanceSubstrate {
  public:
   // `model` is borrowed and must outlive the engine. Requires (CHECKed):
   // heads, kv_head_count, and hidden/kv_dim/ffn row counts all divisible so
@@ -62,17 +60,7 @@ class ShardedEngine : public ServingSubstrate {
   // boundary (see file comment).
   ShardedEngine(const TinyTransformer* model, const ShardedEngineConfig& cfg);
 
-  // --- ServingSubstrate ------------------------------------------------------
-  const TinyConfig& model_config() const override { return model_->config(); }
-  const PagedKvCache& cache() const override { return shards_[0].cache; }
-  PagedKvCache::PrefixMatch MatchPrefix(
-      const std::vector<int32_t>& prompt) const override;
-  bool AddSequenceSharing(int64_t seq_id, const std::vector<int32_t>& prompt,
-                          int64_t tokens,
-                          const PagedKvCache::PrefixMatch& match) override;
-  void RemoveSequence(int64_t seq_id) override;
-  void IndexPrefix(int64_t seq_id, const std::vector<int32_t>& prompt,
-                   int64_t filled) override;
+  // The single-instance step over the shards' bands, plus its comm pricing.
   void MixedStep(const std::vector<int64_t>& dec_ids,
                  const std::vector<int32_t>& dec_last,
                  const std::vector<PrefillChunk>& chunks, MatmulBackend backend,
@@ -94,15 +82,8 @@ class ShardedEngine : public ServingSubstrate {
   std::string StatsToString() const;
 
  private:
-  struct Shard {
-    std::vector<TinyTransformer::Layer> layers;  // this shard's encoded row band
-    PagedKvCache cache;                          // kv_dim / shards rows per token
-  };
-
-  const TinyTransformer* model_;
   ShardedEngineConfig cfg_;
-  std::vector<Shard> shards_;
-  // The step body's view of shards_, in row order.
+  // Shard s's encoded row band of every layer, in row order.
   std::vector<TinyTransformer::RowBand> bands_;
 
   int64_t steps_ = 0;

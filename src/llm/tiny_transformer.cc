@@ -177,12 +177,12 @@ TinyTransformer::TinyTransformer(const TinyConfig& config, uint64_t seed)
   }
 }
 
-std::vector<TinyTransformer::Layer> TinyTransformer::SliceRowBand(
-    int64_t band, int64_t bands) const {
+TinyTransformer::RowBand TinyTransformer::SliceRowBand(int64_t band,
+                                                      int64_t bands) const {
   const TinyConfig& c = config_;
   SPINFER_CHECK(bands >= 1 && band >= 0 && band < bands);
-  // Head-aligned cuts: each band owns whole query heads, and whole kv groups
-  // so no query head reads another band's kv rows.
+  // Head-aligned cuts: each band owns whole query heads and whole kv groups,
+  // the Megatron partition the tensor-parallel comm model prices.
   SPINFER_CHECK_MSG(c.heads % bands == 0, "heads must divide by shard count");
   SPINFER_CHECK_MSG(c.kv_head_count() % bands == 0,
                     "kv heads must divide by shard count");
@@ -195,7 +195,7 @@ std::vector<TinyTransformer::Layer> TinyTransformer::SliceRowBand(
                     "kv_dim slice must be a GroupTile-row multiple");
   SPINFER_CHECK_MSG(c.ffn % (bands * gt) == 0,
                     "ffn slice must be a GroupTile-row multiple");
-  std::vector<Layer> out(layers_.size());
+  RowBand out(layers_.size());
   for (size_t i = 0; i < layers_.size(); ++i) {
     for (TcaBmeMatrix Layer::*w : kLayerWeights) {
       const TcaBmeMatrix& whole = layers_[i].*w;
@@ -228,6 +228,29 @@ void TinyTransformer::MatmulInto(const TcaBmeMatrix& w, const FloatMatrix& x,
   // The sparse path quantizes to FP16 on panel fill — bit-identical to the
   // explicit ToHalfInto staging above, one conversion pass cheaper.
   CpuSpmmQuantInto(w, x, &scratch_.ws, out);
+}
+
+void TinyTransformer::BandsMatmulInto(std::span<const RowBand> bands,
+                                      int64_t layer, TcaBmeMatrix Layer::*w,
+                                      const FloatMatrix& x,
+                                      MatmulBackend backend, const char* label,
+                                      FloatMatrix* out) const {
+  const size_t l = static_cast<size_t>(layer);
+  if (bands.size() == 1) {
+    MatmulInto(bands[0][l].*w, x, backend, label, out);
+    return;
+  }
+  // Each band's rows land in their run of the full panel: the all-gather.
+  FloatMatrix& part = scratch_.band_out;
+  out->Reshape((layers_[l].*w).rows(), x.cols());
+  int64_t copied = 0;
+  for (const RowBand& band : bands) {
+    MatmulInto(band[l].*w, x, backend, label, &part);
+    SPINFER_CHECK(copied + part.size() <= out->size());
+    std::copy(part.data(), part.data() + part.size(), out->data() + copied);
+    copied += part.size();
+  }
+  SPINFER_CHECK_EQ(copied, out->size());
 }
 
 int64_t TinyTransformer::MatmulScratchGrowCount() const {
@@ -400,12 +423,12 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
                                 std::vector<int32_t>* dec_next,
                                 std::vector<int32_t>* chunk_next,
                                 FloatMatrix* dec_logits_out) const {
-  const RowBand whole{&layers_, cache};
-  MixedStepBands({&whole, 1}, dec_ids, dec_last, chunks, backend, dec_next,
-                 chunk_next, dec_logits_out);
+  MixedStepBands({&layers_, 1}, cache, dec_ids, dec_last, chunks, backend,
+                 dec_next, chunk_next, dec_logits_out);
 }
 
 int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
+                                        PagedKvCache* cache,
                                         const std::vector<int64_t>& dec_ids,
                                         const std::vector<int32_t>& dec_last,
                                         const std::vector<PrefillChunk>& chunks,
@@ -413,16 +436,11 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
                                         std::vector<int32_t>* dec_next,
                                         std::vector<int32_t>* chunk_next,
                                         FloatMatrix* dec_logits_out) const {
-  const int64_t g = static_cast<int64_t>(bands.size());
-  SPINFER_CHECK(g >= 1 && config_.heads % g == 0 &&
-                config_.kv_head_count() % g == 0);
+  SPINFER_CHECK(!bands.empty() && cache != nullptr);
   for (const RowBand& band : bands) {
-    SPINFER_CHECK(band.layers != nullptr && band.cache != nullptr);
-    SPINFER_CHECK_EQ(band.layers->size(), layers_.size());
-    SPINFER_CHECK_EQ(band.cache->config().kv_dim * g, config_.kv_dim());
+    SPINFER_CHECK_EQ(band.size(), layers_.size());
   }
-  // Lockstep caches: the first band's bookkeeping is every band's.
-  const PagedKvCache& lead = *bands[0].cache;
+  SPINFER_CHECK_EQ(cache->config().kv_dim, config_.kv_dim());
   const int64_t dec = static_cast<int64_t>(dec_ids.size());
   SPINFER_CHECK_EQ(static_cast<int64_t>(dec_last.size()), dec);
   SPINFER_CHECK(dec_next != nullptr || dec == 0);
@@ -435,7 +453,7 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     SPINFER_CHECK(c.prompt != nullptr && c.count > 0 && c.start >= 0);
     const int64_t len = static_cast<int64_t>(c.prompt->size());
     SPINFER_CHECK(c.start + c.count <= len && len <= config_.max_seq);
-    SPINFER_CHECK_MSG(lead.SequenceTokens(c.seq_id) >= c.start + c.count,
+    SPINFER_CHECK_MSG(cache->SequenceTokens(c.seq_id) >= c.start + c.count,
                       "chunk past the registered slots of sequence " << c.seq_id);
     n += c.count;
   }
@@ -445,13 +463,12 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
 
   MatmulScratch& s = scratch_;
   // Per column: its sequence, absolute position and attention horizon. Each
-  // decode sequence first appends its new slot (on every band's cache) and
-  // embeds its last token there; admission reserved the blocks, so
-  // exhaustion here is a scheduler bug, not a runtime condition. Chunk
-  // columns embed prompt tokens at their absolute positions — the bits a
-  // full-sequence Forward would give those positions — and attend the causal
-  // horizon [0, pos] even though later slots of their chunk are written in
-  // the same layer.
+  // decode sequence first appends its new slot and embeds its last token
+  // there; admission reserved the blocks, so exhaustion here is a scheduler
+  // bug, not a runtime condition. Chunk columns embed prompt tokens at their
+  // absolute positions — the bits a full-sequence Forward would give those
+  // positions — and attend the causal horizon [0, pos] even though later
+  // slots of their chunk are written in the same layer.
   s.act.Reshape(h, n);
   s.positions.resize(static_cast<size_t>(n));
   s.attn_items.clear();
@@ -459,12 +476,10 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
   {
     SPINFER_TRACE_SCOPE("tt.embed");
     for (int64_t i = 0; i < dec; ++i) {
-      for (const RowBand& band : bands) {
-        SPINFER_CHECK_MSG(band.cache->AppendToken(dec_ids[i]),
-                          "KV pool exhausted mid-decode; admission must "
-                          "reserve blocks for a sequence's full max length");
-      }
-      const int64_t pos = lead.SequenceTokens(dec_ids[i]) - 1;
+      SPINFER_CHECK_MSG(cache->AppendToken(dec_ids[i]),
+                        "KV pool exhausted mid-decode; admission must "
+                        "reserve blocks for a sequence's full max length");
+      const int64_t pos = cache->SequenceTokens(dec_ids[i]) - 1;
       SPINFER_CHECK(pos < config_.max_seq);
       EmbedInto(dec_last[i], pos, /*col=*/i, &s.act);
       s.positions[static_cast<size_t>(i)] = pos;
@@ -486,57 +501,33 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     }
   }
 
-  // Fills a full (rows x n) panel band by band: `fill(band, l, out)` writes
-  // the band's rows from its weights `l` at this layer. A lone band fills
-  // the panel itself; several fill the band panel, whose rows are then
-  // copied into rows [b * rows / g, ...) of the full panel — the all-gather,
-  // with no arithmetic.
-  auto fill_bands = [&](int64_t layer, int64_t rows, FloatMatrix* full,
-                        auto&& fill) {
-    full->Reshape(rows, n);
-    for (int64_t b = 0; b < g; ++b) {
-      const RowBand& band = bands[static_cast<size_t>(b)];
-      const Layer& l = (*band.layers)[static_cast<size_t>(layer)];
-      if (g == 1) {
-        fill(band, l, full);
-        continue;
-      }
-      s.band_out.Reshape(rows / g, n);
-      fill(band, l, &s.band_out);
-      std::copy(s.band_out.data(), s.band_out.data() + s.band_out.size(),
-                full->data() + b * s.band_out.size());
-    }
-  };
-
   for (int64_t layer = 0; layer < config_.layers; ++layer) {
     SPINFER_TRACE_SCOPE_ARG("tt.layer", "layer", layer);
     // --- Attention block (pre-LN). One SpMM per weight with N columns. ---
     CopyInto(s.act, &s.normed);
     LayerNormColumns(&s.normed);
-    fill_bands(layer, h, &s.attn_out,
-               [&](const RowBand& band, const Layer& l, FloatMatrix* out) {
-      MatmulInto(l.wq, s.normed, backend, "tt.matmul.wq", &s.q);
-      MatmulInto(l.wk, s.normed, backend, "tt.matmul.wk", &s.kk);
-      MatmulInto(l.wv, s.normed, backend, "tt.matmul.wv", &s.v);
-      // This band's kv rows land in its own cache, so the band caches tile
-      // the full K/V exactly.
-      SPINFER_CHECK_EQ(s.kk.rows(), band.cache->config().kv_dim);
-      for (const PagedAttentionItem& it : s.attn_items) {
-        band.cache->WriteSlot(layer, it.seq_id,
-                              s.positions[static_cast<size_t>(it.col)],
-                              &s.kk.at(0, it.col), &s.v.at(0, it.col), n);
-      }
-      // Heads band with the rows: this band's q rows hold its query heads,
-      // which read exactly its kv heads.
+    BandsMatmulInto(bands, layer, &Layer::wq, s.normed, backend,
+                    "tt.matmul.wq", &s.q);
+    BandsMatmulInto(bands, layer, &Layer::wk, s.normed, backend,
+                    "tt.matmul.wk", &s.kk);
+    BandsMatmulInto(bands, layer, &Layer::wv, s.normed, backend,
+                    "tt.matmul.wv", &s.v);
+    // K/V writes and attention run once over all heads: each query head
+    // reads only its kv group's rows, whichever band computed them.
+    for (const PagedAttentionItem& it : s.attn_items) {
+      cache->WriteSlot(layer, it.seq_id,
+                       s.positions[static_cast<size_t>(it.col)],
+                       &s.kk.at(0, it.col), &s.v.at(0, it.col), n);
+    }
+    s.attn_out.Reshape(h, n);
+    {
       SPINFER_TRACE_SCOPE("tt.attention");
-      PagedAttentionDecodeBatch(*band.cache, layer, config_.heads / g,
-                                config_.kv_head_count() / g, s.q, s.attn_items,
-                                out, &s.attn);
-    });
-    fill_bands(layer, h, &s.proj,
-               [&](const RowBand&, const Layer& l, FloatMatrix* out) {
-      MatmulInto(l.wo, s.attn_out, backend, "tt.matmul.wo", out);
-    });
+      PagedAttentionDecodeBatch(*cache, layer, config_.heads,
+                                config_.kv_head_count(), s.q, s.attn_items,
+                                &s.attn_out, &s.attn);
+    }
+    BandsMatmulInto(bands, layer, &Layer::wo, s.attn_out, backend,
+                    "tt.matmul.wo", &s.proj);
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.proj.data()[i];  // residual
     }
@@ -544,19 +535,15 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     // --- FFN block (pre-LN, GELU). ---
     CopyInto(s.act, &s.ffn_in);
     LayerNormColumns(&s.ffn_in);
-    fill_bands(layer, config_.ffn, &s.hidden_act,
-               [&](const RowBand&, const Layer& l, FloatMatrix* out) {
-      MatmulInto(l.fc1, s.ffn_in, backend, "tt.matmul.fc1", out);
-    });
+    BandsMatmulInto(bands, layer, &Layer::fc1, s.ffn_in, backend,
+                    "tt.matmul.fc1", &s.hidden_act);
     {
       SPINFER_TRACE_SCOPE("tt.gelu");
       GeluInPlace(
           {s.hidden_act.data(), static_cast<size_t>(s.hidden_act.size())});
     }
-    fill_bands(layer, h, &s.ffn_out,
-               [&](const RowBand&, const Layer& l, FloatMatrix* out) {
-      MatmulInto(l.fc2, s.hidden_act, backend, "tt.matmul.fc2", out);
-    });
+    BandsMatmulInto(bands, layer, &Layer::fc2, s.hidden_act, backend,
+                    "tt.matmul.fc2", &s.ffn_out);
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.ffn_out.data()[i];
     }

@@ -13,15 +13,17 @@
 //     decode columns and prompt-chunk columns, runs each weight matmul with
 //     N = panel columns, writes each column's per-layer K/V into a
 //     PagedKvCache, attends per sequence over the paged context, and samples
-//     greedily. It runs over a list of row bands: each band holds an
-//     output-row slice of every layer's six weight matrices plus the cache
-//     holding its kv rows. MixedStep and Prefill call it with one band (the
-//     model's own weights, writing the full panels directly); ShardedEngine
-//     calls it with one band per tensor-parallel shard. Every
-//     stage is per-column/per-sequence and band cuts sit on GroupTile rows,
-//     so a sequence's tokens and logits are bit-identical for any batch
-//     composition, chunking, band count and thread count, and also match
-//     the full-recompute Generate path bit for bit.
+//     greedily. Its weights come as a list of row bands, each an output-row
+//     slice of every layer's six weight matrices; each matmul runs band by
+//     band into the full panel, and the K/V writes and attention run once
+//     per layer over all heads against the one cache. MixedStep and Prefill
+//     call it with one band (the model's own weights, writing the full
+//     panels directly); ShardedEngine calls it with one band per
+//     tensor-parallel shard. Every stage is per-column/per-sequence and band
+//     cuts sit on GroupTile rows, so a sequence's tokens and logits are
+//     bit-identical for any batch composition, chunking, band count and
+//     thread count, and also match the full-recompute Generate path bit for
+//     bit.
 //
 // Both modes share one epilogue (DESIGN.md §5): GELU is GeluInPlace over the
 // repository's own RationalTanh, so its bits come from a fixed sequence of
@@ -120,15 +122,10 @@ class TinyTransformer {
     TcaBmeMatrix fc2;     // hidden x ffn
   };
 
-  // One row band of the step body: band b of g holds output rows
+  // One row band of the step body's weights: band b of g holds output rows
   // [b * rows / g, (b + 1) * rows / g) of every layer matrix — so query heads
-  // [b * heads / g, ...) and their kv heads — and `cache` holds those kv rows
-  // (kv_dim / g per token). Both are borrowed. The caches of a step's bands
-  // must be driven in lockstep (same sequences, same slot counts).
-  struct RowBand {
-    const std::vector<Layer>* layers = nullptr;
-    PagedKvCache* cache = nullptr;
-  };
+  // [b * heads / g, ...) and their kv heads.
+  using RowBand = std::vector<Layer>;
 
   // Deterministic random initialization (scaled Gaussian). Each weight is
   // drawn, encoded and dropped before the next is drawn.
@@ -181,14 +178,14 @@ class TinyTransformer {
                  std::vector<int32_t>* chunk_next,
                  FloatMatrix* dec_logits_out = nullptr) const;
 
-  // The step body behind MixedStep, over `bands` in row order (band b of
-  // bands.size()). Embedding, LayerNorm, GELU, residuals and the unembedding
-  // run once on the full panels; each band then runs its own slice of every
-  // matmul, appends slots to and writes K/V rows into its own cache, and
-  // attends its own heads. A lone band writes the full panels directly;
-  // several write band panels that are copied into their rows (the
-  // all-gather, with no arithmetic). Returns the panel width N.
-  int64_t MixedStepBands(std::span<const RowBand> bands,
+  // The step body behind MixedStep, over the weight `bands` in row order
+  // (band b of bands.size()) and `cache`, which holds every head's kv rows.
+  // Each matmul runs its bands in turn: a lone band writes the full panel
+  // directly; several write band panels that are copied into their rows (the
+  // all-gather, with no arithmetic). Embedding, LayerNorm, the K/V writes,
+  // attention, GELU, residuals and the unembedding run once on the full
+  // panels. Returns the panel width N.
+  int64_t MixedStepBands(std::span<const RowBand> bands, PagedKvCache* cache,
                          const std::vector<int64_t>& dec_ids,
                          const std::vector<int32_t>& dec_last,
                          const std::vector<PrefillChunk>& chunks,
@@ -212,7 +209,7 @@ class TinyTransformer {
   // Band `band` of `bands` of every layer (see RowBand), cut out of the
   // encoded weights (TcaBmeMatrix::CutRows). CHECKs that the cuts fall on
   // head, kv-head and GroupTile-row boundaries.
-  std::vector<Layer> SliceRowBand(int64_t band, int64_t bands) const;
+  RowBand SliceRowBand(int64_t band, int64_t bands) const;
   // Observability for the zero-allocation serving contract (tests, benches).
   // Grow count / capacity of the reusable step scratch: once a step at the
   // serving shapes has warmed it, further steps at those (or smaller) shapes
@@ -266,6 +263,12 @@ class TinyTransformer {
   void MatmulInto(const TcaBmeMatrix& w, const FloatMatrix& x,
                   MatmulBackend backend, const char* label,
                   FloatMatrix* out) const;
+  // out = W*x for weight `w` of layer `layer`, over `bands` in row order (see
+  // MixedStepBands).
+  void BandsMatmulInto(std::span<const RowBand> bands, int64_t layer,
+                       TcaBmeMatrix Layer::*w, const FloatMatrix& x,
+                       MatmulBackend backend, const char* label,
+                       FloatMatrix* out) const;
 
   TinyConfig config_;
   // hidden x vocab: the FP16 draws widened exactly (tied LM head).

@@ -98,8 +98,7 @@ TinyTransformer MakeModel() {
   return model;
 }
 
-ServingEngineConfig RecorderConfig(const TinyConfig& model_cfg,
-                                   int64_t capacity) {
+ServingEngineConfig RecorderConfig(const TinyConfig& model_cfg) {
   ServingEngineConfig cfg;
   cfg.max_batch = 4;
   cfg.kv_block_tokens = 8;
@@ -108,13 +107,13 @@ ServingEngineConfig RecorderConfig(const TinyConfig& model_cfg,
   cfg.cost.framework = Framework::kSpInfer;
   cfg.cost.device = Rtx4090();
   cfg.cost.sparsity = 0.6;
-  cfg.obs.flight_recorder_iters = capacity;
+  cfg.obs.enabled = true;
   return cfg;
 }
 
 TEST(FlightRecorderEngineTest, RecordsEveryIterationWithBatchAndKvState) {
   const TinyTransformer model = MakeModel();
-  ServingEngine engine(&model, RecorderConfig(model.config(), 128));
+  ServingEngine engine(&model, RecorderConfig(model.config()));
   for (int i = 0; i < 6; ++i) {
     engine.Submit(std::vector<int32_t>(8, 1 + i), 4, 0.0);
   }
@@ -145,7 +144,7 @@ TEST(FlightRecorderEngineTest, RecordsEveryIterationWithBatchAndKvState) {
 
 void RunServingThenFailCheck() {
   const TinyTransformer model = MakeModel();
-  ServingEngine engine(&model, RecorderConfig(model.config(), 32));
+  ServingEngine engine(&model, RecorderConfig(model.config()));
   for (int i = 0; i < 4; ++i) {
     engine.Submit(std::vector<int32_t>(8, 1 + i), 4, 0.0);
   }
@@ -170,7 +169,7 @@ TEST(FlightRecorderEngineTest, UninstallOnDestructionIsScopedToOwnRecorder) {
   InstallFlightRecorderCrashDump(&outer);
   {
     const TinyTransformer model = MakeModel();
-    ServingEngine engine(&model, RecorderConfig(model.config(), 8));
+    ServingEngine engine(&model, RecorderConfig(model.config()));
     engine.Submit({1, 2, 3}, 2, 0.0);
     engine.Run();  // installs the engine's recorder over `outer`
   }

@@ -138,9 +138,7 @@ ServingEngineConfig ObsEngineConfig(const TinyConfig& model_cfg,
   cfg.cost.framework = Framework::kSpInfer;
   cfg.cost.device = Rtx4090();
   cfg.cost.sparsity = 0.6;
-  cfg.obs.request_timeline = true;
-  cfg.obs.flight_recorder_iters = 16;
-  cfg.obs.slo_tracker = true;
+  cfg.obs.enabled = true;
   cfg.obs.wall_clock = wall;
   return cfg;
 }

@@ -12,13 +12,14 @@
 //     model expression for expression: comm_us() equals the sum over
 //     executed steps of layers * LayerCommTimeUs(panel, hidden, shards, dev),
 //     exactly (EXPECT_DOUBLE_EQ), and one shard prices zero comm.
-//   * Per-shard KV pools run in lockstep: block tables and accounting agree
-//     with the single-instance pool throughout (shard 0 IS the scheduler's
-//     accounting view).
+//   * One KV pool: the sharded engine is a single-instance substrate whose
+//     pool holds every kv row of every sequence, byte for byte the rows the
+//     single-instance step writes, and drains after a serving run.
 #include "src/llm/sharded_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -159,8 +160,8 @@ TEST(ShardedEngineTest, DenseBackendBitIdenticalToSingleInstance) {
 }
 
 // Same equivalence under grouped-query attention: kv groups shard cleanly
-// (kv_heads % shards == 0), so per-shard caches hold exactly their own kv
-// heads' rows.
+// (kv_heads % shards == 0), so no shard's query heads read another shard's
+// kv heads.
 TEST(ShardedEngineTest, BitIdenticalToSingleInstanceUnderGqa) {
   const TinyTransformer model = MakePrunedModel(GqaModelConfig());
   const ServingEngineConfig cfg = TestEngineConfig(model.config());
@@ -273,9 +274,8 @@ TEST(ShardedEngineTest, WarmRunLeavesStepScratchUnchanged) {
   ThreadPool::SetGlobalThreads(0);
 }
 
-// Lockstep KV discipline: after a full serving run every shard's pool has
-// drained to empty — identical allocator trajectories end identically.
-TEST(ShardedEngineTest, ShardPoolsDrainInLockstep) {
+// After a full serving run the engine's one pool has drained to empty.
+TEST(ShardedEngineTest, PoolDrainsAfterShardedRun) {
   const TinyTransformer model = MakePrunedModel(TestModelConfig());
   const ServingEngineConfig cfg = TestEngineConfig(model.config());
   ThreadPool::SetGlobalThreads(1);
@@ -289,6 +289,81 @@ TEST(ShardedEngineTest, ShardPoolsDrainInLockstep) {
   EXPECT_EQ(substrate.cache().used_blocks(), 0);
   EXPECT_EQ(substrate.cache().WastedTokenSlots(), 0);
   ThreadPool::SetGlobalThreads(0);
+}
+
+// The sharded engine's pool is the single-instance pool: the same prompts,
+// prefilled as one whole-prompt chunk each and then decoded 3 steps, leave
+// full-width kv rows (kv_dim, not a shard's slice) holding the
+// single-instance engine's bytes at every layer, sequence and slot.
+TEST(ShardedEngineTest, PoolHoldsTheSingleInstanceKvRows) {
+  struct Case {
+    TinyConfig model;
+    int shards;
+  };
+  for (const Case& c : {Case{TestModelConfig(), 2}, Case{TestModelConfig(), 4},
+                        Case{GqaModelConfig(), 2}}) {
+    const std::string label = "kv_heads=" +
+                              std::to_string(c.model.kv_head_count()) +
+                              " shards=" + std::to_string(c.shards);
+    const TinyTransformer model = MakePrunedModel(c.model);
+    const ShardedEngineConfig scfg = TestShardConfig(c.shards);
+    SingleInstanceSubstrate single(&model, scfg.kv_block_tokens,
+                                   scfg.kv_num_blocks);
+    ShardedEngine sharded(&model, scfg);
+    const int64_t kv_dim = model.config().kv_dim();
+    EXPECT_EQ(sharded.cache().config().kv_dim, kv_dim) << label;
+
+    Rng rng(29);
+    std::vector<std::vector<int32_t>> prompts;
+    for (const int64_t len : {5, 9, 12}) {
+      std::vector<int32_t> p(static_cast<size_t>(len));
+      for (int32_t& t : p) {
+        t = static_cast<int32_t>(rng.Below(256));
+      }
+      prompts.push_back(std::move(p));
+    }
+    std::vector<int64_t> ids;
+    for (ServingSubstrate* sub : {static_cast<ServingSubstrate*>(&single),
+                                  static_cast<ServingSubstrate*>(&sharded)}) {
+      ids.clear();
+      std::vector<PrefillChunk> chunks;
+      for (size_t i = 0; i < prompts.size(); ++i) {
+        const int64_t id = static_cast<int64_t>(i);
+        const int64_t len = static_cast<int64_t>(prompts[i].size());
+        ASSERT_TRUE(sub->AddSequenceSharing(id, prompts[i], len, {})) << label;
+        chunks.push_back({id, &prompts[i], 0, len});
+        ids.push_back(id);
+      }
+      std::vector<int32_t> last;
+      std::vector<int32_t> next;
+      sub->MixedStep({}, {}, chunks, MatmulBackend::kTcaBmeCpu, nullptr, &last);
+      for (int step = 0; step < 3; ++step) {
+        sub->MixedStep(ids, last, {}, MatmulBackend::kTcaBmeCpu, &next,
+                       nullptr);
+        last = next;
+      }
+    }
+
+    std::vector<float> k1(static_cast<size_t>(kv_dim));
+    std::vector<float> v1(k1.size());
+    std::vector<float> k2(k1.size());
+    std::vector<float> v2(k1.size());
+    const size_t bytes = k1.size() * sizeof(float);
+    for (int64_t layer = 0; layer < model.config().layers; ++layer) {
+      for (const int64_t id : ids) {
+        const int64_t slots = single.cache().SequenceTokens(id);
+        ASSERT_EQ(sharded.cache().SequenceTokens(id), slots) << label;
+        for (int64_t t = 0; t < slots; ++t) {
+          single.cache().ReadSlot(layer, id, t, k1.data(), v1.data());
+          sharded.cache().ReadSlot(layer, id, t, k2.data(), v2.data());
+          EXPECT_EQ(std::memcmp(k1.data(), k2.data(), bytes), 0)
+              << label << " layer=" << layer << " seq=" << id << " slot=" << t;
+          EXPECT_EQ(std::memcmp(v1.data(), v2.data(), bytes), 0)
+              << label << " layer=" << layer << " seq=" << id << " slot=" << t;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
