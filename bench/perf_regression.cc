@@ -707,20 +707,20 @@ int Main(int argc, char** argv) {
       request_spans = obs_engine->request_log()->ChromeAsyncSpans();
     }
 
-    // Multi-instance serving: serving_tp{2,4} run the workload through the
-    // sharded substrate; the delta over serving_engine_b8 is the real cost
-    // of slicing one step across N shards on one host (per-shard matmul
-    // calls + copy-gathers — the virtual ring itself is priced, not
-    // executed). serving_disagg runs it through the two-pool cluster
-    // (prefill -> KV handoff -> decode), timing the executing pipeline.
-    const auto run_tp = [&](int shards) {
+    // Multi-instance serving: serving_tp4 runs serving_engine_b8's workload
+    // through the 4-shard substrate, which executes the single-instance step
+    // and prices the ring all-reduces on a virtual clock; the delta over
+    // serving_engine_b8 is that pricing. serving_disagg runs it through the
+    // two-pool cluster (prefill -> KV handoff -> decode), timing the
+    // executing pipeline.
+    const auto run_tp = [&] {
       ServingEngineConfig cfg;
       cfg.max_batch = 8;
       cfg.kv_block_tokens = 16;
       cfg.kv_num_blocks = 64;
       cfg.cost = Opt13bSpInferCost();
       ShardedEngineConfig scfg;
-      scfg.shards = shards;
+      scfg.shards = 4;
       scfg.kv_block_tokens = 16;
       scfg.kv_num_blocks = 64;
       scfg.device = Rtx4090();
@@ -730,8 +730,7 @@ int Main(int argc, char** argv) {
       const ExecServingReport rep = engine.Run();
       g_sink = static_cast<float>(rep.tokens_generated);
     };
-    bench("serving_tp2", [&] { run_tp(2); });
-    bench("serving_tp4", [&] { run_tp(4); });
+    bench("serving_tp4", run_tp);
     const auto run_disagg = [&] {
       DisaggClusterConfig cfg;
       cfg.prefill_instances = 2;
@@ -749,11 +748,9 @@ int Main(int argc, char** argv) {
     bench("serving_disagg", [&] { run_disagg(); });
   }
 
-  // --- Set-up: the serving benchmark's model M, built and cut. ------------
+  // --- Set-up: the serving benchmark's model M, built. --------------------
   // model_setup_m draws, encodes and prunes model M (the serving
-  // benchmark's shape and seed) at the paper's 60% operating point;
-  // sharded_setup_tp4 cuts that model into 4 tensor-parallel bands and
-  // allocates the engine's one KV pool.
+  // benchmark's shape and seed) at the paper's 60% operating point.
   {
     TinyConfig m;
     m.vocab = 256;
@@ -762,20 +759,10 @@ int Main(int argc, char** argv) {
     m.layers = 4;
     m.heads = 8;
     m.max_seq = 576;
-    std::unique_ptr<TinyTransformer> model;
     bench("model_setup_m", [&] {
-      model = std::make_unique<TinyTransformer>(m, 1013);
-      model->PruneWeights(MagnitudePruner(), 0.6);
-      g_sink = static_cast<float>(model->WeightSparsity());
-    });
-    ShardedEngineConfig scfg;
-    scfg.shards = 4;
-    scfg.kv_block_tokens = 16;
-    scfg.kv_num_blocks = 64;
-    scfg.device = Rtx4090();
-    bench("sharded_setup_tp4", [&] {
-      const ShardedEngine substrate(model.get(), scfg);
-      g_sink = static_cast<float>(substrate.shards());
+      TinyTransformer model(m, 1013);
+      model.PruneWeights(MagnitudePruner(), 0.6);
+      g_sink = static_cast<float>(model.WeightSparsity());
     });
   }
 

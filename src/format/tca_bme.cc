@@ -185,34 +185,6 @@ HalfMatrix TcaBmeMatrix::Decode() const {
   return w;
 }
 
-TcaBmeMatrix TcaBmeMatrix::CutRows(int64_t first_row, int64_t rows) const {
-  const int64_t end_row = first_row + rows;
-  SPINFER_CHECK(first_row >= 0 && rows > 0 && end_row <= rows_);
-  SPINFER_CHECK_MSG(first_row % cfg_.gt_rows == 0 &&
-                        (end_row % cfg_.gt_rows == 0 || end_row == rows_),
-                    "row cut [" << first_row << ", " << end_row
-                                << ") is not on GroupTile-row boundaries");
-  const int64_t gt_begin = first_row / cfg_.gt_rows * gt_grid_cols();
-  const int64_t gt_end = PadUp(end_row, cfg_.gt_rows) / cfg_.gt_rows * gt_grid_cols();
-  const int64_t bitmaps_per_gt = 4 * static_cast<int64_t>(tcs_per_gt());
-  const uint32_t base = gtile_offsets_[gt_begin];
-  std::vector<uint32_t> offsets(gtile_offsets_.begin() + gt_begin,
-                                gtile_offsets_.begin() + gt_end + 1);
-  for (uint32_t& offset : offsets) {
-    offset -= base;
-  }
-  std::string error;
-  std::optional<TcaBmeMatrix> band = FromParts(
-      rows, cols_, cfg_, std::move(offsets),
-      std::vector<uint64_t>(bitmaps_.begin() + gt_begin * bitmaps_per_gt,
-                            bitmaps_.begin() + gt_end * bitmaps_per_gt),
-      std::vector<Half>(values_.begin() + base,
-                        values_.begin() + gtile_offsets_[gt_end]),
-      &error);
-  SPINFER_CHECK_MSG(band.has_value(), "row band fails validation: " << error);
-  return *std::move(band);
-}
-
 uint64_t TcaBmeMatrix::StorageBytes() const {
   return 4ull * gtile_offsets_.size() + 8ull * bitmaps_.size() + 2ull * values_.size();
 }

@@ -71,14 +71,6 @@ class TcaBmeMatrix {
   // Reconstructs the dense matrix (exact roundtrip).
   HalfMatrix Decode() const;
 
-  // Rows [first_row, first_row + rows) as a matrix of their own, cut out of
-  // the encoded arrays. GroupTiles are stored row-major, so a run of whole
-  // GroupTile rows is one contiguous run of GTileOffset (rebased to 0),
-  // Bitmap and Values entries; the result is validated by FromParts and
-  // equals Encode of the dense row slice array for array. CHECKs that both
-  // cuts fall on GroupTile-row boundaries (the end may instead be rows()).
-  TcaBmeMatrix CutRows(int64_t first_row, int64_t rows) const;
-
   // Exact storage footprint including alignment padding.
   uint64_t StorageBytes() const;
 

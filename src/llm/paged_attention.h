@@ -8,7 +8,7 @@
 // grid whose every task walks the K/V it needs once for all the queries
 // that share it:
 //   * Query tiles. Consecutive items of one sequence form a run (a prefill
-//     chunk's columns, as MixedStepBands emits them). A run of at least
+//     chunk's columns, as MixedStep emits them). A run of at least
 //     kTileMinQueries items (paged_attention_inner.h) is cut into tiles of
 //     at most 8 queries, and one task handles one (tile, query head): every
 //     K and V vector the task widens serves all of the tile's queries, and

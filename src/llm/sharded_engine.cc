@@ -34,13 +34,15 @@ ShardedEngine::ShardedEngine(const TinyTransformer* model,
                              const ShardedEngineConfig& cfg)
     : SingleInstanceSubstrate(model, cfg.kv_block_tokens, cfg.kv_num_blocks),
       cfg_(cfg) {
-  const int64_t g = cfg.shards;
-  SPINFER_CHECK(g >= 1);
-  bands_.reserve(static_cast<size_t>(g));
-  for (int64_t s = 0; s < g; ++s) {
-    // SliceRowBand CHECKs the head- and GroupTile-aligned cuts.
-    bands_.push_back(model->SliceRowBand(s, g));
-  }
+  // The Megatron partition the ring prices: each shard owns whole query
+  // heads, whole kv groups and an equal run of FFN rows.
+  const TinyConfig& c = model->config();
+  SPINFER_CHECK(cfg.shards >= 1);
+  SPINFER_CHECK_MSG(c.heads % cfg.shards == 0,
+                    "query heads must divide by shard count");
+  SPINFER_CHECK_MSG(c.kv_head_count() % cfg.shards == 0,
+                    "kv heads must divide by shard count");
+  SPINFER_CHECK_MSG(c.ffn % cfg.shards == 0, "ffn must divide by shard count");
 }
 
 void ShardedEngine::MixedStep(const std::vector<int64_t>& dec_ids,
@@ -49,12 +51,15 @@ void ShardedEngine::MixedStep(const std::vector<int64_t>& dec_ids,
                               MatmulBackend backend,
                               std::vector<int32_t>* dec_next,
                               std::vector<int32_t>* chunk_next) {
-  const int64_t n =
-      model_->MixedStepBands(bands_, &cache_, dec_ids, dec_last, chunks,
-                             backend, dec_next, chunk_next);
+  SingleInstanceSubstrate::MixedStep(dec_ids, dec_last, chunks, backend,
+                                     dec_next, chunk_next);
   // Virtual interconnect: price the canonical Megatron schedule — two ring
-  // all-reduces of the (hidden x n) FP16 activation panel per layer — even
-  // though the executed collectives are arithmetic-free row copies.
+  // all-reduces of the (hidden x n) FP16 activation panel per layer — on the
+  // step's panel width n.
+  int64_t n = static_cast<int64_t>(dec_ids.size());
+  for (const PrefillChunk& chunk : chunks) {
+    n += chunk.count;
+  }
   const TinyConfig& c = model_->config();
   const double layer_us = LayerCommTimeUs(n, c.hidden, cfg_.shards, cfg_.device);
   // One add per layer, not one multiply: comm_us() is the per-layer sum the

@@ -5,33 +5,28 @@
 // Partitioning. Megatron splits each layer column/row-wise and joins the
 // K-dim partial sums with a floating-point all-reduce — which reassociates
 // additions and cannot be bit-identical to the unsharded model. This engine
-// instead partitions every weight matrix (wq/wk/wv/wo/fc1/fc2) by OUTPUT
-// rows: shard s holds row band s of every layer (TinyTransformer::
-// SliceRowBand: a run of whole TCA-BME GroupTile rows cut straight out of
-// the model's encoded arrays, at head boundaries; no weight is held dense).
-// A step is the model's own step body, TinyTransformer::MixedStepBands, run
-// over the shards' bands: each band computes its rows of every projection
-// from the full activation panel, so every output element's scalar
-// accumulation chain is exactly the whole-matrix kernel's, and the
-// inter-shard "collectives" are pure row copies. Consequences:
-//   * Token streams, logits, and KV bytes are bit-identical to
-//     TinyTransformer::MixedStep for any shard count, batch mix, backend and
-//     thread count — there is no second copy of the layer stack to drift.
-//   * The cuts fall on query heads (heads % shards == 0) and, under GQA, on
-//     whole kv groups (kv_heads % shards == 0): the Megatron partition whose
-//     communication the time model prices.
+// prices that partition and executes none of it: a step is the model's own
+// step, TinyTransformer::MixedStep, on the whole encoded weights and the
+// one KV pool. Splitting each matmul into per-shard output-row runs would
+// give the same bits (every output row is one accumulation chain either
+// way) and no parallelism the whole-matrix kernel lacks: it already splits
+// its rows across the thread team. Consequences:
+//   * Token streams, logits, and KV bytes are TinyTransformer::MixedStep's
+//     for any shard count, batch mix, backend and thread count.
+//   * The partition the ring prices is checked at construction: query heads
+//     (heads % shards == 0), whole kv groups under GQA (kv_heads % shards
+//     == 0) and the FFN rows (ffn % shards == 0) divide evenly.
 //
 // Time model ("execution real, clock virtual", like ServingEngine): the
-// virtual interconnect still prices the canonical Megatron schedule — two
-// ring all-reduces of the (hidden x panel) FP16 activations per layer, via
+// virtual interconnect prices the canonical Megatron schedule — two ring
+// all-reduces of the (hidden x panel) FP16 activations per layer, via
 // LayerCommTimeUs on the configured DeviceSpec — accumulated in comm_us().
 // The analytic cross-check tests recompute that expression per step from
 // step_panel_cols() and match it exactly.
 //
 // KV: the one pool of the SingleInstanceSubstrate this engine is, holding
 // every kv row of every sequence. Nothing in the process reads one shard's
-// slice of the KV on its own, so the step writes and attends all heads
-// against it once per layer; the scheduler's view (cache()) is that pool.
+// slice of the KV on its own; the scheduler's view (cache()) is that pool.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +50,11 @@ struct ShardedEngineConfig {
 class ShardedEngine : public SingleInstanceSubstrate {
  public:
   // `model` is borrowed and must outlive the engine. Requires (CHECKed):
-  // heads, kv_head_count, and hidden/kv_dim/ffn row counts all divisible so
-  // every slice boundary lands on a head boundary and a TCA-BME GroupTile
-  // boundary (see file comment).
+  // shards >= 1, and heads, kv_head_count and ffn all divisible by shards
+  // (the Megatron partition the ring prices; see file comment).
   ShardedEngine(const TinyTransformer* model, const ShardedEngineConfig& cfg);
 
-  // The single-instance step over the shards' bands, plus its comm pricing.
+  // The single-instance step, plus its comm pricing.
   void MixedStep(const std::vector<int64_t>& dec_ids,
                  const std::vector<int32_t>& dec_last,
                  const std::vector<PrefillChunk>& chunks, MatmulBackend backend,
@@ -83,8 +77,6 @@ class ShardedEngine : public SingleInstanceSubstrate {
 
  private:
   ShardedEngineConfig cfg_;
-  // Shard s's encoded row band of every layer, in row order.
-  std::vector<TinyTransformer::RowBand> bands_;
 
   int64_t steps_ = 0;
   double comm_us_ = 0.0;

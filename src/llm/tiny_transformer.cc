@@ -177,35 +177,6 @@ TinyTransformer::TinyTransformer(const TinyConfig& config, uint64_t seed)
   }
 }
 
-TinyTransformer::RowBand TinyTransformer::SliceRowBand(int64_t band,
-                                                      int64_t bands) const {
-  const TinyConfig& c = config_;
-  SPINFER_CHECK(bands >= 1 && band >= 0 && band < bands);
-  // Head-aligned cuts: each band owns whole query heads and whole kv groups,
-  // the Megatron partition the tensor-parallel comm model prices.
-  SPINFER_CHECK_MSG(c.heads % bands == 0, "heads must divide by shard count");
-  SPINFER_CHECK_MSG(c.kv_head_count() % bands == 0,
-                    "kv heads must divide by shard count");
-  // GroupTile-aligned cuts: a band is a run of whole GroupTile rows of the
-  // encoded matrix, which walks the same tiles as the whole-matrix kernel.
-  const int64_t gt = TinyFormat().gt_rows;
-  SPINFER_CHECK_MSG(c.hidden % (bands * gt) == 0,
-                    "hidden slice must be a GroupTile-row multiple");
-  SPINFER_CHECK_MSG(c.kv_dim() % (bands * gt) == 0,
-                    "kv_dim slice must be a GroupTile-row multiple");
-  SPINFER_CHECK_MSG(c.ffn % (bands * gt) == 0,
-                    "ffn slice must be a GroupTile-row multiple");
-  RowBand out(layers_.size());
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    for (TcaBmeMatrix Layer::*w : kLayerWeights) {
-      const TcaBmeMatrix& whole = layers_[i].*w;
-      const int64_t rows = whole.rows() / bands;
-      out[i].*w = whole.CutRows(band * rows, rows);
-    }
-  }
-  return out;
-}
-
 void TinyTransformer::PruneWeights(const Pruner& pruner, double sparsity) {
   for (Layer& l : layers_) {
     for (TcaBmeMatrix Layer::*w : kLayerWeights) {
@@ -230,29 +201,6 @@ void TinyTransformer::MatmulInto(const TcaBmeMatrix& w, const FloatMatrix& x,
   CpuSpmmQuantInto(w, x, &scratch_.ws, out);
 }
 
-void TinyTransformer::BandsMatmulInto(std::span<const RowBand> bands,
-                                      int64_t layer, TcaBmeMatrix Layer::*w,
-                                      const FloatMatrix& x,
-                                      MatmulBackend backend, const char* label,
-                                      FloatMatrix* out) const {
-  const size_t l = static_cast<size_t>(layer);
-  if (bands.size() == 1) {
-    MatmulInto(bands[0][l].*w, x, backend, label, out);
-    return;
-  }
-  // Each band's rows land in their run of the full panel: the all-gather.
-  FloatMatrix& part = scratch_.band_out;
-  out->Reshape((layers_[l].*w).rows(), x.cols());
-  int64_t copied = 0;
-  for (const RowBand& band : bands) {
-    MatmulInto(band[l].*w, x, backend, label, &part);
-    SPINFER_CHECK(copied + part.size() <= out->size());
-    std::copy(part.data(), part.data() + part.size(), out->data() + copied);
-    copied += part.size();
-  }
-  SPINFER_CHECK_EQ(copied, out->size());
-}
-
 int64_t TinyTransformer::MatmulScratchGrowCount() const {
   return scratch_.ws.grow_count() + scratch_.attn.grow_count();
 }
@@ -266,7 +214,7 @@ uint64_t TinyTransformer::MatmulScratchCapacityBytes() const {
                        sizeof(int64_t);
   for (const FloatMatrix* m :
        {&s.normed, &s.q, &s.kk, &s.v, &s.attn_out, &s.proj, &s.ffn_in,
-        &s.hidden_act, &s.ffn_out, &s.act, &s.logits, &s.band_out}) {
+        &s.hidden_act, &s.ffn_out, &s.act, &s.logits}) {
     bytes += m->capacity() * sizeof(float);
   }
   return bytes;
@@ -423,23 +371,7 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
                                 std::vector<int32_t>* dec_next,
                                 std::vector<int32_t>* chunk_next,
                                 FloatMatrix* dec_logits_out) const {
-  MixedStepBands({&layers_, 1}, cache, dec_ids, dec_last, chunks, backend,
-                 dec_next, chunk_next, dec_logits_out);
-}
-
-int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
-                                        PagedKvCache* cache,
-                                        const std::vector<int64_t>& dec_ids,
-                                        const std::vector<int32_t>& dec_last,
-                                        const std::vector<PrefillChunk>& chunks,
-                                        MatmulBackend backend,
-                                        std::vector<int32_t>* dec_next,
-                                        std::vector<int32_t>* chunk_next,
-                                        FloatMatrix* dec_logits_out) const {
-  SPINFER_CHECK(!bands.empty() && cache != nullptr);
-  for (const RowBand& band : bands) {
-    SPINFER_CHECK_EQ(band.size(), layers_.size());
-  }
+  SPINFER_CHECK(cache != nullptr);
   SPINFER_CHECK_EQ(cache->config().kv_dim, config_.kv_dim());
   const int64_t dec = static_cast<int64_t>(dec_ids.size());
   SPINFER_CHECK_EQ(static_cast<int64_t>(dec_last.size()), dec);
@@ -502,18 +434,14 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
   }
 
   for (int64_t layer = 0; layer < config_.layers; ++layer) {
+    const Layer& l = layers_[static_cast<size_t>(layer)];
     SPINFER_TRACE_SCOPE_ARG("tt.layer", "layer", layer);
     // --- Attention block (pre-LN). One SpMM per weight with N columns. ---
     CopyInto(s.act, &s.normed);
     LayerNormColumns(&s.normed);
-    BandsMatmulInto(bands, layer, &Layer::wq, s.normed, backend,
-                    "tt.matmul.wq", &s.q);
-    BandsMatmulInto(bands, layer, &Layer::wk, s.normed, backend,
-                    "tt.matmul.wk", &s.kk);
-    BandsMatmulInto(bands, layer, &Layer::wv, s.normed, backend,
-                    "tt.matmul.wv", &s.v);
-    // K/V writes and attention run once over all heads: each query head
-    // reads only its kv group's rows, whichever band computed them.
+    MatmulInto(l.wq, s.normed, backend, "tt.matmul.wq", &s.q);
+    MatmulInto(l.wk, s.normed, backend, "tt.matmul.wk", &s.kk);
+    MatmulInto(l.wv, s.normed, backend, "tt.matmul.wv", &s.v);
     for (const PagedAttentionItem& it : s.attn_items) {
       cache->WriteSlot(layer, it.seq_id,
                        s.positions[static_cast<size_t>(it.col)],
@@ -526,8 +454,7 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
                                 config_.kv_head_count(), s.q, s.attn_items,
                                 &s.attn_out, &s.attn);
     }
-    BandsMatmulInto(bands, layer, &Layer::wo, s.attn_out, backend,
-                    "tt.matmul.wo", &s.proj);
+    MatmulInto(l.wo, s.attn_out, backend, "tt.matmul.wo", &s.proj);
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.proj.data()[i];  // residual
     }
@@ -535,15 +462,13 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     // --- FFN block (pre-LN, GELU). ---
     CopyInto(s.act, &s.ffn_in);
     LayerNormColumns(&s.ffn_in);
-    BandsMatmulInto(bands, layer, &Layer::fc1, s.ffn_in, backend,
-                    "tt.matmul.fc1", &s.hidden_act);
+    MatmulInto(l.fc1, s.ffn_in, backend, "tt.matmul.fc1", &s.hidden_act);
     {
       SPINFER_TRACE_SCOPE("tt.gelu");
       GeluInPlace(
           {s.hidden_act.data(), static_cast<size_t>(s.hidden_act.size())});
     }
-    BandsMatmulInto(bands, layer, &Layer::fc2, s.hidden_act, backend,
-                    "tt.matmul.fc2", &s.ffn_out);
+    MatmulInto(l.fc2, s.hidden_act, backend, "tt.matmul.fc2", &s.ffn_out);
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.ffn_out.data()[i];
     }
@@ -577,7 +502,6 @@ int64_t TinyTransformer::MixedStepBands(std::span<const RowBand> bands,
     std::copy(s.logits.data(), s.logits.data() + dec * config_.vocab,
               dec_logits_out->data());
   }
-  return n;
 }
 
 std::vector<int32_t> TinyTransformer::Generate(const std::vector<int32_t>& prompt,

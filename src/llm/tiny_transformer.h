@@ -9,21 +9,15 @@
 // Two execution modes:
 //   * Forward/Generate — full-sequence recompute every step, with no KV cache:
 //     the independent oracle every serving path is checked against.
-//   * MixedStepBands — the ONE executing step body. It embeds a panel of
-//     decode columns and prompt-chunk columns, runs each weight matmul with
-//     N = panel columns, writes each column's per-layer K/V into a
+//   * MixedStep — the ONE executing step body. It embeds a panel of decode
+//     columns and prompt-chunk columns, runs each weight matmul with N =
+//     panel columns, writes each column's per-layer K/V into a
 //     PagedKvCache, attends per sequence over the paged context, and samples
-//     greedily. Its weights come as a list of row bands, each an output-row
-//     slice of every layer's six weight matrices; each matmul runs band by
-//     band into the full panel, and the K/V writes and attention run once
-//     per layer over all heads against the one cache. MixedStep and Prefill
-//     call it with one band (the model's own weights, writing the full
-//     panels directly); ShardedEngine calls it with one band per
-//     tensor-parallel shard. Every stage is per-column/per-sequence and band
-//     cuts sit on GroupTile rows, so a sequence's tokens and logits are
-//     bit-identical for any batch composition, chunking, band count and
-//     thread count, and also match the full-recompute Generate path bit for
-//     bit.
+//     greedily. Prefill is one whole-prompt chunk through it, and every
+//     serving substrate (ShardedEngine included) runs it. Every stage is
+//     per-column/per-sequence, so a sequence's tokens and logits are
+//     bit-identical for any batch composition, chunking and thread count,
+//     and also match the full-recompute Generate path bit for bit.
 //
 // Both modes share one epilogue (DESIGN.md §5): GELU is GeluInPlace over the
 // repository's own RationalTanh, so its bits come from a fixed sequence of
@@ -111,9 +105,8 @@ struct PrefillChunk {
 
 class TinyTransformer {
  public:
-  // One layer's six weight matrices, TCA-BME-encoded: the model's own, or
-  // one output-row band of them (SliceRowBand). The encoding is the only
-  // weight storage; a dense FP16 matrix exists only while one weight is
+  // One layer's six weight matrices, TCA-BME-encoded. The encoding is the
+  // only weight storage; a dense FP16 matrix exists only while one weight is
   // drawn, pruned or multiplied by the kDense oracle.
   struct Layer {
     TcaBmeMatrix wq, wo;  // hidden x hidden
@@ -121,11 +114,6 @@ class TinyTransformer {
     TcaBmeMatrix fc1;     // ffn x hidden
     TcaBmeMatrix fc2;     // hidden x ffn
   };
-
-  // One row band of the step body's weights: band b of g holds output rows
-  // [b * rows / g, (b + 1) * rows / g) of every layer matrix — so query heads
-  // [b * heads / g, ...) and their kv heads.
-  using RowBand = std::vector<Layer>;
 
   // Deterministic random initialization (scaled Gaussian). Each weight is
   // drawn, encoded and dropped before the next is drawn.
@@ -178,38 +166,19 @@ class TinyTransformer {
                  std::vector<int32_t>* chunk_next,
                  FloatMatrix* dec_logits_out = nullptr) const;
 
-  // The step body behind MixedStep, over the weight `bands` in row order
-  // (band b of bands.size()) and `cache`, which holds every head's kv rows.
-  // Each matmul runs its bands in turn: a lone band writes the full panel
-  // directly; several write band panels that are copied into their rows (the
-  // all-gather, with no arithmetic). Embedding, LayerNorm, the K/V writes,
-  // attention, GELU, residuals and the unembedding run once on the full
-  // panels. Returns the panel width N.
-  int64_t MixedStepBands(std::span<const RowBand> bands, PagedKvCache* cache,
-                         const std::vector<int64_t>& dec_ids,
-                         const std::vector<int32_t>& dec_last,
-                         const std::vector<PrefillChunk>& chunks,
-                         MatmulBackend backend, std::vector<int32_t>* dec_next,
-                         std::vector<int32_t>* chunk_next,
-                         FloatMatrix* dec_logits_out = nullptr) const;
-
   const TinyConfig& config() const { return config_; }
+  // The resident weights: every layer's encodings, the ones both backends
+  // multiply.
+  const std::vector<Layer>& layers() const { return layers_; }
 
-  // --- Weight-partition support (tensor-parallel sharding) ------------------
   // One layer's weights decoded to dense FP16: copies the caller owns, built
   // per call (the model keeps no dense weights).
   struct LayerWeights {
     std::unique_ptr<const HalfMatrix> wq, wk, wv, wo, fc1, fc2;
   };
   LayerWeights layer_weights(int64_t layer) const;
-  // The TCA-BME geometry the model's own matmuls encode with; a row band is
-  // cut at multiples of its gt_rows, so the band kernels walk the same tiles
-  // as the whole-matrix kernel.
+  // The TCA-BME geometry the model's own matmuls encode with.
   static TcaBmeConfig EncodeFormat();
-  // Band `band` of `bands` of every layer (see RowBand), cut out of the
-  // encoded weights (TcaBmeMatrix::CutRows). CHECKs that the cuts fall on
-  // head, kv-head and GroupTile-row boundaries.
-  RowBand SliceRowBand(int64_t band, int64_t bands) const;
   // Observability for the zero-allocation serving contract (tests, benches).
   // Grow count / capacity of the reusable step scratch: once a step at the
   // serving shapes has warmed it, further steps at those (or smaller) shapes
@@ -234,7 +203,7 @@ class TinyTransformer {
 
  private:
   // Reusable buffers for one Forward or step pass. Shapes depend only on
-  // (panel width, hidden, ffn, bands), so every layer — and every subsequent
+  // (panel width, hidden, ffn), so every layer — and every subsequent
   // call at seen shapes — reuses the same storage; nothing here is shrunk.
   // `xh` stages the FP16 conversion feeding the dense oracle backend (the
   // sparse backend quantizes on panel fill and never touches it). `scores`
@@ -244,7 +213,6 @@ class TinyTransformer {
     HalfMatrix xh;
     FloatMatrix normed, q, kk, v, attn_out, proj, ffn_in, hidden_act, ffn_out;
     FloatMatrix act, logits;  // step activation panel and logits
-    FloatMatrix band_out;     // one band's rows, before the copy into place
     std::vector<float> scores;
     // Batched paged-attention scratch and the step's per-column work list
     // (decode columns, then chunk columns), rebuilt in place each step, with
@@ -263,12 +231,6 @@ class TinyTransformer {
   void MatmulInto(const TcaBmeMatrix& w, const FloatMatrix& x,
                   MatmulBackend backend, const char* label,
                   FloatMatrix* out) const;
-  // out = W*x for weight `w` of layer `layer`, over `bands` in row order (see
-  // MixedStepBands).
-  void BandsMatmulInto(std::span<const RowBand> bands, int64_t layer,
-                       TcaBmeMatrix Layer::*w, const FloatMatrix& x,
-                       MatmulBackend backend, const char* label,
-                       FloatMatrix* out) const;
 
   TinyConfig config_;
   // hidden x vocab: the FP16 draws widened exactly (tied LM head).

@@ -1,13 +1,15 @@
 // Differential tests for the tensor-parallel ShardedEngine substrate.
 //
 // The load-bearing claims, each enforced here:
-//   * Output-row partitioning with copy-gather collectives makes the sharded
-//     engine bit-identical to the single-instance engine — token streams,
-//     per-request trajectories, and the byte-rendered report all match for
-//     shards in {1, 2, 4}, ragged Poisson traffic, GQA configs, and every
-//     thread count. The sharded serving path therefore also reproduces
-//     full-recompute Generate bitwise (by composition with the
-//     single-instance equivalence).
+//   * Running the model's own step and only pricing the partition makes the
+//     sharded engine bit-identical to the single-instance engine — token
+//     streams, per-request trajectories, and the byte-rendered report all
+//     match for shards in {1, 2, 4}, ragged Poisson traffic, GQA configs,
+//     shard rows off GroupTile boundaries, and every thread count. The
+//     sharded serving path therefore also reproduces full-recompute Generate
+//     bitwise (by composition with the single-instance equivalence).
+//   * The partition the ring prices is checked at construction: heads, kv
+//     heads and FFN rows must divide by the shard count.
 //   * The virtual interconnect reproduces the analytic tensor-parallel comm
 //     model expression for expression: comm_us() equals the sum over
 //     executed steps of layers * LayerCommTimeUs(panel, hidden, shards, dev),
@@ -157,6 +159,46 @@ TEST(ShardedEngineTest, DenseBackendBitIdenticalToSingleInstance) {
     ExpectSameRun(baseline, sharded, "dense shards=" + std::to_string(shards));
   }
   ThreadPool::SetGlobalThreads(0);
+}
+
+// A partition whose shard slices are not whole 16-row GroupTiles is served:
+// hidden 80 at 2 shards gives each shard 40 rows of wq/wk/wv/wo and fc2.
+TEST(ShardedEngineTest, ServesPartitionsOffGroupTileRows) {
+  TinyConfig model_cfg = TestModelConfig();
+  model_cfg.hidden = 80;
+  model_cfg.ffn = 160;
+  const TinyTransformer model = MakePrunedModel(model_cfg);
+  const ServingEngineConfig cfg = TestEngineConfig(model.config());
+
+  ThreadPool::SetGlobalThreads(1);
+  const RunResult baseline = RunSingleInstance(model, cfg, 42);
+  EXPECT_GT(baseline.records.size(), 10u);
+  ShardedEngine substrate(&model, TestShardConfig(2));
+  const RunResult sharded = RunSharded(&substrate, cfg, 42);
+  ExpectSameRun(baseline, sharded, "hidden=80 shards=2");
+  ThreadPool::SetGlobalThreads(0);
+}
+
+// A shard count that splits a query head, a kv group or the FFN rows
+// unevenly has no Megatron partition to price; each is a CHECK failure
+// naming its check.
+TEST(ShardedEngineDeathTest, RejectsPartitionsOffHeadBoundaries) {
+  struct Case {
+    TinyConfig model;
+    int shards;
+    const char* message;
+  };
+  TinyConfig odd_ffn = TestModelConfig();
+  odd_ffn.ffn = 250;
+  for (const Case& c :
+       {Case{TestModelConfig(), 3, "query heads must divide by shard count"},
+        Case{GqaModelConfig(), 4, "kv heads must divide by shard count"},
+        Case{odd_ffn, 4, "ffn must divide by shard count"}}) {
+    const TinyTransformer model(c.model, 7);
+    EXPECT_DEATH({ ShardedEngine engine(&model, TestShardConfig(c.shards)); },
+                 c.message)
+        << "shards=" << c.shards;
+  }
 }
 
 // Same equivalence under grouped-query attention: kv groups shard cleanly

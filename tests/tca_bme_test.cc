@@ -1,6 +1,5 @@
 #include "src/format/tca_bme.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <map>
@@ -156,94 +155,6 @@ TEST(TcaBmeTest, EncodeLeavesNoSpareCapacity) {
       }
     }
   }
-}
-
-// Rows [first, first + rows) of `w` as a matrix of their own.
-HalfMatrix DenseRows(const HalfMatrix& w, int64_t first, int64_t rows) {
-  HalfMatrix s(rows, w.cols());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t c = 0; c < w.cols(); ++c) {
-      s.at(r, c) = w.at(first + r, c);
-    }
-  }
-  return s;
-}
-
-// Array-for-array equality, Values compared by bits.
-void ExpectSameEncoding(const TcaBmeMatrix& a, const TcaBmeMatrix& b,
-                        const std::string& label) {
-  EXPECT_EQ(a.rows(), b.rows()) << label;
-  EXPECT_EQ(a.cols(), b.cols()) << label;
-  EXPECT_EQ(a.padded_rows(), b.padded_rows()) << label;
-  EXPECT_EQ(a.nnz(), b.nnz()) << label;
-  EXPECT_EQ(a.gtile_offsets(), b.gtile_offsets()) << label;
-  EXPECT_EQ(a.bitmaps(), b.bitmaps()) << label;
-  ASSERT_EQ(a.values().size(), b.values().size()) << label;
-  for (size_t i = 0; i < a.values().size(); ++i) {
-    ASSERT_EQ(a.values()[i].bits(), b.values()[i].bits()) << label << " i=" << i;
-  }
-}
-
-// A band cut out of the encoded arrays is Encode of the dense row slice, and
-// the bands' decodes stacked in order are the whole matrix's decode. The
-// matrix has one all-zero GroupTile, one fully dense one, a column count
-// that is not a GroupTile multiple, and (second shape) a last GroupTile row
-// that is only partly inside the matrix.
-TEST(TcaBmeTest, CutRowsEqualsEncodeOfRowSlice) {
-  TcaBmeConfig cfg;
-  cfg.gt_rows = 16;
-  cfg.gt_cols = 32;
-  for (const int64_t rows : {int64_t{64}, int64_t{59}}) {
-    Rng rng(83);
-    HalfMatrix w = HalfMatrix::RandomSparse(rows, 72, 0.6, rng);
-    for (int64_t r = 16; r < 32; ++r) {
-      for (int64_t c = 32; c < 64; ++c) {
-        w.at(r, c) = Half(0.0f);  // GroupTile (1, 1): all zero
-      }
-    }
-    for (int64_t r = 32; r < 48; ++r) {
-      for (int64_t c = 0; c < 32; ++c) {
-        w.at(r, c) = Half(0.5f + 0.001f * static_cast<float>(c));  // (2, 0): dense
-      }
-    }
-    const TcaBmeMatrix whole = TcaBmeMatrix::Encode(w, cfg);
-    const HalfMatrix decoded = whole.Decode();
-    for (const int64_t bands : {1, 2, 4}) {
-      const int64_t band_rows = 64 / bands;  // whole GroupTile rows per band
-      std::vector<Half> stacked;
-      for (int64_t b = 0; b < bands; ++b) {
-        const int64_t first = b * band_rows;
-        const int64_t n = std::min(rows, first + band_rows) - first;
-        const std::string label = "rows=" + std::to_string(rows) + " band " +
-                                  std::to_string(b) + "/" + std::to_string(bands);
-        const TcaBmeMatrix cut = whole.CutRows(first, n);
-        ExpectSameEncoding(cut, TcaBmeMatrix::Encode(DenseRows(w, first, n), cfg),
-                           label);
-        EXPECT_EQ(cut.gtile_offsets().capacity(), cut.gtile_offsets().size());
-        EXPECT_EQ(cut.bitmaps().capacity(), cut.bitmaps().size());
-        EXPECT_EQ(cut.values().capacity(), cut.values().size());
-        const HalfMatrix part = cut.Decode();
-        stacked.insert(stacked.end(), part.data(), part.data() + part.size());
-      }
-      ASSERT_EQ(static_cast<int64_t>(stacked.size()), decoded.size());
-      for (int64_t i = 0; i < decoded.size(); ++i) {
-        ASSERT_EQ(stacked[static_cast<size_t>(i)].bits(), decoded.data()[i].bits())
-            << "bands=" << bands << " element " << i;
-      }
-    }
-  }
-}
-
-TEST(TcaBmeDeathTest, CutRowsRejectsCutsOffGroupTileRows) {
-  Rng rng(84);
-  TcaBmeConfig cfg;
-  cfg.gt_rows = 16;
-  cfg.gt_cols = 16;
-  const TcaBmeMatrix m = TcaBmeMatrix::Encode(HalfMatrix::RandomSparse(64, 32, 0.5, rng), cfg);
-  EXPECT_DEATH(m.CutRows(8, 16), "GroupTile-row");   // start inside a row
-  EXPECT_DEATH(m.CutRows(0, 24), "GroupTile-row");   // end inside a row
-  EXPECT_DEATH(m.CutRows(48, 32), "end_row <= rows_");  // past the end
-  EXPECT_EQ(m.CutRows(48, 16).rows(), 16);
 }
 
 // Cross-check with the Tensor Core layout: the values of a quadrant appear

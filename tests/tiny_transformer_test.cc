@@ -117,14 +117,14 @@ void ExpectSameEncoding(const TcaBmeMatrix& a, const TcaBmeMatrix& b,
 }
 
 // The model holds its weights only as TCA-BME. layer_weights() decodes the
-// resident encodings (SliceRowBand(0, 1) cuts each whole), which are what
-// both backends multiply: the dense oracle decodes them per call. Re-encoding
-// the decoded copies reproduces them, and PruneWeights is the pruner applied
-// to exactly those decoded weights.
+// resident encodings (layers()), which are what both backends multiply: the
+// dense oracle decodes them per call. Re-encoding the decoded copies
+// reproduces them, and PruneWeights is the pruner applied to exactly those
+// decoded weights.
 TEST(TinyTransformerTest, LayerWeightsDecodeTheResidentEncoding) {
   TinyTransformer model(TinyConfig{}, 15);
   const auto expect_resident = [&](const std::string& stage) {
-    const std::vector<TinyTransformer::Layer> whole = model.SliceRowBand(0, 1);
+    const std::vector<TinyTransformer::Layer>& whole = model.layers();
     for (int64_t l = 0; l < model.config().layers; ++l) {
       const TinyTransformer::LayerWeights w = model.layer_weights(l);
       const auto dense = Dense(w);
@@ -154,33 +154,6 @@ TEST(TinyTransformerTest, LayerWeightsDecodeTheResidentEncoding) {
       ExpectSameBits(*pruned[m], MagnitudePruner().Prune(*original[m], 0.6),
                      "prune layer " + std::to_string(l) + " matrix " +
                          std::to_string(m));
-    }
-  }
-}
-
-// A row band is cut straight out of the encoded weights, and equals the
-// encoding of the matching rows of the decoded weights.
-TEST(TinyTransformerTest, RowBandsAreEncodedRowSlices) {
-  TinyTransformer model(TinyConfig{}, 16);  // heads 4: 1, 2 and 4 bands
-  model.PruneWeights(MagnitudePruner(), 0.6);
-  for (const int64_t bands : {1, 2, 4}) {
-    for (int64_t b = 0; b < bands; ++b) {
-      const std::vector<TinyTransformer::Layer> band = model.SliceRowBand(b, bands);
-      for (int64_t l = 0; l < model.config().layers; ++l) {
-        const TinyTransformer::LayerWeights w = model.layer_weights(l);
-        const auto dense = Dense(w);
-        const auto enc = Encoded(band[static_cast<size_t>(l)]);
-        for (size_t m = 0; m < dense.size(); ++m) {
-          const int64_t rows = dense[m]->rows() / bands;
-          HalfMatrix slice(rows, dense[m]->cols());
-          std::copy(dense[m]->data() + b * slice.size(),
-                    dense[m]->data() + (b + 1) * slice.size(), slice.data());
-          ExpectSameEncoding(
-              *enc[m], TcaBmeMatrix::Encode(slice, TinyTransformer::EncodeFormat()),
-              "band " + std::to_string(b) + "/" + std::to_string(bands) +
-                  " layer " + std::to_string(l) + " matrix " + std::to_string(m));
-        }
-      }
     }
   }
 }

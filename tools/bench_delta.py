@@ -52,11 +52,9 @@ EXPECTED_BENCHES = (
     "serving_chunked_prefill",
     "serving_engine_b8",
     "serving_obs_overhead",
-    "serving_tp2",
     "serving_tp4",
     "serving_disagg",
     "model_setup_m",
-    "sharded_setup_tp4",
 )
 
 
