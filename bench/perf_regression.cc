@@ -45,7 +45,6 @@
 #include "src/llm/disagg_cluster.h"
 #include "src/llm/model_config.h"
 #include "src/llm/serving_engine.h"
-#include "src/llm/sharded_engine.h"
 #include "src/llm/tiny_transformer.h"
 #include "src/numeric/matrix.h"
 #include "src/obs/chrome_trace.h"
@@ -707,30 +706,11 @@ int Main(int argc, char** argv) {
       request_spans = obs_engine->request_log()->ChromeAsyncSpans();
     }
 
-    // Multi-instance serving: serving_tp4 runs serving_engine_b8's workload
-    // through the 4-shard substrate, which executes the single-instance step
-    // and prices the ring all-reduces on a virtual clock; the delta over
-    // serving_engine_b8 is that pricing. serving_disagg runs it through the
-    // two-pool cluster (prefill -> KV handoff -> decode), timing the
-    // executing pipeline.
-    const auto run_tp = [&] {
-      ServingEngineConfig cfg;
-      cfg.max_batch = 8;
-      cfg.kv_block_tokens = 16;
-      cfg.kv_num_blocks = 64;
-      cfg.cost = Opt13bSpInferCost();
-      ShardedEngineConfig scfg;
-      scfg.shards = 4;
-      scfg.kv_block_tokens = 16;
-      scfg.kv_num_blocks = 64;
-      scfg.device = Rtx4090();
-      ShardedEngine substrate(&model, scfg);
-      ServingEngine engine(&substrate, cfg);
-      submit_all(engine);
-      const ExecServingReport rep = engine.Run();
-      g_sink = static_cast<float>(rep.tokens_generated);
-    };
-    bench("serving_tp4", run_tp);
+    // Multi-instance serving: serving_disagg runs serving_engine_b8's
+    // workload through the two-pool cluster (prefill -> KV handoff ->
+    // decode), timing the executing pipeline. Tensor parallelism has no
+    // point of its own: it is cost.num_gpus on the virtual clock, and the
+    // executed step is serving_engine_b8's.
     const auto run_disagg = [&] {
       DisaggClusterConfig cfg;
       cfg.prefill_instances = 2;

@@ -8,23 +8,58 @@
 // Usage: llm_serving_sim [--model=opt-13b] [--device=rtx4090] [--gpus=1]
 //                        [--batch=16] [--input=128] [--output=256]
 //                        [--sparsity=0.6]
+//
+// A mistyped flag, a count below 1 or a sparsity outside [0, 1] exits 1
+// with an `error:` line naming the flag and the value.
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "src/llm/engine.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
+namespace {
+
+// Count flags (GPUs, batch, tokens): the cost model divides by them or sizes
+// batches with them, so a value below 1 exits 1 here rather than aborting
+// there.
+int64_t CountFlag(const spinfer::CliFlags& flags, const char* name, int64_t def) {
+  const int64_t v = flags.GetInt(name, def);
+  if (v < 1) {
+    std::fprintf(stderr, "error: --%s must be >= 1 (got %lld)\n", name,
+                 static_cast<long long>(v));
+    std::exit(1);
+  }
+  return v;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace spinfer;
   const CliFlags flags(argc, argv);
+  flags.RestrictTo(
+      {"model", "device", "gpus", "batch", "input", "output", "sparsity"});
   EngineConfig cfg;
   cfg.model = ModelByName(flags.GetString("model", "opt-13b"));
   cfg.device = DeviceByName(flags.GetString("device", "rtx4090"));
-  cfg.num_gpus = static_cast<int>(flags.GetInt("gpus", 1));
-  cfg.batch = flags.GetInt("batch", 16);
-  cfg.input_len = flags.GetInt("input", 128);
-  cfg.output_len = flags.GetInt("output", 256);
+  const int64_t gpus = CountFlag(flags, "gpus", 1);
+  if (gpus > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: --gpus must be <= %d (got %lld)\n",
+                 std::numeric_limits<int>::max(), static_cast<long long>(gpus));
+    return 1;
+  }
+  cfg.num_gpus = static_cast<int>(gpus);
+  cfg.batch = CountFlag(flags, "batch", 16);
+  cfg.input_len = CountFlag(flags, "input", 128);
+  cfg.output_len = CountFlag(flags, "output", 256);
   cfg.sparsity = flags.GetDouble("sparsity", 0.6);
+  if (!(cfg.sparsity >= 0.0 && cfg.sparsity <= 1.0)) {
+    std::fprintf(stderr, "error: --sparsity must be in [0, 1] (got %g)\n",
+                 cfg.sparsity);
+    return 1;
+  }
 
   std::printf("%s on %dx %s | batch %ld | %ld in + %ld out tokens | sparsity %.0f%%\n\n",
               cfg.model.name.c_str(), cfg.num_gpus, cfg.device.name.c_str(),

@@ -116,6 +116,10 @@ DisaggCluster::DisaggCluster(const TinyTransformer* model,
   SPINFER_CHECK_MSG(
       cfg.decode_cost.model.heads > 0,
       "DisaggClusterConfig::decode_cost.model is unset (heads == 0)");
+  SPINFER_CHECK_MSG(cfg.prefill_cost.num_gpus >= 1,
+                    "DisaggClusterConfig::prefill_cost.num_gpus must be >= 1");
+  SPINFER_CHECK_MSG(cfg.decode_cost.num_gpus >= 1,
+                    "DisaggClusterConfig::decode_cost.num_gpus must be >= 1");
   samples_.resize(static_cast<size_t>(std::max<int64_t>(cfg.decode_instances, 0)));
 }
 

@@ -54,7 +54,8 @@ struct DisaggClusterConfig {
   int64_t kv_block_tokens = 16;
   int64_t kv_num_blocks = 64;
   // Virtual-clock pricing for each pool (PlanDisaggregation's prefill_cfg /
-  // decode_cfg; .model also prices the KV handoff bytes).
+  // decode_cfg; .model also prices the KV handoff bytes). .num_gpus is each
+  // instance's tensor-parallel degree and must be >= 1.
   EngineConfig prefill_cost;
   EngineConfig decode_cost;
   // Prefill->decode fabric, GB/s.

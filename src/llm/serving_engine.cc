@@ -126,6 +126,8 @@ ServingEngine::ServingEngine(ServingSubstrate* substrate,
   SPINFER_CHECK_MSG(cfg.cost.model.heads > 0,
                     "ServingEngineConfig::cost.model is unset (heads == 0); "
                     "price the engine with e.g. ModelConfigFor(model.config())");
+  SPINFER_CHECK_MSG(cfg.cost.num_gpus >= 1,
+                    "ServingEngineConfig::cost.num_gpus must be >= 1");
   if (cfg.obs.enabled) {
     request_log_ = std::make_unique<obs::RequestLog>(cfg.obs.wall_clock);
     flight_recorder_ = std::make_unique<obs::FlightRecorder>(kObsWindowIters);

@@ -115,7 +115,10 @@ struct ServingEngineConfig {
   // prefix index and adopts identical full blocks (refcounted) instead of
   // recomputing them; only the unmatched tail is prefetched. Off by default.
   bool enable_prefix_cache = false;
-  // Prices the virtual clock (PrefillTimeUs / DecodeStepTimeUs).
+  // Prices the virtual clock (PrefillTimeUs / DecodeStepTimeUs). Its
+  // num_gpus (>= 1) is the tensor-parallel degree: the clock prices the sharded
+  // linears and the per-layer all-reduces, while the executed step and its
+  // tokens stay the one model's.
   EngineConfig cost;
   // Request-scoped observability (timeline + flight recorder + SLO tracker).
   ServingObsConfig obs;
@@ -191,7 +194,7 @@ class ServingEngine {
   // inside an owned SingleInstanceSubstrate.
   ServingEngine(const TinyTransformer* model, const ServingEngineConfig& cfg);
   // Runs the same scheduler over a caller-owned execution substrate (e.g. a
-  // tensor-parallel ShardedEngine). `substrate` is borrowed, must outlive the
+  // disaggregated decode instance). `substrate` is borrowed, must outlive the
   // engine, and must not be shared with another engine (the scheduler owns
   // its sequence-id space). cfg.kv_block_tokens/kv_num_blocks are ignored —
   // the substrate brings its own pool.

@@ -2,8 +2,7 @@
 //
 // ServingEngine's Orca-style loop (admission, chunk scheduling, virtual-time
 // pricing, retirement) is independent of WHAT executes an iteration: a single
-// TinyTransformer over one PagedKvCache, the same step priced as N
-// tensor-parallel shards (ShardedEngine), or a decode instance whose
+// TinyTransformer over one PagedKvCache, or a decode instance whose
 // sequences arrive by KV handoff (DisaggCluster). This interface is that
 // seam. Every executing substrate in this library is a
 // SingleInstanceSubstrate: one model and one KV pool, which `cache()`

@@ -14,10 +14,10 @@
 //     panel columns, writes each column's per-layer K/V into a
 //     PagedKvCache, attends per sequence over the paged context, and samples
 //     greedily. Prefill is one whole-prompt chunk through it, and every
-//     serving substrate (ShardedEngine included) runs it. Every stage is
-//     per-column/per-sequence, so a sequence's tokens and logits are
-//     bit-identical for any batch composition, chunking and thread count,
-//     and also match the full-recompute Generate path bit for bit.
+//     serving substrate runs it. Every stage is per-column/per-sequence, so
+//     a sequence's tokens and logits are bit-identical for any batch
+//     composition, chunking and thread count, and also match the
+//     full-recompute Generate path bit for bit.
 //
 // Both modes share one epilogue (DESIGN.md §5): GELU is GeluInPlace over the
 // repository's own RationalTanh, so its bits come from a fixed sequence of

@@ -304,6 +304,15 @@ TEST(DisaggClusterDeathTest, UnsetCostModelFailsAtConstruction) {
   decode_unset.decode_cost.model = ModelConfig{};
   EXPECT_DEATH(DisaggCluster(&model, decode_unset),
                "decode_cost.model is unset");
+  // So does a GPU count below 1 on either side.
+  DisaggClusterConfig prefill_no_gpus = ClusterConfig();
+  prefill_no_gpus.prefill_cost.num_gpus = 0;
+  EXPECT_DEATH(DisaggCluster(&model, prefill_no_gpus),
+               "prefill_cost.num_gpus must be >= 1");
+  DisaggClusterConfig decode_no_gpus = ClusterConfig();
+  decode_no_gpus.decode_cost.num_gpus = 0;
+  EXPECT_DEATH(DisaggCluster(&model, decode_no_gpus),
+               "decode_cost.num_gpus must be >= 1");
 }
 
 // A max_new_tokens of 1 is satisfied by the prefill token alone: the request

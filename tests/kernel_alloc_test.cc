@@ -1,6 +1,5 @@
 // Warm CPU SpMM calls (N = 1 included), paged-attention calls, KV-cache
-// rewinds and model steps allocate nothing on the heap, at every pool width,
-// and building a sharded engine allocates the same at every shard count.
+// rewinds and model steps allocate nothing on the heap, at every pool width.
 //
 // cpu_backend.h promises that once the workspace and output have seen a
 // call's shapes, repeat calls are allocation-free. Workspace growth is
@@ -16,7 +15,6 @@
 
 #include "src/core/cpu_backend.h"
 #include "src/llm/paged_attention.h"
-#include "src/llm/sharded_engine.h"
 #include "src/llm/tiny_transformer.h"
 #include "src/pruning/magnitude.h"
 #include "src/util/random.h"
@@ -337,25 +335,6 @@ TEST_F(KernelAllocTest, WarmMixedStepAllocatesNothing) {
               0)
         << threads << " threads";
   }
-}
-
-// A sharded engine prices its partition and holds no weights of its own:
-// building one makes the same allocations (its one KV pool) at any shard
-// count.
-TEST_F(KernelAllocTest, ShardedEngineConstructionIsIndependentOfShardCount) {
-  TinyTransformer model(TinyConfig{}, 817);
-  model.PruneWeights(MagnitudePruner(), 0.6);
-  const auto construction_allocations = [&](int shards) {
-    ShardedEngineConfig cfg;
-    cfg.shards = shards;
-    const int64_t before = g_allocations.load(std::memory_order_relaxed);
-    const ShardedEngine engine(&model, cfg);
-    return g_allocations.load(std::memory_order_relaxed) - before;
-  };
-  const int64_t one = construction_allocations(1);
-  EXPECT_GT(one, 0);
-  EXPECT_EQ(construction_allocations(2), one);
-  EXPECT_EQ(construction_allocations(4), one);
 }
 
 }  // namespace

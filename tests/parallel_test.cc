@@ -12,7 +12,6 @@ TEST(ParallelTest, SingleGpuIsFree) {
 
 // Zero traffic moves nothing: a zero-byte all-reduce and a zero-token layer
 // must not be charged the ring's per-step latency even on multi-GPU rings.
-// (A sharded engine step with an empty panel prices exactly 0 comm.)
 TEST(ParallelTest, ZeroBytesIsFreeOnAnyRing) {
   for (int gpus : {2, 4, 8}) {
     EXPECT_DOUBLE_EQ(AllReduceTimeUs(0, gpus, Rtx4090()), 0.0);

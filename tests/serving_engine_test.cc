@@ -9,7 +9,8 @@
 //   * The engine's report is byte-stable across reruns and thread counts.
 //   * The scheduler conserves requests, admits strict-FIFO, respects the KV
 //     commitment cap, and matches the analytic simulator on its common
-//     domain to floating-point accuracy.
+//     domain to floating-point accuracy at 1, 2 and 4 GPUs; the GPU count
+//     moves the clock and no token.
 #include "src/llm/serving_engine.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -174,6 +176,36 @@ TEST(ServingEngineTest, KvDecodeMatchesFullRecomputeGenerate) {
   }
 }
 
+// GQA single-instance serving reproduces full-recompute Generate — the
+// grouped-kv read indexing in both Forward and the paged decode agree.
+TEST(ServingEngineTest, GqaServingMatchesGenerate) {
+  TinyConfig gqa = TestModelConfig();
+  gqa.kv_heads = 2;  // grouped-query: 4 query heads share 2 kv heads
+  TinyTransformer model(gqa, 7);
+  model.PruneWeights(MagnitudePruner(), 0.6);
+  Rng rng(13);
+  std::vector<int32_t> prompt(9);
+  for (int32_t& t : prompt) {
+    t = static_cast<int32_t>(rng.Below(256));
+  }
+  const int kSteps = 8;
+  const std::vector<int32_t> full =
+      model.Generate(prompt, kSteps, MatmulBackend::kTcaBmeCpu);
+
+  PagedKvCache cache(model.KvCacheConfig(8, 32));
+  ASSERT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt.size())));
+  std::vector<int32_t> stream = {
+      model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0)};
+  std::vector<int32_t> next;
+  for (int s = 1; s < kSteps; ++s) {
+    model.MixedStep({0}, {stream.back()}, {}, MatmulBackend::kTcaBmeCpu,
+                    &cache, &next, nullptr);
+    stream.push_back(next[0]);
+  }
+  const std::vector<int32_t> tail(full.begin() + prompt.size(), full.end());
+  EXPECT_EQ(stream, tail);
+}
+
 // Forward (the oracle) and the step body share one unembedding: a decode
 // step's logits rows are bitwise Forward's last-row logits over the same
 // context, on both backends, alone and in a batch of 8.
@@ -315,6 +347,27 @@ TEST(ServingEngineTest, ReportByteStableAcrossRerunsAndThreads) {
   ThreadPool::SetGlobalThreads(0);
 }
 
+// The serving step runs in the model's grow-only step scratch: once one
+// serving run has warmed it, a second run over the same traffic allocates
+// nothing there.
+TEST(ServingEngineTest, WarmRunLeavesStepScratchUnchanged) {
+  const TinyTransformer model = MakePrunedModel();
+  const ServingEngineConfig cfg = TestEngineConfig(model.config());
+  ThreadPool::SetGlobalThreads(1);
+  const auto run = [&] {
+    ServingEngine engine(&model, cfg);
+    engine.InjectPoissonArrivals(RaggedTraffic(42));
+    engine.Run();
+  };
+  run();
+  const int64_t grows = model.MatmulScratchGrowCount();
+  const uint64_t bytes = model.MatmulScratchCapacityBytes();
+  run();
+  EXPECT_EQ(model.MatmulScratchGrowCount(), grows);
+  EXPECT_EQ(model.MatmulScratchCapacityBytes(), bytes);
+  ThreadPool::SetGlobalThreads(0);
+}
+
 // EOS eviction frees the slot early and — because token streams are
 // batch-composition-independent — every request's stream in the EOS run is
 // exactly its baseline stream truncated at the first EOS occurrence.
@@ -413,57 +466,78 @@ TEST(ServingEngineTest, SchedulerPropertiesUnderKvPressure) {
 // The virtual clock mirrors SimulateServing's arithmetic expression for
 // expression, so on the common domain (uniform shapes, no EOS, ample KV)
 // the two reports agree to floating-point accuracy — including the
-// p99 latency satellite.
+// p99 latency satellite — at 1, 2 and 4 GPUs. cost.num_gpus is the one
+// tensor-parallel setting: it moves the clock (sharded linears and the
+// per-layer all-reduces) and leaves every token stream the 1-GPU run's.
 TEST(ServingEngineTest, MatchesAnalyticSimulatorOnCommonDomain) {
   const TinyTransformer model = MakePrunedModel();
 
-  ServingConfig sim;
-  sim.engine.model = ModelConfigFor(model.config());
-  sim.engine.framework = Framework::kSpInfer;
-  sim.engine.device = Rtx4090();
-  sim.engine.sparsity = 0.6;
-  sim.arrival_rate_rps = 6.0;
-  sim.input_len = 8;
-  sim.output_len = 8;
-  sim.sim_seconds = 4.0;
-  sim.seed = 31;
-  sim.max_batch = 4;
-  const ServingReport analytic = SimulateServing(sim);
-  // Guard the comparison's preconditions: the tiny model fits at the full
-  // batch and the analytic run drains completely.
-  ASSERT_EQ(analytic.feasible_batch, sim.max_batch);
-  ASSERT_EQ(analytic.completed, analytic.arrived);
-  ASSERT_GT(analytic.completed, 10);
+  double one_gpu_sim_time_s = 0.0;
+  std::vector<RequestRecord> one_gpu_results;
+  for (const int gpus : {1, 2, 4}) {
+    SCOPED_TRACE("num_gpus=" + std::to_string(gpus));
+    ServingConfig sim;
+    sim.engine.model = ModelConfigFor(model.config());
+    sim.engine.framework = Framework::kSpInfer;
+    sim.engine.device = Rtx4090();
+    sim.engine.sparsity = 0.6;
+    sim.engine.num_gpus = gpus;
+    sim.arrival_rate_rps = 6.0;
+    sim.input_len = 8;
+    sim.output_len = 8;
+    sim.sim_seconds = 4.0;
+    sim.seed = 31;
+    sim.max_batch = 4;
+    const ServingReport analytic = SimulateServing(sim);
+    // Guard the comparison's preconditions: the tiny model fits at the full
+    // batch and the analytic run drains completely.
+    ASSERT_EQ(analytic.feasible_batch, sim.max_batch);
+    ASSERT_EQ(analytic.completed, analytic.arrived);
+    ASSERT_GT(analytic.completed, 10);
 
-  ServingEngineConfig cfg = TestEngineConfig(model.config());
-  cfg.max_batch = sim.max_batch;
-  cfg.kv_num_blocks = 64;  // ample: KV never gates admission
-  cfg.cost = sim.engine;
-  PoissonTraffic t;
-  t.arrival_rate_rps = sim.arrival_rate_rps;
-  t.horizon_s = sim.sim_seconds;
-  t.seed = sim.seed;
-  t.prompt_len_min = t.prompt_len_max = sim.input_len;
-  t.max_new_min = t.max_new_max = sim.output_len;
-  ServingEngine engine(&model, cfg);
-  engine.InjectPoissonArrivals(t);
-  const ExecServingReport exec = engine.Run();
+    ServingEngineConfig cfg = TestEngineConfig(model.config());
+    cfg.max_batch = sim.max_batch;
+    cfg.kv_num_blocks = 64;  // ample: KV never gates admission
+    cfg.cost = sim.engine;
+    PoissonTraffic t;
+    t.arrival_rate_rps = sim.arrival_rate_rps;
+    t.horizon_s = sim.sim_seconds;
+    t.seed = sim.seed;
+    t.prompt_len_min = t.prompt_len_max = sim.input_len;
+    t.max_new_min = t.max_new_max = sim.output_len;
+    ServingEngine engine(&model, cfg);
+    engine.InjectPoissonArrivals(t);
+    const ExecServingReport exec = engine.Run();
 
-  EXPECT_EQ(exec.arrived, analytic.arrived);
-  EXPECT_EQ(exec.completed, analytic.completed);
-  EXPECT_EQ(exec.rejected, 0);
-  const double kRel = 1e-9;
-  EXPECT_NEAR(exec.throughput_tps, analytic.throughput_tps,
-              kRel * analytic.throughput_tps);
-  EXPECT_NEAR(exec.mean_batch, analytic.mean_batch, kRel * analytic.mean_batch);
-  EXPECT_NEAR(exec.latency.mean_ms, analytic.mean_latency_ms,
-              kRel * analytic.mean_latency_ms);
-  EXPECT_NEAR(exec.latency.p50_ms, analytic.p50_latency_ms,
-              kRel * analytic.p50_latency_ms);
-  EXPECT_NEAR(exec.latency.p95_ms, analytic.p95_latency_ms,
-              kRel * analytic.p95_latency_ms);
-  EXPECT_NEAR(exec.latency.p99_ms, analytic.p99_latency_ms,
-              kRel * analytic.p99_latency_ms);
+    EXPECT_EQ(exec.arrived, analytic.arrived);
+    EXPECT_EQ(exec.completed, analytic.completed);
+    EXPECT_EQ(exec.rejected, 0);
+    const double kRel = 1e-9;
+    EXPECT_NEAR(exec.throughput_tps, analytic.throughput_tps,
+                kRel * analytic.throughput_tps);
+    EXPECT_NEAR(exec.mean_batch, analytic.mean_batch,
+                kRel * analytic.mean_batch);
+    EXPECT_NEAR(exec.latency.mean_ms, analytic.mean_latency_ms,
+                kRel * analytic.mean_latency_ms);
+    EXPECT_NEAR(exec.latency.p50_ms, analytic.p50_latency_ms,
+                kRel * analytic.p50_latency_ms);
+    EXPECT_NEAR(exec.latency.p95_ms, analytic.p95_latency_ms,
+                kRel * analytic.p95_latency_ms);
+    EXPECT_NEAR(exec.latency.p99_ms, analytic.p99_latency_ms,
+                kRel * analytic.p99_latency_ms);
+
+    if (gpus == 1) {
+      one_gpu_sim_time_s = exec.sim_time_s;
+      one_gpu_results = engine.results();
+      continue;
+    }
+    EXPECT_NE(exec.sim_time_s, one_gpu_sim_time_s);
+    ASSERT_EQ(engine.results().size(), one_gpu_results.size());
+    for (size_t i = 0; i < one_gpu_results.size(); ++i) {
+      EXPECT_EQ(engine.results()[i].generated, one_gpu_results[i].generated)
+          << "id=" << i;
+    }
+  }
 }
 
 // A prompt token outside [0, vocab) is a request that can never run: it is
@@ -507,6 +581,10 @@ TEST(ServingEngineDeathTest, UnsetCostModelFailsAtConstruction) {
   ServingEngineConfig cfg = TestEngineConfig(model.config());
   cfg.cost.model = ModelConfig{};
   EXPECT_DEATH(ServingEngine(&model, cfg), "cost.model is unset");
+  // A GPU count below 1 would divide by zero there too.
+  cfg = TestEngineConfig(model.config());
+  cfg.cost.num_gpus = 0;
+  EXPECT_DEATH(ServingEngine(&model, cfg), "cost.num_gpus must be >= 1");
 }
 
 // Submit is thread-safe: concurrent producers, then one Run, loses nothing.

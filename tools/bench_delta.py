@@ -52,7 +52,6 @@ EXPECTED_BENCHES = (
     "serving_chunked_prefill",
     "serving_engine_b8",
     "serving_obs_overhead",
-    "serving_tp4",
     "serving_disagg",
     "model_setup_m",
 )
